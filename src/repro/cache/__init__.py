@@ -3,8 +3,8 @@
 The cache sits under the engine seam (:mod:`repro.engine`): whole
 requests and individual shards are keyed by SHA-256 of their canonical
 determinism tuple, payloads are digest-verified on every read, and
-writes follow the checkpoint/session durability contract (retried,
-rolled back, atomically published).
+writes follow the session-log durability contract (retried, rolled
+back, atomically published).
 """
 
 from repro.cache.keys import (

@@ -221,7 +221,10 @@ def shard_key(
 #: Module prefixes whose source a kind's results flow through. Generous
 #: on purpose: an over-wide fingerprint only costs invalidation (a cold
 #: recompute after an unrelated edit); an under-wide one serves stale
-#: results after a behavior change, which is a correctness bug.
+#: results after a behavior change, which is a correctness bug. Every
+#: cached shard is served again on each resume, so tests/cache/
+#: test_keys.py checks each entry against the static import closure of
+#: the kind's engine runner.
 FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
     "run": (
         "repro.core",
@@ -231,6 +234,8 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.resilience",
         "repro.costs",
         "repro.graphs",
+        "repro.parallel",
+        "repro.obs.sketches",
     ),
     "exhaustive": (
         "repro.lowerbounds",
@@ -239,6 +244,11 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.crossing",
         "repro.indist",
         "repro.core",
+        "repro.graphs",
+        "repro.kernels",
+        "repro.costs",
+        "repro.net",
+        "repro.resilience.faults",
         "repro.obs.sketches",
     ),
     "sampling": (
@@ -246,12 +256,18 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.twoparty",
         "repro.partitions",
         "repro.parallel",
+        "repro.algorithms",
+        "repro.core",
+        "repro.graphs",
+        "repro.kernels",
+        "repro.costs",
         "repro.obs.sketches",
     ),
     "ranks": (
         "repro.partitions",
         "repro.kernels",
         "repro.parallel",
+        "repro.graphs",
     ),
     "fault-sweep": (
         "repro.resilience",
@@ -260,6 +276,8 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.instances",
         "repro.graphs",
         "repro.parallel",
+        "repro.costs",
+        "repro.net",
         "repro.obs.sketches",
     ),
     "bench": ("repro",),

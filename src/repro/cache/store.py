@@ -21,7 +21,7 @@ entry is treated as a miss (and counted under ``cache.corrupt``) -- the
 caller recomputes and overwrites. Serving a wrong-but-parseable result
 is the one failure mode a result cache must not have.
 
-Durability posture mirrors checkpoints and session stores: writes go
+Durability posture mirrors the session store: writes go
 through :func:`repro.resilience.retry.retry_transient` (bounded backoff
 on transient ``OSError``), each attempt rolls back its partial temp file
 via seek+truncate before retrying, and publication is a same-directory
@@ -165,12 +165,12 @@ class ResultCache:
     def put(self, key: str, kind: str, payload: Dict[str, Any]) -> bool:
         """Store ``payload`` under ``key``; returns whether it was written.
 
-        The write contract matches session/checkpoint stores: the entry
+        The write contract matches the session store: the entry
         body is serialized once, then each :func:`retry_transient`
         attempt writes it to a fresh-position temp file, **rolls the
         temp file back via seek+truncate if the write or fsync raises**,
         and only a fully fsynced temp file is published with
-        ``os.replace``. Persistent failure degrades to "not cached"
+        ``os.replace`` (itself retried). Persistent failure degrades to "not cached"
         rather than raising -- a broken cache disk must not kill the
         computation whose result it was trying to save.
         """
@@ -215,7 +215,7 @@ class ResultCache:
                 # it), so the published file holds exactly one envelope.
                 handle.seek(0)
                 retry_transient(attempt)
-            os.replace(tmp_path, path)
+            retry_transient(lambda: os.replace(tmp_path, path))
         except OSError:
             try:
                 os.unlink(tmp_path)

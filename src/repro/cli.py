@@ -9,7 +9,7 @@
     python -m repro.cli reduction     --n 8  --seed 1
     python -m repro.cli information   --n 5  --eps 0.3
     python -m repro.cli upper-bounds  --n 32
-    python -m repro.cli exhaustive    --n 6 --checkpoint ck.json
+    python -m repro.cli exhaustive    --n 6 --cache ck
     python -m repro.cli sampling      --n 6 --samples 500
     python -m repro.cli fault-sweep   --quick
     python -m repro.cli bench         --quick --history
@@ -66,10 +66,12 @@ the mapping to the paper's lemmas and theorems. Observability:
   the store; ``dash --cache DIR`` adds a cache panel.
 
 Resilience (see `repro.resilience`): ``exhaustive`` and ``sampling``
-take ``--budget-seconds`` / work caps plus ``--checkpoint FILE`` and
-``--resume FILE``; SIGINT and SIGTERM flush a final checkpoint before
-exiting. ``fault-sweep`` measures correctness-vs-fault-rate degradation
-curves for the upper-bound algorithms.
+take ``--budget-seconds`` / work caps; with ``--cache DIR`` (aliases
+``--checkpoint DIR`` / ``--resume DIR``) every completed shard is stored
+as it finishes, so re-running the same command after a budget stop,
+Ctrl-C or SIGTERM computes only the missing shards. ``fault-sweep``
+measures correctness-vs-fault-rate degradation curves for the
+upper-bound algorithms.
 
 Record/replay (see `repro.replay`): ``record`` executes any of the
 engines (a simulator run -- optionally under ``--bit-flip-rate`` /
@@ -81,12 +83,11 @@ counterfactuals, and ``report --session`` summarizes one (rounds,
 faults, per-edge delivery anomalies, cost parity).
 
 Exit codes: 0 success; 1 experiment-level failure (a FAIL row); 2 user
-error (bad arguments, invalid instance, unreadable checkpoint -- one
+error (bad arguments, invalid instance, unusable cache directory -- one
 line on stderr, never a traceback); 3 budget exhausted (partial results
 printed); 4 replay divergence (the recorded session and the live
 re-execution disagree -- first divergence on stderr or in the report);
-130 interrupted (after flushing any configured checkpoint and sealing
-any open session log).
+130 interrupted (after sealing any open session log).
 """
 
 from __future__ import annotations
@@ -415,28 +416,23 @@ def _budget_from_args(args: argparse.Namespace, max_units: Optional[int]) -> obj
     return Budget(wall_seconds=seconds, max_units=max_units)
 
 
-def _interrupted(checkpoint: Optional[str]) -> int:
-    """One-line 130 exit after Ctrl-C / SIGTERM, naming the checkpoint."""
-    import os
+def _resume_hint(args: argparse.Namespace) -> str:
+    """How to pick up where a stopped run left off ('' without a cache)."""
+    directory = getattr(args, "cache", None) or _cache_dir_from_env()
+    if directory is None:
+        return ""
+    return f"; re-run the same command (completed shards are cached in {directory})"
 
-    if checkpoint and not os.path.exists(checkpoint):
-        checkpoint = None  # interrupted before the first flush
-    if checkpoint:
-        print(
-            f"interrupted: checkpoint written to {checkpoint} "
-            f"(continue with --resume {checkpoint})",
-            file=sys.stderr,
-        )
-    else:
-        print("interrupted", file=sys.stderr)
+
+def _interrupted(args: argparse.Namespace) -> int:
+    """One-line 130 exit after Ctrl-C / SIGTERM, naming the cache."""
+    print(f"interrupted{_resume_hint(args)}", file=sys.stderr)
     return 130
 
 
-def _budget_exhausted(exc: Exception) -> None:
+def _budget_exhausted(exc: Exception, args: argparse.Namespace) -> None:
     """One-line budget notice on stderr (the partial table already printed)."""
-    path = getattr(exc, "checkpoint_path", None)
-    hint = f" (continue with --resume {path})" if path else ""
-    print(f"budget exhausted: {exc}{hint}", file=sys.stderr)
+    print(f"budget exhausted: {exc}{_resume_hint(args)}", file=sys.stderr)
 
 
 def _cache_dir_from_env() -> Optional[str]:
@@ -552,11 +548,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
                     workers=_resolved_workers(args),
                 ),
                 cache=cache,
-                options=EngineOptions(
-                    budget=budget,
-                    checkpoint_path=args.checkpoint,
-                    resume=args.resume,
-                ),
+                options=EngineOptions(budget=budget),
             )
     except BudgetExceededError as exc:
         if exc.partial is not None:
@@ -569,10 +561,10 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
                 report.worst_assignment,
                 "partial (budget exhausted)",
             )
-        _budget_exhausted(exc)
+        _budget_exhausted(exc, args)
         return 3
     except KeyboardInterrupt:
-        return _interrupted(args.checkpoint)
+        return _interrupted(args)
     payload = result.payload
     _emit_report(
         payload["n"],
@@ -625,11 +617,7 @@ def _cmd_sampling(args: argparse.Namespace) -> int:
                     workers=_resolved_workers(args),
                 ),
                 cache=cache,
-                options=EngineOptions(
-                    budget=budget,
-                    checkpoint_path=args.checkpoint,
-                    resume=args.resume,
-                ),
+                options=EngineOptions(budget=budget),
             )
     except BudgetExceededError as exc:
         if exc.partial is not None:
@@ -646,10 +634,10 @@ def _cmd_sampling(args: argparse.Namespace) -> int:
                 ),
                 "partial (budget exhausted)",
             )
-        _budget_exhausted(exc)
+        _budget_exhausted(exc, args)
         return 3
     except KeyboardInterrupt:
-        return _interrupted(args.checkpoint)
+        return _interrupted(args)
     payload = result.payload
     _emit_report(
         (
@@ -1559,7 +1547,7 @@ _COMMANDS_HELP = [
     ("reduction", "E7+E8: Figure 2 reduction + Section 4.3 simulation"),
     ("information", "E9: Theorem 4.5 information accounting"),
     ("upper-bounds", "E10: the upper-bound comparators"),
-    ("exhaustive", "universal 1-round KT-0 bound (budget/checkpoint/resume)"),
+    ("exhaustive", "universal 1-round KT-0 bound (budget/resume)"),
     ("sampling", "sampled Theorem 4.5 information estimate (resumable)"),
     ("fault-sweep", "correctness-vs-fault-rate degradation curves"),
     ("all", "one-pass summary of all three results"),
@@ -1639,9 +1627,11 @@ def _add_kernel_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_flag(p: argparse.ArgumentParser) -> None:
+def _add_cache_flag(p: argparse.ArgumentParser, *aliases: str) -> None:
     p.add_argument(
         "--cache",
+        *aliases,
+        dest="cache",
         nargs="?",
         const=".repro-cache",
         default=None,
@@ -1649,8 +1639,10 @@ def _add_cache_flag(p: argparse.ArgumentParser) -> None:
         help=(
             "memoize the result in a content-addressed cache at DIR "
             "(default: .repro-cache); a repeat of the same request becomes "
-            "a hash lookup with byte-identical output. Setting "
-            "REPRO_CACHE_DIR enables the same thing without the flag"
+            "a hash lookup with byte-identical output, and completed shards "
+            "are stored as they finish, so re-running a stopped run computes "
+            "only what is missing. Setting REPRO_CACHE_DIR enables the same "
+            "thing without the flag"
         ),
     )
 
@@ -1663,18 +1655,9 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
         metavar="S",
         help="wall-clock budget; exhaustion prints the partial result, exit 3",
     )
-    p.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        default=None,
-        help="write atomic resumable checkpoints to FILE (flushed on Ctrl-C/SIGTERM)",
-    )
-    p.add_argument(
-        "--resume",
-        metavar="FILE",
-        default=None,
-        help="resume from a checkpoint previously written with --checkpoint",
-    )
+    # --checkpoint / --resume name the same directory: completed shards
+    # land in the cache, and a re-run computes only the missing ones.
+    _add_cache_flag(p, "--checkpoint", "--resume")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1775,7 +1758,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_flag(p)
     _add_resilience_flags(p)
-    _add_cache_flag(p)
     _add_json_flag(p)
     p.set_defaults(func=_cmd_exhaustive)
 
@@ -1798,7 +1780,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_flag(p)
     _add_resilience_flags(p)
-    _add_cache_flag(p)
     _add_json_flag(p)
     p.set_defaults(func=_cmd_sampling)
 
@@ -2280,8 +2261,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse and dispatch; never lets a traceback reach the terminal.
 
-    User errors (bad arguments, invalid instances, unreadable
-    checkpoints -- anything in the :class:`~repro.errors.ReproError`
+    User errors (bad arguments, invalid instances, unusable cache
+    directories -- anything in the :class:`~repro.errors.ReproError`
     taxonomy or a ``ValueError``/``OSError`` from user-supplied paths
     and parameters) print one ``error: ...`` line on stderr and exit 2.
     ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM inside the resilient

@@ -12,11 +12,13 @@ The content-addressed cache plugs in here, at two granularities:
 * **whole-request** -- ``execute(request, cache=...)`` keys the
   normalized request (:func:`repro.cache.request_key`) and returns the
   stored payload on a hit without touching the compute layer;
-* **per-shard** -- cacheable fan-out kinds additionally thread a
+* **per-shard** -- the fan-out kinds additionally thread a
   :class:`repro.cache.ShardCache` into their compute layer
-  (``exhaustive`` shards, ``fault-sweep`` grid cells), so a re-run that
-  shares only *part* of its work with history computes the delta and the
-  order-invariant monoid merges reassemble mixed cached+fresh pieces.
+  (``exhaustive`` and ``sampling`` shards, ``fault-sweep`` grid cells),
+  so a re-run that shares only *part* of its work with history -- a
+  resumed budget-exhausted or interrupted run, an overlapping grid --
+  computes the delta and the order-invariant monoid merges reassemble
+  mixed cached+fresh pieces.
 
 Hit/recompute byte-identity is structural, not hoped-for: every fresh
 payload is round-tripped through canonical JSON before being returned
@@ -140,8 +142,6 @@ def _run_exhaustive(
     workers: int = 1,
     session=None,
     budget=None,
-    checkpoint_path: Optional[str] = None,
-    resume: Optional[str] = None,
     metrics=None,
     shard_cache=None,
 ) -> Dict[str, Any]:
@@ -152,8 +152,6 @@ def _run_exhaustive(
         alphabet=tuple(params.get("alphabet", ("", "0", "1"))),
         metrics=metrics,
         budget=budget,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
         workers=int(workers),
         vectorize=params.get("vectorize"),
         population=bool(params.get("population", False)),
@@ -178,8 +176,7 @@ def _run_sampling(
     workers: int = 1,
     session=None,
     budget=None,
-    checkpoint_path: Optional[str] = None,
-    resume: Optional[str] = None,
+    shard_cache=None,
 ) -> Dict[str, Any]:
     from repro.information.sampling import estimate_protocol_information
     from repro.twoparty import (
@@ -201,9 +198,8 @@ def _run_sampling(
         int(params["samples"]),
         rng,
         budget=budget,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
         workers=int(workers),
+        shard_cache=shard_cache,
     )
     payload = {
         "n": report.n,
@@ -439,8 +435,9 @@ def execute(
     A budget-exhausted run propagates
     :class:`~repro.errors.BudgetExceededError` and stores nothing at the
     request granularity (the partial is not the result), but shards that
-    *completed* under the budget are already cached -- the next
-    invocation computes only the delta.
+    *completed* under the budget -- or before an interrupt -- are already
+    cached, so re-running the same request is the resume: it computes
+    only the missing shards.
     """
     opts = options if options is not None else EngineOptions()
     kind = request.kind
@@ -481,27 +478,19 @@ def execute(
         _emit_cache_event(opts.trace, "miss", kind, key)
 
     shard_cache = None
-    if use_cache and kind == "exhaustive":
+    if use_cache and kind in ("exhaustive", "sampling", "fault-sweep"):
         from repro.cache.shards import ShardCache
 
+        binding = params
+        if kind == "fault-sweep":
+            # Cells are pure functions of (coordinates, n, trials, seed)
+            # -- NOT of the full grid -- so the binding drops the
+            # algorithm/kind/rate lists and overlapping grids share
+            # per-cell entries.
+            binding = {key: params[key] for key in ("n", "trials", "seed")}
         shard_cache = ShardCache(
-            cache, kind, params, kernel=kernel,
+            cache, kind, binding, kernel=kernel,
             result_version=ENGINE_RESULT_VERSION, fingerprint=fingerprint,
-        )
-    cell_cache = None
-    if use_cache and kind == "fault-sweep":
-        from repro.cache.shards import ShardCache
-
-        # Cells are pure functions of (coordinates, n, trials, seed) --
-        # NOT of the full grid -- so the binding drops the algorithm/
-        # kind/rate lists and overlapping grids share per-cell entries.
-        cell_cache = ShardCache(
-            cache,
-            kind,
-            {"n": params["n"], "trials": params["trials"], "seed": params["seed"]},
-            kernel=kernel,
-            result_version=ENGINE_RESULT_VERSION,
-            fingerprint=fingerprint,
         )
 
     if kind == "run":
@@ -516,8 +505,6 @@ def execute(
             workers=workers,
             session=opts.session,
             budget=opts.budget,
-            checkpoint_path=opts.checkpoint_path,
-            resume=opts.resume,
             metrics=opts.metrics,
             shard_cache=shard_cache,
         )
@@ -527,8 +514,7 @@ def execute(
             workers=workers,
             session=opts.session,
             budget=opts.budget,
-            checkpoint_path=opts.checkpoint_path,
-            resume=opts.resume,
+            shard_cache=shard_cache,
         )
     elif kind == "ranks":
         payload = _run_ranks(
@@ -541,7 +527,7 @@ def execute(
             session=opts.session,
             trace=opts.trace,
             metrics=opts.metrics,
-            cell_cache=cell_cache,
+            cell_cache=shard_cache,
         )
     else:  # bench
         payload = _run_bench(

@@ -72,9 +72,9 @@ class EngineRequest:
 class EngineOptions:
     """Execution-time knobs that never affect a result's value.
 
-    Budget, checkpointing, and resume state change how much of a request
-    gets computed before an interruption -- never the value of what was
-    computed -- so none of them participate in cache keys. ``session``
+    A budget changes how much of a request gets computed before it
+    stops -- never the value of what was computed -- so it does not
+    participate in cache keys. ``session``
     disables whole-request memoization (a recorded session must contain
     the execution's actual steps); ``trace`` receives ``cache`` events
     on hit/miss, with the caveat that a whole-request hit elides the
@@ -82,8 +82,6 @@ class EngineOptions:
     """
 
     budget: Optional[Any] = None
-    checkpoint_path: Optional[str] = None
-    resume: Optional[str] = None
     session: Optional[Any] = None
     trace: Optional[Any] = None
     metrics: Optional[Any] = None

@@ -92,14 +92,12 @@ class BudgetExceededError(ReproError):
     inside the inner loop and raise this instead of running forever. The
     exception carries ``partial`` -- the best-so-far result object (e.g. a
     partial :class:`~repro.lowerbounds.exhaustive.UniversalBoundReport`)
-    -- and ``checkpoint_path`` when a resumable checkpoint was flushed on
-    the way out, so callers can report progress and resume later.
+    -- so callers can report progress.
     """
 
-    def __init__(self, message: str, partial=None, checkpoint_path=None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
-        self.checkpoint_path = checkpoint_path
 
 
 class EngineError(ReproError):
@@ -109,16 +107,6 @@ class EngineError(ReproError):
     :data:`repro.engine.ENGINE_KINDS` registry or with parameters that
     fail normalization (wrong types, missing required fields). The CLI
     maps this -- like every other user error -- to exit code 2.
-    """
-
-
-class CheckpointError(ReproError):
-    """A checkpoint file could not be written, read, or trusted.
-
-    Examples: the checkpoint path is missing or unreadable, the payload is
-    not valid JSON, the ``checkpoint_version`` is unsupported, or the
-    checkpoint describes a different computation (wrong kind, n, or
-    parameters) than the one being resumed.
     """
 
 

@@ -19,16 +19,14 @@ Two standard caveats are surfaced rather than hidden:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import BudgetExceededError, CheckpointError
+from repro.errors import BudgetExceededError
 from repro.obs.spans import span
 from repro.information.entropy import (
-    empirical_joint,
     entropy,
     marginal_x,
     marginal_y,
@@ -41,14 +39,11 @@ from repro.partitions.bell import bell_number
 from repro.partitions.enumeration import random_partition
 from repro.partitions.set_partition import SetPartition
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpointer, read_checkpoint
 from repro.twoparty.protocol import TwoPartyProtocol
 
-#: Checkpoint ``kind`` tag for this estimator (see repro.resilience.checkpoint).
-SAMPLING_CHECKPOINT_KIND = "sampling"
-
-#: Checkpoint ``kind`` tag for the sharded (``workers > 1``) estimator.
-SAMPLING_SHARDED_CHECKPOINT_KIND = "sampling.sharded"
+#: Samples per shard: well under 1 s of protocol runs at n = 7, which
+#: bounds the work a kill can lose (completed shards are cached).
+SAMPLING_SHARD_UNITS = 512
 
 
 @dataclass(frozen=True)
@@ -67,10 +62,9 @@ class SampledInformationReport:
     #: Population sketches over the sampled transcripts (name ->
     #: serialized state, see :mod:`repro.obs.sketches`): transcript-bit
     #: quantiles and transcript frequency counts. Derived purely from
-    #: the per-transcript counts all estimation paths compute
-    #: identically, so lean / resilient / sharded reports carry the same
-    #: states; excluded from equality so reports stay comparable to
-    #: hand-built expected values.
+    #: the merged per-transcript counts, so every worker count carries
+    #: the same states; excluded from equality so reports stay
+    #: comparable to hand-built expected values.
     population: Optional[Dict[str, Dict[str, Any]]] = field(default=None, compare=False)
 
     @property
@@ -87,13 +81,7 @@ class SampledInformationReport:
 def _transcript_population(
     transcript_counts: Iterable[Tuple[str, int]],
 ) -> Dict[str, Dict[str, Any]]:
-    """Population sketches from (transcript string, count) pairs.
-
-    Built from the per-transcript counts only -- never from the joint's
-    *input* keys, which deliberately differ between the lean path
-    (partition objects) and the resilient/sharded paths (canonical
-    strings) -- so every estimation path produces identical states.
-    """
+    """Population sketches from (transcript string, count) pairs."""
     from repro.obs.sketches import QuantileSketch, TopKSketch
 
     bits = QuantileSketch()
@@ -125,14 +113,12 @@ def _report_from_joint(
     errors: int,
     population: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> SampledInformationReport:
-    """Assemble the report from an empirical joint (keys may be relabeled).
+    """Assemble the report from an empirical joint.
 
-    Every derived quantity -- entropies, mutual information, distinct
-    counts, Miller-Madow bias -- is invariant under injective relabeling
-    of the outcome keys, so the resilient path (which keys inputs by
-    their canonical string form to stay JSON-serializable) produces
-    numbers identical to the lean path (which keys by the partitions
-    themselves).
+    The joint keys inputs by their canonical string form, which keeps
+    shard results JSON-serializable; every derived quantity -- entropies,
+    mutual information, distinct counts, Miller-Madow bias -- is
+    invariant under that injective relabeling.
     """
     info = mutual_information(joint)
     distinct_x = len(marginal_x(joint))
@@ -155,245 +141,139 @@ def _report_from_joint(
     )
 
 
-def _rng_state_to_json(state: Any) -> List[Any]:
-    """random.Random.getstate() -> JSON-safe nested lists (exact)."""
-    return [state[0], list(state[1]), state[2]]
-
-
-def _rng_state_from_json(data: Any) -> Tuple[Any, ...]:
-    """Inverse of :func:`_rng_state_to_json`."""
-    return (data[0], tuple(data[1]), data[2])
-
-
 def estimate_protocol_information(
     protocol: TwoPartyProtocol,
     n: int,
     samples: int,
     rng: random.Random,
     budget: Optional[Budget] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 64,
-    checkpoint_seconds: float = 2.0,
-    resume: Optional[str] = None,
     workers: int = 1,
+    shard_cache=None,
 ) -> SampledInformationReport:
     """Sample the Theorem 4.5 hard distribution and estimate I(P_A; Pi).
 
-    ``workers > 1`` fans the protocol runs out over a deterministic
-    :class:`repro.parallel.ShardPlan`: the parent pre-draws **all** N
-    inputs from ``rng`` (consuming exactly the random stream the serial
-    loop would, so the caller's RNG ends in the identical state), shards
-    the drawn list, and merges the per-shard joint counts key-wise. The
-    merged report is bit-identical to the serial *resilient* path for
-    every worker count (both sum the joint in sorted key order; the lean
-    serial path differs only in float summation order, as documented on
-    its checkpoint semantics). Sharded checkpoints use kind
-    ``"sampling.sharded"`` and embed a digest of the drawn inputs, so a
-    resume must pass a fresh ``rng`` seeded identically to the original
-    run -- a mismatched seed fails checkpoint validation instead of
-    silently estimating a different distribution.
+    The parent pre-draws **all** N inputs from ``rng`` (so the caller's
+    RNG always ends in the same state), cuts them into a fixed
+    :class:`repro.parallel.ShardPlan` of :data:`SAMPLING_SHARD_UNITS`
+    samples that does not depend on ``workers``, runs the protocol over
+    each shard (in-process for ``workers=1``, over a process pool
+    otherwise), and merges the per-shard joint counts key-wise. The
+    joint is summed in sorted key order, so the report is bit-identical
+    for every worker count.
 
-    Resilience (all opt-in, mirroring
-    :func:`repro.lowerbounds.exhaustive.universal_bound_id_oblivious`):
+    ``budget`` -- a :class:`repro.resilience.Budget` whose units fill the
+    shards in shard order, one unit per sample; exhaustion raises
+    :class:`~repro.errors.BudgetExceededError` carrying a partial report
+    over the first samples (``None`` below 2 samples).
 
-    * ``budget`` -- a :class:`repro.resilience.Budget` ticked once per
-      sample; exhaustion raises
-      :class:`~repro.errors.BudgetExceededError` carrying a partial
-      report over the samples drawn so far (``None`` below 2 samples).
-    * ``checkpoint_path`` -- atomic resumable JSON checkpoints (kind
-      ``"sampling"``) carrying the joint counts, the error count, and
-      the full ``random.Random`` state, so a resumed estimate consumes
-      exactly the random stream an uninterrupted one would.
-    * ``resume`` -- path to a previous checkpoint; validates (n,
-      samples) and restores counts + RNG state, so an interrupted +
-      resumed run is bit-identical to an uninterrupted resilient run
-      (and agrees with the lean path up to float summation order).
+    ``shard_cache`` (a :class:`repro.cache.ShardCache` bound to the
+    request's ``(n, samples, seed, eps)``) memoizes completed shards:
+    every shard is a pure function of its slice of the seeded draw, so
+    re-running an interrupted or budget-exhausted estimate with the same
+    cache computes only the missing shards.
 
     When a :class:`repro.obs.SpanRecorder` is installed the estimator
-    emits a ``sampling.estimate`` span with ``sampling.draw`` (protocol
-    runs) and ``sampling.reduce`` (plug-in estimation) children.
+    emits a ``sampling.estimate`` span with ``sampling.draw`` (input
+    draws and protocol runs) and ``sampling.reduce`` (plug-in
+    estimation) children.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     with span("sampling.estimate", n=n, samples=samples):
-        if workers > 1:
-            return _estimate_sharded(
-                protocol,
-                n,
-                samples,
-                rng,
-                budget,
-                checkpoint_path,
-                checkpoint_every,
-                checkpoint_seconds,
-                resume,
-                workers,
+        with span("sampling.draw", samples=samples):
+            inputs = [random_partition(n, rng) for _ in range(samples)]
+            shards = ShardPlan.for_units(samples, SAMPLING_SHARD_UNITS).shards()
+            results: List[Dict[str, Any]] = [{}] * len(shards)
+            pending = []
+            for shard in shards:
+                hit = None
+                if shard_cache is not None:
+                    hit = shard_cache.get_item(_shard_item(shard))
+                if hit is not None and hit.get("done") == shard.size:
+                    results[shard.index] = hit
+                else:
+                    pending.append(shard)
+            budgets = split_budget(budget, [shard.size for shard in pending])
+            payloads = [
+                (protocol, n, inputs[shard.start:shard.stop], shard.start, sb)
+                for shard, sb in zip(pending, budgets)
+            ]
+
+            def _store(index: int, result: Dict[str, Any]) -> None:
+                if shard_cache is not None and not result["exhausted"]:
+                    shard_cache.put_item(_shard_item(pending[index]), result)
+
+            fresh = ParallelExecutor(workers=workers).map(
+                _sampling_shard_worker, payloads, on_result=_store
             )
-        return _estimate_impl(
-            protocol,
-            n,
-            samples,
-            rng,
-            budget,
-            checkpoint_path,
-            checkpoint_every,
-            checkpoint_seconds,
-            resume,
-        )
+            for shard, result in zip(pending, fresh):
+                results[shard.index] = result
 
-
-def _estimate_impl(
-    protocol: TwoPartyProtocol,
-    n: int,
-    samples: int,
-    rng: random.Random,
-    budget: Optional[Budget],
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
-    checkpoint_seconds: float,
-    resume: Optional[str],
-) -> SampledInformationReport:
-    pb = SetPartition.finest(n)
-    resilient = (
-        budget is not None or checkpoint_path is not None or resume is not None
-    )
-
-    if not resilient:
-        # The original lean loop: nothing per-iteration but the protocol.
-        pairs = []
+        counts: Dict[Tuple[str, str], int] = {}
         errors = 0
-        with span("sampling.draw", resilient=False):
-            for _ in range(samples):
-                pa = random_partition(n, rng)
-                result = protocol.run(pa, pb)
-                pairs.append((pa, result.transcript_string()))
-                if result.bob_output != pa:
-                    errors += 1
+        done = 0
+        for result in results:
+            merge_counts(
+                counts, {(str(x), str(y)): int(c) for x, y, c in result["counts"]}
+            )
+            errors += int(result["errors"])
+            done += int(result["done"])
+
+        def _joint(total: int) -> Dict[Tuple[str, str], float]:
+            # Sorted key order makes the float summation order -- and
+            # hence the report -- independent of the shard layout.
+            return {pair: c / total for pair, c in sorted(counts.items())}
+
+        ran = sum(int(result["done"]) for result in fresh)
+        exhausted = any(result["exhausted"] for result in fresh)
+        budget_message = f"budget exhausted during sampling (n={n})"
+        if budget is not None and ran:
+            try:
+                # Tick the parent by the consumed units so "budget == exact
+                # sample count" raises, exactly as a per-sample loop does.
+                budget.tick(units=ran)
+            except BudgetExceededError as exc:
+                budget_message = str(exc)
+                exhausted = True
+        if exhausted:
+            partial = (
+                _report_from_joint(n, done, _joint(done), errors) if done >= 2 else None
+            )
+            raise BudgetExceededError(budget_message, partial=partial)
+
         with span("sampling.reduce"):
-            pair_counts: Dict[Tuple[Any, str], int] = {}
-            for pair in pairs:
-                pair_counts[pair] = pair_counts.get(pair, 0) + 1
             population = _transcript_population(
-                _transcript_counts_from_pairs(pair_counts.items())
+                _transcript_counts_from_pairs(counts.items())
             )
-            return _report_from_joint(
-                n, samples, empirical_joint(pairs), errors, population
-            )
-
-    params = {"n": n, "samples": samples}
-    counts: Dict[Tuple[str, str], int] = {}
-    errors = 0
-    done = 0
-    if resume is not None:
-        payload = read_checkpoint(resume, kind=SAMPLING_CHECKPOINT_KIND, params=params)
-        state = payload["state"]
-        try:
-            done = int(state["samples_done"])
-            errors = int(state["errors"])
-            counts = {(str(x), str(y)): int(c) for x, y, c in state["counts"]}
-            rng.setstate(_rng_state_from_json(state["rng_state"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint {resume!r} has malformed sampling state: {exc}"
-            ) from exc
-
-    checkpointer: Optional[Checkpointer] = None
-    if checkpoint_path is not None:
-        def _state() -> Dict[str, object]:
-            return {
-                "samples_done": done,
-                "errors": errors,
-                "counts": [[x, y, c] for (x, y), c in sorted(counts.items())],
-                "rng_state": _rng_state_to_json(rng.getstate()),
-            }
-
-        checkpointer = Checkpointer(
-            checkpoint_path,
-            SAMPLING_CHECKPOINT_KIND,
-            params,
-            _state,
-            every_units=checkpoint_every,
-            every_seconds=checkpoint_seconds,
-        )
-
-    def _joint(total: int) -> Dict[Tuple[str, str], float]:
-        # Sorted key order makes the float summation order -- and hence
-        # the report -- independent of when (or whether) the run was
-        # interrupted and resumed.
-        return {pair: c / total for pair, c in sorted(counts.items())}
-
-    def _partial() -> Optional[SampledInformationReport]:
-        if done < 2:
-            return None
-        return _report_from_joint(n, done, _joint(done), errors)
-
-    with span("sampling.draw", resilient=True, start_index=done):
-        try:
-            while done < samples:
-                pa = random_partition(n, rng)
-                result = protocol.run(pa, pb)
-                key = (repr(pa), result.transcript_string())
-                counts[key] = counts.get(key, 0) + 1
-                if result.bob_output != pa:
-                    errors += 1
-                done += 1
-                if checkpointer is not None:
-                    checkpointer.maybe_write()
-                if budget is not None:
-                    budget.tick(partial=None)
-        except BudgetExceededError as exc:
-            if checkpointer is not None:
-                checkpointer.flush()
-            raise BudgetExceededError(
-                str(exc), partial=_partial(), checkpoint_path=checkpoint_path
-            ) from exc
-        except KeyboardInterrupt:
-            if checkpointer is not None:
-                checkpointer.flush()
-            raise
-        if checkpointer is not None:
-            checkpointer.flush()
-
-    with span("sampling.reduce"):
-        population = _transcript_population(
-            _transcript_counts_from_pairs(counts.items())
-        )
-        return _report_from_joint(n, samples, _joint(samples), errors, population)
+            return _report_from_joint(n, samples, _joint(samples), errors, population)
 
 
-# ----------------------------------------------------------------------
-# sharded estimation
-# ----------------------------------------------------------------------
+def _shard_item(shard) -> Dict[str, int]:
+    """The shard-cache item naming one slice of the drawn inputs."""
+    return {"start": shard.start, "stop": shard.stop}
+
+
 def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
     """Run the protocol on one contiguous slice of the drawn inputs.
 
     ``payload`` is ``(protocol, n, inputs, start, shard_budget)``.
     Module-level (picklable); returns JSON-ready sorted count triples so
     the pooled path ships plain lists across the pipe. The budget is
-    ticked once per sample, exactly like the serial loop; a budget that
-    trips on the slice's final sample still reports a completed slice.
+    ticked once per sample; a budget that trips on the slice's final
+    sample still reports a completed slice.
     """
     protocol, n, inputs, start, shard_budget = payload
-    if shard_budget is not None:
-        exhausted_before_start = shard_budget.max_units == 0 or (
-            shard_budget.wall_seconds is not None
-            and shard_budget.wall_seconds <= 0
-        )
-        if exhausted_before_start:
-            return {
-                "counts": [],
-                "errors": 0,
-                "done": 0,
-                "exhausted": bool(inputs),
-            }
-    budget = None if shard_budget is None else shard_budget.to_budget()
-    pb = SetPartition.finest(n)
     counts: Dict[Tuple[str, str], int] = {}
     errors = 0
     done = 0
     exhausted = False
+    try:
+        budget = None if shard_budget is None else shard_budget.to_budget()
+    except BudgetExceededError:
+        return {"counts": [], "errors": 0, "done": 0, "exhausted": bool(inputs)}
+    pb = SetPartition.finest(n)
     with span("sampling.scan_shard", start=start, size=len(inputs)):
         try:
             for pa in inputs:
@@ -413,150 +293,3 @@ def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
         "done": done,
         "exhausted": exhausted,
     }
-
-
-def _estimate_sharded(
-    protocol: TwoPartyProtocol,
-    n: int,
-    samples: int,
-    rng: random.Random,
-    budget: Optional[Budget],
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
-    checkpoint_seconds: float,
-    resume: Optional[str],
-    workers: int,
-) -> SampledInformationReport:
-    """Fan the N protocol runs out over a :class:`ShardPlan`.
-
-    The parent draws all inputs up front (one ``sampling.draw_inputs``
-    span), so randomness lives entirely parent-side and every shard is a
-    deterministic pure function of its slice. Per-shard joint counts
-    merge key-wise (:func:`repro.parallel.merge_counts`); the final
-    joint is summed in sorted key order, which makes the report
-    independent of worker count and completion order and bit-identical
-    to the serial resilient path.
-    """
-    with span("sampling.draw_inputs", samples=samples):
-        inputs = [random_partition(n, rng) for _ in range(samples)]
-    digest = hashlib.sha256(
-        "\n".join(repr(pa) for pa in inputs).encode("utf-8")
-    ).hexdigest()
-    params = {"n": n, "samples": samples, "inputs_sha256": digest}
-
-    counts: Dict[Tuple[str, str], int] = {}
-    errors = 0
-    done = 0
-    if resume is not None:
-        payload = read_checkpoint(
-            resume, kind=SAMPLING_SHARDED_CHECKPOINT_KIND, params=params
-        )
-        state = payload["state"]
-        try:
-            plan = ShardPlan.from_starts(
-                samples, [int(s) for s in state["shard_starts"]]
-            )
-            positions = [int(p) for p in state["positions"]]
-            counts = {(str(x), str(y)): int(c) for x, y, c in state["counts"]}
-            errors = int(state["errors"])
-            done = int(state["done"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise CheckpointError(
-                f"checkpoint {resume!r} has malformed sharded sampling "
-                f"state: {exc}"
-            ) from exc
-        if len(positions) != plan.num_shards:
-            raise CheckpointError(
-                f"checkpoint {resume!r} shard vectors disagree with its plan"
-            )
-    else:
-        plan = ShardPlan.for_workers(samples, workers)
-        positions = [shard.start for shard in plan.shards()]
-    shards = plan.shards()
-
-    checkpointer: Optional[Checkpointer] = None
-    if checkpoint_path is not None:
-        def _state() -> Dict[str, object]:
-            return {
-                "shard_starts": list(plan.starts),
-                "positions": list(positions),
-                "counts": [[x, y, c] for (x, y), c in sorted(counts.items())],
-                "errors": errors,
-                "done": done,
-            }
-
-        checkpointer = Checkpointer(
-            checkpoint_path,
-            SAMPLING_SHARDED_CHECKPOINT_KIND,
-            params,
-            _state,
-            every_units=checkpoint_every,
-            every_seconds=checkpoint_seconds,
-        )
-
-    pending = [i for i in range(plan.num_shards) if positions[i] < shards[i].stop]
-    sizes = [shards[i].stop - positions[i] for i in pending]
-    shard_budgets = split_budget(budget, sizes)
-    payloads = [
-        (protocol, n, inputs[positions[i]:shards[i].stop], positions[i], sb)
-        for i, sb in zip(pending, shard_budgets)
-    ]
-
-    ran = 0
-    exhausted = False
-
-    def _on_result(payload_index: int, result: Dict[str, object]) -> None:
-        nonlocal ran, errors, done, exhausted
-        shard_index = pending[payload_index]
-        merge_counts(
-            counts,
-            {(str(x), str(y)): int(c) for x, y, c in result["counts"]},
-        )
-        errors += int(result["errors"])
-        delta = int(result["done"])
-        positions[shard_index] += delta
-        done += delta
-        ran += delta
-        if result["exhausted"]:
-            exhausted = True
-        if checkpointer is not None:
-            checkpointer.maybe_write(units=delta)
-
-    executor = ParallelExecutor(workers=workers)
-    try:
-        executor.map(_sampling_shard_worker, payloads, on_result=_on_result)
-    except KeyboardInterrupt:
-        if checkpointer is not None:
-            checkpointer.flush()
-        raise
-    if checkpointer is not None:
-        checkpointer.flush()
-
-    def _joint(total: int) -> Dict[Tuple[str, str], float]:
-        return {pair: c / total for pair, c in sorted(counts.items())}
-
-    def _partial() -> Optional[SampledInformationReport]:
-        if done < 2:
-            return None
-        return _report_from_joint(n, done, _joint(done), errors)
-
-    budget_message = f"budget exhausted during sharded sampling (n={n})"
-    if budget is not None and ran:
-        try:
-            # Tick the parent budget by the consumed units so "budget ==
-            # exact sample count" raises, exactly as the serial
-            # per-sample loop does.
-            budget.tick(units=ran)
-        except BudgetExceededError as exc:
-            budget_message = str(exc)
-            exhausted = True
-    if exhausted:
-        raise BudgetExceededError(
-            budget_message, partial=_partial(), checkpoint_path=checkpoint_path
-        )
-
-    with span("sampling.reduce"):
-        population = _transcript_population(
-            _transcript_counts_from_pairs(counts.items())
-        )
-        return _report_from_joint(n, samples, _joint(samples), errors, population)

@@ -52,7 +52,7 @@ results at any worker count and under every kernel mode -- ranks are
 equal integers, matchings are valid and of identical size, graphs are
 edge-for-edge equal -- and identical
 :class:`~repro.resilience.Budget` tick boundaries (one tick per pivot
-column), so checkpoints, resume, and span trees are unchanged.
+column), so budget boundaries and span trees are unchanged.
 """
 
 from __future__ import annotations

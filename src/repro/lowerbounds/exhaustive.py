@@ -35,29 +35,21 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import BudgetExceededError, CheckpointError
+from repro.errors import BudgetExceededError
 from repro.indist.graph_builder import cross_cover
 from repro.instances.enumeration import CycleCover, enumerate_one_cycle_covers
 from repro.lowerbounds.vectorized import HAVE_NUMPY, scan_assignments
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.sketches import (
-    MomentsSketch,
-    QuantileSketch,
-    merge_population,
-    sketch_from_dict,
-)
+from repro.obs.sketches import MomentsSketch, QuantileSketch, merge_population
 from repro.obs.spans import span
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.merge import MIN_KEYED, merge_min_keyed
+from repro.parallel.merge import MIN_KEYED
 from repro.parallel.shard import ShardPlan, split_budget
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpointer, read_checkpoint
 
-#: Checkpoint ``kind`` tag for this search (see repro.resilience.checkpoint).
-EXHAUSTIVE_CHECKPOINT_KIND = "exhaustive"
-
-#: Checkpoint ``kind`` tag for the sharded (``workers``/vectorized) search.
-EXHAUSTIVE_SHARDED_CHECKPOINT_KIND = "exhaustive.sharded"
+#: Assignments per shard: about 1 s of pure-python scanning at n = 8,
+#: which bounds the work a kill can lose (completed shards are cached).
+EXHAUSTIVE_SHARD_UNITS = 256
 
 #: A directed pair of edges eligible for a disconnecting crossing.
 DirectedPair = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -242,33 +234,11 @@ def _population_state(
     }
 
 
-def _restore_population(
-    state: Optional[Dict[str, Dict[str, object]]],
-) -> Tuple[QuantileSketch, MomentsSketch]:
-    """Sketch pair from checkpointed state (fresh when absent: checkpoints
-    written before population tracking existed carry no sketch states)."""
-    if not state:
-        return _new_population()
-    err_sketch = sketch_from_dict(dict(state["forced_error"]))
-    fooled_sketch = sketch_from_dict(dict(state["fooled"]))
-    if not isinstance(err_sketch, QuantileSketch) or not isinstance(
-        fooled_sketch, MomentsSketch
-    ):
-        raise CheckpointError(
-            "checkpoint population state has wrong sketch kinds"
-        )
-    return err_sketch, fooled_sketch
-
-
 def universal_bound_id_oblivious(
     n: int,
     alphabet: Sequence[str] = ("", "0", "1"),
     metrics: Optional[MetricsRegistry] = None,
     budget: Optional[Budget] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 256,
-    checkpoint_seconds: float = 2.0,
-    resume: Optional[str] = None,
     workers: int = 1,
     vectorize: Optional[bool] = None,
     population: bool = False,
@@ -280,72 +250,51 @@ def universal_bound_id_oblivious(
     -- all enumerated. The returned minimum is the universal lower bound
     for the class.
 
-    ``workers`` fans the enumeration out over a deterministic
-    :class:`repro.parallel.ShardPlan` (``workers=1``, the default, keeps
-    the original in-process loop byte-for-byte). ``vectorize`` selects
-    the numpy block-scoring kernel
+    The enumeration runs over a fixed :class:`repro.parallel.ShardPlan`
+    of :data:`EXHAUSTIVE_SHARD_UNITS`-assignment shards that does not
+    depend on ``workers``: ``workers=1`` scans the shards in-process,
+    ``workers > 1`` fans them out over a process pool. Every shard
+    reports ``(error, global_index)`` and the fold is :data:`MIN_KEYED`
+    (lowest index wins ties), so the report -- minimum, winning
+    assignment, tie-breaks -- is a pure function of ``(n, alphabet)``.
+    ``vectorize`` selects the numpy block-scoring kernel
     (:mod:`repro.lowerbounds.vectorized`); ``None`` auto-enables it when
     ``workers > 1`` and numpy is importable, and a ``True`` without
-    numpy degrades cleanly to the pure-python scanner. Both paths
-    produce the exact report of the serial search -- same minimum, same
-    winning assignment, same tie-breaks -- for every worker count.
-    Sharded runs checkpoint under kind ``"exhaustive.sharded"`` (one
-    atomic file holding the whole per-shard progress vector) and resume
-    only from checkpoints of that kind; serial and sharded checkpoints
-    are intentionally not interchangeable.
+    numpy degrades cleanly to the pure-python scanner. Both scanners
+    produce identical shard results.
 
     When ``metrics`` is given (or a registry is installed process-wide
     via :func:`repro.obs.use_registry`), the search records enumeration
     throughput (``exhaustive.assignments_enumerated`` and the
-    ``exhaustive.instances_per_sec`` gauge) and fooled-instance counts;
-    the fully-disabled path keeps its original lean loop and pays nothing.
+    ``exhaustive.instances_per_sec`` gauge) and fooled-instance counts.
 
-    Resilience (all opt-in):
+    ``budget`` -- a :class:`repro.resilience.Budget` whose units fill the
+    shards in shard order, one unit per assignment, so ``max_units=K``
+    scans exactly the first K assignments for every worker count.
+    Exhaustion raises :class:`~repro.errors.BudgetExceededError` carrying
+    the best-so-far partial :class:`UniversalBoundReport`; a budget of
+    exactly the class size raises, one more completes.
 
-    * ``budget`` -- a :class:`repro.resilience.Budget` ticked once per
-      assignment; exhaustion raises
-      :class:`~repro.errors.BudgetExceededError` carrying the best-so-far
-      partial :class:`UniversalBoundReport` (after flushing a final
-      checkpoint when one is configured).
-    * ``checkpoint_path`` -- write atomic, resumable JSON checkpoints
-      (kind ``"exhaustive"``) every ``checkpoint_every`` assignments /
-      ``checkpoint_seconds`` seconds. ``KeyboardInterrupt`` (SIGINT, or
-      SIGTERM under :func:`repro.resilience.graceful_interrupts`)
-      flushes a final checkpoint before propagating.
-    * ``resume`` -- path to a previous checkpoint; the search validates
-      the (n, alphabet) params and continues from the stored enumeration
-      index. Assignment order is deterministic, so an interrupted +
-      resumed search returns exactly the report of an uninterrupted one.
+    ``shard_cache`` (a :class:`repro.cache.ShardCache` bound to this
+    request's normalized params) memoizes completed shards: cached shards
+    are folded in without running or ticking the budget, and each fresh
+    shard is stored the moment it completes. Resuming a budget-exhausted
+    or interrupted search is therefore just running it again with the
+    same cache -- only the missing shards compute. Shard boundaries do
+    not depend on ``workers``, so entries are shared across worker
+    counts.
 
     When a :class:`repro.obs.SpanRecorder` is installed (via
-    :func:`repro.obs.use_recorder`), the search additionally emits an
+    :func:`repro.obs.use_recorder`), the search emits an
     ``exhaustive.search`` span with ``exhaustive.precompute_pairs`` and
-    ``exhaustive.enumerate`` children; with no recorder the only cost is
-    one module-level check per phase (never per assignment).
+    ``exhaustive.enumerate`` children.
 
     ``population=True`` additionally accumulates mergeable sketches over
     the whole scanned class -- forced-error quantiles and fooled-count
     moments, exposed as :attr:`UniversalBoundReport.population` -- with
     byte-identical states for every ``workers``/``vectorize`` choice
     (the sketches are pure functions of the scanned assignment
-    multiset). Population sketch states ride inside checkpoints, so an
-    interrupted + resumed population run still summarizes every
-    assignment exactly once; resuming a *pre-population* checkpoint with
-    ``population=True`` starts the sketches fresh (they then cover only
-    the post-resume assignments). The default (``False``) leaves the
-    lean loop untouched.
-
-    ``shard_cache`` (a :class:`repro.cache.ShardCache` bound to this
-    request's normalized params) memoizes completed shards on the
-    sharded path: untouched pending shards are checked before dispatch,
-    freshly completed shards are stored after, and cached shards never
-    tick the budget -- re-running under a budget computes only the
-    delta. Applies only when the sharded path is taken (``workers > 1``
-    or vectorized); the serial loop has no shards and relies on the
-    engine's whole-request memoization instead. A shard entry reuses
-    across runs only while the shard *boundaries* match, i.e. for the
-    same worker count -- cross-worker-count reuse happens at the
-    whole-request granularity, whose keys are workers-invariant.
+    multiset).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -354,188 +303,110 @@ def universal_bound_id_oblivious(
         if vectorize is None
         else bool(vectorize) and HAVE_NUMPY
     )
-    with span("exhaustive.search", n=n, class_size=len(alphabet) ** n):
-        if workers > 1 or use_vectorize:
-            return _universal_bound_sharded(
-                n,
-                alphabet,
-                metrics,
-                budget,
-                checkpoint_path,
-                checkpoint_every,
-                checkpoint_seconds,
-                resume,
-                workers,
-                use_vectorize,
-                population,
-                shard_cache=shard_cache,
-            )
-        return _universal_bound_impl(
-            n,
-            alphabet,
-            metrics,
-            budget,
-            checkpoint_path,
-            checkpoint_every,
-            checkpoint_seconds,
-            resume,
-            population,
-        )
-
-
-def _universal_bound_impl(
-    n: int,
-    alphabet: Sequence[str],
-    metrics: Optional[MetricsRegistry],
-    budget: Optional[Budget],
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
-    checkpoint_seconds: float,
-    resume: Optional[str],
-    population: bool = False,
-) -> UniversalBoundReport:
     if metrics is None:
         metrics = get_registry()
-    covers_and_pairs = covers_and_pairs_for(n, metrics)
-    params = {"n": n, "alphabet": list(alphabet)}
+    alphabet = tuple(alphabet)
+    total = len(alphabet) ** n
+    with span("exhaustive.search", n=n, class_size=total):
+        table = covers_and_pairs_for(n, metrics)
+        start_time = time.perf_counter()
+        shards = ShardPlan.for_units(total, EXHAUSTIVE_SHARD_UNITS).shards()
+        results: List[Dict[str, object]] = [{}] * len(shards)
+        pending = []
+        for shard in shards:
+            hit = None
+            if shard_cache is not None:
+                hit = shard_cache.get_item(_shard_item(shard))
+            # Only complete scans are ever stored; the check guards
+            # against a hand-edited entry that still passes its digest.
+            if hit is not None and hit.get("next_index") == shard.stop:
+                results[shard.index] = hit
+            else:
+                pending.append(shard)
+        cached_shards = len(shards) - len(pending)
+        if cached_shards and metrics is not None:
+            metrics.counter("exhaustive.shards_cached").inc(cached_shards)
 
-    start_index = 0
-    best: Optional[float] = None
-    best_assignment: Tuple[str, ...] = ()
-    enumerated = 0
-    fooled_total = 0
-    err_sketch: Optional[QuantileSketch] = None
-    fooled_sketch: Optional[MomentsSketch] = None
+        # Workers only score pairs; covers themselves stay parent-side so
+        # the pickled payload is just index tuples.
+        wire_table = tuple((None, pairs) for _cover, pairs in table)
+        budgets = split_budget(budget, [shard.size for shard in pending])
+        payloads = [
+            (n, alphabet, shard.start, shard.stop, wire_table, sb,
+             use_vectorize, population)
+            for shard, sb in zip(pending, budgets)
+        ]
+
+        def _store(index: int, result: Dict[str, object]) -> None:
+            if shard_cache is not None and not result["exhausted"]:
+                shard_cache.put_item(_shard_item(pending[index]), result)
+
+        with span("exhaustive.enumerate", shards=len(shards), cached=cached_shards):
+            fresh = ParallelExecutor(workers=workers, metrics=metrics).map(
+                _exhaustive_shard_worker, payloads, on_result=_store
+            )
+        for shard, result in zip(pending, fresh):
+            results[shard.index] = result
+
+    ran = sum(int(result["enumerated"]) for result in fresh)
+    exhausted = any(result["exhausted"] for result in fresh)
+    best = MIN_KEYED.fold(
+        [None if r["best"] is None else (float(r["best"][0]), int(r["best"][1]))
+         for r in results]
+    )
+    report_population = None
     if population:
-        err_sketch, fooled_sketch = _new_population()
-    if resume is not None:
-        payload = read_checkpoint(resume, kind=EXHAUSTIVE_CHECKPOINT_KIND, params=params)
-        state = payload["state"]
+        for result in results:
+            report_population = merge_population(
+                report_population, result.get("population")
+            )
+        if report_population is None:
+            report_population = _population_state(*_new_population())
+    report = UniversalBoundReport(
+        n=n,
+        class_size=total,
+        minimum_forced_error=0.0 if best is None else best[0],
+        worst_assignment=() if best is None else assignment_at(alphabet, n, best[1]),
+        population=report_population,
+    )
+
+    budget_message = f"budget exhausted during exhaustive search (n={n})"
+    if budget is not None and ran:
         try:
-            start_index = int(state["next_index"])
-            best = None if state["best"] is None else float(state["best"])
-            best_assignment = tuple(state["best_assignment"])
-            enumerated = int(state["enumerated"])
-            fooled_total = int(state["fooled_total"])
-            if population:
-                err_sketch, fooled_sketch = _restore_population(
-                    state.get("population")
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint {resume!r} has malformed exhaustive state: {exc}"
-            ) from exc
-
-    resilient = budget is not None or checkpoint_path is not None
-    # Unconditional: the timestamp is cheap, and taking it only when a
-    # consumer happens to be installed made ``elapsed`` silently garbage
-    # the moment a new reader was added (see the regression test in
-    # tests/lowerbounds/test_exhaustive_timing.py).
-    start = time.perf_counter()
-
-    if metrics is None and not resilient and not population:
-        # The original lean loop: nothing per-iteration but the math.
-        with span("exhaustive.enumerate", resilient=False):
-            for assignment in itertools.product(alphabet, repeat=n):
-                err = forced_error_of_assignment(n, assignment, covers_and_pairs)
-                if best is None or err < best:
-                    best = err
-                    best_assignment = assignment
-        return UniversalBoundReport(
-            n=n,
-            class_size=len(alphabet) ** n,
-            minimum_forced_error=best if best is not None else 0.0,
-            worst_assignment=best_assignment,
-        )
-
-    index = start_index
-    checkpointer: Optional[Checkpointer] = None
-    if checkpoint_path is not None:
-        def _state() -> Dict[str, object]:
-            state: Dict[str, object] = {
-                "next_index": index,
-                "best": best,
-                "best_assignment": list(best_assignment),
-                "enumerated": enumerated,
-                "fooled_total": fooled_total,
-            }
-            if err_sketch is not None and fooled_sketch is not None:
-                state["population"] = _population_state(err_sketch, fooled_sketch)
-            return state
-
-        checkpointer = Checkpointer(
-            checkpoint_path,
-            EXHAUSTIVE_CHECKPOINT_KIND,
-            params,
-            _state,
-            every_units=checkpoint_every,
-            every_seconds=checkpoint_seconds,
-        )
-
-    def _partial() -> UniversalBoundReport:
-        return UniversalBoundReport(
-            n=n,
-            class_size=len(alphabet) ** n,
-            minimum_forced_error=best if best is not None else 0.0,
-            worst_assignment=best_assignment,
-            population=(
-                None
-                if err_sketch is None or fooled_sketch is None
-                else _population_state(err_sketch, fooled_sketch)
-            ),
-        )
-
-    iterator = itertools.product(alphabet, repeat=n)
-    if start_index:
-        iterator = itertools.islice(iterator, start_index, None)
-    with span("exhaustive.enumerate", resilient=resilient, start_index=start_index):
-        try:
-            for assignment in iterator:
-                err, fooled = _forced_error_and_fooled(n, assignment, covers_and_pairs)
-                index += 1
-                enumerated += 1
-                fooled_total += fooled
-                if err_sketch is not None:
-                    err_sketch.update(err)
-                    fooled_sketch.update(float(fooled))
-                if best is None or err < best:
-                    best = err
-                    best_assignment = assignment
-                if checkpointer is not None:
-                    checkpointer.maybe_write()
-                if budget is not None:
-                    budget.tick(partial=None)
+            # Tick the parent by the units the shards consumed: it raises
+            # at exactly the point a per-assignment loop would.
+            budget.tick(units=ran)
         except BudgetExceededError as exc:
-            if checkpointer is not None:
-                checkpointer.flush()
-            raise BudgetExceededError(
-                str(exc), partial=_partial(), checkpoint_path=checkpoint_path
-            ) from exc
-        except KeyboardInterrupt:
-            if checkpointer is not None:
-                checkpointer.flush()
-            raise
-        if checkpointer is not None:
-            checkpointer.flush()
+            budget_message = str(exc)
+            exhausted = True
+    if exhausted:
+        raise BudgetExceededError(budget_message, partial=report)
 
     if metrics is not None:
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start_time
         metrics.counter("exhaustive.searches").inc()
-        metrics.counter("exhaustive.covers_enumerated").inc(len(covers_and_pairs))
+        metrics.counter("exhaustive.covers_enumerated").inc(len(table))
         metrics.counter("exhaustive.disconnecting_pairs").inc(
-            sum(len(pairs) for _cover, pairs in covers_and_pairs)
+            sum(len(pairs) for _cover, pairs in table)
         )
-        metrics.counter("exhaustive.assignments_enumerated").inc(index - start_index)
-        metrics.counter("exhaustive.fooled_pairs").inc(fooled_total)
+        metrics.counter("exhaustive.assignments_enumerated").inc(ran)
+        metrics.counter("exhaustive.fooled_pairs").inc(
+            sum(int(r["fooled"]) for r in results)
+        )
         metrics.histogram("exhaustive.search_seconds").observe(elapsed)
         metrics.gauge("exhaustive.instances_per_sec").set(
-            (index - start_index) / elapsed if elapsed > 0 else 0.0
+            ran / elapsed if elapsed > 0 else 0.0
         )
         if budget is not None:
             remaining = budget.remaining_units()
             if remaining is not None:
                 metrics.gauge("exhaustive.budget_remaining").set(remaining)
-    return _partial()
+    return report
+
+
+def _shard_item(shard) -> Dict[str, int]:
+    """The shard-cache item naming one shard of the assignment space."""
+    return {"start": shard.start, "stop": shard.stop, "seed": shard.seed}
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +425,7 @@ def _scan_shard_python(
 
     Same return shape as :func:`repro.lowerbounds.vectorized
     .scan_assignments`: ``(best, next_index, enumerated, fooled_total,
-    exhausted)`` with the serial loop's strict-first tie-break and
+    exhausted)`` with the strict-first tie-break and
     per-assignment budget ticks. ``exhausted`` is True only when the
     budget tripped with work still remaining (a budget that raises on the
     shard's very last assignment still yields a completed shard).
@@ -599,34 +470,14 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
     sketches: Optional[Tuple[QuantileSketch, MomentsSketch]] = None
     if collect:
         sketches = _new_population()
-    budget: Optional[Budget] = None
-    if shard_budget is not None:
-        exhausted_before_start = shard_budget.max_units == 0 or (
-            shard_budget.wall_seconds is not None
-            and shard_budget.wall_seconds <= 0
-        )
-        if exhausted_before_start:
-            return {
-                "best": None,
-                "next_index": start,
-                "enumerated": 0,
-                "fooled": 0,
-                "exhausted": start < stop,
-                "population": (
-                    None if sketches is None else _population_state(*sketches)
-                ),
-            }
-        budget = shard_budget.to_budget()
-    if vectorize and HAVE_NUMPY:
-        with span("exhaustive.scan_vectorized", start=start, stop=stop):
-            best, pos, enumerated, fooled, exhausted = scan_assignments(
-                n, alphabet, table, start, stop, budget=budget, sketches=sketches
-            )
+    try:
+        budget = None if shard_budget is None else shard_budget.to_budget()
+    except BudgetExceededError:
+        best, pos, enumerated, fooled, exhausted = None, start, 0, 0, start < stop
     else:
-        with span("exhaustive.scan_python", start=start, stop=stop):
-            best, pos, enumerated, fooled, exhausted = _scan_shard_python(
-                n, alphabet, table, start, stop, budget, sketches=sketches
-            )
+        best, pos, enumerated, fooled, exhausted = _scan_shard(
+            n, alphabet, table, start, stop, budget, vectorize, sketches
+        )
     return {
         "best": None if best is None else [float(best[0]), int(best[1])],
         "next_index": int(pos),
@@ -637,288 +488,14 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
     }
 
 
-def _universal_bound_sharded(
-    n: int,
-    alphabet: Sequence[str],
-    metrics: Optional[MetricsRegistry],
-    budget: Optional[Budget],
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
-    checkpoint_seconds: float,
-    resume: Optional[str],
-    workers: int,
-    vectorize: bool,
-    population: bool = False,
-    shard_cache=None,
-) -> UniversalBoundReport:
-    """Fan the enumeration out over a :class:`ShardPlan` and min-merge.
-
-    Determinism: shards are contiguous index ranges, every shard reports
-    ``(error, global_index)``, and the fold is :data:`MIN_KEYED` (lowest
-    index wins ties), so the final report is a pure function of
-    ``(n, alphabet)`` -- independent of worker count, vectorization, and
-    completion order, and equal to the serial search's report.
-
-    The checkpoint (kind ``"exhaustive.sharded"``) stores the plan's
-    shard starts plus the per-shard progress vector in one atomic file;
-    a resume rebuilds the same plan (even under a different ``workers``)
-    and re-dispatches only the incomplete shards from their stored
-    positions.
-    """
-    if metrics is None:
-        metrics = get_registry()
-    alphabet = tuple(alphabet)
-    total = len(alphabet) ** n
-    table = covers_and_pairs_for(n, metrics)
-    # Workers only score pairs; covers themselves stay parent-side so the
-    # pickled payload is just index tuples.
-    wire_table = tuple((None, pairs) for _cover, pairs in table)
-    params = {"n": n, "alphabet": list(alphabet)}
-    start_time = time.perf_counter()
-
-    if resume is not None:
-        payload = read_checkpoint(
-            resume, kind=EXHAUSTIVE_SHARDED_CHECKPOINT_KIND, params=params
-        )
-        state = payload["state"]
-        try:
-            plan = ShardPlan.from_starts(
-                total, [int(s) for s in state["shard_starts"]]
+def _scan_shard(n, alphabet, table, start, stop, budget, vectorize, sketches):
+    """Scan ``[start, stop)`` with the numpy or the pure-python scanner."""
+    if vectorize and HAVE_NUMPY:
+        with span("exhaustive.scan_vectorized", start=start, stop=stop):
+            return scan_assignments(
+                n, alphabet, table, start, stop, budget=budget, sketches=sketches
             )
-            positions = [int(p) for p in state["positions"]]
-            bests: List[Optional[Tuple[float, int]]] = [
-                None if b is None else (float(b[0]), int(b[1]))
-                for b in state["bests"]
-            ]
-            enumerated = int(state["enumerated"])
-            fooled_total = int(state["fooled_total"])
-            population_state = (
-                dict(state["population"])
-                if population and state.get("population")
-                else None
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise CheckpointError(
-                f"checkpoint {resume!r} has malformed sharded exhaustive "
-                f"state: {exc}"
-            ) from exc
-        if len(positions) != plan.num_shards or len(bests) != plan.num_shards:
-            raise CheckpointError(
-                f"checkpoint {resume!r} shard vectors disagree with its plan"
-            )
-    else:
-        plan = ShardPlan.for_workers(total, workers)
-        positions = [shard.start for shard in plan.shards()]
-        bests = [None] * plan.num_shards
-        enumerated = 0
-        fooled_total = 0
-        population_state = None
-    shards = plan.shards()
-
-    checkpointer: Optional[Checkpointer] = None
-    if checkpoint_path is not None:
-        def _state() -> Dict[str, object]:
-            state: Dict[str, object] = {
-                "shard_starts": list(plan.starts),
-                "positions": list(positions),
-                "bests": [
-                    None if b is None else [b[0], b[1]] for b in bests
-                ],
-                "enumerated": enumerated,
-                "fooled_total": fooled_total,
-            }
-            if population:
-                state["population"] = population_state
-            return state
-
-        checkpointer = Checkpointer(
-            checkpoint_path,
-            EXHAUSTIVE_SHARDED_CHECKPOINT_KIND,
-            params,
-            _state,
-            every_units=checkpoint_every,
-            every_seconds=checkpoint_seconds,
+    with span("exhaustive.scan_python", start=start, stop=stop):
+        return _scan_shard_python(
+            n, alphabet, table, start, stop, budget, sketches=sketches
         )
-
-    pending = [i for i in range(plan.num_shards) if positions[i] < shards[i].stop]
-
-    def _shard_item(i: int) -> Dict[str, int]:
-        return {
-            "start": shards[i].start,
-            "stop": shards[i].stop,
-            "seed": shards[i].seed,
-        }
-
-    if shard_cache is not None:
-        # Apply cached completed shards before dispatching anything. Only
-        # untouched shards qualify (a resumed partial position means the
-        # stored entry would double-count work already folded in), and
-        # only complete entries count (next_index at stop, not budget-
-        # exhausted). Cached units never tick the parent budget: the
-        # budget limits actual work, and a hit does none.
-        still_pending = []
-        cached_shards = 0
-        for i in pending:
-            hit = None
-            if positions[i] == shards[i].start:
-                hit = shard_cache.get_item(_shard_item(i))
-                if hit is not None and (
-                    hit.get("exhausted")
-                    or int(hit.get("next_index", -1)) != shards[i].stop
-                ):
-                    hit = None
-            if hit is None:
-                still_pending.append(i)
-                continue
-            raw_best = hit.get("best")
-            if raw_best is not None:
-                bests[i] = merge_min_keyed(
-                    bests[i], (float(raw_best[0]), int(raw_best[1]))
-                )
-            positions[i] = shards[i].stop
-            enumerated += int(hit.get("enumerated", 0))
-            fooled_total += int(hit.get("fooled", 0))
-            shard_population = hit.get("population")
-            if shard_population is not None:
-                population_state = merge_population(
-                    population_state, shard_population
-                )
-            cached_shards += 1
-        pending = still_pending
-        if cached_shards and metrics is not None:
-            metrics.counter("exhaustive.shards_cached").inc(cached_shards)
-
-    sizes = [shards[i].stop - positions[i] for i in pending]
-    shard_budgets = split_budget(budget, sizes)
-    payloads = [
-        (
-            n,
-            alphabet,
-            positions[i],
-            shards[i].stop,
-            wire_table,
-            sb,
-            bool(vectorize),
-            bool(population),
-        )
-        for i, sb in zip(pending, shard_budgets)
-    ]
-
-    ran = 0
-    exhausted = False
-
-    def _on_result(payload_index: int, result: Dict[str, object]) -> None:
-        nonlocal ran, enumerated, fooled_total, exhausted, population_state
-        shard_index = pending[payload_index]
-        raw_best = result["best"]
-        if raw_best is not None:
-            bests[shard_index] = merge_min_keyed(
-                bests[shard_index], (float(raw_best[0]), int(raw_best[1]))
-            )
-        positions[shard_index] = int(result["next_index"])
-        done = int(result["enumerated"])
-        ran += done
-        enumerated += done
-        fooled_total += int(result["fooled"])
-        shard_population = result.get("population")
-        if shard_population is not None:
-            # merge_population is commutative, so folding in completion
-            # order still yields a worker-count-invariant state.
-            population_state = merge_population(population_state, shard_population)
-        if result["exhausted"]:
-            exhausted = True
-        elif (
-            shard_cache is not None
-            and payloads[payload_index][2] == shards[shard_index].start
-            and positions[shard_index] == shards[shard_index].stop
-        ):
-            # A full, untruncated scan of the shard: store it. Resumed
-            # partials (dispatch started past the shard start) are never
-            # stored -- their result covers only a suffix of the range
-            # the key describes.
-            shard_cache.put_item(
-                _shard_item(shard_index),
-                {
-                    "best": (
-                        None
-                        if raw_best is None
-                        else [float(raw_best[0]), int(raw_best[1])]
-                    ),
-                    "next_index": positions[shard_index],
-                    "enumerated": done,
-                    "fooled": int(result["fooled"]),
-                    "exhausted": False,
-                    "population": shard_population,
-                },
-            )
-        if checkpointer is not None:
-            checkpointer.maybe_write(units=done)
-
-    executor = ParallelExecutor(workers=workers, metrics=metrics)
-    try:
-        executor.map(_exhaustive_shard_worker, payloads, on_result=_on_result)
-    except KeyboardInterrupt:
-        if checkpointer is not None:
-            checkpointer.flush()
-        raise
-    if checkpointer is not None:
-        checkpointer.flush()
-
-    def _report() -> UniversalBoundReport:
-        best = MIN_KEYED.fold(bests)
-        report_population = None
-        if population:
-            report_population = (
-                population_state
-                if population_state is not None
-                else _population_state(*_new_population())
-            )
-        if best is None:
-            return UniversalBoundReport(
-                n=n,
-                class_size=total,
-                minimum_forced_error=0.0,
-                worst_assignment=(),
-                population=report_population,
-            )
-        return UniversalBoundReport(
-            n=n,
-            class_size=total,
-            minimum_forced_error=best[0],
-            worst_assignment=assignment_at(alphabet, n, best[1]),
-            population=report_population,
-        )
-
-    budget_message = f"budget exhausted during sharded exhaustive search (n={n})"
-    if budget is not None and ran:
-        try:
-            # Replicate the serial path's accounting on the *parent*
-            # budget: ticking the units the shards consumed raises at
-            # exactly the point the serial per-assignment loop would.
-            budget.tick(units=ran)
-        except BudgetExceededError as exc:
-            budget_message = str(exc)
-            exhausted = True
-    if exhausted:
-        raise BudgetExceededError(
-            budget_message, partial=_report(), checkpoint_path=checkpoint_path
-        )
-
-    if metrics is not None:
-        elapsed = time.perf_counter() - start_time
-        metrics.counter("exhaustive.searches").inc()
-        metrics.counter("exhaustive.covers_enumerated").inc(len(table))
-        metrics.counter("exhaustive.disconnecting_pairs").inc(
-            sum(len(pairs) for _cover, pairs in table)
-        )
-        metrics.counter("exhaustive.assignments_enumerated").inc(ran)
-        metrics.counter("exhaustive.fooled_pairs").inc(fooled_total)
-        metrics.histogram("exhaustive.search_seconds").observe(elapsed)
-        metrics.gauge("exhaustive.instances_per_sec").set(
-            ran / elapsed if elapsed > 0 else 0.0
-        )
-        if budget is not None:
-            remaining = budget.remaining_units()
-            if remaining is not None:
-                metrics.gauge("exhaustive.budget_remaining").set(remaining)
-    return _report()

@@ -10,8 +10,8 @@ function over a list of payloads:
   :class:`concurrent.futures.ProcessPoolExecutor` and streams results
   back as they complete. Results are *returned* in payload order; the
   optional ``on_result`` callback fires in completion order (callers use
-  it for shard-aware checkpointing and budget accounting, both of which
-  are order-invariant by construction).
+  it to store completed shards and publish progress, both of which are
+  order-invariant by construction).
 
 Observability mirrors the rest of the repo and is fully opt-in:
 
@@ -30,8 +30,7 @@ Observability mirrors the rest of the repo and is fully opt-in:
 Interrupt/budget contract: a ``KeyboardInterrupt`` or any exception from
 a task cancels all not-yet-started tasks (``cancel_futures=True``) and
 propagates; completed results already handed to ``on_result`` stay
-valid, which is what lets callers flush one consistent checkpoint on the
-way out.
+valid, which is what lets callers keep every shard that finished.
 """
 
 from __future__ import annotations
@@ -234,7 +233,8 @@ class ParallelExecutor:
             except BaseException:
                 # Cancel what has not started; let running tasks finish
                 # (they are pure functions whose results we now discard),
-                # then propagate so callers can flush checkpoints.
+                # then propagate; finished shards were already handed
+                # to on_result.
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         return results  # type: ignore[return-value]

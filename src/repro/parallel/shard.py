@@ -6,22 +6,23 @@ most one, and derives one RNG seed per shard from a base seed with SHA-256
 arithmetic (never ``hash()``, which is randomized across processes). Plans
 are pure data: the same ``(total, num_shards, base_seed)`` triple produces
 the same shards in every process, on every platform, forever -- which is
-what makes sharded checkpoints resumable and sharded runs reproducible.
+what makes per-shard cache entries reusable and sharded runs reproducible.
 
 The plan also knows how to split a cooperative
 :class:`repro.resilience.Budget` across its shards
-(:func:`split_budget`): work units are divided evenly (remainder to the
-earliest shards, preserving enumeration-order semantics) and the
-wall-clock allowance is shared (every shard inherits the same remaining
-deadline, since shards run concurrently, not sequentially).
+(:func:`split_budget`): work units fill the shards in shard order, so a
+capped run covers exactly the first K indices whatever the worker count,
+and every shard carries the parent's one absolute wall-clock deadline.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.errors import BudgetExceededError
 from repro.resilience.budget import Budget
 
 __all__ = ["Shard", "ShardBudget", "ShardPlan", "derive_seed", "split_budget"]
@@ -65,18 +66,33 @@ class ShardBudget:
     """The picklable budget slice handed to one shard's worker.
 
     ``max_units`` caps the shard's work units (None = uncapped);
-    ``wall_seconds`` is the remaining wall-clock allowance at dispatch
-    time (None = no deadline). Workers rebuild a real
+    ``deadline`` is the parent's absolute deadline on the
+    :func:`time.monotonic` clock (None = no deadline). That clock is
+    system-wide (CLOCK_MONOTONIC on Linux), so shards that run in
+    sequence or queue behind a pool all stop at the same instant instead
+    of each restarting the allowance. Workers rebuild a real
     :class:`repro.resilience.Budget` from this via :meth:`to_budget`.
     """
 
     max_units: Optional[int]
-    wall_seconds: Optional[float]
+    deadline: Optional[float]
 
     def to_budget(self) -> Optional[Budget]:
-        if self.max_units is None and self.wall_seconds is None:
+        """The shard's live Budget (None when unlimited).
+
+        Raises :class:`~repro.errors.BudgetExceededError` when nothing is
+        left before the shard starts: zero units, or the deadline passed.
+        """
+        if self.max_units is None and self.deadline is None:
             return None
-        return Budget(wall_seconds=self.wall_seconds, max_units=self.max_units)
+        wall = None
+        if self.deadline is not None:
+            wall = self.deadline - time.monotonic()
+            if wall <= 0:
+                raise BudgetExceededError("wall-clock deadline passed before the shard started")
+        if self.max_units == 0:
+            raise BudgetExceededError("no work units left for the shard")
+        return Budget(wall_seconds=wall, max_units=self.max_units)
 
 
 class ShardPlan:
@@ -115,32 +131,28 @@ class ShardPlan:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_workers(
-        cls,
-        total: int,
-        workers: int,
-        shards_per_worker: int = 4,
-        base_seed: int = 0,
+    def for_units(
+        cls, total: int, shard_units: int, base_seed: int = 0
     ) -> "ShardPlan":
-        """A plan sized for a worker pool: ``workers * shards_per_worker``
-        shards (clamped to ``total``), so stragglers rebalance."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if shards_per_worker < 1:
-            raise ValueError(
-                f"shards_per_worker must be >= 1, got {shards_per_worker}"
-            )
-        return cls(total, max(1, workers * shards_per_worker), base_seed=base_seed)
+        """Balanced shards of at most ``shard_units`` units each.
+
+        Depends only on ``total``, never on the worker count, so every
+        ``--workers`` value cuts the same shards and shares their cache
+        entries.
+        """
+        if shard_units < 1:
+            raise ValueError(f"shard_units must be >= 1, got {shard_units}")
+        return cls(total, max(1, -(-total // shard_units)), base_seed=base_seed)
 
     @classmethod
     def from_starts(
         cls, total: int, starts: Sequence[int], base_seed: int = 0
     ) -> "ShardPlan":
-        """Rebuild the exact plan stored in a checkpoint.
+        """Rebuild a plan from its shard starts.
 
         ``starts`` must be strictly increasing, begin at 0, and stay
         below ``total`` -- the invariants :class:`ShardPlan` itself
-        guarantees, revalidated here because checkpoints are data.
+        guarantees, revalidated here because stored starts are data.
         """
         starts = tuple(int(s) for s in starts)
         if total < 0:
@@ -204,45 +216,24 @@ def split_budget(
 ) -> List[Optional[ShardBudget]]:
     """Split a parent budget across shards of the given sizes.
 
-    * **Work units**: the parent's *remaining* units are divided evenly
-      across the shards (remainder to the earliest shards), but no shard
-      is handed more units than it has work -- the surplus cascades to
-      later shards so a nearly-done resume still uses its full allowance.
-    * **Wall clock**: every shard inherits the parent's full remaining
-      wall allowance (shards run concurrently; a shared deadline is the
-      faithful translation of "stop after S seconds").
+    * **Work units**: the parent's *remaining* units fill the shards in
+      shard order -- each shard gets ``min(size, units left)`` -- so a
+      capped run scans exactly the first K units for every worker count
+      and its completed shards are always a prefix.
+    * **Wall clock**: every shard carries the parent's absolute deadline.
 
     Returns one :class:`ShardBudget` (or None, when the parent is None)
-    per shard. A parent with no remaining units yields zero-unit shard
-    budgets, which workers treat as "exhausted before starting".
+    per shard. Shards past the last unit get zero-unit budgets, which
+    workers treat as "exhausted before starting".
     """
     if budget is None:
         return [None] * len(sizes)
-    remaining_units = budget.remaining_units()
-    wall = budget.remaining_seconds()
-    if remaining_units is None:
-        return [ShardBudget(max_units=None, wall_seconds=wall) for _ in sizes]
-    k = len(sizes)
-    allocations: List[int] = []
-    left = remaining_units
-    for i, size in enumerate(sizes):
-        shards_left = k - i
-        share = -(-left // shards_left) if shards_left else 0  # ceil split
-        allocation = min(size, share, left)
-        left -= allocation
-        allocations.append(allocation)
-    # Cascade any stranded surplus (an early shard capped by its fair
-    # share while a later, smaller shard was capped by its size) back to
-    # shards still short of their work, earliest first -- conserving
-    # units: sum(allocations) == min(remaining, sum(sizes)).
-    if left:
-        for i, size in enumerate(sizes):
-            if left <= 0:
-                break
-            add = min(size - allocations[i], left)
-            allocations[i] += add
-            left -= add
-    return [
-        ShardBudget(max_units=allocation, wall_seconds=wall)
-        for allocation in allocations
-    ]
+    left = budget.remaining_units()
+    deadline = budget.deadline()
+    out: List[Optional[ShardBudget]] = []
+    for size in sizes:
+        allocation = None if left is None else min(size, left)
+        if left is not None:
+            left -= allocation
+        out.append(ShardBudget(max_units=allocation, deadline=deadline))
+    return out

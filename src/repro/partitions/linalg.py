@@ -31,8 +31,8 @@ odd primes the batched numpy int64 engine, the sparse dict-row engine
 reference as the silent fallback. All engines are bit-identical: the
 rank over a fixed field is mathematically determined, and each engine
 ticks the :class:`~repro.resilience.Budget` once per pivot column under
-the same pivot structure, so checkpoint / resume boundaries and span
-trees are unchanged.
+the same pivot structure, so budget boundaries and span trees are
+unchanged.
 """
 
 from __future__ import annotations
@@ -242,15 +242,10 @@ def _rank_prime_worker(payload: tuple) -> dict:
     from repro.errors import BudgetExceededError
 
     matrix, p, shard_budget, kernel = payload
-    budget = None
-    if shard_budget is not None:
-        exhausted_before_start = shard_budget.max_units == 0 or (
-            shard_budget.wall_seconds is not None
-            and shard_budget.wall_seconds <= 0
-        )
-        if exhausted_before_start:
-            return {"rank": 0, "units": 0, "exhausted": True}
-        budget = shard_budget.to_budget()
+    try:
+        budget = None if shard_budget is None else shard_budget.to_budget()
+    except BudgetExceededError:
+        return {"rank": 0, "units": 0, "exhausted": True}
     try:
         rank = rank_mod_p(matrix, p, budget, kernel=kernel)
     except BudgetExceededError:
@@ -315,12 +310,11 @@ def rank_multi_prime(
         shard_budgets: list = [None] * len(primes)
     else:
         remaining = budget.remaining_units()
-        wall = budget.remaining_seconds()
         per_shard = (
             None if remaining is None else min(cols_ + 1, remaining)
         )
         shard_budgets = [
-            ShardBudget(max_units=per_shard, wall_seconds=wall)
+            ShardBudget(max_units=per_shard, deadline=budget.deadline())
             for _ in primes
         ]
     payloads = [(wire, p, sb, kernel) for p, sb in zip(primes, shard_budgets)]

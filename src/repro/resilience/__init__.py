@@ -1,6 +1,6 @@
-"""Resilience: fault injection, run budgets, checkpoints, graceful exits.
+"""Resilience: fault injection, run budgets, graceful exits.
 
-Four small layers that make the library's executions survivable:
+Three small layers that make the library's executions survivable:
 
 * :mod:`repro.resilience.faults` -- a seeded, deterministic
   :class:`FaultPlan` (bit flips, erasures, crash-stops; per-round /
@@ -10,29 +10,20 @@ Four small layers that make the library's executions survivable:
   (wall-clock deadline + work-unit cap) checked in the long-running
   search inner loops, raising
   :class:`~repro.errors.BudgetExceededError` with a best-so-far partial;
-* :mod:`repro.resilience.checkpoint` -- atomic JSON checkpoints
-  (write-to-temp + ``os.replace``) with a versioned, kind-tagged
-  envelope, plus the cadenced :class:`Checkpointer`;
 * :mod:`repro.resilience.harness` -- the graceful-degradation harness:
   correctness-vs-fault-rate curves for the upper-bound algorithms, with
   a schema-versioned ``fault_sweep`` JSON payload and validator.
 
 :func:`graceful_interrupts` rounds it out: inside the context manager
-SIGTERM raises ``KeyboardInterrupt`` so the final-checkpoint path covers
-Ctrl-C and scheduler kills alike, and registered flush hooks
+SIGTERM raises ``KeyboardInterrupt`` so Ctrl-C and scheduler kills take
+the same exit path, and registered flush hooks
 (:func:`register_flush_hook`) run on the way out so open session logs
 are sealed before the interrupt propagates. :mod:`repro.resilience.retry`
 supplies the shared transient-``OSError`` retry policy used by
-checkpoint writes and session-log appends.
+cache writes and session-log appends.
 """
 
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpointer,
-    read_checkpoint,
-    write_checkpoint,
-)
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -63,8 +54,6 @@ from repro.resilience.retry import (
 
 __all__ = [
     "Budget",
-    "CHECKPOINT_VERSION",
-    "Checkpointer",
     "DEFAULT_RETRY_ATTEMPTS",
     "DEFAULT_RETRY_BASE_DELAY",
     "DegradationCurve",
@@ -79,11 +68,9 @@ __all__ = [
     "ScheduledFault",
     "fault_sweep",
     "graceful_interrupts",
-    "read_checkpoint",
     "register_flush_hook",
     "retry_transient",
     "set_retry_sleep",
     "unregister_flush_hook",
     "validate_fault_sweep_payload",
-    "write_checkpoint",
 ]

@@ -79,6 +79,12 @@ class Budget:
             return None
         return max(0.0, self.wall_seconds - self.elapsed())
 
+    def deadline(self) -> Optional[float]:
+        """The absolute wall-clock deadline on :func:`time.monotonic`."""
+        if self.wall_seconds is None:
+            return None
+        return self._started + self.wall_seconds
+
     def restart(self) -> None:
         """Reset both the clock and the unit counter."""
         self._units = 0

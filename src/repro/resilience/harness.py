@@ -238,8 +238,8 @@ def _sweep_cell(
     rounds_total, population)``.
 
     Pure given its arguments: every per-trial seed is derived
-    arithmetically from the cell coordinates, so the serial loop and the
-    sharded fan-out compute identical cells. ``population`` is the
+    arithmetically from the cell coordinates, so every worker count
+    computes identical cells. ``population`` is the
     cell's per-trial sketch states (rounds quantiles, faults moments,
     outcome counts) serialized for the parent's order-invariant
     :func:`repro.obs.sketches.merge_population` fold.
@@ -278,18 +278,19 @@ def _sweep_cell(
     return correct, faults, rounds_total, population
 
 
-def _fault_cell_worker(payload: Tuple) -> Dict[str, int]:
-    """Run one sweep cell in a worker process (module-level: picklable).
+def _fault_cell_worker(payload: Tuple) -> Dict[str, Any]:
+    """Run one sweep cell (module-level: picklable).
 
     ``payload`` is ``(name, a_idx, kind, k_idx, rate, r_idx, n, trials,
-    seed)``. The worker builds its own Simulator/factory (cheap; cells
-    are pure functions of their coordinates), records no parent-side
-    metrics (the parent increments the per-cell counters itself, in cell
-    order, so metric totals match the serial sweep's).
+    seed, metrics, trace)``. Cells are pure functions of their
+    coordinates, so each builds its own Simulator (construction emits
+    nothing). ``metrics`` and ``trace`` are the parent's sinks on the
+    in-process map and None on the pool; the per-cell counters are
+    incremented parent-side, in cell order, either way.
     """
-    name, a_idx, kind, k_idx, rate, r_idx, n, trials, seed = payload
+    name, a_idx, kind, k_idx, rate, r_idx, n, trials, seed, metrics, trace = payload
     spec = HARNESS_ALGORITHMS[name]
-    simulator = Simulator(spec.model(n), metrics=None, trace=None)
+    simulator = Simulator(spec.model(n), metrics=metrics, trace=trace)
     correct, faults, rounds_total, population = _sweep_cell(
         simulator,
         spec.factory(n),
@@ -333,18 +334,18 @@ def fault_sweep(
     ``resilience.faults_injected``; pass ``trace`` to stream the
     underlying simulator runs (including schema-v2 ``fault`` events).
 
-    ``workers > 1`` runs the (algorithm, kind, rate) cells concurrently;
-    every cell is a pure function of its coordinates (per-trial seeds
-    are derived arithmetically), so the curves -- and the per-cell
-    metric totals, which the parent increments in cell order -- are
-    identical to the serial sweep's for every worker count, with one
-    caveat: a ``trace`` stream is inherently ordered, so tracing forces
-    the serial path regardless of ``workers``.
+    The (algorithm, kind, rate) cells are the shards: ``workers=1`` maps
+    them in-process, ``workers > 1`` over a process pool. Every cell is
+    a pure function of its coordinates (per-trial seeds are derived
+    arithmetically), so the curves -- and the per-cell metric totals,
+    which the parent increments in cell order -- are identical for every
+    worker count. A ``trace`` stream is inherently ordered, so tracing
+    forces the in-process map regardless of ``workers``; on that map the
+    ``trace`` and ``metrics`` sinks reach every cell's simulator.
 
     ``session`` (a :class:`repro.replay.SessionStore`) records one step
-    per (algorithm, kind, rate) cell. The serial path appends steps
-    directly in cell order; the parallel path writes per-shard segment
-    files in completion order and merges them back in shard-index order
+    per cell: steps go to per-shard segments in completion order and are
+    merged back in cell order
     (:meth:`~repro.replay.SessionStore.merge_shard_steps`), so the
     recorded session is identical for every worker count.
 
@@ -379,16 +380,10 @@ def fault_sweep(
         metrics = get_registry()
     bus = get_bus()
     start = time.perf_counter()
-    if workers > 1 and trace is None:
-        curves, population = _sweep_cells_parallel(
-            algorithms, kinds, rates, n, trials, seed, metrics, workers, session, bus,
-            cell_cache=cell_cache,
-        )
-    else:
-        curves, population = _sweep_cells_serial(
-            algorithms, kinds, rates, n, trials, seed, metrics, trace, session, bus,
-            cell_cache=cell_cache,
-        )
+    curves, population = _sweep_cells(
+        algorithms, kinds, rates, n, trials, seed, metrics, trace, workers,
+        session, bus, cell_cache,
+    )
     elapsed = time.perf_counter() - start
     if metrics is not None:
         metrics.histogram("resilience.sweep_seconds").observe(elapsed)
@@ -405,112 +400,6 @@ def fault_sweep(
         curves=tuple(curves),
         population=population,
     )
-
-
-def _sweep_cells_serial(
-    algorithms: Sequence[str],
-    kinds: Sequence[str],
-    rates: Sequence[float],
-    n: int,
-    trials: int,
-    seed: int,
-    metrics: Optional[MetricsRegistry],
-    trace,
-    session=None,
-    bus=None,
-    cell_cache=None,
-) -> Tuple[List[DegradationCurve], Optional[Dict[str, Dict[str, Any]]]]:
-    """The original nested sweep loop (one Simulator per algorithm)."""
-    from repro.obs.sketches import merge_population
-
-    if trace is not None:
-        # A trace documents an execution; a cache hit elides it.
-        cell_cache = None
-    curves: List[DegradationCurve] = []
-    population: Optional[Dict[str, Dict[str, Any]]] = None
-    for a_idx, name in enumerate(algorithms):
-        spec = HARNESS_ALGORITHMS[name]
-        simulator = Simulator(spec.model(n), metrics=metrics, trace=trace)
-        factory = spec.factory(n)
-        rounds = spec.rounds(n)
-        for k_idx, kind in enumerate(kinds):
-            points: List[DegradationPoint] = []
-            for r_idx, rate in enumerate(rates):
-                item = _cell_item(name, a_idx, kind, k_idx, rate, r_idx)
-                cached = (
-                    cell_cache.get_item(item) if cell_cache is not None else None
-                )
-                if cached is not None:
-                    correct = int(cached["correct"])
-                    faults = int(cached["faults"])
-                    rounds_total = int(cached["rounds_total"])
-                    cell_population = cached.get("population")
-                else:
-                    correct, faults, rounds_total, cell_population = _sweep_cell(
-                        simulator,
-                        factory,
-                        rounds,
-                        n,
-                        spec.kt,
-                        kind,
-                        rate,
-                        trials,
-                        seed,
-                        a_idx,
-                        k_idx,
-                        r_idx,
-                    )
-                    if cell_cache is not None:
-                        cell_cache.put_item(
-                            item,
-                            {
-                                "correct": correct,
-                                "faults": faults,
-                                "rounds_total": rounds_total,
-                                "population": cell_population,
-                            },
-                        )
-                population = merge_population(population, cell_population)
-                points.append(
-                    DegradationPoint(
-                        rate=rate,
-                        trials=trials,
-                        correct=correct,
-                        faults_injected=faults,
-                        mean_rounds=rounds_total / trials,
-                    )
-                )
-                if bus is not None:
-                    bus.publish(
-                        "sweep.cell",
-                        {
-                            "algorithm": name,
-                            "kind": kind,
-                            "rate": rate,
-                            "correct": correct,
-                            "trials": trials,
-                        },
-                    )
-                if session is not None:
-                    session.write_step(
-                        f"{name}/{kind}/{rate}",
-                        {
-                            "algorithm": name,
-                            "kind": kind,
-                            "rate": rate,
-                            "correct": correct,
-                            "faults": faults,
-                            "rounds_total": rounds_total,
-                        },
-                    )
-                if metrics is not None:
-                    if cached is not None:
-                        metrics.counter("resilience.cells_cached").inc()
-                    else:
-                        metrics.counter("resilience.trials_run").inc(trials)
-                        metrics.counter("resilience.faults_injected").inc(faults)
-            curves.append(DegradationCurve(name, kind, tuple(points)))
-    return curves, population
 
 
 def _cell_item(
@@ -533,7 +422,7 @@ def _cell_item(
     }
 
 
-def _sweep_cells_parallel(
+def _sweep_cells(
     algorithms: Sequence[str],
     kinds: Sequence[str],
     rates: Sequence[float],
@@ -541,29 +430,33 @@ def _sweep_cells_parallel(
     trials: int,
     seed: int,
     metrics: Optional[MetricsRegistry],
+    trace,
     workers: int,
-    session=None,
-    bus=None,
-    cell_cache=None,
+    session,
+    bus,
+    cell_cache,
 ) -> Tuple[List[DegradationCurve], Optional[Dict[str, Dict[str, Any]]]]:
-    """Fan the flattened (algorithm, kind, rate) cells over a worker pool.
+    """Map the flattened (algorithm, kind, rate) cells and reassemble them.
 
     Cells are dispatched and reassembled in ``(a_idx, k_idx, r_idx)``
     order; the per-cell metric counters are incremented parent-side in
-    that same order, so totals match the serial sweep exactly, and the
-    per-cell population sketches are folded in that same cell order
-    (the fold is order-invariant anyway -- see
-    :mod:`repro.obs.sketches` -- so this is belt and braces). Session
-    steps go through per-shard segments (written in completion order,
-    merged in shard-index order), so the recorded step sequence is the
-    serial one regardless of scheduling. Live ``sweep.cell`` bus events
-    fire in *completion* order -- they are a progress feed, not a
-    deterministic artifact.
+    that same order, and the per-cell population sketches are folded in
+    that order (the fold is order-invariant anyway -- see
+    :mod:`repro.obs.sketches`). Session steps go through per-shard
+    segments (written in completion order, merged in shard-index order),
+    so the recorded step sequence does not depend on scheduling. Live
+    ``sweep.cell`` bus events fire in *completion* order -- they are a
+    progress feed, not a deterministic artifact.
     """
     from repro.parallel.executor import ParallelExecutor
 
+    in_process = workers == 1 or trace is not None
+    if trace is not None:
+        # A trace documents an execution; a cache hit elides it.
+        cell_cache = None
+    sinks = (metrics, trace) if in_process else (None, None)
     payloads = [
-        (name, a_idx, kind, k_idx, rate, r_idx, n, trials, seed)
+        (name, a_idx, kind, k_idx, rate, r_idx, n, trials, seed) + sinks
         for a_idx, name in enumerate(algorithms)
         for k_idx, kind in enumerate(kinds)
         for r_idx, rate in enumerate(rates)
@@ -611,33 +504,23 @@ def _sweep_cells_parallel(
             fresh_indices.append(index)
             continue
         cells[index] = hit
-        if bus is not None or session is not None:
-            _publish(index, hit)
+        _publish(index, hit)
 
-    on_result = None
-    if session is not None or bus is not None:
+    def _on_result(local_index: int, cell: Dict[str, Any]) -> None:
+        # Store each cell as it completes, so an interrupted sweep
+        # resumes from every finished cell.
+        index = fresh_indices[local_index]
+        if cell_cache is not None:
+            cell_cache.put_item(_cell_item(*payloads[index][:6]), cell)
+        _publish(index, cell)
 
-        def on_result(local_index: int, cell: Dict[str, Any]) -> None:
-            _publish(fresh_indices[local_index], cell)
-
-    executor = ParallelExecutor(workers=workers, metrics=metrics)
+    executor = ParallelExecutor(workers=1 if in_process else workers, metrics=metrics)
     results = executor.map(
         _fault_cell_worker, [payloads[i] for i in fresh_indices],
-        on_result=on_result, span_name="resilience.sweep_map",
+        on_result=_on_result, span_name="resilience.sweep_map",
     )
-    for local_index, cell in enumerate(results):
-        index = fresh_indices[local_index]
+    for index, cell in zip(fresh_indices, results):
         cells[index] = cell
-        if cell_cache is not None:
-            cell_cache.put_item(
-                _cell_item(*payloads[index][:6]),
-                {
-                    "correct": int(cell["correct"]),
-                    "faults": int(cell["faults"]),
-                    "rounds_total": int(cell["rounds_total"]),
-                    "population": cell.get("population"),
-                },
-            )
     if session is not None:
         session.merge_shard_steps(len(payloads))
     from repro.obs.sketches import merge_population

@@ -2,21 +2,20 @@
 
 ``KeyboardInterrupt`` already gives SIGINT a catchable shape; SIGTERM (the
 default ``kill``, and what CI runners and container orchestrators send on
-timeout) normally kills the process with no chance to flush a checkpoint.
+timeout) normally kills the process with no chance to clean up.
 :func:`graceful_interrupts` maps SIGTERM onto ``KeyboardInterrupt`` for
 the duration of a ``with`` block, so one ``except KeyboardInterrupt``
-covers both "the user pressed Ctrl-C" and "the scheduler said wrap it up",
-and the search's final-checkpoint path runs either way.
+covers both "the user pressed Ctrl-C" and "the scheduler said wrap it up".
+Searches need nothing more: each completed shard is already in the
+result cache when the interrupt lands.
 
-Flush hooks close the gap checkpoints don't cover: checkpoints flush from
-their own ``except KeyboardInterrupt`` handlers, but an open *session log*
-(:class:`repro.replay.SessionStore`) has no such handler on the interrupt
-path. Writers register a zero-argument flushable with
+Flush hooks cover what the cache does not: an open *session log*
+(:class:`repro.replay.SessionStore`) has no handler of its own on the
+interrupt path. Writers register a zero-argument flushable with
 :func:`register_flush_hook`; when an interrupt escapes the ``with``
 block, :func:`graceful_interrupts` runs every registered hook (inner
 handlers first having already done their own flushing) before re-raising,
-so a SIGINT/SIGTERM-killed run leaves a sealed, replayable session log
-rather than just a checkpoint.
+so a SIGINT/SIGTERM-killed run leaves a sealed, replayable session log.
 
 The previous handlers are restored on exit, including on exceptions, and
 the context manager degrades to a no-op off the main thread (Python only

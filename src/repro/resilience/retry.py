@@ -2,7 +2,7 @@
 
 A single ``EINTR`` or transient ``OSError`` (NFS hiccup, overlay-fs
 flush glitch, container freezer pause) should not kill an hours-long
-search whose checkpoint or session log write happened to hit it.
+search whose cache or session log write happened to hit it.
 :func:`retry_transient` retries a callable a bounded number of times
 with exponential backoff, then re-raises the last error -- persistent
 failures still fail, they just get a fair number of chances first.

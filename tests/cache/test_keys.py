@@ -1,6 +1,8 @@
 """Key derivation: canonical JSON, fingerprints, request/item addresses."""
 
+import ast
 import hashlib
+import os
 
 import pytest
 
@@ -69,6 +71,85 @@ class TestFingerprints:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             kind_fingerprint("nope")
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+#: The engine function that runs each cacheable kind (engine/core.py).
+KIND_RUNNERS = {
+    "run": "execute_run",
+    "exhaustive": "_run_exhaustive",
+    "sampling": "_run_sampling",
+    "ranks": "_run_ranks",
+    "fault-sweep": "_run_fault_sweep",
+}
+
+#: Modules that cannot change a result's value: exception types, the
+#: observation sinks, and the cooperative budget (it decides how much is
+#: computed; partial shards are never stored).
+NOT_RESULT_BEARING = (
+    "repro.errors",
+    "repro.obs.metrics",
+    "repro.obs.spans",
+    "repro.obs.stream",
+    "repro.resilience.budget",
+)
+
+
+def _module_path(module):
+    base = os.path.join(SRC, *module.split("."))
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _static_imports(tree):
+    """repro.* modules named by import statements anywhere in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module)
+            # ``from package import module`` names the submodule too
+            out.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {m for m in out if m.startswith("repro.") and _module_path(m)}
+
+
+def _closure(kind):
+    """The static import closure of a kind's runner, without importing."""
+    with open(_module_path("repro.engine.core"), encoding="utf-8") as handle:
+        engine = ast.parse(handle.read())
+    (runner,) = [
+        node
+        for node in engine.body
+        if isinstance(node, ast.FunctionDef) and node.name == KIND_RUNNERS[kind]
+    ]
+    seen, stack = set(), sorted(_static_imports(runner))
+    while stack:
+        module = stack.pop()
+        if module in seen or module in NOT_RESULT_BEARING:
+            continue
+        seen.add(module)
+        with open(_module_path(module), encoding="utf-8") as handle:
+            stack.extend(_static_imports(ast.parse(handle.read())))
+    return seen
+
+
+class TestFingerprintClosure:
+    @pytest.mark.parametrize("kind", sorted(KIND_RUNNERS))
+    def test_prefixes_cover_the_static_import_closure(self, kind):
+        # An under-wide prefix table serves stale entries after an edit
+        # to an uncovered module; every module a kind's runner reaches
+        # must be fingerprinted.
+        prefixes = FINGERPRINT_PREFIXES[kind]
+        uncovered = sorted(
+            module
+            for module in _closure(kind)
+            if not any(module == p or module.startswith(p + ".") for p in prefixes)
+        )
+        assert uncovered == []
 
 
 class TestRequestKey:

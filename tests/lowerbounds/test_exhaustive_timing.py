@@ -1,6 +1,6 @@
 """Regression tests: the search timer and the memoized pair tables.
 
-The timer bug this pins down: ``_universal_bound_impl`` used to take its
+The timer bug this pins down: the serial search loop used to take its
 ``start = time.perf_counter()`` timestamp conditionally, so the
 ``exhaustive.search_seconds`` histogram (and the ``instances_per_sec``
 gauge derived from the same ``elapsed``) could silently record garbage

@@ -1,22 +1,31 @@
 """Serial ≡ parallel for every ``--workers`` hot path, bit for bit.
 
 The contract under test is the whole point of :mod:`repro.parallel`:
-``workers=1`` is the original in-process loop (golden), and every
-``workers > 1`` / vectorized execution returns the *identical* report --
-same floats, same tie-breaks, same RNG stream consumption, same budget
+every workload runs one shard plan whose shards do not depend on the
+worker count, ``workers=1`` maps it in-process and ``workers > 1`` over
+a pool, and every execution returns the *identical* report -- same
+floats, same tie-breaks, same RNG stream consumption, same budget
 accounting -- so parallelism can never change a paper-facing number.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import ResultCache, ShardCache
 from repro.errors import BudgetExceededError
 from repro.information import estimate_protocol_information
 from repro.lowerbounds import universal_bound_id_oblivious
+from repro.lowerbounds.exhaustive import (
+    EXHAUSTIVE_SHARD_UNITS,
+    _exhaustive_shard_worker,
+    covers_and_pairs_for,
+)
 from repro.lowerbounds.vectorized import HAVE_NUMPY
+from repro.obs.metrics import MetricsRegistry
 from repro.partitions import build_m_matrix, rank_exact, rank_mod_p, rank_multi_prime
 from repro.resilience import Budget, fault_sweep
 from repro.twoparty import TrivialPartitionCompProtocol
@@ -66,79 +75,121 @@ def test_exhaustive_serial_parallel_property(workers, n):
     )
 
 
+def _exhaustive_cache(tmp_path, n, alphabet):
+    return ShardCache(
+        ResultCache(str(tmp_path)), "exhaustive", {"n": n, "alphabet": list(alphabet)}
+    )
+
+
 def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
-    """Mid-fan-out budget exhaustion checkpoints and resumes exactly."""
-    n, alphabet = 4, ("", "0", "1")
+    """Mid-fan-out budget exhaustion resumes from the shard cache exactly."""
+    n, alphabet = 6, ("", "0", "1")
     total = len(alphabet) ** n
     serial = universal_bound_id_oblivious(n, alphabet=alphabet)
 
-    ckpt = str(tmp_path / "exhaustive.shards.json")
-    with pytest.raises(BudgetExceededError) as excinfo:
+    partials = []
+    for workers in WORKER_COUNTS:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            universal_bound_id_oblivious(
+                n,
+                alphabet=alphabet,
+                workers=workers,
+                vectorize=False,
+                budget=Budget(max_units=total // 2),
+            )
+        partials.append(excinfo.value.partial)
+    # the first K assignments, whatever the worker count
+    assert partials[0] == partials[1] == partials[2]
+    cache = _exhaustive_cache(tmp_path, n, alphabet)
+    with pytest.raises(BudgetExceededError):
         universal_bound_id_oblivious(
             n,
             alphabet=alphabet,
             workers=2,
             vectorize=False,
-            budget=Budget(max_units=total // 3),
-            checkpoint_path=ckpt,
-            checkpoint_every=1,
+            budget=Budget(max_units=total // 2),
+            shard_cache=cache,
         )
-    assert excinfo.value.checkpoint_path == ckpt
-    # resume under a different worker count: still the serial report
+    # resume under a different worker count: only the missing shards run
+    registry = MetricsRegistry()
     resumed = universal_bound_id_oblivious(
-        n, alphabet=alphabet, workers=4, vectorize=False, resume=ckpt
+        n, alphabet=alphabet, workers=4, vectorize=False, metrics=registry,
+        shard_cache=cache,
     )
     assert resumed == serial
-    # budget == total work raises in both paths (tick-after semantics)...
-    with pytest.raises(BudgetExceededError):
-        universal_bound_id_oblivious(n, alphabet=alphabet, budget=Budget(max_units=total))
-    with pytest.raises(BudgetExceededError):
-        universal_bound_id_oblivious(
-            n,
-            alphabet=alphabet,
-            workers=2,
-            vectorize=False,
-            budget=Budget(max_units=total),
+    assert registry.counter("exhaustive.shards_cached").value >= 1
+    assert registry.counter("exhaustive.assignments_enumerated").value < total
+    # budget == total work raises at every worker count (tick-after
+    # semantics), and budget == total + 1 completes at every one.
+    for workers in WORKER_COUNTS:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            universal_bound_id_oblivious(
+                n,
+                alphabet=alphabet,
+                workers=workers,
+                vectorize=False,
+                budget=Budget(max_units=total),
+            )
+        assert excinfo.value.partial == serial
+        assert (
+            universal_bound_id_oblivious(
+                n,
+                alphabet=alphabet,
+                workers=workers,
+                vectorize=False,
+                budget=Budget(max_units=total + 1),
+            )
+            == serial
         )
-    # ...and budget == total + 1 completes in both.
-    assert (
-        universal_bound_id_oblivious(
-            n, alphabet=alphabet, budget=Budget(max_units=total + 1)
-        )
-        == serial
-    )
-    assert (
-        universal_bound_id_oblivious(
-            n,
-            alphabet=alphabet,
-            workers=2,
-            vectorize=False,
-            budget=Budget(max_units=total + 1),
-        )
-        == serial
-    )
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 def test_exhaustive_resume_crosses_kernels(tmp_path):
-    """A python-scan checkpoint resumes under the vectorized kernel."""
-    n, alphabet = 4, ("0", "1")
+    """Shards cached by the python scan serve a vectorized re-run."""
+    n, alphabet = 6, ("", "0", "1")
     serial = universal_bound_id_oblivious(n, alphabet=alphabet)
-    ckpt = str(tmp_path / "cross.json")
+    cache = _exhaustive_cache(tmp_path, n, alphabet)
     with pytest.raises(BudgetExceededError):
         universal_bound_id_oblivious(
             n,
             alphabet=alphabet,
             workers=2,
             vectorize=False,
-            budget=Budget(max_units=5),
-            checkpoint_path=ckpt,
-            checkpoint_every=1,
+            budget=Budget(max_units=EXHAUSTIVE_SHARD_UNITS + 5),
+            shard_cache=cache,
         )
+    hits_before = cache.cache.hits
     resumed = universal_bound_id_oblivious(
-        n, alphabet=alphabet, workers=1, vectorize=True, resume=ckpt
+        n, alphabet=alphabet, workers=1, vectorize=True, shard_cache=cache
     )
     assert resumed == serial
+    assert cache.cache.hits - hits_before == 1
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_wall_budget_is_one_deadline_across_shards(workers):
+    """Shards share the parent's deadline instead of restarting it."""
+    n, alphabet = 7, ("", "0", "1")
+    table = covers_and_pairs_for(n)  # warm: the precompute is not scanning
+    wire = tuple((None, pairs) for _cover, pairs in table)
+    start = time.perf_counter()
+    _exhaustive_shard_worker(
+        (n, alphabet, 0, EXHAUSTIVE_SHARD_UNITS, wire, None, False, False)
+    )
+    shard_seconds = time.perf_counter() - start
+    seconds = 0.3
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        universal_bound_id_oblivious(
+            n,
+            alphabet=alphabet,
+            workers=workers,
+            vectorize=False,
+            budget=Budget(wall_seconds=seconds),
+        )
+    elapsed = time.perf_counter() - start
+    # budget + one shard, plus headroom for starting the pool
+    assert elapsed < seconds + shard_seconds + 0.5
 
 
 # ----------------------------------------------------------------------
@@ -154,73 +205,61 @@ def _sampling_report(workers, samples=60, seed=11, n=4, **kwargs):
     return report, rng.getstate()
 
 
-def test_sampling_workers_one_is_the_golden_lean_path():
-    # workers=1 must be the byte-identical original lean loop.
-    golden, golden_rng = _sampling_report(None)
-    lean, lean_rng = _sampling_report(1)
-    assert lean == golden
-    assert lean_rng == golden_rng
-
-
-@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_sampling_identical_across_worker_counts(workers):
-    # The documented contract: sharded == serial *resilient* path, bit
-    # for bit (both sum the joint in sorted key order); the lean serial
-    # path may differ in float summation order only.
-    serial, serial_rng = _sampling_report(1, budget=Budget(max_units=10_000))
-    lean, lean_rng = _sampling_report(1)
-    parallel, parallel_rng = _sampling_report(workers)
-    assert parallel == serial
-    assert parallel.information_estimate == pytest.approx(
-        lean.information_estimate, rel=1e-12
-    )
+    # Exact equality, floats included, against the default call; enough
+    # samples for several shards so the merge order is exercised.
+    golden, golden_rng = _sampling_report(None, samples=1500)
+    report, rng_state = _sampling_report(workers, samples=1500)
+    assert report == golden
+    assert report.information_estimate == golden.information_estimate
+    assert report.population == golden.population
     # the parent rng consumed the identical stream (pre-drawn inputs)
-    assert parallel_rng == serial_rng == lean_rng
+    assert rng_state == golden_rng
+
+
+def _sampling_cache(tmp_path, seed):
+    return ShardCache(
+        ResultCache(str(tmp_path)),
+        "sampling",
+        {"n": 4, "samples": 1500, "seed": seed, "eps": 0.0},
+    )
 
 
 def test_sampling_budget_resume_mid_fan_out(tmp_path):
-    serial, _ = _sampling_report(1, budget=Budget(max_units=10_000))
-    ckpt = str(tmp_path / "sampling.shards.json")
-    with pytest.raises(BudgetExceededError):
+    serial, _ = _sampling_report(1, samples=1500)
+    cache = _sampling_cache(tmp_path, 11)
+    with pytest.raises(BudgetExceededError) as excinfo:
         _sampling_report(
-            2,
-            budget=Budget(max_units=20),
-            checkpoint_path=ckpt,
-            checkpoint_every=1,
+            2, samples=1500, budget=Budget(max_units=1100), shard_cache=cache
         )
-    resumed_rng = random.Random(11)
-    resumed = estimate_protocol_information(
-        TrivialPartitionCompProtocol(4),
-        4,
-        60,
-        resumed_rng,
-        workers=4,
-        resume=ckpt,
-    )
+    assert excinfo.value.partial.samples == 1100
+    hits_before = cache.cache.hits
+    resumed, _ = _sampling_report(4, samples=1500, shard_cache=cache)
     assert resumed == serial
+    assert cache.cache.hits - hits_before == 2
 
 
 def test_sampling_resume_rejects_mismatched_seed(tmp_path):
-    from repro.errors import CheckpointError
+    from repro.engine import EngineOptions, EngineRequest, execute
 
-    ckpt = str(tmp_path / "sampling.shards.json")
+    cache = ResultCache(str(tmp_path))
+    params = {"n": 4, "samples": 1500, "seed": 11}
     with pytest.raises(BudgetExceededError):
-        _sampling_report(
-            2,
-            budget=Budget(max_units=20),
-            checkpoint_path=ckpt,
-            checkpoint_every=1,
+        execute(
+            EngineRequest("sampling", params, workers=2),
+            cache=cache,
+            options=EngineOptions(budget=Budget(max_units=1100)),
         )
-    # a different seed draws different inputs: the params digest differs
-    with pytest.raises(CheckpointError):
-        estimate_protocol_information(
-            TrivialPartitionCompProtocol(4),
-            4,
-            60,
-            random.Random(999),
-            workers=2,
-            resume=ckpt,
-        )
+    # a different seed draws different inputs: no stored shard is served
+    hits_before = cache.hits
+    other = execute(
+        EngineRequest("sampling", dict(params, seed=999), workers=2), cache=cache
+    )
+    assert cache.hits == hits_before
+    assert other.payload == execute(
+        EngineRequest("sampling", dict(params, seed=999))
+    ).payload
 
 
 # ----------------------------------------------------------------------

@@ -73,11 +73,14 @@ def test_seed_derivation_is_pure_arithmetic():
     assert [s.seed for s in plan.shards()] == [derive_seed(7, i) for i in range(3)]
 
 
-def test_for_workers_clamps_to_total():
-    assert ShardPlan.for_workers(3, workers=4).num_shards == 3
-    assert ShardPlan.for_workers(1000, workers=4).num_shards == 16
+@given(total=totals, units=st.integers(min_value=1, max_value=64))
+@settings(max_examples=100, deadline=None)
+def test_for_units_caps_shard_size(total, units):
+    shards = ShardPlan.for_units(total, units).shards()
+    assert all(s.size <= units for s in shards)
+    assert len(shards) == -(-total // units)  # no more shards than needed
     with pytest.raises(ValueError):
-        ShardPlan.for_workers(10, workers=0)
+        ShardPlan.for_units(total, 0)
 
 
 def test_constructor_validation():
@@ -111,12 +114,14 @@ def test_split_budget_conserves_units(units, sizes):
 
 
 def test_split_budget_surplus_cascades():
-    # 2 shards of size 10, 15 units: even split (8, 7) would strand a
-    # unit on the second shard's small size -- cascade fills instead.
+    # Units fill shards in shard order: what the first shard cannot use
+    # cascades to the next, so a capped run scans exactly a prefix.
     shards = split_budget(Budget(max_units=15), [10, 10])
-    assert [sb.max_units for sb in shards] == [8, 7]
+    assert [sb.max_units for sb in shards] == [10, 5]
     shards = split_budget(Budget(max_units=100), [3, 10])
     assert [sb.max_units for sb in shards] == [3, 10]
+    shards = split_budget(Budget(max_units=4), [3, 10, 10])
+    assert [sb.max_units for sb in shards] == [3, 1, 0]
 
 
 def test_split_budget_exhausted_parent_yields_zero_unit_shards():
@@ -132,6 +137,17 @@ def test_split_budget_exhausted_parent_yields_zero_unit_shards():
 
 
 def test_shard_budget_to_budget():
-    assert ShardBudget(max_units=None, wall_seconds=None).to_budget() is None
-    b = ShardBudget(max_units=5, wall_seconds=None).to_budget()
+    import time
+
+    from repro.errors import BudgetExceededError
+
+    assert ShardBudget(max_units=None, deadline=None).to_budget() is None
+    b = ShardBudget(max_units=5, deadline=None).to_budget()
     assert b is not None and b.remaining_units() == 5
+    # the shard inherits what is left of the parent's one deadline
+    b = ShardBudget(max_units=None, deadline=time.monotonic() + 100.0).to_budget()
+    assert 99.0 < b.remaining_seconds() <= 100.0
+    with pytest.raises(BudgetExceededError):
+        ShardBudget(max_units=0, deadline=None).to_budget()
+    with pytest.raises(BudgetExceededError):
+        ShardBudget(max_units=None, deadline=time.monotonic() - 1.0).to_budget()

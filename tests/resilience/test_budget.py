@@ -21,7 +21,8 @@ class TestWorkUnitCap:
         with pytest.raises(BudgetExceededError) as exc_info:
             budget.tick(partial={"best": 0.25})
         assert exc_info.value.partial == {"best": 0.25}
-        assert exc_info.value.checkpoint_path is None
+        # resume state lives in the shard cache, not on the exception
+        assert not hasattr(exc_info.value, "checkpoint_path")
 
     def test_units_done_and_remaining(self):
         budget = Budget(max_units=10, check_interval=1)

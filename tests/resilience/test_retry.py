@@ -4,14 +4,14 @@ import errno
 
 import pytest
 
-from repro.errors import CheckpointError
+from repro.cache import ResultCache
 from repro.resilience import (
     DEFAULT_RETRY_ATTEMPTS,
-    read_checkpoint,
     retry_transient,
     set_retry_sleep,
-    write_checkpoint,
 )
+
+KEY = "ab" * 32
 
 
 class _Flaky:
@@ -81,10 +81,11 @@ class TestRetryTransient:
 
 
 class TestCheckpointRetry:
+    """Cache publication -- what ``--checkpoint DIR`` writes -- is retried."""
+
     def test_transient_replace_failure_survives(self, tmp_path, monkeypatch):
         import os as os_module
 
-        path = str(tmp_path / "ck.json")
         real_replace = os_module.replace
         failures = [2]
 
@@ -94,22 +95,20 @@ class TestCheckpointRetry:
                 raise OSError(errno.EINTR, "interrupted system call")
             return real_replace(src, dst)
 
-        monkeypatch.setattr(
-            "repro.resilience.checkpoint.os.replace", flaky_replace
-        )
-        write_checkpoint(path, "unit", {"n": 3}, {"cursor": 7})
-        payload = read_checkpoint(path, kind="unit", params={"n": 3})
-        assert payload["state"] == {"cursor": 7}
-        # failed attempts cleaned their temp files up
-        leftovers = [f for f in tmp_path.iterdir() if f.name.startswith(".ckpt-")]
+        monkeypatch.setattr("repro.cache.store.os.replace", flaky_replace)
+        cache = ResultCache(str(tmp_path))
+        assert cache.put(KEY, "unit", {"cursor": 7})
+        assert cache.get(KEY) == {"cursor": 7}
+        # failed attempts left no temp files behind
+        leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
 
-    def test_persistent_failure_still_checkpoint_error(self, tmp_path, monkeypatch):
+    def test_persistent_failure_degrades_to_not_cached(self, tmp_path, monkeypatch):
         def always_fail(src, dst):
             raise OSError(errno.EIO, "dead disk")
 
-        monkeypatch.setattr(
-            "repro.resilience.checkpoint.os.replace", always_fail
-        )
-        with pytest.raises(CheckpointError):
-            write_checkpoint(str(tmp_path / "ck.json"), "unit", {}, {})
+        monkeypatch.setattr("repro.cache.store.os.replace", always_fail)
+        cache = ResultCache(str(tmp_path))
+        assert cache.put(KEY, "unit", {}) is False
+        assert cache.get(KEY) is None
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []

@@ -24,9 +24,24 @@ class TestWarmRunsAreByteIdentical:
         code, warm_out, warm_err = run_cli(capsys, argv)
         assert code == 0
         assert warm_out == cold_out  # stdout byte-identical, cold or warm
-        assert "cache: hits=0 misses=1" in cold_err
+        # cold: the request and its one shard miss; both are stored
+        assert "cache: hits=0 misses=2 stored=2" in cold_err
         assert "cache: hits=1 misses=0" in warm_err
         json.loads(cold_out)  # stdout stays one parseable object
+
+    def test_sampling_stdout_identical_across_workers_cold_and_warm(
+        self, tmp_path, capsys
+    ):
+        argv = ["sampling", "--n", "6", "--samples", "3000", "--seed", "1", "--json"]
+        cache = ["--cache", str(tmp_path / "c")]
+        code, cold_w1, _ = run_cli(capsys, argv + ["--workers", "1"] + cache)
+        assert code == 0
+        code, warm_w2, warm_err = run_cli(capsys, argv + ["--workers", "2"] + cache)
+        assert code == 0
+        assert "cache: hits=1 misses=0" in warm_err
+        code, cold_w2, _ = run_cli(capsys, argv + ["--workers", "2"])
+        assert code == 0
+        assert cold_w1 == warm_w2 == cold_w2
 
     def test_fault_sweep_out_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"

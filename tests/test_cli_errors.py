@@ -15,15 +15,6 @@ def _run(capsys, *argv):
 
 
 class TestUserErrorsExitTwo:
-    def test_missing_resume_checkpoint(self, capsys, tmp_path):
-        code, _out, err = _run(
-            capsys, "exhaustive", "--resume", str(tmp_path / "absent.json")
-        )
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-
     def test_bad_sample_count(self, capsys):
         code, _out, err = _run(capsys, "sampling", "--samples", "1")
         assert code == 2
@@ -70,18 +61,11 @@ class TestInterruptExits130:
         assert err == "interrupted\n"
 
     def test_interrupt_mid_exhaustive_names_checkpoint(self, capsys, tmp_path, monkeypatch):
-        path = str(tmp_path / "ck.json")
+        path = str(tmp_path / "ck")
 
         def _fake_search(*_a, **kwargs):
-            # simulate the engine flushing its checkpoint then propagating
-            from repro.resilience import write_checkpoint
-
-            write_checkpoint(
-                kwargs["checkpoint_path"],
-                "exhaustive",
-                {"n": 6, "alphabet": ["", "0", "1"]},
-                {"next_index": 5},
-            )
+            # completed shards are already in the cache when Ctrl-C lands
+            assert kwargs["shard_cache"] is not None
             raise KeyboardInterrupt
 
         monkeypatch.setattr(
@@ -89,13 +73,15 @@ class TestInterruptExits130:
         )
         code, _out, err = _run(capsys, "exhaustive", "--checkpoint", path)
         assert code == 130
-        assert path in err
-        assert "--resume" in err
+        assert err == (
+            "interrupted; re-run the same command "
+            f"(completed shards are cached in {path})\n"
+        )
 
 
 class TestBudgetExitsThree:
     def test_exhaustive_budget_prints_partial(self, capsys, tmp_path):
-        path = str(tmp_path / "ck.json")
+        path = str(tmp_path / "ck")
         code, out, err = _run(
             capsys,
             "exhaustive",
@@ -109,23 +95,35 @@ class TestBudgetExitsThree:
         )
         assert code == 3
         assert "budget exhausted" in err
-        assert f"--resume {path}" in err
+        assert f"re-run the same command (completed shards are cached in {path})" in err
         payload = json.loads(out)
         assert payload["rows"][0][-1] == "partial (budget exhausted)"
 
     def test_budget_then_resume_completes(self, capsys, tmp_path):
-        path = str(tmp_path / "ck.json")
+        path = str(tmp_path / "ck")
         code, _out, _err = _run(
-            capsys, "exhaustive", "--max-assignments", "100", "--checkpoint", path
+            capsys, "exhaustive", "--max-assignments", "500", "--checkpoint", path
         )
         assert code == 3
-        code, out, _err = _run(capsys, "exhaustive", "--resume", path, "--json")
+        code, out, err = _run(capsys, "exhaustive", "--resume", path, "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["rows"][0][-1] == "complete"
+        # the two shards the budgeted run completed are served from the cache
+        assert "cache: hits=2 misses=2" in err
         # the resumed minimum matches a fresh uninterrupted run
         code, fresh_out, _err = _run(capsys, "exhaustive", "--json")
         assert json.loads(fresh_out)["rows"][0][:5] == payload["rows"][0][:5]
+
+
+    def test_resume_from_missing_dir_starts_fresh(self, capsys, tmp_path):
+        # --resume names the cache; an empty or absent one is a cold run
+        code, out, err = _run(
+            capsys, "exhaustive", "--resume", str(tmp_path / "absent"), "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0][-1] == "complete"
+        assert "cache: hits=0" in err
 
 
 class TestNewSubcommandSmoke:

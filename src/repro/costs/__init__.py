@@ -18,56 +18,54 @@ Three layers, mirroring the structure of :mod:`repro.obs`:
   ``repro cost-check`` and ``tests/costs/``.
 """
 
-from repro.costs.calculus import (
-    HAVE_SYMPY,
-    Expr,
-    bits_width,
-    ceil,
-    dfact,
-    evaluate,
-    floor,
-    log2,
-    symbols,
-    sympy_cross_check,
-)
-from repro.costs.conformance import ConformanceResult, check_all, check_spec
-from repro.costs.ledger import (
-    DEFAULT_PHASE,
-    CostLedger,
-    cost_summary_from_broadcasts,
-    get_ledger,
-    message_cost_bits,
-    run_cost_summary,
-    set_ledger,
-    use_ledger,
-)
-from repro.costs.specs import CostSpec, MeasuredCost, get_spec, spec_names, specs
+# Every name is re-exported lazily (PEP 562), so the simulator's import
+# of the ledger does not load the conformance checker.
+_LAZY_EXPORTS = {
+    "HAVE_SYMPY": "repro.costs.calculus",
+    "Expr": "repro.costs.calculus",
+    "bits_width": "repro.costs.calculus",
+    "ceil": "repro.costs.calculus",
+    "dfact": "repro.costs.calculus",
+    "evaluate": "repro.costs.calculus",
+    "floor": "repro.costs.calculus",
+    "log2": "repro.costs.calculus",
+    "symbols": "repro.costs.calculus",
+    "sympy_cross_check": "repro.costs.calculus",
+    "ConformanceResult": "repro.costs.conformance",
+    "check_all": "repro.costs.conformance",
+    "check_spec": "repro.costs.conformance",
+    "DEFAULT_PHASE": "repro.costs.ledger",
+    "CostLedger": "repro.costs.ledger",
+    "cost_summary_from_broadcasts": "repro.costs.ledger",
+    "get_ledger": "repro.costs.ledger",
+    "message_cost_bits": "repro.costs.ledger",
+    "run_cost_summary": "repro.costs.ledger",
+    "set_ledger": "repro.costs.ledger",
+    "use_ledger": "repro.costs.ledger",
+    "CostSpec": "repro.costs.specs",
+    "MeasuredCost": "repro.costs.specs",
+    "get_spec": "repro.costs.specs",
+    "spec_names": "repro.costs.specs",
+    "specs": "repro.costs.specs",
+}
 
-__all__ = [
-    "DEFAULT_PHASE",
-    "HAVE_SYMPY",
-    "ConformanceResult",
-    "CostLedger",
-    "CostSpec",
-    "Expr",
-    "MeasuredCost",
-    "bits_width",
-    "ceil",
-    "check_all",
-    "check_spec",
-    "cost_summary_from_broadcasts",
-    "dfact",
-    "evaluate",
-    "floor",
-    "get_ledger",
-    "get_spec",
-    "log2",
-    "message_cost_bits",
-    "run_cost_summary",
-    "set_ledger",
-    "spec_names",
-    "specs",
-    "symbols",
-    "sympy_cross_check",
-    "use_ledger",
-]
+# Importing the submodule repro.costs.specs binds the package attribute
+# ``specs`` to that module, and then __getattr__ never fires for the
+# function of the same name. Binding the function here, after the
+# submodule is loaded, keeps ``repro.costs.specs`` the function. It is
+# cheap: specs.py imports only the calculus at module level.
+from repro.costs.specs import specs  # noqa: E402
+
+
+def __getattr__(name):
+    module_name = _LAZY_EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: __getattr__ only fires on misses
+    return value
+
+
+__all__ = sorted(_LAZY_EXPORTS)

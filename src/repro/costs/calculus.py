@@ -34,16 +34,9 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Dict, FrozenSet, Mapping, Tuple, Union
-
-try:  # the optional second opinion; never required
-    import sympy  # type: ignore
-
-    HAVE_SYMPY = True
-except ImportError:  # pragma: no cover - exercised via the _NoSympy stub
-    sympy = None  # type: ignore
-    HAVE_SYMPY = False
 
 __all__ = [
     "HAVE_SYMPY",
@@ -61,6 +54,28 @@ __all__ = [
 ]
 
 Number = Union[int, float]
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy() -> Any:
+    """The optional second opinion, imported on first use; None if absent.
+
+    sympy takes longer to import than any command here takes to run, so
+    nothing imports it until a cross-check or :meth:`Expr.to_sympy` asks.
+    """
+    try:
+        import sympy  # type: ignore
+    except ImportError:
+        return None
+    return sympy
+
+
+def __getattr__(name: str) -> Any:
+    # HAVE_SYMPY is settled by a real import attempt on first read (an
+    # import that is blocked or broken reads False), not at module import.
+    if name == "HAVE_SYMPY":
+        return _sympy() is not None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _wrap(value: Any) -> "Expr":
@@ -153,7 +168,7 @@ class Sym(Expr):
         return frozenset({self.name})
 
     def to_sympy(self) -> Any:
-        return sympy.Symbol(self.name, positive=True)
+        return _sympy().Symbol(self.name, positive=True)
 
     def __str__(self) -> str:
         return self.name
@@ -174,6 +189,7 @@ class Const(Expr):
         return frozenset()
 
     def to_sympy(self) -> Any:
+        sympy = _sympy()
         return sympy.Integer(self.value) if isinstance(self.value, int) else sympy.Float(self.value)
 
     def __str__(self) -> str:
@@ -224,7 +240,7 @@ class BinOp(Expr):
         if self.op == "/":
             return a / b
         if self.op == "//":
-            return sympy.floor(a / b)
+            return _sympy().floor(a / b)
         return a**b
 
     def __str__(self) -> str:
@@ -302,19 +318,20 @@ def _exact_log2(x: Number) -> Number:
 
 
 def _sympy_bits(x: Any) -> Any:
+    sympy = _sympy()
     return sympy.Max(1, sympy.floor(sympy.log(x, 2)) + 1)
 
 
 def _sympy_dfact(x: Any) -> Any:
-    return sympy.factorial2(x)
+    return _sympy().factorial2(x)
 
 
 Call._FNS = {
     "bits": (_exact_bits, _sympy_bits),
     "dfact": (_exact_dfact, _sympy_dfact),
-    "ceil": (_exact_ceil, lambda a: sympy.ceiling(a)),
-    "floor": (_exact_floor, lambda a: sympy.floor(a)),
-    "log2": (_exact_log2, lambda a: sympy.log(a, 2)),
+    "ceil": (_exact_ceil, lambda a: _sympy().ceiling(a)),
+    "floor": (_exact_floor, lambda a: _sympy().floor(a)),
+    "log2": (_exact_log2, lambda a: _sympy().log(a, 2)),
 }
 
 
@@ -364,7 +381,8 @@ def sympy_cross_check(
     stands). A disagreement raises ``ArithmeticError``: the two backends
     implementing one formula differently is a calculus bug, not data.
     """
-    if not HAVE_SYMPY:
+    sympy = _sympy()
+    if sympy is None:
         return False
     own = expr.evaluate(env)
     via = expr.to_sympy().subs({sympy.Symbol(k, positive=True): v for k, v in env.items()})

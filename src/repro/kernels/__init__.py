@@ -59,56 +59,44 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.kernels.bitset_matching import (
-    compile_bipartite,
-    hopcroft_karp_bitset,
-    k_matching_bitset,
-)
-from repro.kernels.crossing_batch import (
-    HAVE_NUMPY as CROSSING_HAVE_NUMPY,
-    valid_crossing_pairs,
-)
-from repro.kernels.gf2 import (
-    M4RI_DEFAULT_K,
-    pack_rows,
-    rank_gf2,
-    rank_gf2_four_russians,
-    rank_gf2_m4ri,
-    rank_gf2_packed,
-)
-from repro.kernels.modp import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
-from repro.kernels.sparse import (
-    SPARSE_DENSITY_CUTOFF,
-    SPARSE_MIN_CELLS,
-    matrix_density,
-    rank_mod_p_sparse,
-    rank_mod_p_sparse_rows,
-    sparsify_rows,
-)
+# The engines are re-exported lazily (PEP 562): the CLI parser reads
+# KERNEL_MODES, and the graph builder resolve_kernel, without loading
+# every engine module.
+_LAZY_EXPORTS = {
+    "compile_bipartite": "repro.kernels.bitset_matching",
+    "hopcroft_karp_bitset": "repro.kernels.bitset_matching",
+    "k_matching_bitset": "repro.kernels.bitset_matching",
+    "valid_crossing_pairs": "repro.kernels.crossing_batch",
+    "M4RI_DEFAULT_K": "repro.kernels.gf2",
+    "pack_rows": "repro.kernels.gf2",
+    "rank_gf2": "repro.kernels.gf2",
+    "rank_gf2_four_russians": "repro.kernels.gf2",
+    "rank_gf2_m4ri": "repro.kernels.gf2",
+    "rank_gf2_packed": "repro.kernels.gf2",
+    "HAVE_NUMPY": "repro.kernels.modp",
+    "batched_modp_supported": "repro.kernels.modp",
+    "rank_mod_p_batched": "repro.kernels.modp",
+    "SPARSE_DENSITY_CUTOFF": "repro.kernels.sparse",
+    "SPARSE_MIN_CELLS": "repro.kernels.sparse",
+    "matrix_density": "repro.kernels.sparse",
+    "rank_mod_p_sparse": "repro.kernels.sparse",
+    "rank_mod_p_sparse_rows": "repro.kernels.sparse",
+    "sparsify_rows": "repro.kernels.sparse",
+}
 
-__all__ = [
-    "HAVE_NUMPY",
-    "KERNEL_MODES",
-    "M4RI_DEFAULT_K",
-    "SPARSE_DENSITY_CUTOFF",
-    "SPARSE_MIN_CELLS",
-    "batched_modp_supported",
-    "compile_bipartite",
-    "hopcroft_karp_bitset",
-    "k_matching_bitset",
-    "matrix_density",
-    "pack_rows",
-    "rank_gf2",
-    "rank_gf2_four_russians",
-    "rank_gf2_m4ri",
-    "rank_gf2_packed",
-    "rank_mod_p_batched",
-    "rank_mod_p_sparse",
-    "rank_mod_p_sparse_rows",
-    "resolve_kernel",
-    "sparsify_rows",
-    "valid_crossing_pairs",
-]
+
+def __getattr__(name):
+    module_name = _LAZY_EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: __getattr__ only fires on misses
+    return value
+
+
+__all__ = sorted([*_LAZY_EXPORTS, "KERNEL_MODES", "resolve_kernel"])
 
 #: The accepted values of every ``kernel`` argument / ``--kernel`` flag.
 KERNEL_MODES: Tuple[str, ...] = (

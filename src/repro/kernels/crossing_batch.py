@@ -29,10 +29,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-try:  # optional accelerator; the pure-python filter is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+# optional accelerator, imported on first use; the pure-python filter
+# is the fallback
+from repro.kernels.lazy_numpy import NUMPY as _np
 
 __all__ = ["BATCH_THRESHOLD", "HAVE_NUMPY", "valid_crossing_pairs"]
 
@@ -41,7 +40,7 @@ __all__ = ["BATCH_THRESHOLD", "HAVE_NUMPY", "valid_crossing_pairs"]
 #: once the C(m, 2) candidate block is a few thousand pairs deep.
 BATCH_THRESHOLD = 64
 
-#: True when numpy imported; the graph builder need not check -- this
+#: True when numpy is installed; the graph builder need not check -- this
 #: module falls back internally.
 HAVE_NUMPY = _np is not None
 

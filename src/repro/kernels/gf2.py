@@ -39,10 +39,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 if TYPE_CHECKING:  # runtime-import-free, like partitions.linalg
     from repro.resilience.budget import Budget
 
-try:  # optional accelerator; every entry point falls back without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+# optional accelerator, imported on first use; every entry point falls
+# back without it
+from repro.kernels.lazy_numpy import NUMPY as _np
 
 Matrix = Sequence[Sequence[int]]
 

@@ -32,16 +32,14 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:  # runtime-import-free, like partitions.linalg
     from repro.resilience.budget import Budget
 
-try:  # optional accelerator; callers fall back without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+# optional accelerator, imported on first use; callers fall back without it
+from repro.kernels.lazy_numpy import NUMPY as _np
 
 Matrix = Sequence[Sequence[int]]
 
 __all__ = ["HAVE_NUMPY", "batched_modp_supported", "rank_mod_p_batched"]
 
-#: True when numpy imported; linalg checks this before dispatching here.
+#: True when numpy is installed; linalg checks this before dispatching here.
 HAVE_NUMPY = _np is not None
 
 #: Largest magnitude an intermediate may reach: (p-1)^2 + (p-1).

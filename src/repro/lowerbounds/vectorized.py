@@ -22,7 +22,7 @@ scores **blocks** of assignments at once:
   cross-check tests assert exact float equality over the full
   enumerable space at small n.
 
-numpy is optional: :data:`HAVE_NUMPY` is False when the import fails and
+numpy is optional: :data:`HAVE_NUMPY` is False when it is not installed and
 callers (the sharded search, the CLI auto-enable logic) fall back to the
 pure-python scanner. Nothing in this module hard-requires numpy at
 import time.
@@ -34,14 +34,13 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import BudgetExceededError
 
-try:  # optional accelerator; everything falls back without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+# optional accelerator, imported on first use; everything falls back
+# without it
+from repro.kernels.lazy_numpy import NUMPY as _np
 
 __all__ = ["HAVE_NUMPY", "ScoreTables", "block_scores", "scan_assignments"]
 
-#: True when numpy imported; the sharded search checks this to auto-enable.
+#: True when numpy is installed; the sharded search checks this to auto-enable.
 HAVE_NUMPY = _np is not None
 
 #: (best_error, best_global_index) -- None until a block has been scored.

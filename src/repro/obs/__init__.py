@@ -34,75 +34,61 @@ Five small, dependency-free layers:
   population summaries in one dependency-free file.
 """
 
-from repro.obs.bench import (
-    BenchmarkHarness,
-    BenchmarkResult,
-    BenchmarkSpec,
-    bench_names,
-    load_bench_payloads,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    get_registry,
-    merge_snapshots,
-    set_registry,
-    use_registry,
-)
-from repro.obs.regress import (
-    DEFAULT_HISTORY_PATH,
-    HISTORY_SCHEMA_VERSION,
-    RegressionFinding,
-    append_history,
-    current_git_sha,
-    detect_regressions,
-    history_record,
-    read_history,
-    render_perf_dashboard,
-    sparkline,
-    validate_history_record,
-)
-from repro.obs.schema import BENCH_SCHEMA_VERSION, validate_bench_payload
-from repro.obs.spans import (
-    SPAN_TREE_SCHEMA_VERSION,
-    Span,
-    SpanRecorder,
-    aggregate_spans,
-    get_recorder,
-    render_hotspots,
-    render_span_tree,
-    set_recorder,
-    span,
-    use_recorder,
-    validate_span_tree_payload,
-)
-from repro.obs.stream import (
-    Event,
-    EventBus,
-    get_bus,
-    line_printer,
-    set_bus,
-    use_bus,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    RunTrace,
-    read_trace,
-    trace_stats,
-    validate_trace_events,
-)
-
-# The sketches and dash layers are re-exported lazily (PEP 562):
-# sketches imports repro.parallel.merge, whose package __init__ reaches
-# repro.resilience.harness and, through it, repro.core -- and repro.core
-# imports repro.obs.metrics (and hence this package) at class-definition
-# time. Deferring the import until first attribute access keeps
-# ``from repro.obs import QuantileSketch`` working without making this
-# package's import order depend on who imported repro.core first.
+# Every name is re-exported lazily (PEP 562): a command that only needs
+# the metrics registry must not pay for the bench harness, the history
+# store or the dashboard, and importing a submodule here would also tie
+# this package's import order to repro.core, which imports
+# repro.obs.metrics at class-definition time.
 _LAZY_EXPORTS = {
+    "BenchmarkHarness": "repro.obs.bench",
+    "BenchmarkResult": "repro.obs.bench",
+    "BenchmarkSpec": "repro.obs.bench",
+    "bench_names": "repro.obs.bench",
+    "load_bench_payloads": "repro.obs.bench",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Timer": "repro.obs.metrics",
+    "get_registry": "repro.obs.metrics",
+    "merge_snapshots": "repro.obs.metrics",
+    "set_registry": "repro.obs.metrics",
+    "use_registry": "repro.obs.metrics",
+    "DEFAULT_HISTORY_PATH": "repro.obs.regress",
+    "HISTORY_SCHEMA_VERSION": "repro.obs.regress",
+    "RegressionFinding": "repro.obs.regress",
+    "append_history": "repro.obs.regress",
+    "current_git_sha": "repro.obs.regress",
+    "detect_regressions": "repro.obs.regress",
+    "history_record": "repro.obs.regress",
+    "read_history": "repro.obs.regress",
+    "render_perf_dashboard": "repro.obs.regress",
+    "sparkline": "repro.obs.regress",
+    "validate_history_record": "repro.obs.regress",
+    "BENCH_SCHEMA_VERSION": "repro.obs.schema",
+    "validate_bench_payload": "repro.obs.schema",
+    "SPAN_TREE_SCHEMA_VERSION": "repro.obs.spans",
+    "Span": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "aggregate_spans": "repro.obs.spans",
+    "get_recorder": "repro.obs.spans",
+    "render_hotspots": "repro.obs.spans",
+    "render_span_tree": "repro.obs.spans",
+    "set_recorder": "repro.obs.spans",
+    "span": "repro.obs.spans",
+    "use_recorder": "repro.obs.spans",
+    "validate_span_tree_payload": "repro.obs.spans",
+    "Event": "repro.obs.stream",
+    "EventBus": "repro.obs.stream",
+    "get_bus": "repro.obs.stream",
+    "line_printer": "repro.obs.stream",
+    "set_bus": "repro.obs.stream",
+    "use_bus": "repro.obs.stream",
+    "TRACE_SCHEMA_VERSION": "repro.obs.trace",
+    "RunTrace": "repro.obs.trace",
+    "read_trace": "repro.obs.trace",
+    "trace_stats": "repro.obs.trace",
+    "validate_trace_events": "repro.obs.trace",
     "MomentsSketch": "repro.obs.sketches",
     "QuantileSketch": "repro.obs.sketches",
     "TopKSketch": "repro.obs.sketches",
@@ -125,62 +111,4 @@ def __getattr__(name):
     return value
 
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "DEFAULT_HISTORY_PATH",
-    "HISTORY_SCHEMA_VERSION",
-    "SPAN_TREE_SCHEMA_VERSION",
-    "BenchmarkHarness",
-    "BenchmarkResult",
-    "BenchmarkSpec",
-    "Counter",
-    "Event",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MomentsSketch",
-    "QuantileSketch",
-    "RegressionFinding",
-    "RunTrace",
-    "Span",
-    "SpanRecorder",
-    "TRACE_SCHEMA_VERSION",
-    "Timer",
-    "TopKSketch",
-    "aggregate_spans",
-    "append_history",
-    "bench_names",
-    "build_dashboard",
-    "current_git_sha",
-    "detect_regressions",
-    "get_bus",
-    "get_recorder",
-    "get_registry",
-    "history_record",
-    "line_printer",
-    "load_bench_payloads",
-    "merge_population",
-    "merge_snapshots",
-    "population_summary",
-    "read_history",
-    "read_trace",
-    "render_hotspots",
-    "render_perf_dashboard",
-    "render_span_tree",
-    "set_bus",
-    "set_recorder",
-    "set_registry",
-    "sketch_from_dict",
-    "span",
-    "sparkline",
-    "trace_stats",
-    "use_bus",
-    "use_recorder",
-    "use_registry",
-    "validate_bench_payload",
-    "validate_dashboard_html",
-    "validate_history_record",
-    "validate_span_tree_payload",
-    "validate_trace_events",
-]
+__all__ = sorted(_LAZY_EXPORTS)

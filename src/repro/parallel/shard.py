@@ -144,46 +144,10 @@ class ShardPlan:
             raise ValueError(f"shard_units must be >= 1, got {shard_units}")
         return cls(total, max(1, -(-total // shard_units)), base_seed=base_seed)
 
-    @classmethod
-    def from_starts(
-        cls, total: int, starts: Sequence[int], base_seed: int = 0
-    ) -> "ShardPlan":
-        """Rebuild a plan from its shard starts.
-
-        ``starts`` must be strictly increasing, begin at 0, and stay
-        below ``total`` -- the invariants :class:`ShardPlan` itself
-        guarantees, revalidated here because stored starts are data.
-        """
-        starts = tuple(int(s) for s in starts)
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        if total == 0:
-            if starts:
-                raise ValueError("empty index space cannot have shard starts")
-        else:
-            if not starts or starts[0] != 0:
-                raise ValueError(f"shard starts must begin at 0, got {starts[:1]}")
-            for a, b in zip(starts, starts[1:]):
-                if b <= a:
-                    raise ValueError(f"shard starts must increase, got {a} -> {b}")
-            if starts[-1] >= total:
-                raise ValueError(
-                    f"last shard start {starts[-1]} is outside [0, {total})"
-                )
-        plan = cls.__new__(cls)
-        plan.total = total
-        plan.base_seed = base_seed
-        plan._starts = starts
-        return plan
-
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
         return len(self._starts)
-
-    @property
-    def starts(self) -> Sequence[int]:
-        return self._starts
 
     def shard(self, index: int) -> Shard:
         stop = (

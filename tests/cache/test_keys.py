@@ -105,7 +105,11 @@ def _module_path(module):
 
 
 def _static_imports(tree):
-    """repro.* modules named by import statements anywhere in ``tree``."""
+    """repro.* modules named by import statements anywhere in ``tree``.
+
+    A package ``__init__`` that re-exports lazily names its submodules
+    only in the ``_LAZY_EXPORTS`` dict literal, so those count too.
+    """
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -114,6 +118,15 @@ def _static_imports(tree):
             out.add(node.module)
             # ``from package import module`` names the submodule too
             out.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(t, ast.Name) and t.id == "_LAZY_EXPORTS"
+                for t in node.targets
+            )
+            and isinstance(node.value, ast.Dict)
+        ):
+            out.update(ast.literal_eval(node.value).values())
     return {m for m in out if m.startswith("repro.") and _module_path(m)}
 
 
@@ -150,6 +163,11 @@ class TestFingerprintClosure:
             if not any(module == p or module.startswith(p + ".") for p in prefixes)
         )
         assert uncovered == []
+
+    def test_lazy_reexports_stay_in_the_closure(self):
+        # indist.graph_builder reaches the crossing kernel only through
+        # repro.kernels' lazy re-export table.
+        assert "repro.kernels.crossing_batch" in _closure("exhaustive")
 
 
 class TestRequestKey:

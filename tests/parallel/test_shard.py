@@ -43,26 +43,6 @@ def test_plan_is_deterministic(total, k, seed):
     assert a == b
 
 
-@given(total=totals, k=shard_counts, seed=seeds)
-@settings(max_examples=50, deadline=None)
-def test_from_starts_roundtrip(total, k, seed):
-    plan = ShardPlan(total, k, base_seed=seed)
-    rebuilt = ShardPlan.from_starts(plan.total, plan.starts, base_seed=seed)
-    assert rebuilt.shards() == plan.shards()
-
-
-def test_from_starts_rejects_malformed():
-    with pytest.raises(ValueError):
-        ShardPlan.from_starts(10, [1, 5])  # must begin at 0
-    with pytest.raises(ValueError):
-        ShardPlan.from_starts(10, [0, 5, 5])  # strictly increasing
-    with pytest.raises(ValueError):
-        ShardPlan.from_starts(10, [0, 12])  # start outside range
-    with pytest.raises(ValueError):
-        ShardPlan.from_starts(0, [0])  # empty space has no shards
-    assert ShardPlan.from_starts(0, []).shards() == []
-
-
 def test_seed_derivation_is_pure_arithmetic():
     # SHA-256 based: stable across processes and platforms, in [0, 2^63).
     assert derive_seed(7, 0) == derive_seed(7, 0)

@@ -1,0 +1,96 @@
+"""Each command loads only what it runs (lazy package re-exports).
+
+``repro.obs``, ``repro.costs`` and ``repro.kernels`` re-export their
+submodules' names through a PEP 562 ``_LAZY_EXPORTS`` table, sympy is
+imported only by the cost cross-check, and numpy only when a numpy
+kernel fires. The subprocess probes pin which heavy dependencies each
+CLI command may load; the identity test pins that laziness never changes
+what a public name refers to.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+LAZY_PACKAGES = ("repro.obs", "repro.costs", "repro.kernels")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_reexports_are_the_submodule_objects(package):
+    # Importing a submodule binds it as a package attribute, which would
+    # shadow a lazy export of the same name (repro.costs.specs is both).
+    pkg = importlib.import_module(package)
+    for info in pkgutil.iter_modules(pkg.__path__):
+        importlib.import_module(f"{package}.{info.name}")
+    for name in pkg.__all__:
+        source = importlib.import_module(pkg._LAZY_EXPORTS.get(name, package))
+        assert getattr(pkg, name) is getattr(source, name), name
+
+
+PROBE = """
+import contextlib, io, json, runpy, sys
+
+sys.argv = ["repro"] + sys.argv[1:]
+code = 0
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("repro.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] in (0, None), (argv, proc.stderr)
+    return set(report["modules"])
+
+
+#: Commands that run no numpy kernel at these sizes.
+NO_NUMPY = [
+    ("list",),
+    ("crossing", "--n", "8", "--rounds", "2"),
+    ("star", "--n", "12", "--rounds", "2"),
+    ("forced-error", "--n", "4"),
+    ("ratio", "--max-exp", "4"),
+    ("fault-sweep", "--quick"),
+    # workers=1 scans assignments in python; the numpy scanner is the
+    # pooled default
+    ("exhaustive", "--n", "5"),
+    ("sampling", "--n", "5", "--samples", "200"),
+]
+
+#: Commands that do run a numpy kernel, so may load numpy, but not sympy.
+NUMPY_KERNEL = [
+    # rank(M_n) mod p runs the batched int64 elimination (kernels.modp)
+    ("ranks", "--max-n", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", NO_NUMPY, ids=lambda a: " ".join(a))
+def test_command_loads_neither_sympy_nor_numpy(argv, tmp_path):
+    modules = _loaded(argv, tmp_path)
+    assert "sympy" not in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", NUMPY_KERNEL, ids=lambda a: " ".join(a))
+def test_command_loads_no_sympy(argv, tmp_path):
+    assert "sympy" not in _loaded(argv, tmp_path)

@@ -18,13 +18,10 @@ from repro.core.algorithm import AlgorithmFactory, NodeAlgorithm
 from repro.core.instance import BCCInstance
 from repro.core.knowledge import InitialKnowledge
 from repro.core.model import BCCModel
+from repro.core.observers import RoundEnd, RunEnd, RunObserver, RunStart, run_observers
 from repro.core.randomness import PublicCoin
 from repro.core.transcript import RoundRecord, Transcript
-from repro.costs.ledger import get_ledger, run_cost_summary
 from repro.errors import SimulationError
-from repro.obs.metrics import get_registry
-from repro.obs.spans import get_recorder
-from repro.obs.stream import get_bus
 
 if TYPE_CHECKING:  # imported lazily to keep core free of resilience deps
     from repro.net.plan import NetworkEvent, NetworkPlan
@@ -111,12 +108,19 @@ class RunResult:
 class Simulator:
     """Runs node algorithms on BCC instances under a fixed model.
 
-    Observability is opt-in and costs one ``None`` check per run when
-    disabled: pass ``metrics`` (a :class:`repro.obs.MetricsRegistry`) or
-    install one process-wide via :func:`repro.obs.use_registry` to record
-    per-round wall time, messages validated, bits broadcast, and the
-    early-stop round; pass ``trace`` (a :class:`repro.obs.RunTrace`) to
-    stream structured per-round JSONL events.
+    Observability is opt-in. Each run resolves its sinks once into a
+    tuple of observers (:mod:`repro.core.observers`, which fixes the
+    hook order): the span recorder (:func:`repro.obs.use_recorder`), the
+    ``session`` given to :meth:`run`, ``trace`` (a
+    :class:`repro.obs.RunTrace`), the event bus
+    (:func:`repro.obs.use_bus`), ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`, or one installed with
+    :func:`repro.obs.use_registry`) and ``costs`` (a
+    :class:`repro.costs.CostLedger`, or one installed with
+    :func:`repro.costs.use_ledger`; it also fills
+    ``RunResult.cost_summary``). The run builds one record per run
+    start, round and run end and hands it to every observer; with no
+    sink on, each hook costs one empty-tuple check.
 
     Fault injection is likewise opt-in and costs one ``None`` check per
     round when disabled: pass ``faults`` (a
@@ -127,19 +131,6 @@ class Simulator:
     is one pluggable delivery policy among several: pass ``network`` (a
     :class:`repro.net.NetworkPlan`) to add per-edge delay, duplication,
     and deterministic reordering on top of -- or instead of -- faults.
-
-    Cost accounting follows the same contract: pass ``costs`` (a
-    :class:`repro.costs.CostLedger`) or install one process-wide via
-    :func:`repro.costs.use_ledger` to attribute every broadcast to its
-    (vertex, round, phase) cell and to populate
-    ``RunResult.cost_summary`` (mirrored as the trace-v4
-    ``cost_summary`` event when a trace is active).
-
-    Live progress streaming is the same contract once more: install an
-    :class:`repro.obs.EventBus` via :func:`repro.obs.use_bus` and the
-    run publishes ``simulator.run_start`` / ``simulator.round`` /
-    ``simulator.run_end`` events as they happen; with no bus installed
-    the cost is a single ``None`` check and no payload is built.
     """
 
     def __init__(
@@ -205,8 +196,8 @@ class Simulator:
 
         ``session`` (a :class:`repro.replay.SessionStore`) records every
         round -- broadcasts, per-vertex round digests, fault and delivery
-        events, RNG state transitions -- for later replay/rewind. Like the
-        other hooks it costs one ``None`` check per round when absent.
+        events, RNG state transitions -- for later replay/rewind. It is
+        one more observer of the run-event stream.
         """
         if instance.kt != self._model.kt:
             raise SimulationError(
@@ -220,42 +211,15 @@ class Simulator:
         net_plan = network if network is not None else self._network
         if plan is None and net_plan is not None:
             plan = net_plan.faults
-
-        # Resolve observability once per run; ``None`` means the disabled
-        # fast path (a single extra truthiness check per round). The span
-        # recorder follows the same discipline as the metrics registry
-        # and the fault hook: one module-level lookup per run, then only
-        # local ``is not None`` checks on the hot path.
-        metrics = self._metrics if self._metrics is not None else get_registry()
-        trace = self._trace
-        ledger = self._costs if self._costs is not None else get_ledger()
-        bus = get_bus()
-        recorder = get_recorder()
-        if recorder is None:
-            return self._execute(
-                instance, factory, rounds, the_coin, plan, net_plan, session,
-                metrics, trace, None, ledger, bus,
-            )
-        run_span = recorder.start(
-            "simulator.run",
-            n=instance.n,
-            kt=instance.kt,
-            bandwidth=self._model.bandwidth,
-            rounds_budget=rounds,
-            faulted=plan is not None,
-        )
+        observers = run_observers(self._metrics, self._trace, self._costs, session)
         try:
-            result = self._execute(
-                instance, factory, rounds, the_coin, plan, net_plan, session,
-                metrics, trace, recorder, ledger, bus,
+            return self._execute(
+                instance, factory, rounds, the_coin, plan, net_plan, observers
             )
-            run_span.set_attr("rounds_executed", result.rounds_executed)
-            return result
-        finally:
-            # Lenient finish: on an exception mid-round this also closes
-            # any still-open round/broadcast/deliver descendants, so the
-            # next run's spans cannot nest under a stale parent.
-            recorder.finish(run_span)
+        except BaseException:
+            for observer in reversed(observers):
+                observer.run_abort()
+            raise
 
     def _execute(
         self,
@@ -265,14 +229,9 @@ class Simulator:
         the_coin: PublicCoin,
         plan: Optional["FaultPlan"],
         net_plan: Optional["NetworkPlan"],
-        session,
-        metrics,
-        trace,
-        recorder,
-        ledger,
-        bus=None,
+        observers: Tuple[RunObserver, ...],
     ) -> RunResult:
-        """The round engine proper (observability already resolved).
+        """The round engine proper (observers already resolved).
 
         Adversarial executions (any fault or network plan) route every
         delivery through a :class:`repro.net.NetworkManager`; a bare
@@ -291,38 +250,21 @@ class Simulator:
         else:
             net_run = None
         fault_run = net_run.fault_run if net_run is not None else None
-        networked = net_plan is not None and not net_plan.is_pristine
-        # The live event bus rides the same observing branch as metrics
-        # and traces: with no bus installed, nothing below constructs a
-        # payload -- the disabled path stays one ``is not None`` check.
-        observing = metrics is not None or trace is not None or bus is not None
-        if bus is not None:
-            bus.publish(
-                "simulator.run_start",
-                {"n": n, "kt": instance.kt, "rounds_budget": rounds},
+        # The live event logs; each round record slices off its new events.
+        fault_log = fault_run.events if fault_run is not None else []
+        net_log = net_run.events if net_run is not None else []
+        closing = observers[::-1]
+        if observers:
+            start = RunStart(
+                n=n,
+                kt=instance.kt,
+                bandwidth=self._model.bandwidth,
+                rounds_budget=rounds,
+                faults=plan if fault_run is not None else None,
+                network=None if net_plan is None or net_plan.is_pristine else net_plan,
             )
-        if trace is not None:
-            start_fields: Dict[str, Any] = {
-                "n": n,
-                "kt": instance.kt,
-                "bandwidth": self._model.bandwidth,
-                "rounds_budget": rounds,
-            }
-            if fault_run is not None:
-                start_fields["fault_seed"] = plan.seed
-                start_fields["fault_rates"] = {
-                    "bit_flip": plan.bit_flip_rate,
-                    "erasure": plan.erasure_rate,
-                    "crash": plan.crash_rate,
-                }
-            if networked:
-                start_fields["network"] = {
-                    "seed": net_plan.seed,
-                    "max_delay": net_plan.max_delay,
-                    "duplicate_rate": net_plan.duplicate_rate,
-                    "reorder": net_plan.reorder,
-                }
-            trace.emit("run_start", **start_fields)
+            for observer in observers:
+                observer.run_start(start)
 
         nodes: List[NodeAlgorithm] = []
         for v in range(n):
@@ -335,51 +277,28 @@ class Simulator:
 
         executed = 0
         total_bits = 0
-        fault_cursor = 0
-        net_cursor = 0
-        session_fault_cursor = 0
-        session_net_cursor = 0
+        fault_seen = 0
+        net_seen = 0
         failed_nodes: set = set()
         done = all(node.finished() for node in nodes)
         for t in range(1, rounds + 1):
             if done:
                 break
-            round_start = time.perf_counter() if observing else 0.0
-            round_span = (
-                recorder.start("simulator.round", t=t) if recorder is not None else None
-            )
+            if observers:
+                round_start = time.perf_counter()
+                for observer in observers:
+                    observer.phase(t, "broadcast")
             if net_run is None:
-                # The clean hot path: identical to the pre-resilience engine
-                # behind local ``is not None`` checks.
-                if recorder is not None:
-                    phase_span = recorder.start("simulator.broadcast", t=t)
+                # The clean hot path: identical to the pre-resilience engine.
                 messages = tuple(
                     self._model.validate_message(nodes[v].broadcast(t)) for v in range(n)
                 )
-                history.append(messages)
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                    phase_span = recorder.start("simulator.deliver", t=t)
-                for v in range(n):
-                    received: Dict[int, str] = {}
-                    for u in range(n):
-                        if u == v:
-                            continue
-                        received[instance.port_to_peer(v, u)] = messages[u]
-                    nodes[v].receive(t, received)
-                    transcripts[v].append(RoundRecord(sent=messages[v], received=received))
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                executed = t
-                done = all(node.finished() for node in nodes)
             else:
                 # Adversarial channel. A node choking on corrupted input is
                 # part of the degradation being measured, not a simulator
                 # bug: any exception a node raises while computing against
                 # faulty messages fail-stops that node (silent forever,
                 # output None) instead of killing the execution.
-                if recorder is not None:
-                    phase_span = recorder.start("simulator.broadcast", t=t)
                 collected: List[str] = []
                 for v in range(n):
                     if v in failed_nodes:
@@ -396,10 +315,20 @@ class Simulator:
                 # delivery pipeline (fault filter, then channel) so
                 # port-level views can diverge.
                 messages = net_run.filter_broadcasts(t, tuple(collected))
-                history.append(messages)
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                    phase_span = recorder.start("simulator.deliver", t=t)
+            history.append(messages)
+            for observer in observers:
+                observer.phase(t, "deliver")
+            if net_run is None:
+                for v in range(n):
+                    received: Dict[int, str] = {}
+                    for u in range(n):
+                        if u == v:
+                            continue
+                        received[instance.port_to_peer(v, u)] = messages[u]
+                    nodes[v].receive(t, received)
+                    transcripts[v].append(RoundRecord(sent=messages[v], received=received))
+                done = all(node.finished() for node in nodes)
+            else:
                 for v in range(n):
                     received = {}
                     for u in range(n):
@@ -414,9 +343,6 @@ class Simulator:
                         except Exception:
                             failed_nodes.add(v)
                     transcripts[v].append(RoundRecord(sent=messages[v], received=received))
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                executed = t
                 done = True
                 for v in range(n):
                     if v in failed_nodes:
@@ -426,127 +352,47 @@ class Simulator:
                             done = False
                     except Exception:
                         failed_nodes.add(v)
-            if ledger is not None:
-                ledger.record_round(t, messages)
-            if observing:
-                round_seconds = time.perf_counter() - round_start
-                round_bits = sum(len(m) for m in messages)
-                total_bits += round_bits
-                round_faults = 0
-                round_deliveries = 0
-                if fault_run is not None:
-                    round_faults = fault_run.faults_injected - fault_cursor
-                if net_run is not None:
-                    round_deliveries = net_run.events_injected - net_cursor
-                if metrics is not None:
-                    metrics.counter("simulator.rounds_executed").inc()
-                    metrics.counter("simulator.messages_validated").inc(n)
-                    metrics.counter("simulator.bits_broadcast").inc(round_bits)
-                    metrics.histogram("simulator.round_seconds").observe(round_seconds)
-                    if round_faults:
-                        metrics.counter("simulator.faults_injected").inc(round_faults)
-                    if round_deliveries:
-                        metrics.counter("simulator.delivery_anomalies").inc(
-                            round_deliveries
-                        )
-                if bus is not None:
-                    bus.publish(
-                        "simulator.round",
-                        {
-                            "t": t,
-                            "bits": round_bits,
-                            "wall_seconds": round_seconds,
-                            "faults": round_faults,
-                            "deliveries": round_deliveries,
-                            "all_finished": done,
-                        },
-                    )
-                if trace is not None:
-                    if fault_run is not None:
-                        for event in fault_run.events[fault_cursor:]:
-                            trace.emit("fault", **event.as_dict())
-                    if round_deliveries:
-                        for event in net_run.events[net_cursor:]:
-                            trace.emit("delivery", **event.as_dict())
-                    trace.emit(
-                        "round",
-                        t=t,
-                        bits=round_bits,
-                        wall_seconds=round_seconds,
-                        all_finished=done,
-                        **({"faults": round_faults} if fault_run is not None else {}),
-                    )
-                if fault_run is not None:
-                    fault_cursor = fault_run.faults_injected
-                if net_run is not None:
-                    net_cursor = net_run.events_injected
-            if session is not None:
-                session.record_round(
-                    t,
-                    messages,
-                    transcripts,
+            executed = t
+            if observers:
+                for observer in observers:
+                    observer.phase(t, None)
+                record = RoundEnd(
+                    t=t,
+                    messages=messages,
+                    transcripts=transcripts,
+                    bits=sum(len(m) for m in messages),
+                    wall_seconds=time.perf_counter() - round_start,
+                    fault_events=fault_log[fault_seen:],
+                    net_events=net_log[net_seen:],
                     all_finished=done,
-                    fault_events=(
-                        fault_run.events[session_fault_cursor:]
-                        if fault_run is not None
-                        else ()
-                    ),
-                    net_events=(
-                        net_run.events[session_net_cursor:]
-                        if net_run is not None
-                        else ()
-                    ),
-                    fault_rng=(
-                        fault_run.rng_digest() if fault_run is not None else None
-                    ),
-                    net_rng=net_run.rng_digest() if net_run is not None else None,
+                    net_run=net_run,
                 )
-                if fault_run is not None:
-                    session_fault_cursor = fault_run.faults_injected
-                if net_run is not None:
-                    session_net_cursor = net_run.events_injected
-            if round_span is not None:
-                recorder.finish(round_span)
+                fault_seen, net_seen = len(fault_log), len(net_log)
+                total_bits += record.bits
+                for observer in closing:
+                    observer.round_end(record)
 
         if net_run is not None:
             # Close every channel: copies still in flight become recorded
             # "dropped" delivery events (a no-op for pristine managers).
             net_run.finish(executed)
-            if trace is not None and net_run.events_injected > net_cursor:
-                for event in net_run.events[net_cursor:]:
-                    trace.emit("delivery", **event.as_dict())
-        cost_summary = (
-            run_cost_summary(transcripts, executed) if ledger is not None else None
-        )
-        if metrics is not None:
-            metrics.counter("simulator.runs").inc()
-            if done and executed < rounds:
-                metrics.gauge("simulator.early_stop_round").set(executed)
-                metrics.counter("simulator.early_stops").inc()
-        if bus is not None:
-            bus.publish(
-                "simulator.run_end",
-                {
-                    "rounds_executed": executed,
-                    "all_finished": done,
-                    "total_bits": total_bits,
-                },
+        crashed = fault_run.crashed_vertices if fault_run is not None else ()
+        cost_summary = None
+        if observers:
+            end = RunEnd(
+                rounds_executed=executed,
+                all_finished=done,
+                total_bits=total_bits,
+                transcripts=transcripts,
+                dropped=net_log[net_seen:],
+                faults_injected=len(fault_log),
+                crashed_vertices=crashed,
+                failed_vertices=tuple(sorted(failed_nodes)),
+                delivery_anomalies=len(net_log),
             )
-        if trace is not None:
-            if cost_summary is not None:
-                trace.emit("cost_summary", **cost_summary)
-            end_fields: Dict[str, Any] = {
-                "rounds_executed": executed,
-                "all_finished": done,
-                "total_bits": total_bits,
-            }
-            if fault_run is not None:
-                end_fields["faults_injected"] = fault_run.faults_injected
-                end_fields["crashed_vertices"] = fault_run.crashed_vertices
-                end_fields["failed_vertices"] = tuple(sorted(failed_nodes))
-            if networked:
-                end_fields["delivery_anomalies"] = net_run.events_injected
-            trace.emit("run_end", **end_fields)
+            for observer in closing:
+                observer.run_end(end)
+            cost_summary = end.cost_summary
 
         if net_run is None:
             outputs = tuple(nodes[v].output() for v in range(n))
@@ -569,11 +415,11 @@ class Simulator:
             rounds_executed=executed,
             broadcast_history=tuple(history),
             all_finished=done,
-            fault_events=tuple(fault_run.events) if fault_run is not None else (),
-            crashed_vertices=fault_run.crashed_vertices if fault_run is not None else (),
+            fault_events=tuple(fault_log),
+            crashed_vertices=crashed,
             failed_vertices=tuple(sorted(failed_nodes)),
             cost_summary=cost_summary,
-            network_events=tuple(net_run.events) if net_run is not None else (),
+            network_events=tuple(net_log),
             delivery_stats=(
                 tuple(net_run.delivery_stats()) if net_run is not None else ()
             ),

@@ -9,10 +9,13 @@ simulation). That attribution is what the symbolic cost calculus checks
 against -- a closed form like ``2nW`` is a statement about *who* sends
 *how much* *when*, not just a grand total.
 
-The contract mirrors :mod:`repro.obs.metrics` exactly: a ledger is
-**opt-in**, installed process-wide with :func:`use_ledger` (or passed to
-``Simulator(costs=...)``), resolved once per run, and the disabled path
-costs a single ``is not None`` check per round. Silence is first-class:
+A ledger is **opt-in**, installed process-wide with :func:`use_ledger`
+(or passed to ``Simulator(costs=...)``) and resolved once per run. In
+the round engine it is one observer on the run-event stream
+(:mod:`repro.core.observers`): each round record is charged with
+:meth:`CostLedger.record_round`, and the run-end record gets its
+:func:`run_cost_summary`. With no sink installed each hook costs one
+empty-tuple check. Silence is first-class:
 a silent broadcast (the paper's ⊥, encoded as the empty string) counts
 **0 bits** and one silent round for its vertex -- and the rendered form
 ``"⊥"`` is likewise 0 bits, so a ledger fed from a rendered transcript
@@ -27,8 +30,9 @@ its transcripts (anything with ``bits_sent()`` / ``silence_count()``).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
+
+from repro.obs.metrics import ProcessSink
 
 __all__ = [
     "DEFAULT_PHASE",
@@ -287,38 +291,6 @@ def cost_summary_from_broadcasts(
     }
 
 
-# ----------------------------------------------------------------------
-# the process-wide opt-in ledger (same contract as metrics.get_registry)
-# ----------------------------------------------------------------------
-_active_ledger: Optional[CostLedger] = None
-_active_lock = threading.Lock()
-
-
-def get_ledger() -> Optional[CostLedger]:
-    """The installed ledger, or None when cost accounting is off.
-
-    Instrumented call sites hold the result in a local and guard every
-    recording with ``if ledger is not None`` -- the entire disabled-path
-    cost.
-    """
-    return _active_ledger
-
-
-def set_ledger(ledger: Optional[CostLedger]) -> Optional[CostLedger]:
-    """Install (or, with None, remove) the process-wide ledger; returns
-    the previous one so callers can restore it."""
-    global _active_ledger
-    with _active_lock:
-        previous = _active_ledger
-        _active_ledger = ledger
-    return previous
-
-
-@contextmanager
-def use_ledger(ledger: Optional[CostLedger]) -> Iterator[Optional[CostLedger]]:
-    """Scoped :func:`set_ledger`: install for the block, then restore."""
-    previous = set_ledger(ledger)
-    try:
-        yield ledger
-    finally:
-        set_ledger(previous)
+_ledger = ProcessSink()
+#: The installed :class:`CostLedger` (None: cost accounting is off).
+get_ledger, set_ledger, use_ledger = _ledger.get, _ledger.set, _ledger.use

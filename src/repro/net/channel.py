@@ -269,10 +269,6 @@ class NetworkManager:
                     channel.finish(final_round, self.events)
 
     # ------------------------------------------------------------------
-    @property
-    def events_injected(self) -> int:
-        return len(self.events)
-
     def delivery_stats(self) -> List[Dict[str, int]]:
         """Per-edge counters for edges that carried traffic, index order."""
         if self._channels is None:

@@ -391,39 +391,41 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# the process-wide opt-in registry
+# the process-wide opt-in sinks
 # ----------------------------------------------------------------------
-_active_registry: Optional[MetricsRegistry] = None
-_active_lock = threading.Lock()
+class ProcessSink:
+    """One process-wide opt-in sink: ``get``, ``set`` and scoped ``use``.
 
-
-def get_registry() -> Optional[MetricsRegistry]:
-    """The currently installed registry, or None when metrics are off.
-
-    Instrumented call sites hold the result in a local and guard every
-    recording with ``if metrics is not None`` -- the entire disabled-path
-    cost.
+    The metrics registry, span recorder, event bus and cost ledger each
+    bind one. Instrumented call sites read ``get()`` once per run and
+    keep the result in a local; ``None`` means the sink is off and costs
+    nothing further. ``set`` returns the previous sink so callers can
+    restore it; ``use`` installs one for a ``with`` block.
     """
-    return _active_registry
+
+    __slots__ = ("value", "_lock")
+
+    def __init__(self) -> None:
+        self.value: Any = None
+        self._lock = threading.Lock()
+
+    def get(self) -> Any:
+        return self.value
+
+    def set(self, value: Any) -> Any:
+        with self._lock:
+            previous, self.value = self.value, value
+        return previous
+
+    @contextmanager
+    def use(self, value: Any) -> Iterator[Any]:
+        previous = self.set(value)
+        try:
+            yield value
+        finally:
+            self.set(previous)
 
 
-def set_registry(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Install (or, with None, remove) the process-wide registry.
-
-    Returns the previously installed registry so callers can restore it.
-    """
-    global _active_registry
-    with _active_lock:
-        previous = _active_registry
-        _active_registry = registry
-    return previous
-
-
-@contextmanager
-def use_registry(registry: Optional[MetricsRegistry]) -> Iterator[Optional[MetricsRegistry]]:
-    """Scoped :func:`set_registry`: install for the block, then restore."""
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
+_registry = ProcessSink()
+#: The installed :class:`MetricsRegistry` (None: metrics are off).
+get_registry, set_registry, use_registry = _registry.get, _registry.set, _registry.use

@@ -49,8 +49,11 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import ContextDecorator, contextmanager
+from contextlib import ContextDecorator
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+from repro.obs.metrics import ProcessSink
+from repro.obs.trace import _jsonable
 
 __all__ = [
     "SPAN_TREE_SCHEMA_VERSION",
@@ -144,16 +147,6 @@ class Span:
     def __repr__(self) -> str:
         state = f"{self.duration_seconds * 1e3:.3f}ms" if self.finished else "open"
         return f"Span({self.name!r}, {state}, children={len(self.children)})"
-
-
-def _jsonable(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
 
 
 class SpanRecorder:
@@ -269,43 +262,9 @@ class SpanRecorder:
         self._local = threading.local()
 
 
-# ----------------------------------------------------------------------
-# the process-wide opt-in recorder (mirrors metrics.get_registry)
-# ----------------------------------------------------------------------
-_active_recorder: Optional[SpanRecorder] = None
-_active_lock = threading.Lock()
-
-
-def get_recorder() -> Optional[SpanRecorder]:
-    """The installed recorder, or None when span profiling is off.
-
-    Hot paths call this once per run/search and keep the result in a
-    local; the disabled path then costs one local ``None`` check per
-    guarded operation.
-    """
-    return _active_recorder
-
-
-def set_recorder(recorder: Optional[SpanRecorder]) -> Optional[SpanRecorder]:
-    """Install (or, with None, remove) the process-wide recorder.
-
-    Returns the previously installed recorder so callers can restore it.
-    """
-    global _active_recorder
-    with _active_lock:
-        previous = _active_recorder
-        _active_recorder = recorder
-    return previous
-
-
-@contextmanager
-def use_recorder(recorder: Optional[SpanRecorder]) -> Iterator[Optional[SpanRecorder]]:
-    """Scoped :func:`set_recorder`: install for the block, then restore."""
-    previous = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)
+_recorder = ProcessSink()
+#: The installed :class:`SpanRecorder` (None: span profiling is off).
+get_recorder, set_recorder, use_recorder = _recorder.get, _recorder.set, _recorder.use
 
 
 class span(ContextDecorator):
@@ -336,7 +295,7 @@ class span(ContextDecorator):
         return span(self._name, **self._attrs)
 
     def __enter__(self) -> Optional[Span]:
-        recorder = _active_recorder  # the one module-level check
+        recorder = _recorder.value  # the one module-level check
         if recorder is None:
             return None
         self._recorder = recorder

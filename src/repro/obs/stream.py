@@ -10,18 +10,17 @@ the process -- a progress printer, a future job-service streamer -- can
 subscribe. This is the progress-streaming seam the ROADMAP item 1
 experiment service will sit on.
 
-The contract is exactly the one :mod:`repro.obs.metrics`,
-:mod:`repro.obs.spans`, and :mod:`repro.costs` established:
-
-* the bus is **opt-in**, installed process-wide with :func:`use_bus`
-  (or :func:`set_bus`), and resolved **once** per run into a local;
-* with no bus installed, every instrumented site costs a single
-  ``is not None`` check -- no payload dicts are built, nothing is
-  allocated (the <1% ``Simulator.run`` overhead budget is measured A/B
-  in ``benchmarks/bench_stream.py`` and EXPERIMENTS.md);
-* subscriber callbacks run on the publishing thread, outside the bus
-  lock; a callback that raises is counted (``error_count``) and never
-  breaks the publisher.
+The bus is **opt-in**, installed process-wide with :func:`use_bus` (or
+:func:`set_bus`) and resolved **once** per run. In the round engine it
+is one observer on the run-event stream
+(:mod:`repro.core.observers`): the simulator builds one record per run
+event and hands it to the observer tuple, so with no sink installed
+each hook costs one empty-tuple check and no payload is built (the <1%
+``Simulator.run`` overhead budget is measured A/B in
+``benchmarks/bench_stream.py`` and EXPERIMENTS.md). Subscriber
+callbacks run on the publishing thread, outside the bus lock; a
+callback that raises is counted (``error_count``) and never breaks the
+publisher.
 
 Events are retained in a bounded ring buffer (``capacity`` most recent)
 so a late subscriber -- or a test -- can inspect recent history without
@@ -36,6 +35,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple
+
+from repro.obs.metrics import ProcessSink
 
 __all__ = [
     "DEFAULT_BUS_CAPACITY",
@@ -172,38 +173,6 @@ def line_printer(stream: Any = None) -> Callable[[Event], None]:
     return emit
 
 
-# ----------------------------------------------------------------------
-# the process-wide opt-in bus (same contract as metrics.get_registry)
-# ----------------------------------------------------------------------
-_active_bus: Optional[EventBus] = None
-_active_lock = threading.Lock()
-
-
-def get_bus() -> Optional[EventBus]:
-    """The installed bus, or None when streaming is off.
-
-    Instrumented call sites hold the result in a local and guard every
-    publish with ``if bus is not None`` -- the entire disabled-path
-    cost (no payload is even constructed).
-    """
-    return _active_bus
-
-
-def set_bus(bus: Optional[EventBus]) -> Optional[EventBus]:
-    """Install (or, with None, remove) the process-wide bus; returns
-    the previous one so callers can restore it."""
-    global _active_bus
-    with _active_lock:
-        previous = _active_bus
-        _active_bus = bus
-    return previous
-
-
-@contextmanager
-def use_bus(bus: Optional[EventBus]) -> Iterator[Optional[EventBus]]:
-    """Scoped :func:`set_bus`: install for the block, then restore."""
-    previous = set_bus(bus)
-    try:
-        yield bus
-    finally:
-        set_bus(previous)
+_bus = ProcessSink()
+#: The installed :class:`EventBus` (None: streaming is off).
+get_bus, set_bus, use_bus = _bus.get, _bus.set, _bus.use

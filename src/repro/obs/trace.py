@@ -69,9 +69,12 @@ Schema history:
 Crash safety: every event is written as one line and flushed
 immediately (file sinks are opened line-buffered, and ``fsync=True``
 additionally forces each line to disk), so traces are valid JSONL at
-every *line* boundary. A hard kill can still tear the final line
-mid-write; :func:`read_trace` therefore skips a torn trailing line by
-default, while refusing corruption anywhere earlier in the file.
+every *line* boundary. A transient ``OSError`` while writing a line is
+retried after rolling the stream back to the line boundary
+(:class:`JsonlWriter`, shared with the session store). A hard kill can
+still tear the final line mid-write; :func:`read_trace` therefore skips
+a torn trailing line by default, while refusing corruption anywhere
+earlier in the file.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ from typing import Any, Dict, List, Optional, TextIO, Union
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
+    "JsonlWriter",
     "RunTrace",
     "read_trace",
     "trace_stats",
@@ -99,23 +103,26 @@ TRACE_SCHEMA_VERSION = 5
 OLDEST_SUPPORTED_TRACE_SCHEMA = 1
 
 
-class RunTrace:
-    """A thread-safe JSONL event writer bound to one run id.
+class JsonlWriter:
+    """An append-only JSONL event stream bound to one run id.
 
-    Parameters
-    ----------
-    sink:
-        A path (opened for line-buffered append) or an already-open text
-        stream (ownership stays with the caller for streams: ``close()``
-        only closes sinks this writer opened).
-    run_id:
-        Optional explicit id; defaults to a fresh UUID4 hex string.
-    fsync:
-        When True and the sink is a real file, ``os.fsync`` after every
-        event: each line survives not just a process kill but a machine
-        crash. Off by default (flush-per-event already survives any
-        process-level failure).
+    The shared core of :class:`RunTrace` and
+    :class:`repro.replay.SessionStore`. ``sink`` is a path (opened for
+    line-buffered append) or an already-open text stream (ownership stays
+    with the caller: ``close()`` only closes sinks this writer opened).
+    Each line carries the ``run_id`` / ``seq`` / ``ts`` / ``event``
+    envelope and is flushed; ``fsync=True`` also forces it to disk, so it
+    survives a machine crash, not just a process kill. The first line is
+    the ``trace_start`` header. Thread-safe.
+
+    A transient ``OSError`` on a line write is retried by
+    :func:`repro.resilience.retry_transient`; each failed attempt first
+    rolls the stream back to the line boundary (seek + truncate, when the
+    sink supports it), so a retry only ever re-writes the final line.
     """
+
+    #: Raised by :meth:`_write` once the writer is closed.
+    closed_error: type = ValueError
 
     def __init__(
         self,
@@ -124,11 +131,13 @@ class RunTrace:
         fsync: bool = False,
     ):
         self.run_id = run_id if run_id is not None else uuid.uuid4().hex
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._seq = 0
+        self._path: Optional[str] = None
         if isinstance(sink, (str, bytes)):
             # Line-buffered append: the OS sees every event as soon as the
             # line is complete, independent of the flush below.
+            self._path = os.fspath(sink)
             self._stream: TextIO = open(sink, "a", encoding="utf-8", buffering=1)
             self._owns_stream = True
         else:
@@ -136,31 +145,57 @@ class RunTrace:
             self._owns_stream = False
         self._fsync = fsync
         self._closed = False
-        self.emit("trace_start", schema_version=TRACE_SCHEMA_VERSION)
+        # Deferred: importing the resilience package loads the simulator.
+        from repro.resilience.retry import retry_transient
 
-    # ------------------------------------------------------------------
-    def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event line; returns the record that was written."""
+        self._retry = retry_transient
+        self._write("trace_start", {"schema_version": TRACE_SCHEMA_VERSION})
+
+    def _write(self, event: str, fields: Dict[str, Any], default=None) -> Dict[str, Any]:
+        """Append one event line; returns the record that was written.
+
+        ``default`` is handed to ``json.dumps`` for values it cannot
+        encode.
+        """
         with self._lock:
             if self._closed:
-                raise ValueError("trace is closed")
+                raise self.closed_error(f"{type(self).__name__} is closed")
             record: Dict[str, Any] = {
                 "run_id": self.run_id,
                 "seq": self._seq,
                 "ts": time.time(),
                 "event": event,
             }
-            for key, value in fields.items():
-                record[key] = _jsonable(value)
+            record.update(fields)
+            line = json.dumps(record, sort_keys=False, default=default) + "\n"
+            self._retry(lambda: self._append(line))
             self._seq += 1
-            self._stream.write(json.dumps(record, sort_keys=False) + "\n")
-            self._stream.flush()
+            return record
+
+    def _append(self, line: str) -> None:
+        stream = self._stream
+        try:
+            position = stream.tell()
+        except (OSError, io.UnsupportedOperation, ValueError):
+            position = None
+        try:
+            stream.write(line)
+            stream.flush()
             if self._fsync:
                 try:
-                    os.fsync(self._stream.fileno())
-                except (OSError, AttributeError, io.UnsupportedOperation):
-                    pass  # in-memory sinks have no file descriptor
-            return record
+                    fileno = stream.fileno()
+                except (AttributeError, io.UnsupportedOperation):
+                    fileno = None  # in-memory sinks have no descriptor
+                if fileno is not None:
+                    os.fsync(fileno)
+        except OSError:
+            if position is not None:
+                try:
+                    stream.seek(position)
+                    stream.truncate()
+                except OSError:
+                    pass
+            raise
 
     @property
     def events_written(self) -> int:
@@ -178,16 +213,24 @@ class RunTrace:
             self._closed = True
             try:
                 self._stream.flush()
-            except ValueError:  # caller already closed their stream
+            except (OSError, ValueError):  # caller already closed their stream
                 pass
             if self._owns_stream:
                 self._stream.close()
 
-    def __enter__(self) -> "RunTrace":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class RunTrace(JsonlWriter):
+    """The structured run trace: any event, values coerced to JSON."""
+
+    def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
+        """Append one event line; returns the record that was written."""
+        return self._write(event, {key: _jsonable(value) for key, value in fields.items()})
 
 
 def _jsonable(value: Any) -> Any:

@@ -25,17 +25,16 @@ RNG state digests of the fault and channel layers. For the batch engines
 (exhaustive / sampling / ranks / fault-sweep) a step is one unit of the
 computation (a report, a curve point).
 
-Crash safety is the trace contract plus two session-specific pieces:
-
-* every line write goes through :func:`repro.resilience.retry_transient`
-  (bounded retries on transient ``OSError``/EINTR), with the partially
-  written tail rolled back (seek + truncate) before each retry so a
-  retried line can never corrupt the middle of the file;
-* an open store registers with
-  :func:`repro.resilience.register_flush_hook`, so
-  ``graceful_interrupts`` seals the log with an
-  ``interrupted`` ``session_end`` on SIGINT/SIGTERM -- a killed run
-  replays cleanly up to its last complete step.
+Crash safety is the trace contract -- the store is a
+:class:`~repro.obs.trace.JsonlWriter`, so every line write goes through
+:func:`repro.resilience.retry_transient` (bounded retries on transient
+``OSError``/EINTR) with the partially written tail rolled back (seek +
+truncate) before each retry, and a retried line can never corrupt the
+middle of the file -- plus one session-specific piece: an open store
+registers with :func:`repro.resilience.register_flush_hook`, so
+``graceful_interrupts`` seals the log with an ``interrupted``
+``session_end`` on SIGINT/SIGTERM -- a killed run replays cleanly up to
+its last complete step.
 
 Parallel recording: workers cannot share one append stream, so sharded
 engines write *segment files* (``<path>.shard-<k>``) in completion order
@@ -48,17 +47,13 @@ independent of worker scheduling.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-import threading
-import time
-import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, TextIO, Union
 
 from repro.errors import SessionError
-from repro.obs.trace import TRACE_SCHEMA_VERSION, read_trace, validate_trace_events
+from repro.obs.trace import JsonlWriter, _jsonable, read_trace, validate_trace_events
 from repro.resilience.interrupt import register_flush_hook, unregister_flush_hook
 from repro.resilience.retry import retry_transient
 
@@ -91,7 +86,7 @@ def round_digest(record) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class SessionStore:
+class SessionStore(JsonlWriter):
     """Writes one execution's session log; the simulator's ``session`` hook.
 
     Parameters mirror :class:`repro.obs.RunTrace`: ``sink`` is a path
@@ -102,78 +97,24 @@ class SessionStore:
     inside :func:`repro.resilience.graceful_interrupts`.
     """
 
+    closed_error = SessionError
+
     def __init__(
         self,
         sink: Union[str, TextIO],
         run_id: Optional[str] = None,
         fsync: bool = False,
     ):
-        self.run_id = run_id if run_id is not None else uuid.uuid4().hex
-        self._lock = threading.RLock()
-        self._seq = 0
         self._steps = 0
-        self._path: Optional[str] = None
-        if isinstance(sink, (str, bytes)):
-            self._path = os.fspath(sink)
-            self._stream: TextIO = open(sink, "a", encoding="utf-8", buffering=1)
-            self._owns_stream = True
-        else:
-            self._stream = sink
-            self._owns_stream = False
-        self._fsync = fsync
-        self._closed = False
         self._started = False
         self._finished = False
         self._shard_buffers: Dict[int, List[Dict[str, Any]]] = {}
+        super().__init__(sink, run_id=run_id, fsync=fsync)
         self._flush_handle = register_flush_hook(self.interrupt)
-        self._emit("trace_start", schema_version=TRACE_SCHEMA_VERSION)
 
-    # -- writer core ----------------------------------------------------
     def _emit(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event line, retrying transient I/O errors.
-
-        A failed attempt rolls the stream back to the line boundary
-        (seek + truncate, when the sink supports it) before retrying, so
-        retries can only ever re-write the *final* line -- mid-file
-        corruption stays impossible and the torn-tail reader contract
-        holds.
-        """
-        with self._lock:
-            if self._closed:
-                raise SessionError("session store is closed")
-            record: Dict[str, Any] = {
-                "run_id": self.run_id,
-                "seq": self._seq,
-                "ts": time.time(),
-                "event": event,
-            }
-            record.update(fields)
-            line = json.dumps(record, sort_keys=False, default=_jsonable) + "\n"
-
-            def attempt() -> None:
-                try:
-                    position = self._stream.tell()
-                except (OSError, io.UnsupportedOperation, ValueError):
-                    position = None
-                try:
-                    self._stream.write(line)
-                    self._stream.flush()
-                    if self._fsync:
-                        os.fsync(self._stream.fileno())
-                except OSError:
-                    if position is not None:
-                        try:
-                            self._stream.seek(position)
-                            self._stream.truncate()
-                        except (OSError, io.UnsupportedOperation):
-                            pass
-                    raise
-                except (AttributeError, io.UnsupportedOperation):
-                    pass  # in-memory sinks have no file descriptor to fsync
-
-            retry_transient(attempt)
-            self._seq += 1
-            return record
+        """Append one event line (retried on transient I/O errors)."""
+        return self._write(event, fields, default=_jsonable)
 
     # -- lifecycle -------------------------------------------------------
     def start(self, kind: str, params: Mapping[str, Any]) -> None:
@@ -189,30 +130,22 @@ class SessionStore:
                 params=dict(params),
             )
 
-    def record_round(
-        self,
-        t: int,
-        messages: Sequence[str],
-        transcripts,
-        all_finished: bool,
-        fault_events: Sequence = (),
-        net_events: Sequence = (),
-        fault_rng: Optional[str] = None,
-        net_rng: Optional[str] = None,
-    ) -> None:
-        """One simulator round -> one step event (the Simulator hook)."""
+    def record_round(self, record) -> None:
+        """One simulator round -> one step event (the Simulator hook).
+
+        ``record`` is the round's :class:`repro.core.observers.RoundEnd`.
+        """
         with self._lock:
-            digests = [round_digest(tr.record(t)) for tr in transcripts]
             self._emit(
                 "step",
                 step=self._steps,
-                t=t,
-                broadcasts=list(messages),
-                digests=digests,
-                all_finished=all_finished,
-                faults=[event.as_dict() for event in fault_events],
-                deliveries=[event.as_dict() for event in net_events],
-                rng={"faults": fault_rng, "net": net_rng},
+                t=record.t,
+                broadcasts=list(record.messages),
+                digests=[round_digest(tr.record(record.t)) for tr in record.transcripts],
+                all_finished=record.all_finished,
+                faults=[event.as_dict() for event in record.fault_events],
+                deliveries=[event.as_dict() for event in record.net_events],
+                rng={"faults": record.fault_rng, "net": record.net_rng},
             )
             self._steps += 1
 
@@ -259,30 +192,13 @@ class SessionStore:
     def close(self) -> None:
         """Idempotent close; only closes streams this store opened."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            unregister_flush_hook(self._flush_handle)
-            try:
-                self._stream.flush()
-            except (OSError, ValueError):
-                pass
-            if self._owns_stream:
-                self._stream.close()
-
-    def __enter__(self) -> "SessionStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+            if not self._closed:
+                unregister_flush_hook(self._flush_handle)
+            super().close()
 
     @property
     def steps_recorded(self) -> int:
         return self._steps
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # -- shard segments ---------------------------------------------------
     def shard_segment_path(self, shard: int) -> Optional[str]:
@@ -346,13 +262,6 @@ class SessionStore:
                 except OSError:
                     pass
         return merged
-
-
-def _jsonable(value: Any) -> Any:
-    """json.dumps fallback for tuples-in-dicts and exotic values."""
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return repr(value)
 
 
 # ----------------------------------------------------------------------

@@ -395,10 +395,6 @@ class FaultRun:
     def crashed_vertices(self) -> Tuple[int, ...]:
         return tuple(sorted(self._crashed))
 
-    @property
-    def faults_injected(self) -> int:
-        return len(self.events)
-
 
 def _flip(message: str, index: int) -> str:
     bit = "1" if message[index] == "0" else "0"

@@ -164,6 +164,12 @@ class TestFingerprintClosure:
         )
         assert uncovered == []
 
+    @pytest.mark.parametrize("kind", ["run", "fault-sweep"])
+    def test_run_observers_stay_in_the_closure(self, kind):
+        # The cost observer fills RunResult.cost_summary, so the observer
+        # module is result-bearing for every kind that runs the simulator.
+        assert "repro.core.observers" in _closure(kind)
+
     def test_lazy_reexports_stay_in_the_closure(self):
         # indist.graph_builder reaches the crossing kernel only through
         # repro.kernels' lazy re-export table.

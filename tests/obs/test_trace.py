@@ -1,11 +1,14 @@
 """Tests for the structured JSONL run-trace writer."""
 
+import errno
 import io
 import json
 
 import pytest
 
 from repro.obs import TRACE_SCHEMA_VERSION, RunTrace, read_trace
+from repro.replay import SessionStore
+from repro.resilience import set_retry_sleep
 
 
 class TestRunTrace:
@@ -144,6 +147,54 @@ class TestCrashSafety:
         trace.close()
         trace.close()
         assert trace.closed
+
+
+class _TornOnce(io.StringIO):
+    """Writes half of the first ``round`` line, then raises EIO."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = False
+
+    def write(self, text):
+        if not self.failed and '"round"' in text:
+            super().write(text[: len(text) // 2])
+            self.failed = True
+            raise OSError(errno.EIO, "flaky disk")
+        return super().write(text)
+
+
+class TestSharedLineWriter:
+    """RunTrace and SessionStore write lines through one JsonlWriter."""
+
+    def setup_method(self):
+        self._previous = set_retry_sleep(None)  # deterministic: no sleeping
+
+    def teardown_method(self):
+        set_retry_sleep(self._previous)
+
+    def test_trace_retries_and_rolls_back_a_torn_line(self):
+        stream = _TornOnce()
+        trace = RunTrace(stream, run_id="fixed")
+        trace.emit("round", t=1)
+        events = read_trace(io.StringIO(stream.getvalue()), skip_torn_tail=False)
+        assert [e["event"] for e in events] == ["trace_start", "round"]
+        assert [e["seq"] for e in events] == [0, 1]
+
+    def test_trace_persistent_failure_raises(self):
+        class Broken(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.EIO, "gone")
+
+        with pytest.raises(OSError):
+            RunTrace(Broken())
+
+    @pytest.mark.parametrize("writer", [RunTrace, SessionStore])
+    def test_fsync_on_a_memory_sink_degrades_silently(self, writer):
+        buf = io.StringIO()
+        instance = writer(buf, fsync=True)
+        instance.close()
+        assert len(read_trace(io.StringIO(buf.getvalue()))) == 1
 
 
 class TestSchemaCompatibility:

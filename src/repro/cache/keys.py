@@ -15,7 +15,7 @@ key on workers by flipping the flag rather than by schema archaeology.
 Kernel mode, by contrast, *is* in the key even though the kernel
 registry guarantees bit-identical results across modes: the cache sits
 underneath the machinery that proves that contract, so it must never
-assume it. A ``--kernel reference`` run and a ``--kernel packed`` run
+assume it. A ``--kernel reference`` run and a ``--kernel auto`` run
 get distinct entries; conflating them would make the identity suites
 vacuously pass on cache hits.
 

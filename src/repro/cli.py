@@ -49,10 +49,10 @@ the mapping to the paper's lemmas and theorems. Observability:
   ``CostLedger`` and the measured bits/rounds are compared against the
   closed forms at the run's n (exit 1 on any mismatch); ``report
   --per-vertex`` breaks a payload's ledger down by vertex;
-* ``ranks`` and ``bench`` take ``--kernel
-  {auto,packed,four-russians,sparse,reference}`` to pick the compute
-  engines (see `repro.kernels`); every mode produces identical results,
-  only the wall time differs. ``ranks`` additionally takes
+* ``ranks`` and ``bench`` take ``--kernel {auto,reference}`` to run
+  the fast compute engines or the pure-python references (see
+  `repro.kernels`); both produce identical results, only the wall time
+  differs. ``ranks`` additionally takes
   ``--streamed {auto,on,off}`` / ``--block-rows R`` to build M_n / E_n
   through the block-streamed pipeline (peak memory bounded per block;
   construction parallelizes over ``--workers``);
@@ -1618,10 +1618,8 @@ def _add_kernel_flag(p: argparse.ArgumentParser) -> None:
         choices=KERNEL_MODES,
         default="auto",
         help=(
-            "compute-kernel mode: 'packed' uses the bitset/batched engines "
-            "of repro.kernels, 'four-russians' forces the M4RI GF(2) rank, "
-            "'sparse' forces the dict-row mod-p rank, 'reference' the "
-            "pure-python originals, 'auto' (default) picks per input; "
+            "compute-kernel mode: 'auto' (default) runs the fast engines "
+            "of repro.kernels, 'reference' the pure-python originals; "
             "results are identical"
         ),
     )

@@ -23,8 +23,8 @@ instances are in bijection with crossing-reachable covers.
 Engine note (PR 5): the O(active^2) independence filter at the heart of
 every builder has a batched engine
 (:func:`repro.kernels.crossing_batch.valid_crossing_pairs`) that scores
-all candidate pairs of a cover in one numpy block; ``kernel="packed"``
-(the ``auto`` default) uses it, ``kernel="reference"`` keeps the
+all candidate pairs of a cover in one numpy block; ``kernel="auto"``
+(the default) uses it, ``kernel="reference"`` keeps the
 pair-by-pair :func:`cross_cover` loop. Both apply the exact same three
 conditions, so the produced neighbor sets -- and therefore the graphs
 -- are equal element for element under every kernel (pinned by

@@ -12,8 +12,8 @@ directly: :func:`k_matching` builds the cloned graph and runs
 Hopcroft-Karp, so when the Hall condition holds the returned k-matching
 saturates L, and when it fails the deficiency is reported.
 
-Engine note (PR 5): under ``kernel="packed"`` (the ``auto`` default)
-the clones are never materialized -- the bitset engine
+Engine note (PR 5): under ``kernel="auto"`` (the default, family
+``packed``) the clones are never materialized -- the bitset engine
 (:func:`repro.kernels.bitset_matching.k_matching_bitset`) runs on
 ``k * |L|`` *virtual* left nodes that share one adjacency mask per
 original vertex. ``kernel="reference"`` keeps the explicit

@@ -6,16 +6,14 @@ reference implementation (exact ``==`` on full enumerable spaces), with
 a silent fallback when the accelerator (numpy) is absent. This package
 generalizes that pattern to the paper's hot paths:
 
-* :mod:`repro.kernels.gf2` -- GF(2) rank via word-packed bitset
-  elimination (Python big-int rows; one XOR eliminates a whole row),
-  plus the Four-Russians (M4RI) elimination that amortizes the row
-  fixups of ``k`` pivot columns into one 2^k-entry-table lookup.
 * :mod:`repro.kernels.modp` -- batched mod-p rank over numpy int64
   blocks (one argmax / one outer-product / one ``mod`` per pivot
-  instead of per-entry Python loops).
+  instead of per-entry Python loops); the engine for every dense
+  matrix, at every prime (p = 2 included).
 * :mod:`repro.kernels.sparse` -- sparse mod-p rank on dict-of-columns
-  rows; wins when the matrix stays sparse under elimination (M_n does;
-  see the density cutoff notes in that module).
+  rows; the engine of the streamed M_n / E_n pipeline
+  (:func:`repro.partitions.streamed_matrix_rank_mod_p`), whose rows are
+  never materialized densely.
 * :mod:`repro.kernels.bitset_matching` -- integer-indexed Hopcroft-Karp
   on big-int adjacency masks, with a dedicated k-clone path that shares
   one mask across all k clones of a left vertex (Theorem 2.1).
@@ -28,24 +26,17 @@ Every consumer that picks up a kernel takes a ``kernel`` argument (also
 exposed as ``--kernel`` on the relevant CLI subcommands) with these
 values:
 
+* ``"auto"`` (the default) -- the fast engines; the numpy-backed ones
+  silently fall back to the reference when numpy is absent (or, for
+  the rank, when the prime overflows the int64 reduction);
 * ``"reference"`` -- the pure-python reference implementation, exactly
-  as it was before this package existed;
-* ``"packed"`` -- the PR 5 fast engines (numpy-backed ones silently
-  fall back to the reference when numpy is absent);
-* ``"four-russians"`` -- like ``"packed"``, but GF(2) ranks run the
-  M4RI engine regardless of size (odd-p ranks dispatch as in
-  ``"packed"``: rank-engine choice is per-prime);
-* ``"sparse"`` -- like ``"packed"``, but mod-p ranks (every prime,
-  including 2) run the sparse dict-row engine regardless of density;
-* ``"auto"`` (the default) -- the fast family with per-input engine
-  choice: GF(2) ranks pick M4RI above a size threshold, odd-p ranks
-  pick the sparse engine below a density cutoff, everything else
-  behaves as ``"packed"``.
+  as it was before this package existed.
 
-The rank-engine selection the modes drive lives in
-:func:`repro.partitions.linalg.rank_mod_p`; :func:`resolve_kernel` here
-only resolves the *family* (fast vs reference) for consumers -- the
-matching / graph-builder call sites -- that have a single fast engine.
+Rank-engine choice is by matrix representation, not by mode: dense
+matrices go through :func:`repro.partitions.linalg.rank_mod_p`, the
+streamed pipeline through the sparse engine. :func:`resolve_kernel`
+validates the mode and resolves its *family* (fast vs reference) for
+the matching / graph-builder / rank call sites.
 
 The contract, enforced by the ``tests/kernels`` suites: identical
 results at any worker count and under every kernel mode -- ranks are
@@ -67,18 +58,9 @@ _LAZY_EXPORTS = {
     "hopcroft_karp_bitset": "repro.kernels.bitset_matching",
     "k_matching_bitset": "repro.kernels.bitset_matching",
     "valid_crossing_pairs": "repro.kernels.crossing_batch",
-    "M4RI_DEFAULT_K": "repro.kernels.gf2",
-    "pack_rows": "repro.kernels.gf2",
-    "rank_gf2": "repro.kernels.gf2",
-    "rank_gf2_four_russians": "repro.kernels.gf2",
-    "rank_gf2_m4ri": "repro.kernels.gf2",
-    "rank_gf2_packed": "repro.kernels.gf2",
     "HAVE_NUMPY": "repro.kernels.modp",
     "batched_modp_supported": "repro.kernels.modp",
     "rank_mod_p_batched": "repro.kernels.modp",
-    "SPARSE_DENSITY_CUTOFF": "repro.kernels.sparse",
-    "SPARSE_MIN_CELLS": "repro.kernels.sparse",
-    "matrix_density": "repro.kernels.sparse",
     "rank_mod_p_sparse": "repro.kernels.sparse",
     "rank_mod_p_sparse_rows": "repro.kernels.sparse",
     "sparsify_rows": "repro.kernels.sparse",
@@ -99,28 +81,18 @@ def __getattr__(name):
 __all__ = sorted([*_LAZY_EXPORTS, "KERNEL_MODES", "resolve_kernel"])
 
 #: The accepted values of every ``kernel`` argument / ``--kernel`` flag.
-KERNEL_MODES: Tuple[str, ...] = (
-    "auto",
-    "packed",
-    "four-russians",
-    "sparse",
-    "reference",
-)
+KERNEL_MODES: Tuple[str, ...] = ("auto", "reference")
 
 
 def resolve_kernel(kernel: str) -> str:
     """Resolve a kernel mode to its *family*: ``"packed"`` or ``"reference"``.
 
-    Consumers with a single fast engine (matching, graph building) only
-    need the family; every mode except ``"reference"`` resolves to
+    Every consumer only needs the family: ``"auto"`` resolves to
     ``"packed"`` because the fast engines are either dependency-free
     (big-int bitsets) or degrade silently to the reference when numpy is
-    absent, so there is never a reason not to prefer them. The
-    rank-specific modes (``"four-russians"``, ``"sparse"``) change only
-    which *rank* engine :func:`repro.partitions.linalg.rank_mod_p`
-    picks; for every other consumer they behave exactly like
-    ``"packed"``. Unknown values raise ``ValueError`` (a user error:
-    the CLI maps it to exit code 2).
+    absent, so there is never a reason not to prefer them. Unknown
+    values raise ``ValueError`` (a user error: the CLI maps it to exit
+    code 2).
     """
     if kernel not in KERNEL_MODES:
         raise ValueError(

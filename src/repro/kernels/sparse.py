@@ -3,15 +3,14 @@
 The dense engines (:mod:`repro.kernels.modp`, the python reference in
 :mod:`repro.partitions.linalg`) touch every cell of every row on every
 pivot, so a rank costs O(rows^2 x cols) regardless of how many entries
-are actually nonzero. The paper's partition matrices reward a sparse
-representation twice over: M_n rows are sparse-ish to begin with, and --
-the part density alone does not predict -- they stay sparse *under
-elimination* (low fill-in), so the sparse engine wins ~8x on M_7 mod p
-even at 0.48 ambient density while the same engine loses on E_10, whose
-rows fill in (see EXPERIMENTS.md P5). The ``auto`` kernel mode therefore
-gates on measured input density (:data:`SPARSE_DENSITY_CUTOFF`), a
-conservative proxy for fill-in; callers who know their matrix family can
-force ``kernel="sparse"``.
+are actually nonzero. This engine is the one the streamed M_n / E_n
+pipeline (:func:`repro.partitions.streamed_matrix_rank_mod_p`, ``ranks
+--streamed on``) runs at every prime, p = 2 included: its rows arrive
+as column-index lists and are never materialized densely. M_n rows stay
+sparse *under elimination* (low fill-in), so the streamed rank of M_7
+beats the dense pipeline (EXPERIMENTS.md P10); the dense ``rank_mod_p``
+never routes here, because on dense inputs -- and even on 2%-dense
+random ones, which fill in -- the batched numpy engine wins.
 
 Rows are dicts ``{column: value}`` with every stored value in ``[1, p)``
 -- zeros are never stored, which is both the space saving and the O(1)
@@ -33,24 +32,7 @@ if TYPE_CHECKING:
 
 Matrix = Sequence[Sequence[int]]
 
-__all__ = [
-    "SPARSE_DENSITY_CUTOFF",
-    "SPARSE_MIN_CELLS",
-    "matrix_density",
-    "rank_mod_p_sparse",
-    "rank_mod_p_sparse_rows",
-    "sparsify_rows",
-]
-
-#: ``auto`` routes an odd-p rank to this engine only when the fraction of
-#: nonzero cells is at or below this cutoff. Deliberately conservative:
-#: density is a proxy for fill-in, and a dense-ish matrix that fills in
-#: (E_n-like) is much slower here than in the batched engine.
-SPARSE_DENSITY_CUTOFF = 0.05
-
-#: ...and only when the matrix has at least this many cells; below that
-#: the dense engines' constant factors win regardless of density.
-SPARSE_MIN_CELLS = 10_000
+__all__ = ["rank_mod_p_sparse", "rank_mod_p_sparse_rows", "sparsify_rows"]
 
 
 def sparsify_rows(matrix: Matrix, p: int) -> List[Dict[int, int]]:
@@ -64,18 +46,6 @@ def sparsify_rows(matrix: Matrix, p: int) -> List[Dict[int, int]]:
                 entries[c] = v
         rows.append(entries)
     return rows
-
-
-def matrix_density(matrix: Matrix) -> float:
-    """Fraction of nonzero cells; 0.0 for empty matrices."""
-    cells = 0
-    nonzero = 0
-    for row in matrix:
-        cells += len(row)
-        for x in row:
-            if x:
-                nonzero += 1
-    return nonzero / cells if cells else 0.0
 
 
 def rank_mod_p_sparse_rows(

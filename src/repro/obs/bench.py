@@ -682,55 +682,93 @@ def _run_parallel(params: Dict[str, Any]) -> RunnerOutput:
 
 
 def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
-    """P3/P5: fast kernels vs their references, identity-gated.
+    """P3/P10: fast kernels vs their references, identity-gated.
 
-    Times the kernel families of :mod:`repro.kernels` -- GF(2) rank,
-    batched mod-p rank, batched graph construction + bitset matching --
-    against the pure-python reference engines, plus the two PR 9 rank
-    engines against their in-family baselines: Four-Russians vs the
-    packed GF(2) bitset at ``m4ri_size``^2 (the ISSUE's >= 2x claim is
-    read off this leg at 2048^2) and the sparse dict-row mod-p engine
-    vs the batched dense engine on a seeded low-fill-in matrix at
-    ``sparse_size``^2. ``ok`` gates purely on result identity: equal
-    ranks, element-for-element equal indistinguishability graphs, equal
-    maximum-matching size. Speedups are *recorded* but never gate
-    (machine-dependent; docs/EXPERIMENTS.md quotes the measured
-    trajectory on the container this repo benches on).
+    The rank half is the P10 crossover table: every mod-p rank engine
+    (``reference``, ``numpy-batched``, ``sparse``) on every matrix
+    family (M_n, E_n, a seeded random dense matrix, a seeded random
+    2%-dense one) at the spec's sizes, one ``measured["rows"]`` entry
+    per (family, engine) holding the best of 3 timings --
+    ``numpy-batched`` only when numpy is present. ``<family>_speedup``
+    is the reference time over the time of the engine ``rank_mod_p``
+    dispatches to under ``kernel``. The
+    graph half times batched graph construction and bitset matching
+    against the reference engines. ``ok`` gates purely on result
+    identity: equal ranks across engines, element-for-element equal
+    indistinguishability graphs, equal maximum-matching size. Speedups
+    are *recorded* but never gate (machine-dependent;
+    docs/EXPERIMENTS.md quotes the measured table).
     """
     from repro.indist.graph_builder import build_combinatorial_graph
     from repro.indist.matching import hopcroft_karp
-    from repro.kernels import pack_rows, rank_gf2_m4ri, rank_gf2_packed, rank_mod_p_sparse
-    from repro.partitions import build_m_matrix
-    from repro.partitions.linalg import DEFAULT_PRIMES, rank_mod_p
+    from repro.kernels import batched_modp_supported, rank_mod_p_batched, rank_mod_p_sparse
+    from repro.partitions import build_e_matrix, build_m_matrix
+    from repro.partitions.linalg import DEFAULT_PRIMES, _modp_engine, rank_mod_p
 
-    rank_n = params["rank_n"]
-    graph_n = params["graph_n"]
-    dense_size = params["dense_size"]
     kernel = str(params.get("kernel", "auto"))
-    _parts, matrix = build_m_matrix(rank_n)
     p = DEFAULT_PRIMES[0]
-    # the M_n matrices are sparse (few partitions intersect); the packed
-    # engines' headline wins appear on dense rows, so the spec also times
-    # a seeded dense random matrix at the declared size
+    dense_size = params["dense_size"]
+    sparse_size = params["sparse_size"]
     rng = random.Random(dense_size)
-    dense2 = [
-        [rng.randrange(2) for _ in range(dense_size)] for _ in range(dense_size)
-    ]
-    densep = [
+    random_dense = [
         [rng.randrange(p) for _ in range(dense_size)] for _ in range(dense_size)
     ]
+    rng = random.Random(sparse_size)
+    random_sparse = [
+        [rng.randrange(1, p) if rng.random() < 0.02 else 0 for _ in range(sparse_size)]
+        for _ in range(sparse_size)
+    ]
+    families = {
+        "m_matrix": build_m_matrix(params["rank_n"])[1],
+        "e_matrix": build_e_matrix(params["e_n"])[1],
+        "random_dense": random_dense,
+        "random_sparse": random_sparse,
+    }
+    engines = {"reference": lambda m: rank_mod_p(m, p, kernel="reference")}
+    if batched_modp_supported(p):
+        engines["numpy-batched"] = lambda m: rank_mod_p_batched(m, p)
+    engines["sparse"] = lambda m: rank_mod_p_sparse(m, p)
+    dispatched = _modp_engine(p, kernel)
+    dispatched = "reference" if dispatched == "python" else dispatched
 
-    def timed(fn):
-        start = time.perf_counter()
-        out = fn()
-        return out, time.perf_counter() - start
+    def timed(fn, repeats: int = 1):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            out = fn()
+            best = min(best, time.perf_counter() - start)
+        return out, best
 
-    gf2_ref, gf2_ref_s = timed(lambda: rank_mod_p(dense2, 2, kernel="reference"))
-    gf2_fast, gf2_fast_s = timed(lambda: rank_mod_p(dense2, 2, kernel=kernel))
-    modp_ref, modp_ref_s = timed(lambda: rank_mod_p(densep, p, kernel="reference"))
-    modp_fast, modp_fast_s = timed(lambda: rank_mod_p(densep, p, kernel=kernel))
-    m_ref, m_ref_s = timed(lambda: rank_mod_p(matrix, p, kernel="reference"))
-    m_fast, m_fast_s = timed(lambda: rank_mod_p(matrix, p, kernel=kernel))
+    def speedup(ref_s: float, fast_s: float):
+        return ref_s / fast_s if fast_s > 0 else None
+
+    for fn in engines.values():
+        fn([[1]])  # warm-up: loads numpy outside the timed region
+    rows: List[Dict[str, Any]] = []
+    measured: Dict[str, Any] = {"rank_engine": dispatched}
+    ranks_identical = True
+    for family, matrix in families.items():
+        seconds: Dict[str, float] = {}
+        ranks = set()
+        for engine, fn in engines.items():
+            rank, seconds[engine] = timed(lambda: fn(matrix), repeats=3)
+            ranks.add(rank)
+            rows.append(
+                {
+                    "family": family,
+                    "size": len(matrix),
+                    "engine": engine,
+                    "rank": rank,
+                    "seconds": seconds[engine],
+                }
+            )
+        ranks_identical = ranks_identical and len(ranks) == 1
+        measured[f"{family}_rank"] = rank
+        measured[f"{family}_speedup"] = speedup(
+            seconds["reference"], seconds[dispatched]
+        )
+
+    graph_n = params["graph_n"]
     graph_ref, graph_ref_s = timed(
         lambda: build_combinatorial_graph(graph_n, kernel="reference")
     )
@@ -748,82 +786,23 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     match_ref, match_ref_s = timed(lambda: hopcroft_karp(graph_ref, kernel="reference"))
     match_fast, match_fast_s = timed(lambda: hopcroft_karp(graph_fast, kernel=kernel))
 
-    # PR 9 leg 1: Four-Russians vs packed bitset, dense GF(2)
-    m4ri_size = params.get("m4ri_size", 256)
-    rng = random.Random(m4ri_size)
-    dense_m4ri = [
-        [rng.randrange(2) for _ in range(m4ri_size)] for _ in range(m4ri_size)
-    ]
-    packed_rows = pack_rows(dense_m4ri)
-    m4ri_packed, m4ri_packed_s = timed(
-        lambda: rank_gf2_packed(list(packed_rows), m4ri_size)
-    )
-    m4ri_fast, m4ri_fast_s = timed(
-        lambda: rank_gf2_m4ri(list(packed_rows), m4ri_size)
-    )
-    # PR 9 leg 2: sparse dict-row vs batched dense mod-p, low fill-in input
-    # (rows are sums of a few of 32 sparse generators, so density stays low
-    # under elimination -- the M_n-shaped regime the sparse engine targets)
-    sparse_size = params.get("sparse_size", 200)
-    rng = random.Random(sparse_size)
-    generators = [
-        [rng.randrange(p) if rng.random() < 0.02 else 0 for _ in range(sparse_size)]
-        for _ in range(32)
-    ]
-    sparse_matrix = []
-    for _ in range(sparse_size):
-        picks = rng.sample(range(32), 3)
-        sparse_matrix.append(
-            [sum(generators[g][c] for g in picks) % p for c in range(sparse_size)]
-        )
-    sparse_dense, sparse_dense_s = timed(
-        lambda: rank_mod_p(sparse_matrix, p, kernel="packed")
-    )
-    sparse_fast, sparse_fast_s = timed(lambda: rank_mod_p_sparse(sparse_matrix, p))
-
-    def speedup(ref_s: float, fast_s: float):
-        return ref_s / fast_s if fast_s > 0 else None
-
     identical = bool(
-        gf2_ref == gf2_fast
-        and modp_ref == modp_fast
-        and m_ref == m_fast
-        and graphs_equal
-        and len(match_ref) == len(match_fast)
-        and m4ri_packed == m4ri_fast
-        and sparse_dense == sparse_fast
+        ranks_identical and graphs_equal and len(match_ref) == len(match_fast)
     )
-    measured = {
-        "gf2_rank": gf2_fast,
-        "gf2_reference_seconds": gf2_ref_s,
-        "gf2_kernel_seconds": gf2_fast_s,
-        "gf2_speedup": speedup(gf2_ref_s, gf2_fast_s),
-        "modp_rank": modp_fast,
-        "modp_reference_seconds": modp_ref_s,
-        "modp_kernel_seconds": modp_fast_s,
-        "modp_speedup": speedup(modp_ref_s, modp_fast_s),
-        "m_matrix_rank": m_fast,
-        "m_matrix_reference_seconds": m_ref_s,
-        "m_matrix_kernel_seconds": m_fast_s,
-        "m_matrix_speedup": speedup(m_ref_s, m_fast_s),
-        "graph_reference_seconds": graph_ref_s,
-        "graph_kernel_seconds": graph_fast_s,
-        "graph_speedup": speedup(graph_ref_s, graph_fast_s),
-        "graphs_equal": graphs_equal,
-        "matching_size": len(match_fast),
-        "matching_reference_seconds": match_ref_s,
-        "matching_kernel_seconds": match_fast_s,
-        "matching_speedup": speedup(match_ref_s, match_fast_s),
-        "m4ri_rank": m4ri_fast,
-        "m4ri_packed_seconds": m4ri_packed_s,
-        "m4ri_kernel_seconds": m4ri_fast_s,
-        "m4ri_speedup": speedup(m4ri_packed_s, m4ri_fast_s),
-        "sparse_rank": sparse_fast,
-        "sparse_dense_seconds": sparse_dense_s,
-        "sparse_kernel_seconds": sparse_fast_s,
-        "sparse_speedup": speedup(sparse_dense_s, sparse_fast_s),
-        "results_identical": identical,
-    }
+    measured.update(
+        {
+            "rows": rows,
+            "graph_reference_seconds": graph_ref_s,
+            "graph_kernel_seconds": graph_fast_s,
+            "graph_speedup": speedup(graph_ref_s, graph_fast_s),
+            "graphs_equal": graphs_equal,
+            "matching_size": len(match_fast),
+            "matching_reference_seconds": match_ref_s,
+            "matching_kernel_seconds": match_fast_s,
+            "matching_speedup": speedup(match_ref_s, match_fast_s),
+            "results_identical": identical,
+        }
+    )
     predicted = {"results_identical": True}
     return measured, predicted, identical
 
@@ -1018,10 +997,10 @@ _SPECS: List[BenchmarkSpec] = [
     ),
     BenchmarkSpec(
         "kernels",
-        "P3: packed/batched kernels vs reference engines, identity-gated",
+        "P3/P10: rank-engine crossover + batched graph kernels, identity-gated",
         _run_kernels,
-        {"rank_n": 4, "graph_n": 6, "dense_size": 60, "m4ri_size": 256, "sparse_size": 200},
-        {"rank_n": 5, "graph_n": 7, "dense_size": 250, "m4ri_size": 2048, "sparse_size": 1200},
+        {"rank_n": 5, "e_n": 8, "dense_size": 60, "sparse_size": 200, "graph_n": 6},
+        {"rank_n": 6, "e_n": 8, "dense_size": 300, "sparse_size": 300, "graph_n": 7},
         supports_kernel=True,
     ),
     BenchmarkSpec(
@@ -1063,7 +1042,7 @@ class BenchmarkHarness:
         Compute-kernel mode (one of :data:`repro.kernels.KERNEL_MODES`)
         for specs with ``supports_kernel=True``: injected into their
         params as ``kernel``. History records carry it exactly like
-        ``workers`` -- a packed-engine wall time is not comparable to a
+        ``workers`` -- a fast-engine wall time is not comparable to a
         reference-engine one.
     cache_dir:
         Result-cache directory for specs with ``supports_cache=True``:

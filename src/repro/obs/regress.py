@@ -34,7 +34,7 @@ parallel layer) is the harness fan-out the run used; baselines are
 partitioned on it exactly like ``quick``. ``kernel`` (optional; absent
 = "auto" on records written before the kernels layer) is the
 compute-kernel mode (:data:`repro.kernels.KERNEL_MODES`) and partitions
-baselines the same way -- a packed-engine wall time is speedup relative
+baselines the same way -- a fast-engine wall time is speedup relative
 to a reference-engine median, not a baseline for it.
 
 ``cache`` (optional; absent = "off" on records written before the
@@ -51,6 +51,11 @@ median-and-MAD detector but a change detector: any difference from the
 most recent same-tuple baseline is flagged (warn-only in CI -- an
 intentional protocol change legitimately moves the number, and the
 history line is the paper trail).
+
+``rows`` (optional) is a result's ``measured["rows"]`` table copied
+verbatim -- the ``kernels`` spec's rank-engine crossover rows, one
+object per (matrix family, engine). The detector ignores it; it is
+there so the table behind each rank-dispatch branch has a history.
 """
 
 from __future__ import annotations
@@ -124,8 +129,9 @@ def history_record(
     partitions baselines identically, as does ``cache`` ("on" when the
     harness had a result-cache directory). Results carrying a ``costs``
     mapping (a :meth:`~repro.costs.CostLedger.summary`) contribute
-    ``bits`` / ``rounds`` columns; stubs without one write wall-time
-    entries exactly as before.
+    ``bits`` / ``rounds`` columns, and results whose ``measured``
+    mapping holds a ``rows`` list contribute it as ``rows``; stubs
+    without either write wall-time entries exactly as before.
     """
     entries: Dict[str, Any] = {}
     for r in results:
@@ -141,6 +147,9 @@ def history_record(
                 entry["bits"] = bits
             if isinstance(rounds, int) and not isinstance(rounds, bool):
                 entry["rounds"] = rounds
+        measured = getattr(r, "measured", None)
+        if isinstance(measured, Mapping) and isinstance(measured.get("rows"), list):
+            entry["rows"] = measured["rows"]
         entries[r.name] = entry
     return {
         "schema_version": HISTORY_SCHEMA_VERSION,
@@ -240,6 +249,8 @@ def validate_history_record(record: Mapping[str, Any]) -> List[str]:
                 problems.append(f"entry {name!r} {cost_field} is not an integer")
             elif value < 0:
                 problems.append(f"entry {name!r} {cost_field} is negative")
+        if "rows" in entry and not isinstance(entry["rows"], list):
+            problems.append(f"entry {name!r} rows is not a list")
     return problems
 
 
@@ -322,7 +333,7 @@ def detect_regressions(
     flag match the newest's (quick and full runs are never compared
     against each other, nor are runs at different fan-outs, under
     different compute engines, or with/without a warm result cache -- a
-    packed-kernel wall time beating a reference-engine median is
+    fast-kernel wall time beating a reference-engine median is
     speedup, not baseline, and a warm-cache time is a hash lookup;
     records predating the ``workers``/``kernel``/``cache`` fields count
     as serial/auto/off). Per

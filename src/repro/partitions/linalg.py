@@ -10,47 +10,33 @@ provided and cross-checked in the tests:
 * :func:`rank_mod_p` -- Gaussian elimination over GF(p). For any prime p,
   rank_p(A) <= rank_Q(A); therefore a *full* mod-p rank certifies full
   rational rank, which is exactly the direction Theorem 2.3 / Lemma 4.1
-  need. (Mod-2 full rank would certify too, and the word-packed GF(2)
-  kernel is the fastest engine here -- but M_n and E_n are *far* from
-  full rank mod 2: rank_2(M_4) = 8 of 15, rank_2(E_6) = 4 of 15 -- so
-  the default prime list stays large.)
+  need. (Mod-2 full rank would certify too, but M_n and E_n are *far*
+  from full rank mod 2: rank_2(M_4) = 8 of 15, rank_2(E_6) = 4 of 15 --
+  so the default primes are all odd and large.)
 
 :func:`rank_exact` combines them: full mod-p rank short-circuits with a
 certificate; otherwise Bareiss settles the exact value (or mod-p ranks at
 several primes are taken, whose maximum lower-bounds the rational rank).
 
-Every entry point takes ``kernel`` (``auto`` | ``packed`` |
-``four-russians`` | ``sparse`` | ``reference``, see
-:mod:`repro.kernels`). The fast family dispatches ``rank_mod_p`` per
-prime: at ``p = 2`` the word-packed GF(2) bitset engine or -- above
-:data:`M4RI_ROW_THRESHOLD` rows with numpy present, or always under
-``kernel="four-russians"`` -- the Four-Russians table elimination; at
-odd primes the batched numpy int64 engine, the sparse dict-row engine
-(below :data:`~repro.kernels.SPARSE_DENSITY_CUTOFF` density in
-``auto``, always under ``kernel="sparse"``), or the pure-python
-reference as the silent fallback. All engines are bit-identical: the
-rank over a fixed field is mathematically determined, and each engine
-ticks the :class:`~repro.resilience.Budget` once per pivot column under
-the same pivot structure, so budget boundaries and span trees are
-unchanged.
+Every entry point takes ``kernel`` (``auto`` | ``reference``, see
+:mod:`repro.kernels`). ``rank_mod_p`` has two engines for a dense
+matrix, chosen by :func:`_modp_engine`: the batched numpy int64
+elimination, and the pure-python reference, which runs under
+``kernel="reference"``, without numpy, and at primes whose
+``(p-1)^2`` overflows int64. Both are bit-identical: the rank over a
+fixed field is mathematically determined, and each engine ticks the
+:class:`~repro.resilience.Budget` once per pivot column under the same
+pivot structure, so budget boundaries and span trees are unchanged.
+(The streamed M_n / E_n pipeline in :mod:`repro.partitions.matrices`
+runs the sparse dict-row engine instead; it never materializes the
+dense matrix this module works on.)
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.kernels import (
-    SPARSE_DENSITY_CUTOFF,
-    SPARSE_MIN_CELLS,
-    batched_modp_supported,
-    matrix_density,
-    rank_gf2,
-    rank_gf2_four_russians,
-    rank_mod_p_batched,
-    rank_mod_p_sparse,
-    resolve_kernel,
-)
-from repro.kernels import gf2 as _gf2
+from repro.kernels import batched_modp_supported, rank_mod_p_batched, resolve_kernel
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # import-free at runtime: linalg stays dependency-light
@@ -60,13 +46,6 @@ Matrix = Sequence[Sequence[int]]
 
 #: Primes used for multi-prime rank estimation.
 DEFAULT_PRIMES = (1_000_003, 999_983, 2_147_483_647)
-
-#: ``auto`` routes GF(2) ranks to the Four-Russians engine at or above
-#: this many rows (with numpy present). The measured crossover on the
-#: bench container is ~400 rows (0.9x there, 1.2x at 512, 2.2x at
-#: 2048); below it the per-block setup costs more than the table
-#: lookups save and the packed engine wins.
-M4RI_ROW_THRESHOLD = 512
 
 
 def _shape(matrix: Matrix) -> tuple:
@@ -157,39 +136,22 @@ def _rank_mod_p_python(
     return rank
 
 
-def _modp_engine(p: int, kernel: str, matrix: Optional[Matrix] = None) -> str:
-    """The engine name a (p, kernel) combination dispatches to.
+def _modp_engine(p: int, kernel: str) -> str:
+    """The dense-matrix engine a (p, kernel) combination dispatches to.
 
-    ``matrix`` feeds the input-adaptive choices of ``auto`` (row count
-    for the Four-Russians threshold, density for the sparse cutoff);
-    without it -- the legacy two-argument call -- ``auto`` picks the
-    size-independent engines, exactly as before the adaptive modes
-    existed.
+    Each branch cites its rows of the crossover table in EXPERIMENTS.md
+    P10 (engine x matrix family x size, with and without numpy).
     """
     if resolve_kernel(kernel) == "reference":
         return "python"
-    if kernel == "sparse":
-        return "sparse"
-    if p == 2:
-        if kernel == "four-russians":
-            return "gf2-m4ri"
-        if (
-            kernel == "auto"
-            and _gf2._np is not None
-            and matrix is not None
-            and len(matrix) >= M4RI_ROW_THRESHOLD
-        ):
-            return "gf2-m4ri"
-        return "gf2-packed"
-    if kernel == "auto" and matrix is not None:
-        rows_, cols_ = _shape(matrix)
-        if (
-            rows_ * cols_ >= SPARSE_MIN_CELLS
-            and matrix_density(matrix) <= SPARSE_DENSITY_CUTOFF
-        ):
-            return "sparse"
     if batched_modp_supported(p):
+        # P10 rows e_matrix / random_dense / random_sparse at full size:
+        # numpy-batched is 3.5-19x faster than python and beats the
+        # sparse engine, which fills in (E_10: 3.3 s vs 15.7 s). Only
+        # m_matrix favours sparse; M_n gets it through ``--streamed on``.
         return "numpy-batched"
+    # P10 numpy-blocked rows: python is the reference itself. (Sparse
+    # beats it 1.1-1.9x there; routing to it is an open ROADMAP item.)
     return "python"
 
 
@@ -201,30 +163,19 @@ def rank_mod_p(
 ) -> int:
     """Rank over GF(p). Always a lower bound on the rational rank.
 
-    ``kernel`` selects the engine (see :mod:`repro.kernels`): the fast
-    family runs the word-packed bitset elimination at ``p = 2``
-    (Four-Russians above :data:`M4RI_ROW_THRESHOLD` rows in ``auto``,
-    always under ``kernel="four-russians"``) and, at odd primes, the
-    batched numpy int64 elimination for primes whose ``(p-1)^2`` fits
-    int64 (every default prime qualifies, including the Mersenne prime
-    ``2^31 - 1`` -- pinned by the overflow regression tests) or the
-    sparse dict-row elimination (below the density cutoff in ``auto``,
-    always under ``kernel="sparse"``); anything else, or
-    ``kernel="reference"``, runs the pure-python reference. All engines
-    return the same rank and tick ``budget`` once per pivot column (see
-    :func:`rank_bareiss`).
+    ``kernel="auto"`` runs the batched numpy int64 elimination at every
+    prime whose ``(p-1)^2`` fits int64 (every default prime qualifies,
+    including the Mersenne prime ``2^31 - 1`` -- pinned by the overflow
+    regression tests -- and so does p = 2); anything else, numpy's
+    absence, or ``kernel="reference"`` runs the pure-python reference.
+    Both engines return the same rank and tick ``budget`` once per pivot
+    column (see :func:`rank_bareiss`).
     """
-    engine = _modp_engine(p, kernel, matrix)
+    engine = _modp_engine(p, kernel)
     rows_, cols_ = _shape(matrix)
     with span("partitions.rank_mod_p", rows=rows_, cols=cols_, p=p, engine=engine):
-        if engine == "gf2-packed":
-            return rank_gf2(matrix, budget)
-        if engine == "gf2-m4ri":
-            return rank_gf2_four_russians(matrix, budget=budget)
         if engine == "numpy-batched":
             return rank_mod_p_batched(matrix, p, budget)
-        if engine == "sparse":
-            return rank_mod_p_sparse(matrix, p, budget)
         return _rank_mod_p_python(matrix, p, budget)
 
 

@@ -25,13 +25,13 @@ Two construction pipelines coexist:
   never materializes the dense matrix: row blocks of fixed size are
   generated straight from the partition pairs (sharded over the PR 4
   :class:`~repro.parallel.ShardPlan`, so construction parallelizes and
-  each shard's seed/extent is deterministic), and each row is packed to
-  a GF(2) bitset (``p = 2``) or a sparse dict (odd ``p``) the moment it
-  is built. Peak memory is one block of column indices plus the compact
-  row representations -- bits, not Python ints, per cell. Ranks agree
-  exactly with the dense pipeline's (pinned by tests): the streamed
-  GF(2) engines satisfy the PR 5 bit-identical contract, and the
-  streamed exact rank runs the same certificate chain as
+  each shard's seed/extent is deterministic), and each row becomes a
+  sparse ``{col: 1}`` dict the moment it is built, at every prime
+  (p = 2 included). Peak memory is one block of column indices plus the
+  sparse rows -- one dict entry per nonzero, not a Python int per
+  cell. Ranks agree exactly with the dense pipeline's (pinned by
+  tests): the sparse engine satisfies the PR 5 bit-identical contract,
+  and the streamed exact rank runs the same certificate chain as
   :func:`repro.partitions.linalg.rank_exact` does for large matrices.
 """
 
@@ -45,12 +45,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.spans import span
 from repro.partitions.bell import bell_number, perfect_matching_count
 from repro.partitions.enumeration import enumerate_partitions, enumerate_perfect_matchings
-from repro.partitions.linalg import (
-    DEFAULT_PRIMES,
-    M4RI_ROW_THRESHOLD,
-    is_full_rank,
-    rank_exact,
-)
+from repro.partitions.linalg import DEFAULT_PRIMES, is_full_rank, rank_exact
 from repro.partitions.set_partition import SetPartition, joins_to_top
 
 if TYPE_CHECKING:
@@ -225,14 +220,6 @@ def stream_matrix_rows(
         yield payload[2], rows
 
 
-def _pack_col_tuple(cols_idx: Tuple[int, ...], ncols: int) -> int:
-    """Column indices -> the packed GF(2) big-int row (bit c = column c)."""
-    buf = bytearray((ncols + 7) >> 3)
-    for c in cols_idx:
-        buf[c >> 3] |= 1 << (c & 7)
-    return int.from_bytes(bytes(buf), "little")
-
-
 def streamed_matrix_rank_mod_p(
     n: int,
     p: int,
@@ -244,31 +231,21 @@ def streamed_matrix_rank_mod_p(
 ) -> int:
     """Rank of M_n (``family="m"``) or E_n (``"e"``) mod ``p``, streamed.
 
-    Each block of rows is converted to its compact representation the
-    moment it is built: packed big-int bitsets at ``p = 2`` (eliminated
-    by the Four-Russians engine above :data:`M4RI_ROW_THRESHOLD` rows in
-    ``auto``, always under ``kernel="four-russians"``, else the packed
-    engine) and sparse ``{col: 1}`` dicts at odd primes (the sparse
-    engine -- the matrices this pipeline exists for are exactly the
-    low-fill-in family where it wins; a dense engine would need the
-    materialized matrix the pipeline avoids). ``kernel="reference"``
+    Each block of rows becomes sparse ``{col: 1}`` dicts the moment it
+    is built, and the sparse engine eliminates them at every prime --
+    the matrices this pipeline exists for are exactly the low-fill-in
+    family where it wins, and a dense engine would need the
+    materialized matrix the pipeline avoids. ``kernel="reference"``
     raises ``ValueError``: the reference engine is defined on the dense
     matrix (use the dense pipeline to cross-check, as the tests do).
     Ranks, budget ticks, and exhaustion boundaries equal the dense
     pipeline's on every input.
     """
-    from repro.kernels import (
-        rank_gf2_m4ri,
-        rank_gf2_packed,
-        rank_mod_p_sparse_rows,
-        resolve_kernel,
-    )
-    from repro.kernels import gf2 as _gf2
+    from repro.kernels import rank_mod_p_sparse_rows, resolve_kernel
 
     if resolve_kernel(kernel) == "reference":
         raise ValueError(
-            "streamed matrix pipeline requires a fast kernel family; "
-            "use kernel='auto'/'packed'/'four-russians'/'sparse' "
+            "streamed matrix pipeline requires kernel='auto' "
             "(the dense pipeline serves kernel='reference')"
         )
     table = _family_table(family, n)
@@ -281,18 +258,6 @@ def streamed_matrix_rank_mod_p(
         family=family,
         workers=workers,
     ):
-        if p == 2 and kernel != "sparse":
-            packed: List[int] = []
-            for _, rows in stream_matrix_rows(n, family, block_rows, workers):
-                packed.extend(_pack_col_tuple(r, total) for r in rows)
-            use_m4ri = kernel == "four-russians" or (
-                kernel == "auto"
-                and _gf2._np is not None
-                and total >= M4RI_ROW_THRESHOLD
-            )
-            if use_m4ri:
-                return rank_gf2_m4ri(packed, total, budget=budget)
-            return rank_gf2_packed(packed, total, budget)
         sparse: List[Dict[int, int]] = []
         one = 1 % p
         for _, rows in stream_matrix_rows(n, family, block_rows, workers):

@@ -187,7 +187,7 @@ class TestRequestKey:
         base = request_key("exhaustive", {"n": 4}, kernel="auto", fingerprint="f")
         assert base != request_key("sampling", {"n": 4}, kernel="auto", fingerprint="f")
         assert base != request_key("exhaustive", {"n": 5}, kernel="auto", fingerprint="f")
-        assert base != request_key("exhaustive", {"n": 4}, kernel="packed", fingerprint="f")
+        assert base != request_key("exhaustive", {"n": 4}, kernel="reference", fingerprint="f")
         assert base != request_key("exhaustive", {"n": 4}, kernel="auto", fingerprint="g")
         assert base != request_key(
             "exhaustive", {"n": 4}, kernel="auto", result_version=2, fingerprint="f"

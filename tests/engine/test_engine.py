@@ -131,10 +131,10 @@ class TestWholeRequestCache:
         cache = ResultCache(str(tmp_path / "c"))
         params = {"m_ns": [1, 2], "e_ns": [2]}
         ref = execute(EngineRequest("ranks", params, kernel="reference"), cache=cache)
-        packed = execute(EngineRequest("ranks", params, kernel="packed"), cache=cache)
-        assert ref.key != packed.key
-        assert not packed.cached  # distinct entry, so the first packed run misses
-        assert packed.payload == ref.payload  # ... but the results agree
+        fast = execute(EngineRequest("ranks", params, kernel="auto"), cache=cache)
+        assert ref.key != fast.key
+        assert not fast.cached  # distinct entry, so the first fast run misses
+        assert fast.payload == ref.payload  # ... but the results agree
 
     def test_disabled_cache_never_derives_keys(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"), enabled=False)

@@ -26,7 +26,7 @@ COMMON = dict(
 @settings(max_examples=6, **COMMON)
 @given(
     workers=st.sampled_from([1, 2]),
-    kernel=st.sampled_from(["reference", "packed", "auto"]),
+    kernel=st.sampled_from(["reference", "auto"]),
     max_n=st.integers(min_value=2, max_value=4),
 )
 def test_ranks_cached_equals_recomputed(workers, kernel, max_n):

@@ -7,30 +7,18 @@ from repro.kernels import KERNEL_MODES, resolve_kernel
 
 class TestResolveKernel:
     def test_modes(self):
-        assert KERNEL_MODES == (
-            "auto",
-            "packed",
-            "four-russians",
-            "sparse",
-            "reference",
-        )
+        assert KERNEL_MODES == ("auto", "reference")
 
     def test_auto_prefers_packed(self):
         assert resolve_kernel("auto") == "packed"
 
-    def test_packed(self):
-        assert resolve_kernel("packed") == "packed"
-
-    def test_rank_modes_resolve_to_packed_family(self):
-        # four-russians / sparse change only which *rank* engine runs;
-        # every family consumer (matching, graph build) sees "packed"
-        assert resolve_kernel("four-russians") == "packed"
-        assert resolve_kernel("sparse") == "packed"
-
     def test_reference(self):
         assert resolve_kernel("reference") == "reference"
 
-    @pytest.mark.parametrize("bad", ["", "fast", "numpy", "AUTO", None])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "fast", "numpy", "AUTO", None, "packed", "four-russians", "sparse"],
+    )
     def test_unknown_raises(self, bad):
         with pytest.raises(ValueError):
             resolve_kernel(bad)

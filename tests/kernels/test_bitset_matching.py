@@ -88,7 +88,7 @@ class TestHopcroftKarpBitset:
 
     def test_front_door_kernel_param(self):
         g = _graph([0, 1], ["a"], [(0, "a"), (1, "a")])
-        assert maximum_matching_size(g, kernel="packed") == 1
+        assert maximum_matching_size(g, kernel="auto") == 1
         assert maximum_matching_size(g, kernel="reference") == 1
 
 
@@ -119,10 +119,10 @@ class TestKMatchingBitset:
             for k in (1, 2, 3):
                 fast = k_matching_bitset(g, k)
                 assert is_valid_k_matching(g, k, fast)
-                assert saturates(g, k, kernel="packed") == saturates(
+                assert saturates(g, k, kernel="auto") == saturates(
                     g, k, kernel="reference"
                 )
-            assert max_saturating_k(g, kernel="packed") == max_saturating_k(
+            assert max_saturating_k(g, kernel="auto") == max_saturating_k(
                 g, kernel="reference"
             )
 
@@ -132,7 +132,7 @@ class TestKMatchingBitset:
         # half-stars. Both engines must agree on saturation (False) and
         # produce only valid stars.
         g = _graph([0, 1], ["a", "b"], [(0, "a"), (0, "b"), (1, "a"), (1, "b")])
-        for kern in ("packed", "reference"):
+        for kern in ("auto", "reference"):
             assert not saturates(g, 2, kernel=kern)
             assert is_valid_k_matching(g, 2, k_matching(g, 2, kernel=kern))
 
@@ -150,8 +150,8 @@ def test_hypothesis_sizes_and_saturation_agree(edge_set, k):
         g.add_right(("R", v))
     for u, v in edge_set:
         g.add_edge(("L", u), ("R", v))
-    fast = hopcroft_karp(g, kernel="packed")
+    fast = hopcroft_karp(g, kernel="auto")
     ref = hopcroft_karp(g, kernel="reference")
     assert is_valid_matching(g, fast)
     assert len(fast) == len(ref)
-    assert saturates(g, k, kernel="packed") == saturates(g, k, kernel="reference")
+    assert saturates(g, k, kernel="auto") == saturates(g, k, kernel="reference")

@@ -68,13 +68,13 @@ class TestGraphBuilderIdentity:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_crossing_neighbors_equal(self, n):
         for cover in enumerate_one_cycle_covers(n):
-            assert crossing_neighbors(cover, kernel="packed") == crossing_neighbors(
+            assert crossing_neighbors(cover, kernel="auto") == crossing_neighbors(
                 cover, kernel="reference"
             )
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_combinatorial_graph_edge_for_edge(self, n):
-        fast = build_combinatorial_graph(n, kernel="packed")
+        fast = build_combinatorial_graph(n, kernel="auto")
         ref = build_combinatorial_graph(n, kernel="reference")
         assert sorted(fast.iter_left(), key=repr) == sorted(ref.iter_left(), key=repr)
         assert sorted(fast.iter_right(), key=repr) == sorted(

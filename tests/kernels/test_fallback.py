@@ -1,18 +1,15 @@
 """Silent degradation when numpy is absent: same numbers, pure python.
 
-The packed mode must never *require* numpy: the GF(2) and bitset-HK
-engines are dependency-free, and the numpy-backed engines (batched
-mod-p, batched crossing filter) fall back to the reference path. These
+The auto mode must never *require* numpy: the bitset-HK engine is
+dependency-free, and the numpy-backed engines (batched mod-p, batched
+crossing filter) fall back to the reference path. These
 tests simulate a numpy-less install by monkeypatching the module-level
 ``_np`` handles, mirroring ``tests/lowerbounds/test_vectorized.py``.
 """
 
-import random
-
 import pytest
 
 import repro.kernels.crossing_batch as crossing_batch
-import repro.kernels.gf2 as gf2
 import repro.kernels.modp as modp
 import repro.partitions.linalg as linalg
 from repro.indist.graph_builder import build_combinatorial_graph, crossing_neighbors
@@ -27,7 +24,6 @@ def no_numpy(monkeypatch):
     monkeypatch.setattr(modp, "HAVE_NUMPY", False)
     monkeypatch.setattr(crossing_batch, "_np", None)
     monkeypatch.setattr(crossing_batch, "HAVE_NUMPY", False)
-    monkeypatch.setattr(gf2, "_np", None)
     yield
 
 
@@ -40,49 +36,18 @@ class TestModpFallback:
             modp.rank_mod_p_batched([[1]], DEFAULT_PRIMES[0])
 
     def test_engine_dispatch_degrades_to_python(self, no_numpy):
-        # odd primes fall back to the reference engine; GF(2) stays packed
-        assert linalg._modp_engine(DEFAULT_PRIMES[0], "packed") == "python"
-        assert linalg._modp_engine(2, "packed") == "gf2-packed"
+        # every prime, p = 2 included, falls back to the reference engine
+        for p in (2, *DEFAULT_PRIMES):
+            assert linalg._modp_engine(p, "auto") == "python"
 
     def test_rank_values_unchanged(self, no_numpy):
         _parts, matrix = build_m_matrix(3)
-        for p in DEFAULT_PRIMES:
-            assert rank_mod_p(matrix, p, kernel="packed") == rank_mod_p(
+        for p in (2, *DEFAULT_PRIMES):
+            assert rank_mod_p(matrix, p, kernel="auto") == rank_mod_p(
                 matrix, p, kernel="reference"
             )
-        assert rank_exact(matrix, kernel="packed") == rank_exact(
+        assert rank_exact(matrix, kernel="auto") == rank_exact(
             matrix, kernel="reference"
-        )
-
-
-class TestGf2Fallback:
-    def test_pack_rows_identical_without_numpy(self, no_numpy):
-        rng = random.Random(7)
-        for _ in range(30):
-            rows = rng.randrange(0, 8)
-            cols = rng.randrange(0, 70)
-            m = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
-            assert gf2.pack_rows(m) == gf2._pack_rows_reference(m)
-
-    def test_m4ri_pure_python_engine_runs(self, no_numpy):
-        rng = random.Random(11)
-        for trial in range(40):
-            rows = rng.randrange(1, 10)
-            cols = rng.randrange(1, 30)
-            m = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-            packed = gf2.pack_rows(m)
-            ref = gf2.rank_gf2_packed(list(packed), cols)
-            k = rng.choice([1, 3, 8])
-            assert gf2.rank_gf2_m4ri(list(packed), cols, k=k) == ref
-
-    def test_auto_never_picks_m4ri_without_numpy(self, no_numpy):
-        # the pure-python M4RI is correct but not faster than packed,
-        # so size-based auto routing only makes sense with numpy
-        big = [[1] * 4 for _ in range(linalg.M4RI_ROW_THRESHOLD + 1)]
-        assert linalg._modp_engine(2, "auto", big) == "gf2-packed"
-        # ...while an explicit request still runs (and agrees)
-        assert rank_mod_p(big, 2, kernel="four-russians") == rank_mod_p(
-            big, 2, kernel="reference"
         )
 
 
@@ -99,11 +64,11 @@ class TestCrossingFallback:
             )
 
     def test_graph_builder_unchanged_without_numpy(self, no_numpy):
-        fast = build_combinatorial_graph(5, kernel="packed")
+        fast = build_combinatorial_graph(5, kernel="auto")
         ref = build_combinatorial_graph(5, kernel="reference")
         for v in fast.iter_left():
             assert fast.iter_neighbors(v) == ref.iter_neighbors(v)
         cover = next(iter(enumerate_one_cycle_covers(5)))
-        assert crossing_neighbors(cover, kernel="packed") == crossing_neighbors(
+        assert crossing_neighbors(cover, kernel="auto") == crossing_neighbors(
             cover, kernel="reference"
         )

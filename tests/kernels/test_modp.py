@@ -1,4 +1,11 @@
-"""Batched mod-p elimination: identity with the reference and int64 safety."""
+"""Batched mod-p elimination: identity with the reference and int64 safety.
+
+p = 2 rides along as one more prime: ``rank_mod_p`` runs the batched
+engine there too, so the mod-2 collapse of the paper's matrices is
+pinned here.
+"""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +15,7 @@ from repro.errors import BudgetExceededError
 from repro.kernels import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
 from repro.partitions import (
     DEFAULT_PRIMES,
+    build_e_matrix,
     build_m_matrix,
     rank_bareiss,
     rank_exact,
@@ -21,6 +29,9 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 #: The Mersenne prime 2^31 - 1 -- the largest default prime and the
 #: worst case the int64 reduction must survive: (p-1)^2 = 2^62 - 2^33 + 4.
 MERSENNE = 2_147_483_647
+
+#: The primes of the identity suites: p = 2 plus the default primes.
+PRIMES = (2, *DEFAULT_PRIMES)
 
 
 class TestSupportBound:
@@ -70,59 +81,85 @@ class TestOverflowSafetyAtMersenne:
         assert rank_bareiss(matrix) == 2
 
 
+class TestExhaustiveSmall:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_all_3x3_matrices_mod_p(self, p):
+        for flat in product(range(p), repeat=9):
+            matrix = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+            assert rank_mod_p(matrix, p, kernel="auto") == rank_mod_p(
+                matrix, p, kernel="reference"
+            )
+
+
 class TestEngineIdentity:
-    @pytest.mark.parametrize("p", DEFAULT_PRIMES)
+    @pytest.mark.parametrize("p", PRIMES)
     def test_m3_matrix_all_engines(self, p):
         _parts, matrix = build_m_matrix(3)
         ref = rank_mod_p(matrix, p, kernel="reference")
-        assert rank_mod_p(matrix, p, kernel="packed") == ref
         assert rank_mod_p(matrix, p, kernel="auto") == ref
-        if batched_modp_supported(p) and p != 2:
+        if batched_modp_supported(p):
             assert rank_mod_p_batched(matrix, p) == ref
 
     def test_empty_matrix(self):
-        for p in DEFAULT_PRIMES:
-            assert rank_mod_p([], p, kernel="packed") == 0
+        for p in PRIMES:
+            assert rank_mod_p([], p, kernel="auto") == 0
+
+
+class TestModTwoCollapse:
+    """M_n and E_n are far from full rank mod 2 -- why every default
+    prime is odd. Pin the collapse so nobody "optimizes" it away."""
+
+    def test_m4_rank_is_8_of_15(self):
+        _parts, matrix = build_m_matrix(4)
+        assert len(matrix) == 15
+        for kernel in ("auto", "reference"):
+            assert rank_mod_p(matrix, 2, kernel=kernel) == 8
+
+    def test_e6_rank_is_4_of_15(self):
+        _matchings, matrix = build_e_matrix(6)
+        assert len(matrix) == 15
+        for kernel in ("auto", "reference"):
+            assert rank_mod_p(matrix, 2, kernel=kernel) == 4
 
 
 @needs_numpy
 class TestBudgetParity:
     def test_tick_counts_match_reference(self):
         _parts, matrix = build_m_matrix(3)
-        p = DEFAULT_PRIMES[0]
-        b_fast, b_ref = Budget(max_units=10_000), Budget(max_units=10_000)
-        assert rank_mod_p_batched(matrix, p, b_fast) == rank_mod_p(
-            matrix, p, b_ref, kernel="reference"
-        )
-        assert b_fast.units_done == b_ref.units_done
+        for p in (2, DEFAULT_PRIMES[0]):
+            b_fast, b_ref = Budget(max_units=10_000), Budget(max_units=10_000)
+            assert rank_mod_p_batched(matrix, p, b_fast) == rank_mod_p(
+                matrix, p, b_ref, kernel="reference"
+            )
+            assert b_fast.units_done == b_ref.units_done
 
     def test_exhaustion_boundary_matches_reference(self):
         _parts, matrix = build_m_matrix(3)
-        p = DEFAULT_PRIMES[0]
-        probe = Budget(max_units=10_000)
-        rank_mod_p_batched(matrix, p, probe)
-        cutoff = probe.units_done - 1
-        assert cutoff >= 1
-        with pytest.raises(BudgetExceededError):
-            rank_mod_p_batched(matrix, p, Budget(max_units=cutoff))
-        with pytest.raises(BudgetExceededError):
-            rank_mod_p(matrix, p, Budget(max_units=cutoff), kernel="reference")
+        for p in (2, DEFAULT_PRIMES[0]):
+            probe = Budget(max_units=10_000)
+            rank_mod_p_batched(matrix, p, probe)
+            cutoff = probe.units_done - 1
+            assert cutoff >= 1
+            with pytest.raises(BudgetExceededError):
+                rank_mod_p_batched(matrix, p, Budget(max_units=cutoff))
+            with pytest.raises(BudgetExceededError):
+                rank_mod_p(matrix, p, Budget(max_units=cutoff), kernel="reference")
 
 
 class TestWorkersTimesKernels:
-    """The PR 4 contract extended: any workers x any kernel, same number."""
+    """The PR 4 contract extended: any workers x either kernel, same number."""
 
     def test_rank_exact_packed_workers_equals_serial_reference(self):
         _parts, matrix = build_m_matrix(4)
         serial_ref = rank_exact(matrix, workers=1, kernel="reference")
-        assert rank_exact(matrix, workers=2, kernel="packed") == serial_ref
+        assert rank_exact(matrix, workers=2, kernel="auto") == serial_ref
         assert rank_exact(matrix, workers=2, kernel="reference") == serial_ref
-        assert rank_exact(matrix, workers=1, kernel="packed") == serial_ref
+        assert rank_exact(matrix, workers=1, kernel="auto") == serial_ref
 
     def test_rank_multi_prime_packed_workers_equals_serial_reference(self):
         _parts, matrix = build_m_matrix(3)
         serial_ref = rank_multi_prime(matrix, workers=1, kernel="reference")
-        assert rank_multi_prime(matrix, workers=2, kernel="packed") == serial_ref
+        assert rank_multi_prime(matrix, workers=2, kernel="auto") == serial_ref
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,10 +169,10 @@ class TestWorkersTimesKernels:
         min_size=1,
         max_size=5,
     ),
-    st.sampled_from(DEFAULT_PRIMES),
+    st.sampled_from(PRIMES),
 )
 def test_hypothesis_packed_equals_reference(matrix, p):
-    assert rank_mod_p(matrix, p, kernel="packed") == rank_mod_p(
+    assert rank_mod_p(matrix, p, kernel="auto") == rank_mod_p(
         matrix, p, kernel="reference"
     )
 
@@ -154,6 +191,6 @@ def test_hypothesis_packed_equals_reference(matrix, p):
 )
 def test_hypothesis_max_residue_entries_at_mersenne(matrix):
     """Entries at the top of the residue range never corrupt the batch."""
-    assert rank_mod_p(matrix, MERSENNE, kernel="packed") == rank_mod_p(
+    assert rank_mod_p(matrix, MERSENNE, kernel="auto") == rank_mod_p(
         matrix, MERSENNE, kernel="reference"
     )

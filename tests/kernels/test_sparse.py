@@ -3,8 +3,8 @@
 The sparse engine changes the row representation, not the elimination:
 the pivot-column order mirrors the reference exactly, so ranks, budget
 tick counts, and exhaustion boundaries must agree on every input at
-every prime -- including p = 2, where it coexists with the GF(2)
-bitset engines.
+every prime -- including p = 2, which the streamed pipeline also runs
+through this engine.
 """
 
 from itertools import product
@@ -15,14 +15,18 @@ from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
 from repro.kernels import (
-    SPARSE_DENSITY_CUTOFF,
-    SPARSE_MIN_CELLS,
-    matrix_density,
+    HAVE_NUMPY,
     rank_mod_p_sparse,
     rank_mod_p_sparse_rows,
     sparsify_rows,
 )
-from repro.partitions import DEFAULT_PRIMES, build_e_matrix, build_m_matrix, rank_mod_p
+from repro.partitions import (
+    DEFAULT_PRIMES,
+    build_e_matrix,
+    build_m_matrix,
+    rank_mod_p,
+    streamed_matrix_rank_mod_p,
+)
 from repro.partitions.linalg import _modp_engine
 from repro.resilience import Budget
 
@@ -38,11 +42,6 @@ class TestSparsifyRows:
         rows = sparsify_rows([[-1, 7, 5]], 5)
         assert rows == [{0: 4, 1: 2}]
         assert all(1 <= v < 5 for row in rows for v in row.values())
-
-    def test_density(self):
-        assert matrix_density([[0, 1], [1, 1]]) == 0.75
-        assert matrix_density([]) == 0.0
-        assert matrix_density([[], []]) == 0.0
 
 
 class TestExhaustiveSmall:
@@ -77,34 +76,30 @@ class TestPaperMatrices:
             )
 
 
+class TestModTwoCollapse:
+    def test_m4_and_e6_ranks_mod_2(self):
+        # rank_2(M_4) = 8 and rank_2(E_6) = 4 of 15: the collapse that
+        # keeps every default prime odd
+        assert rank_mod_p_sparse(build_m_matrix(4)[1], 2) == 8
+        assert rank_mod_p_sparse(build_e_matrix(6)[1], 2) == 4
+
+
 class TestKernelMode:
     def test_rank_mod_p_dispatch(self):
+        # the sparse engine is reached through the streamed pipeline, at
+        # every prime; the dense rank_mod_p never routes here
         _parts, matrix = build_m_matrix(4)
         for p in PRIMES:
-            assert rank_mod_p(matrix, p, kernel="sparse") == rank_mod_p(
+            assert streamed_matrix_rank_mod_p(4, p, "m") == rank_mod_p(
                 matrix, p, kernel="reference"
             )
 
-    def test_auto_dispatches_on_density(self):
-        # big and nearly empty: sparse; big and dense: stays batched
-        side = 200
-        assert side * side >= SPARSE_MIN_CELLS
-        thin = [[0] * side for _ in range(side)]
-        for i in range(side):
-            thin[i][i] = 1
-        assert matrix_density(thin) <= SPARSE_DENSITY_CUTOFF
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto", thin) == "sparse"
-        fat = [[1] * side for _ in range(side)]
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto", fat) == "numpy-batched"
-
-    def test_auto_never_sparse_below_min_cells(self):
-        tiny = [[0, 1], [0, 0]]
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto", tiny) == "numpy-batched"
-
     def test_legacy_two_argument_dispatch_unchanged(self):
-        # the matrix-free form keeps the PR 5 behavior exactly
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto") == "numpy-batched"
-        assert _modp_engine(2, "auto") == "gf2-packed"
+        # dense ranks run numpy-batched at every prime, p = 2 included
+        expected = "numpy-batched" if HAVE_NUMPY else "python"
+        for p in PRIMES:
+            assert _modp_engine(p, "auto") == expected
+            assert _modp_engine(p, "reference") == "python"
 
 
 class TestBudgetParity:
@@ -119,20 +114,24 @@ class TestBudgetParity:
 
     def test_exhaustion_boundary_matches_reference(self):
         """BudgetExceededError fires at the same mid-elimination unit count."""
-        p = DEFAULT_PRIMES[0]
         _parts, matrix = build_m_matrix(4)
-        probe = Budget(max_units=10_000)
-        rank_mod_p_sparse(matrix, p, probe)
-        total = probe.units_done
-        assert total >= 2
-        for cutoff in (1, total // 2, total - 1):
-            with pytest.raises(BudgetExceededError):
-                rank_mod_p_sparse(matrix, p, Budget(max_units=cutoff))
-            with pytest.raises(BudgetExceededError):
-                rank_mod_p(matrix, p, Budget(max_units=cutoff), kernel="reference")
-        assert rank_mod_p_sparse(
-            matrix, p, Budget(max_units=total + 1)
-        ) == rank_mod_p(matrix, p, Budget(max_units=total + 1), kernel="reference")
+        for p in (2, DEFAULT_PRIMES[0]):
+            probe = Budget(max_units=10_000)
+            rank_mod_p_sparse(matrix, p, probe)
+            total = probe.units_done
+            assert total >= 2
+            for cutoff in (1, total // 2, total - 1):
+                with pytest.raises(BudgetExceededError):
+                    rank_mod_p_sparse(matrix, p, Budget(max_units=cutoff))
+                with pytest.raises(BudgetExceededError):
+                    rank_mod_p(
+                        matrix, p, Budget(max_units=cutoff), kernel="reference"
+                    )
+            assert rank_mod_p_sparse(
+                matrix, p, Budget(max_units=total + 1)
+            ) == rank_mod_p(
+                matrix, p, Budget(max_units=total + 1), kernel="reference"
+            )
 
 
 @settings(max_examples=80, deadline=None)
@@ -147,4 +146,4 @@ class TestBudgetParity:
 def test_hypothesis_sparse_equals_dense(matrix, p):
     ref = rank_mod_p(matrix, p, kernel="reference")
     assert rank_mod_p_sparse(matrix, p) == ref
-    assert rank_mod_p(matrix, p, kernel="sparse") == ref
+    assert rank_mod_p(matrix, p, kernel="auto") == ref

@@ -389,3 +389,27 @@ class TestCostColumns:
         assert "| 56 | 4 | 48 |" in dashboard
         costless = [_record({"kernel": 0.01}, ts=float(i)) for i in range(6)]
         assert "Communication cost" not in render_perf_dashboard(costless)
+
+
+class TestMeasuredRows:
+    """A result's ``measured["rows"]`` table rides into its history entry."""
+
+    def test_rows_copied_into_the_entry(self):
+        result = _Result("kernels", 0.01)
+        result.measured = {
+            "rows": [{"family": "m_matrix", "engine": "sparse", "seconds": 0.1}],
+            "graph_speedup": 2.0,
+        }
+        record = history_record([result], quick=True, ts=0.0)
+        entry = record["entries"]["kernels"]
+        assert entry["rows"] == result.measured["rows"]
+        assert "graph_speedup" not in entry
+        assert validate_history_record(record) == []
+
+    def test_rowless_results_emit_no_rows(self):
+        assert "rows" not in _record({"kernels": 0.01})["entries"]["kernels"]
+
+    def test_validator_rejects_non_list_rows(self):
+        record = _record({"kernels": 0.01})
+        record["entries"]["kernels"]["rows"] = {"family": "m_matrix"}
+        assert any("rows" in p for p in validate_history_record(record))

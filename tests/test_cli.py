@@ -180,39 +180,39 @@ class TestKernelFlag:
         assert main(["ranks", "--max-n", "4", "--kernel", "reference",
                      "--json"]) == 0
         reference = json.loads(capsys.readouterr().out.strip())
-        assert main(["ranks", "--max-n", "4", "--kernel", "packed",
+        assert main(["ranks", "--max-n", "4", "--kernel", "auto",
                      "--json"]) == 0
-        packed = json.loads(capsys.readouterr().out.strip())
-        assert packed == reference
+        fast = json.loads(capsys.readouterr().out.strip())
+        assert fast == reference
 
     def test_ranks_kernel_with_workers_identical(self, capsys):
         assert main(["ranks", "--max-n", "4", "--json"]) == 0
         default = json.loads(capsys.readouterr().out.strip())
         assert main(["ranks", "--max-n", "4", "--workers", "2",
-                     "--kernel", "packed", "--json"]) == 0
+                     "--kernel", "auto", "--json"]) == 0
         fanned = json.loads(capsys.readouterr().out.strip())
         assert fanned == default
 
     def test_unknown_kernel_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["ranks", "--max-n", "3", "--kernel", "fast"])
-        assert exc.value.code == 2
-        assert "--kernel" in capsys.readouterr().err
+        # the retired rank modes are unknown now, like any other name
+        for bad in ("fast", "packed", "four-russians", "sparse"):
+            with pytest.raises(SystemExit) as exc:
+                main(["ranks", "--max-n", "3", "--kernel", bad])
+            assert exc.value.code == 2
+            assert "--kernel" in capsys.readouterr().err
 
     def test_ranks_new_kernels_and_streaming_identical(self, capsys):
         assert main(["ranks", "--max-n", "4", "--kernel", "reference",
                      "--json"]) == 0
-        reference = json.loads(capsys.readouterr().out.strip())
+        reference = capsys.readouterr().out
         for flags in (
-            ["--kernel", "four-russians"],
-            ["--kernel", "sparse"],
-            ["--kernel", "four-russians", "--streamed", "on",
-             "--block-rows", "3"],
-            ["--kernel", "sparse", "--streamed", "on"],
+            [],
+            ["--streamed", "on", "--block-rows", "3"],
             ["--streamed", "off"],
+            ["--workers", "2"],
         ):
             assert main(["ranks", "--max-n", "4", "--json", *flags]) == 0
-            assert json.loads(capsys.readouterr().out.strip()) == reference
+            assert capsys.readouterr().out == reference
 
     def test_ranks_streamed_reference_exits_two(self, capsys):
         assert main(["ranks", "--max-n", "3", "--kernel", "reference",
@@ -240,7 +240,7 @@ class TestKernelFlag:
     def test_bench_kernels_spec_ok_under_packed(self, tmp_path, capsys):
         out = str(tmp_path / "results")
         assert main(["bench", "--quick", "--only", "kernels",
-                     "--kernel", "packed", "--out-dir", out]) == 0
+                     "--kernel", "auto", "--out-dir", out]) == 0
         payload = json.loads(
             (tmp_path / "results" / "BENCH_kernels.json").read_text()
         )

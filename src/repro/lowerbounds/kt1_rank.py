@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.partitions.bell import bell_number, perfect_matching_count
 from repro.partitions.matrices import e_matrix_rank, m_matrix_rank
@@ -80,13 +80,14 @@ def multicycle_round_bound(n: int) -> KT1RankBound:
 
 
 def connectivity_round_bound_certified(
-    n: int, workers: int = 1, kernel: str = "auto", streamed: bool = None
+    n: int, workers: int = 1, kernel: str = "auto", streamed: Optional[bool] = None
 ) -> KT1RankBound:
     """Theorem 4.4 for Connectivity with rank(M_n) *computed*, not quoted.
 
-    Builds M_n (B_n x B_n -- enumerable for n <= 6 in reasonable time
-    densely; the streamed pipeline pushes past that) and runs the exact
-    rank chain; Theorem 2.3 guarantees the result equals
+    Builds M_n (B_n x B_n, read off the partition lattice's Möbius
+    function: under a second up to n = 8) and runs the exact rank chain,
+    which is what bounds n -- seconds densely at n = 7, the streamed
+    pipeline past that; Theorem 2.3 guarantees the result equals
     :func:`connectivity_round_bound`'s closed-form row, and the tests
     pin that equality for every kernel. ``streamed`` is passed through
     to :func:`~repro.partitions.matrices.m_matrix_rank` (None = auto by
@@ -106,7 +107,7 @@ def connectivity_round_bound_certified(
 
 
 def multicycle_round_bound_certified(
-    n: int, workers: int = 1, kernel: str = "auto", streamed: bool = None
+    n: int, workers: int = 1, kernel: str = "auto", streamed: Optional[bool] = None
 ) -> KT1RankBound:
     """Theorem 4.4 for MultiCycle with rank(E_n) *computed*, not quoted."""
     if n % 2 != 0:

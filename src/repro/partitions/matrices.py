@@ -14,39 +14,52 @@ communication complexity of a Boolean function is at least log2 of the rank
 of its communication matrix -- giving Corollaries 2.4 and 4.2:
 D(Partition) = Omega(n log n) and D(TwoPartition) = Omega(n log n).
 
-Two construction pipelines coexist:
+Both construction pipelines start from the same row bitmasks
+(:func:`_join_masks`), read off the Möbius factorization M = Z·D·Zᵀ of
+the partition lattice: Z[P, x] = [P <= x] and D = diag(mu(x, 1)). That
+costs sum_k S(n, k)·B_k big-int additions (19,302 at n = 7) instead of
+one union-find join per cell (769k at n = 7); :func:`~repro.partitions.
+set_partition.joins_to_top` is kept as the test oracle. The pipelines
+differ in what they decode the masks into:
 
 * The *dense* pipeline (:func:`build_m_matrix` / :func:`build_e_matrix`)
   materializes the full B_n x B_n list-of-lists. Simple, and what the
-  reference kernel needs -- but a Python list-of-lists row costs ~8 bytes
-  per cell plus object overhead, so M_8 (4140^2 cells) already wants
-  gigabytes and dominates wall time before the rank even starts.
+  reference kernel needs -- but a Python list-of-lists costs a pointer
+  (8 bytes) per cell, so M_8 (4140^2 cells) already holds ~137 MB before
+  the rank starts.
 * The *streamed* pipeline (:func:`streamed_matrix_rank` and friends)
   never materializes the dense matrix: row blocks of fixed size are
-  generated straight from the partition pairs (sharded over the PR 4
+  decoded from the masks (sharded over a
   :class:`~repro.parallel.ShardPlan`, so construction parallelizes and
   each shard's seed/extent is deterministic), and each row becomes a
   sparse ``{col: 1}`` dict the moment it is built, at every prime
-  (p = 2 included). Peak memory is one block of column indices plus the
-  sparse rows -- one dict entry per nonzero, not a Python int per
-  cell. Ranks agree exactly with the dense pipeline's (pinned by
-  tests): the sparse engine satisfies the PR 5 bit-identical contract,
-  and the streamed exact rank runs the same certificate chain as
-  :func:`repro.partitions.linalg.rank_exact` does for large matrices.
+  (p = 2 included). Peak memory is the masks (one bit per cell), one
+  block of column indices and the sparse rows -- one dict entry per
+  nonzero, not a Python int per cell. Ranks agree exactly with the
+  dense pipeline's (pinned by tests): the sparse engine satisfies the
+  kernels' bit-identical contract, and the streamed exact rank runs the
+  same certificate chain as :func:`repro.partitions.linalg.rank_exact`
+  does for large matrices.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.errors import PartitionError
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.spans import span
 from repro.partitions.bell import bell_number, perfect_matching_count
-from repro.partitions.enumeration import enumerate_partitions, enumerate_perfect_matchings
+from repro.partitions.enumeration import (
+    enumerate_partitions,
+    enumerate_perfect_matchings,
+    enumerate_rgs,
+)
 from repro.partitions.linalg import DEFAULT_PRIMES, is_full_rank, rank_exact
-from repro.partitions.set_partition import SetPartition, joins_to_top
+from repro.partitions.set_partition import SetPartition
 
 if TYPE_CHECKING:
     from repro.resilience.budget import Budget
@@ -58,7 +71,7 @@ DEFAULT_BLOCK_ROWS = 256
 
 #: ``streamed=None`` (auto) switches m/e_matrix_rank to the streamed
 #: pipeline at or above this many rows -- the regime where the dense
-#: list-of-lists build starts to dominate both memory and wall time.
+#: list-of-lists starts to dominate memory.
 STREAM_ROW_THRESHOLD = 1000
 
 #: The two matrix families the streamed pipeline knows how to build.
@@ -117,6 +130,7 @@ def clear_enumeration_cache() -> None:
     """Drop the memoized partition/matching tables (tests; memory pressure)."""
     _all_partitions_cached.cache_clear()
     _all_matchings_cached.cache_clear()
+    _family_masks.cache_clear()
 
 
 def _family_table(family: str, n: int) -> Tuple[SetPartition, ...]:
@@ -130,15 +144,96 @@ def _family_table(family: str, n: int) -> Tuple[SetPartition, ...]:
 
 
 # ----------------------------------------------------------------------
+# row bitmasks from the Möbius factorization (shared by both pipelines)
+# ----------------------------------------------------------------------
+
+def _mobius_to_top(blocks: int) -> int:
+    """mu(x, 1) for x with ``blocks`` blocks: (-1)^(b-1) (b-1)!.
+
+    [x, 1] is isomorphic to Pi_b. Pi_0 has no one-block partition, so
+    the empty partition never joins to the top and weighs 0.
+    """
+    if blocks == 0:
+        return 0
+    return (-1) ** (blocks - 1) * math.factorial(blocks - 1)
+
+
+@lru_cache(maxsize=None)
+def _coarsenings(blocks: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Every way to merge ``blocks`` ordered blocks, with its mu(x, 1).
+
+    An RGS r of length b merges block k into block r[k]; as blocks are
+    ordered by least element, relabelling element e by r[block of e]
+    gives the coarsening's own RGS, so these are the up-sets' keys.
+    """
+    return tuple(
+        (tuple(r), _mobius_to_top(max(r, default=-1) + 1))
+        for r in enumerate_rgs(blocks)
+    )
+
+
+def _join_masks(partitions: Sequence[SetPartition]) -> List[int]:
+    """Row bitmasks of the join-to-top matrix over ``partitions``.
+
+    Bit j of mask i is set iff P_i ∨ P_j = 1. Möbius inversion on the
+    partition lattice gives [P ∨ Q = 1] = sum_{x >= P, x >= Q} mu(x, 1),
+    i.e. M = Z·D·Zᵀ with Z[P, x] = [P <= x] and D = diag(mu(x, 1)). So
+    with ``down[x]`` the bitmask of the P <= x, row P is the integer
+    sum_{x >= P} mu(x, 1)·down[x]: every entry is 0 or 1 and Python
+    ints do not overflow, so the sum is exact. The up-set of P is
+    Pi_{b(P)}, so the work is sum_k S(n, k)·B_k terms, not |family|^2
+    joins.
+    """
+    if not partitions:
+        return []
+    n = partitions[0].n
+    ids: Dict[Tuple[int, ...], int] = {}
+    down: List[int] = []
+    weight: List[int] = []
+    ups: List[List[int]] = []
+    for j, p in enumerate(partitions):
+        if p.n != n:
+            raise PartitionError(
+                f"partitions over different ground sets [{n}] vs [{p.n}]"
+            )
+        labels = p.rgs()
+        bit = 1 << j
+        up = []
+        for r, mu in _coarsenings(p.num_blocks):
+            key = tuple([r[k] for k in labels])
+            x = ids.get(key)
+            if x is None:
+                x = ids[key] = len(down)
+                down.append(bit)
+                weight.append(mu)
+            else:
+                down[x] |= bit
+            up.append(x)
+        ups.append(up)
+    # Free each table once consumed, before the row sums allocate theirs.
+    del ids
+    weighted = [mu * mask for mu, mask in zip(weight, down)]
+    del down
+    return [sum([weighted[x] for x in up]) for up in ups]
+
+
+#: '0'/'1' characters to 0/1 bytes, for decoding a row mask.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_bits(mask: int, width: int) -> bytes:
+    """The ``width`` low bits of ``mask`` as 0/1 bytes, bit 0 first."""
+    return format(mask, f"0{width}b")[::-1].encode("ascii").translate(_BITS)
+
+
+# ----------------------------------------------------------------------
 # dense pipeline
 # ----------------------------------------------------------------------
 
 def partition_matrix(partitions: Sequence[SetPartition]) -> List[List[int]]:
     """The 0/1 join-to-top matrix over an arbitrary partition family."""
-    return [
-        [1 if joins_to_top(pa, pb) else 0 for pb in partitions]
-        for pa in partitions
-    ]
+    width = len(partitions)
+    return [list(_mask_bits(mask, width)) for mask in _join_masks(partitions)]
 
 
 def build_m_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
@@ -157,24 +252,30 @@ def build_e_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
 # streamed pipeline
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _family_masks(family: str, n: int) -> Tuple[int, ...]:
+    """Row bitmasks of a family matrix, built once per process."""
+    return tuple(_join_masks(_family_table(family, n)))
+
+
 def _stream_block_worker(payload: tuple) -> List[Tuple[int, ...]]:
     """Build rows [start, stop) of a family matrix as column-index tuples.
 
-    Module-level and picklable (PR 4 executor contract). Each worker
-    process re-derives the memoized partition table for ``n`` once; the
-    wire format is just the nonzero column indices per row -- the
-    compact truth of a 0/1 matrix, independent of the prime the caller
-    will reduce at.
+    Module-level and picklable (executor contract). Each worker
+    process builds the family's row bitmasks once (:func:`_join_masks`,
+    memoized per process) and decodes its block from them; the wire
+    format is just the nonzero column indices per row -- the compact
+    truth of a 0/1 matrix, independent of the prime the caller will
+    reduce at.
     """
     n, family, start, stop = payload
-    table = _family_table(family, n)
-    rows: List[Tuple[int, ...]] = []
-    for i in range(start, stop):
-        pa = table[i]
-        rows.append(
-            tuple(j for j, pb in enumerate(table) if joins_to_top(pa, pb))
-        )
-    return rows
+    width = len(_family_table(family, n))
+    masks = _family_masks(family, n)
+    columns = range(width)
+    return [
+        tuple(compress(columns, _mask_bits(masks[i], width)))
+        for i in range(start, stop)
+    ]
 
 
 def stream_matrix_rows(
@@ -185,8 +286,8 @@ def stream_matrix_rows(
 ) -> Iterator[Tuple[int, List[Tuple[int, ...]]]]:
     """Yield ``(start_row, rows)`` blocks of a family matrix in row order.
 
-    Rows are tuples of nonzero column indices, built straight from the
-    partition pairs -- the dense matrix never exists. Blocks are the
+    Rows are tuples of nonzero column indices, decoded from the
+    family's row bitmasks -- the dense matrix never exists. Blocks are the
     shards of a :class:`~repro.parallel.ShardPlan` over the row count
     (contiguous, balanced, deterministic), so the construction is
     embarrassingly parallel: with ``workers > 1`` the blocks are built

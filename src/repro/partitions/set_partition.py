@@ -209,9 +209,11 @@ def joins_to_top(pa: SetPartition, pb: SetPartition) -> bool:
     Equivalent to ``pa.join(pb).is_coarsest()`` but only counts
     components instead of constructing the join: union-find over the
     *blocks* of both partitions (element x merges its pa-block with its
-    pb-block), so the join is trivial iff one component remains. This
-    predicate is the per-cell work of the streamed M_n / E_n matrix
-    builders, where it runs Bell(n)^2 times.
+    pb-block), so the join is trivial iff one component remains. The
+    M_n / E_n builders do not call it per cell: they read the whole
+    matrix off the lattice's Möbius function
+    (:func:`repro.partitions.matrices._join_masks`), and the tests check
+    them against this predicate entrywise.
     """
     pa._check_ground(pb)
     n = pa.n

@@ -1,7 +1,7 @@
 """The streamed block pipeline == the dense pipeline, bit for bit.
 
-Streaming changes where rows live (sparse dicts built
-block-by-block from partition pairs) but not what they are: ranks,
+Streaming changes where rows live (sparse dicts decoded
+block-by-block from the row bitmasks) but not what they are: ranks,
 budget ticks, and worker-count invariance must all match the dense
 list-of-lists pipeline on every family, prime, and block size.
 Also covers the shared memoized enumeration and its cache-hit counter.

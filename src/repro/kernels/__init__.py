@@ -7,9 +7,9 @@ a silent fallback when the accelerator (numpy) is absent. This package
 generalizes that pattern to the paper's hot paths:
 
 * :mod:`repro.kernels.modp` -- batched mod-p rank over numpy int64
-  blocks (one argmax / one outer-product / one ``mod`` per pivot
-  instead of per-entry Python loops); the engine for every dense
-  matrix, at every prime (p = 2 included).
+  blocks (one argmax per pivot, then one chunked update + ``mod`` of
+  only the rows the pivot touches, instead of per-entry Python loops);
+  the engine for every dense matrix, at every prime (p = 2 included).
 * :mod:`repro.kernels.sparse` -- sparse mod-p rank on dict-of-columns
   rows; the engine of the streamed M_n / E_n pipeline
   (:func:`repro.partitions.streamed_matrix_rank_mod_p`), whose rows are

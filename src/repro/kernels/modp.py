@@ -1,22 +1,26 @@
 """Batched mod-p rank over numpy int64 row blocks.
 
-The reference engine eliminates entry by entry in Python; this kernel
-does one vectorized pivot search (``argmax`` over the nonzero mask of a
-column slice), one row normalization, and one whole-submatrix
-outer-product update + ``mod`` per pivot column. Compared to the
-masked-fancy-indexing numpy path it replaces (PR 1's
-``_rank_mod_p_numpy``), the outer-product update touches the trailing
-submatrix exactly once per pivot and never materializes boolean-mask
-copies.
+The reference engine eliminates entry by entry in Python. This kernel
+fills one int64 array row by row, then per pivot column does one
+vectorized pivot search (``flatnonzero`` down the column from the
+current pivot row) and one row normalization, and updates only the
+rows the pivot touches: the other nonzeros of that search. Those rows
+alone are gathered over ``a[:, col:]``, reduced by
+``factor x pivot_row`` and scattered back; everything left of ``col``
+is already zero below the pivot row. M_n empties fast under
+elimination, so most factors are zero and most rows are skipped. The
+gather runs in chunks of ``_CHUNK_ROWS`` rows, which keeps the
+temporaries at two chunk-sized blocks instead of one outer product the
+size of the trailing submatrix.
 
 Overflow safety, pinned by ``tests/kernels/test_modp.py``: entries stay
 in ``[0, p)`` after every update, and the intermediate
-``a - outer(col, pivot_row)`` is bounded by ``(p-1)^2`` in magnitude.
-For the largest default prime ``p = 2_147_483_647`` (the Mersenne prime
-``2^31 - 1``), ``(p-1)^2 = 2^62 - 2^33 + 4 < 2^63 - 1``, so the whole
-reduction fits signed int64 with headroom; :func:`batched_modp_supported`
-encodes exactly that bound and anything larger falls back to the
-pure-python reference.
+``block - outer(factors, pivot_row)`` is bounded by ``(p-1)^2`` in
+magnitude. For the largest default prime ``p = 2_147_483_647`` (the
+Mersenne prime ``2^31 - 1``), ``(p-1)^2 = 2^62 - 2^33 + 4 < 2^63 - 1``,
+so the whole reduction fits signed int64 with headroom;
+:func:`batched_modp_supported` encodes exactly that bound and anything
+larger falls back to the pure-python reference.
 
 Bit-identical contract: mod-p rank and the per-column pivot structure
 are mathematically determined, the column loop ticks the
@@ -44,6 +48,9 @@ HAVE_NUMPY = _np is not None
 
 #: Largest magnitude an intermediate may reach: (p-1)^2 + (p-1).
 _INT64_MAX = 2**63 - 1
+
+#: Rows gathered per update block; bounds the update's temporaries.
+_CHUNK_ROWS = 128
 
 
 def batched_modp_supported(p: int) -> bool:
@@ -73,33 +80,41 @@ def rank_mod_p_batched(
         raise RuntimeError(
             f"prime {p} overflows the int64 reduction; use the reference engine"
         )
-    a = _np.asarray(
-        [[int(x) % p for x in row] for row in matrix], dtype=_np.int64
-    )
-    if a.size == 0:
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0 or cols == 0:
         return 0
-    rows, cols = a.shape
+    a = _np.empty((rows, cols), dtype=_np.int64)
+    for i, row in enumerate(matrix):
+        try:
+            a[i] = row  # numpy converts each entry with int()
+        except OverflowError:
+            a[i] = [int(x) % p for x in row]
+    a %= p
     rank = 0
     pivot_row = 0
     for col in range(cols):
         if budget is not None:
             budget.tick()
-        col_slice = a[pivot_row:, col]
-        nonzero = col_slice != 0
-        if not nonzero.any():
+        nonzero = _np.flatnonzero(a[pivot_row:, col])
+        if not len(nonzero):
             continue
-        pivot = pivot_row + int(nonzero.argmax())
+        pivot = pivot_row + int(nonzero[0])
         if pivot != pivot_row:
             a[[pivot_row, pivot]] = a[[pivot, pivot_row]]
         inv = pow(int(a[pivot_row, col]), p - 2, p)
-        row_p = (a[pivot_row] * inv) % p
-        a[pivot_row] = row_p
-        below = a[pivot_row + 1 :]
-        if below.size:
-            factors = below[:, col]
-            # one outer product + one mod for the whole trailing block
-            below -= factors[:, None] * row_p[None, :]
-            below %= p
+        # rows below the pivot are zero left of ``col``: work on a[:, col:]
+        row_p = (a[pivot_row, col:] * inv) % p
+        a[pivot_row, col:] = row_p
+        # the swap moved a zero of this column to ``pivot``, so the rows
+        # the pivot touches are the other nonzeros found above
+        hits = nonzero[1:] + pivot_row
+        for start in range(0, len(hits), _CHUNK_ROWS):
+            idx = hits[start : start + _CHUNK_ROWS]
+            block = a[idx, col:]
+            block -= block[:, :1] * row_p
+            block %= p
+            a[idx, col:] = block
         pivot_row += 1
         rank += 1
         if pivot_row == rows:

@@ -1,16 +1,16 @@
 """Sparse mod-p rank kernel: dict-of-columns rows, reference pivot order.
 
 The dense engines (:mod:`repro.kernels.modp`, the python reference in
-:mod:`repro.partitions.linalg`) touch every cell of every row on every
-pivot, so a rank costs O(rows^2 x cols) regardless of how many entries
-are actually nonzero. This engine is the one the streamed M_n / E_n
-pipeline (:func:`repro.partitions.streamed_matrix_rank_mod_p`, ``ranks
+:mod:`repro.partitions.linalg`) skip the rows a pivot does not touch but
+store and update every cell of the rows it does. This engine is the one
+the streamed M_n / E_n pipeline
+(:func:`repro.partitions.streamed_matrix_rank_mod_p`, ``ranks
 --streamed on``) runs at every prime, p = 2 included: its rows arrive
-as column-index lists and are never materialized densely. M_n rows stay
-sparse *under elimination* (low fill-in), so the streamed rank of M_7
-beats the dense pipeline (EXPERIMENTS.md P10); the dense ``rank_mod_p``
-never routes here, because on dense inputs -- and even on 2%-dense
-random ones, which fill in -- the batched numpy engine wins.
+as column-index lists and are never materialized densely, which is
+what lets the streamed pipeline reach matrices the dense one cannot
+hold. It is not the faster engine on a matrix that fits: the batched
+numpy engine wins every family of the crossover table, M_n included
+(EXPERIMENTS.md P12), so the dense ``rank_mod_p`` never routes here.
 
 Rows are dicts ``{column: value}`` with every stored value in ``[1, p)``
 -- zeros are never stored, which is both the space saving and the O(1)

@@ -86,8 +86,8 @@ def connectivity_round_bound_certified(
 
     Builds M_n (B_n x B_n, read off the partition lattice's Möbius
     function: under a second up to n = 8) and runs the exact rank chain,
-    which is what bounds n -- seconds densely at n = 7, the streamed
-    pipeline past that; Theorem 2.3 guarantees the result equals
+    which is what bounds n -- under a second densely at n = 7, the
+    streamed pipeline past that; Theorem 2.3 guarantees the result equals
     :func:`connectivity_round_bound`'s closed-form row, and the tests
     pin that equality for every kernel. ``streamed`` is passed through
     to :func:`~repro.partitions.matrices.m_matrix_rank` (None = auto by

@@ -140,18 +140,18 @@ def _modp_engine(p: int, kernel: str) -> str:
     """The dense-matrix engine a (p, kernel) combination dispatches to.
 
     Each branch cites its rows of the crossover table in EXPERIMENTS.md
-    P10 (engine x matrix family x size, with and without numpy).
+    P12 (engine x matrix family x size, with and without numpy).
     """
     if resolve_kernel(kernel) == "reference":
         return "python"
     if batched_modp_supported(p):
-        # P10 rows e_matrix / random_dense / random_sparse at full size:
-        # numpy-batched is 3.5-19x faster than python and beats the
-        # sparse engine, which fills in (E_10: 3.3 s vs 15.7 s). Only
-        # m_matrix favours sparse; M_n gets it through ``--streamed on``.
+        # P12, every family at both sizes: numpy-batched is 2.3-26x
+        # faster than python and 1.3-31x faster than the sparse engine
+        # (M_7: 0.16 s vs 0.66 s; E_10, which fills in: 1.0 s vs 19 s).
         return "numpy-batched"
-    # P10 numpy-blocked rows: python is the reference itself. (Sparse
-    # beats it 1.1-1.9x there; routing to it is an open ROADMAP item.)
+    # P12 numpy-blocked rows: python is the reference itself. (Sparse
+    # beats it 1.3-2.7x on three of four families; routing to it is an
+    # open ROADMAP item.)
     return "python"
 
 

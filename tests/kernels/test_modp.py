@@ -5,6 +5,8 @@ engine there too, so the mod-2 collapse of the paper's matrices is
 pinned here.
 """
 
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
 from repro.kernels import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
+from repro.kernels.modp import _CHUNK_ROWS
 from repro.partitions import (
     DEFAULT_PRIMES,
+    bell_number,
     build_e_matrix,
     build_m_matrix,
     rank_bareiss,
@@ -22,6 +26,7 @@ from repro.partitions import (
     rank_mod_p,
     rank_multi_prime,
 )
+from repro.partitions.linalg import _rank_mod_p_python
 from repro.resilience import Budget
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
@@ -70,6 +75,16 @@ class TestOverflowSafetyAtMersenne:
         assert rank_mod_p(matrix, p, kernel="reference") == 3
         assert rank_bareiss(matrix) == 3
 
+    def test_entries_beyond_int64_reduce_like_the_reference(self):
+        # rows numpy cannot hold are reduced in Python before the fill
+        p = MERSENNE
+        matrix = [[2**70 + 3, -(2**80), 1], [5, 2**64, -7], [1, 2, 3]]
+        assert rank_mod_p_batched(matrix, p) == _rank_mod_p_python(matrix, p)
+        # both big entries are 1 mod p, so the rank is 1 only if the
+        # reduction is exact
+        ones = [(2**40 + 3) * p + 1, -(2**41) * p + 1]
+        assert rank_mod_p_batched([ones, [1, 1]], p) == 1
+
     def test_adversarial_update_hits_p_minus_1_squared(self):
         # eliminating row 2 computes 0 - (p-1) * inv(p-1)*(p-1) terms:
         # the raw outer-product intermediate is exactly -(p-1)^2.
@@ -79,6 +94,81 @@ class TestOverflowSafetyAtMersenne:
         assert rank_mod_p_batched(matrix, p) == 2
         assert rank_mod_p(matrix, p, kernel="reference") == 2
         assert rank_bareiss(matrix) == 2
+
+
+@needs_numpy
+class TestChunkedUpdate:
+    """Inputs whose first pivot touches more than ``_CHUNK_ROWS`` rows,
+    so the row-gather loop runs over several chunks."""
+
+    @staticmethod
+    def _ticked(engine, matrix, p):
+        budget = Budget(max_units=10**6)
+        return engine(matrix, p, budget), budget.units_done
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_m6_rank_and_ticks_equal_reference(self, p):
+        _parts, matrix = build_m_matrix(6)
+        # column 0 of M_n is all ones: the first pivot spans two chunks
+        assert len(matrix) - 1 > _CHUNK_ROWS
+        assert all(row[0] == 1 for row in matrix)
+        fast = self._ticked(rank_mod_p_batched, matrix, p)
+        assert fast == self._ticked(_rank_mod_p_python, matrix, p)
+        if p != 2:
+            assert fast[0] == bell_number(6)
+
+    @pytest.mark.parametrize("p", [2, 3, 1_000_003, MERSENNE])
+    def test_seeded_300x300_equals_reference(self, p):
+        rng = random.Random(17)
+        matrix = [
+            [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(299)]
+            for _ in range(300)
+        ]
+        assert self._ticked(rank_mod_p_batched, matrix, p) == self._ticked(
+            _rank_mod_p_python, matrix, p
+        )
+
+    def test_m6_budget_boundary_equals_reference(self):
+        _parts, matrix = build_m_matrix(6)
+        p = DEFAULT_PRIMES[0]
+        _rank, units = self._ticked(rank_mod_p_batched, matrix, p)
+        # a budget raises once its count reaches max_units: the run's
+        # unit count is the cutoff, one more completes
+        for engine in (rank_mod_p_batched, _rank_mod_p_python):
+            with pytest.raises(BudgetExceededError):
+                engine(matrix, p, Budget(max_units=units))
+            assert engine(matrix, p, Budget(max_units=units + 1)) == bell_number(6)
+
+    def test_every_chunk_holds_the_extreme_intermediate(self):
+        # the pivot row [1, p-1, 0] stays as is; each row [p-1, 0, 1] has
+        # factor p-1, so its middle entry is computed as 0 - (p-1)^2 in
+        # every chunk. The last row equals the correct reduced row
+        # [0, p-1, 1], so a wrapped value would show as rank 3.
+        p = MERSENNE
+        matrix = (
+            [[1, p - 1, 0]]
+            + [[p - 1, 0, 1]] * (2 * _CHUNK_ROWS + 43)
+            + [[0, p - 1, 1]]
+        )
+        assert rank_mod_p_batched(matrix, p) == 2
+        assert _rank_mod_p_python(matrix, p) == 2
+
+
+@needs_numpy
+def test_peak_memory_stays_near_the_array():
+    """Temporaries are two chunk-sized blocks, not a trailing-submatrix
+    outer product: on M_7 the traced peak inside the call stays within
+    1.5x the int64 array itself."""
+    _parts, matrix = build_m_matrix(7)
+    nbytes = len(matrix) * len(matrix[0]) * 8
+    tracemalloc.start()
+    try:
+        rank = rank_mod_p_batched(matrix, DEFAULT_PRIMES[0])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == len(matrix) == 877
+    assert peak <= 1.5 * nbytes
 
 
 class TestExhaustiveSmall:

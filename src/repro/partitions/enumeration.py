@@ -9,7 +9,8 @@ by the classic pair-the-smallest recursion, giving (n-1)!! partitions.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from functools import lru_cache
+from typing import Iterator, List, Optional, Tuple
 
 from repro.partitions.set_partition import SetPartition
 
@@ -69,36 +70,40 @@ def enumerate_perfect_matchings(n: int) -> Iterator[SetPartition]:
         yield SetPartition(n, blocks)
 
 
-def random_partition(n: int, rng: random.Random) -> SetPartition:
-    """A uniformly random set partition of [n].
-
-    Uses the RGS chain with exact suffix counts D[i][m] = number of ways to
-    extend an RGS prefix of length i whose running maximum is m; sampling
-    label j with probability D[i+1][max(m, j)] / D[i][m] is exactly uniform
-    over all B_n partitions.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be >= 1, got {n}")
-    # D[i][m]: completions of positions i..n-1 given current max label m
+@lru_cache(maxsize=None)
+def _suffix_counts(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """D[i][m]: completions of RGS positions i..n-1 given running max m."""
     D: List[List[int]] = [[0] * (n + 2) for _ in range(n + 1)]
     D[n] = [1] * (n + 2)
     for i in range(n - 1, 0, -1):
         for m in range(n + 1):
             # labels 0..m reuse the max; label m+1 raises it
             D[i][m] = (m + 1) * D[i + 1][m] + D[i + 1][m + 1]
+    return tuple(tuple(row) for row in D)
+
+
+def random_partition(n: int, rng: random.Random) -> SetPartition:
+    """A uniformly random set partition of [n].
+
+    Uses the RGS chain with exact suffix counts D[i][m] = number of ways to
+    extend an RGS prefix of length i whose running maximum is m; sampling
+    label j with probability D[i+1][max(m, j)] / D[i][m] is exactly uniform
+    over all B_n partitions. The table depends only on n and is built
+    once per n; each draw makes n - 1 ``rng.randrange`` calls.
+    """
+    if n <= 0:
+        raise ValueError(f"n must be >= 1, got {n}")
+    D = _suffix_counts(n)
     rgs = [0] * n
     m = 0
     for i in range(1, n):
-        total = D[i][m]
-        pick = rng.randrange(total)
-        acc = 0
-        for label in range(m + 2):
-            weight = D[i + 1][max(m, label)]
-            acc += weight
-            if pick < acc:
-                rgs[i] = label
-                m = max(m, label)
-                break
+        pick = rng.randrange(D[i][m])
+        # Labels 0..m each weigh D[i+1][m], so the cumulative walk lands
+        # on pick // D[i+1][m]; the remaining D[i+1][m+1] picks open m+1.
+        label = pick // D[i + 1][m]
+        if label > m:
+            label = m = m + 1
+        rgs[i] = label
     return SetPartition.from_rgs(rgs)
 
 

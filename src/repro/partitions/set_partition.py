@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.errors import PartitionError
-from repro.graphs.components import UnionFind
 
 Block = Tuple[int, ...]
 
@@ -49,10 +48,24 @@ class SetPartition:
             raise PartitionError(f"blocks do not cover the ground set; missing {missing}")
         cleaned.sort(key=lambda b: b[0])
         self._blocks: Tuple[Block, ...] = tuple(cleaned)
-        self._block_of: Dict[int, int] = {}
-        for i, b in enumerate(self._blocks):
-            for x in b:
-                self._block_of[x] = i
+        self._block_of: Dict[int, int] = {
+            x: i for i, b in enumerate(self._blocks) for x in b
+        }
+
+    @classmethod
+    def _canonical(cls, n: int, blocks: Tuple[Block, ...]) -> "SetPartition":
+        """Trusted constructor for blocks that are already canonical.
+
+        ``blocks`` must cover [n] exactly once, each block ascending, the
+        blocks ordered by minimum. Nothing is checked: the public
+        constructor validates, and internal callers that build canonical
+        blocks by construction skip that cost.
+        """
+        self = object.__new__(cls)
+        self._n = n
+        self._blocks = blocks
+        self._block_of = {x: i for i, b in enumerate(blocks) for x in b}
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -70,12 +83,18 @@ class SetPartition:
     @staticmethod
     def from_rgs(rgs: Sequence[int]) -> "SetPartition":
         """From a restricted growth string: rgs[i] is the block index of
-        element i+1 (0-based block labels in order of first appearance)."""
-        n = len(rgs)
+        element i+1 (0-based block labels in order of first appearance).
+
+        Any label sequence is accepted: elements with equal labels share a
+        block. Grouping in element order by first label appearance yields
+        ascending blocks ordered by minimum, which is already canonical.
+        """
         blocks: Dict[int, List[int]] = {}
-        for i, label in enumerate(rgs):
-            blocks.setdefault(label, []).append(i + 1)
-        return SetPartition(n, blocks.values())
+        for x, label in enumerate(rgs, 1):
+            blocks.setdefault(label, []).append(x)
+        return SetPartition._canonical(
+            len(rgs), tuple([tuple(b) for b in blocks.values()])
+        )
 
     @staticmethod
     def from_string(n: int, text: str) -> "SetPartition":
@@ -126,15 +145,13 @@ class SetPartition:
         return all(len(b) == 2 for b in self._blocks)
 
     def rgs(self) -> Tuple[int, ...]:
-        """The restricted growth string of this partition."""
-        label: Dict[int, int] = {}
-        out = []
-        for x in range(1, self._n + 1):
-            block_index = self._block_of[x]
-            if block_index not in label:
-                label[block_index] = len(label)
-            out.append(label[block_index])
-        return tuple(out)
+        """The restricted growth string of this partition.
+
+        Blocks are ordered by minimum, so a block's index is its label in
+        order of first appearance.
+        """
+        block_of = self._block_of
+        return tuple([block_of[x] for x in range(1, self._n + 1)])
 
     # ------------------------------------------------------------------
     # lattice operations
@@ -151,17 +168,38 @@ class SetPartition:
     def join(self, other: "SetPartition") -> "SetPartition":
         """P ∨ P': the finest common coarsening.
 
-        Implemented as connected components of the relation "same block in
-        either partition" -- the reachability characterization proved in
-        Theorem 4.3.
+        The blocks are the connected components of the relation "same
+        block in either partition" -- the reachability characterization
+        proved in Theorem 4.3. A union-find over the int list 1..n links
+        every root under the smaller one, so each root is its
+        component's minimum; grouping the elements in ascending order by
+        root then yields canonical blocks directly.
         """
         self._check_ground(other)
-        uf = UnionFind(range(1, self._n + 1))
+        n = self._n
+        # parent[x] <= x throughout: a root is linked under a smaller one.
+        parent = list(range(n + 1))
         for partition in (self, other):
-            for block in partition.blocks:
-                for x in block[1:]:
-                    uf.union(block[0], x)
-        return SetPartition(self._n, uf.components())
+            for block in partition._blocks:
+                ra = block[0]
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                for rb in block[1:]:
+                    while parent[rb] != rb:
+                        rb = parent[rb]
+                    if rb < ra:
+                        parent[ra] = ra = rb
+                    elif ra < rb:
+                        parent[rb] = ra
+        # In ascending x, parent[x]'s root is already resolved.
+        groups: Dict[int, List[int]] = {}
+        for x in range(1, n + 1):
+            root = parent[x] = parent[parent[x]]
+            if root == x:
+                groups[x] = [x]
+            else:
+                groups[root].append(x)
+        return SetPartition._canonical(n, tuple([tuple(g) for g in groups.values()]))
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """P ∧ P': the coarsest common refinement (blockwise intersections)."""

@@ -32,7 +32,7 @@ class Turn:
     def __post_init__(self) -> None:
         if self.speaker not in (ALICE, BOB):
             raise ProtocolError(f"unknown speaker {self.speaker!r}")
-        if any(c not in "01" for c in self.bits):
+        if self.bits.strip("01"):
             raise ProtocolError(f"message {self.bits!r} is not a bit string")
 
 

@@ -9,32 +9,38 @@ Partition at Theta(n log n).
 
 from __future__ import annotations
 
-import math
 from typing import Any, List, Optional
 
-from repro.algorithms.bit_codec import decode_fixed, encode_fixed
 from repro.partitions.set_partition import SetPartition, joins_to_top
 from repro.twoparty.protocol import ALICE, BOB, TwoPartyProtocol, Turn
 
 
 def rgs_bit_width(n: int) -> int:
-    """Bits per RGS entry: block labels are < n."""
-    return max(1, math.ceil(math.log2(max(2, n))))
+    """Bits per RGS entry: block labels are < n, so ceil(log2 n) (at least 1)."""
+    return (max(2, n) - 1).bit_length()
 
 
 def encode_partition(p: SetPartition) -> str:
-    """Fixed-width encoding of a partition via its RGS: n * ceil(log n) bits."""
-    w = rgs_bit_width(p.n)
-    return "".join(encode_fixed(label, w) for label in p.rgs())
+    """Fixed-width encoding of a partition via its RGS: n * ceil(log n) bits.
+
+    RGS labels are < n <= 2^w, so every label fits its w-bit field.
+    """
+    fmt = f"0{rgs_bit_width(p.n)}b"
+    return "".join([format(label, fmt) for label in p.rgs()])
 
 
 def decode_partition(n: int, bits: str) -> SetPartition:
-    """Inverse of :func:`encode_partition`."""
+    """Inverse of :func:`encode_partition`.
+
+    Raises ValueError on a wrong length or on any character other than
+    0/1 (``int(..., 2)`` alone would accept whitespace and underscores).
+    """
     w = rgs_bit_width(n)
     if len(bits) != n * w:
         raise ValueError(f"expected {n * w} bits, got {len(bits)}")
-    rgs = [decode_fixed(bits[i * w : (i + 1) * w]) for i in range(n)]
-    return SetPartition.from_rgs(rgs)
+    if bits.strip("01"):
+        raise ValueError(f"not a bit string: {bits!r}")
+    return SetPartition.from_rgs([int(bits[i : i + w], 2) for i in range(0, n * w, w)])
 
 
 class TrivialPartitionProtocol(TwoPartyProtocol):

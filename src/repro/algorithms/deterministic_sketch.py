@@ -233,7 +233,8 @@ class MT16Connectivity(NodeAlgorithm):
             sorted(knowledge.input_ports), self._d
         ).encode_bits()
         self._total_rounds = math.ceil(len(self._payload) / knowledge.bandwidth)
-        self._incoming: Dict[int, List[str]] = {vid: [] for vid in self._all_ids}
+        # Each round's port -> bits mapping; in KT-1 ports are sender IDs.
+        self._rounds: List[Mapping[int, str]] = []
         self._edges: Optional[Set[Tuple[int, int]]] = None
         self._failed = False
 
@@ -246,8 +247,7 @@ class MT16Connectivity(NodeAlgorithm):
     def receive(self, round_index: int, messages: Mapping[int, str]) -> None:
         if self._edges is not None or self._failed:
             return
-        for sender, bits in messages.items():
-            self._incoming[sender].append(bits)
+        self._rounds.append(messages)
         if round_index == self._total_rounds:
             self._finish()
 
@@ -258,7 +258,7 @@ class MT16Connectivity(NodeAlgorithm):
             if vid == me:
                 sketches[vid] = NeighborhoodSketch.decode_bits(self._payload, self._d)
             else:
-                bits = "".join(self._incoming[vid])[: len(self._payload)]
+                bits = "".join([r[vid] for r in self._rounds])[: len(self._payload)]
                 sketches[vid] = NeighborhoodSketch.decode_bits(bits, self._d)
         edges = peel_sketches(sketches, self._all_ids, self._d)
         if edges is None:

@@ -56,7 +56,7 @@ class BCCModel:
             raise AlgorithmContractError(
                 f"message {message!r} exceeds bandwidth b={self.bandwidth}"
             )
-        if any(c not in "01" for c in message):
+        if message.strip("01"):
             raise AlgorithmContractError(
                 f"message {message!r} contains characters outside {{0, 1}}"
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.algorithm import AlgorithmFactory, NodeAlgorithm
 from repro.core.instance import BCCInstance
@@ -122,7 +122,7 @@ class Simulator:
     start, round and run end and hands it to every observer; with no
     sink on, each hook costs one empty-tuple check.
 
-    Fault injection is likewise opt-in and costs one ``None`` check per
+    Fault injection is likewise opt-in and costs a few ``None`` checks per
     round when disabled: pass ``faults`` (a
     :class:`repro.resilience.FaultPlan`) here or per-run to execute under
     a deterministic adversarial channel (bit flips, erasures, crash-stops
@@ -185,8 +185,8 @@ class Simulator:
         ``faults`` (default: the plan given at construction, usually None)
         runs the execution under a deterministic adversarial channel: the
         plan is applied between broadcast and delivery each round, so
-        per-receiver views can diverge. With no plan the clean path is a
-        single ``None`` check per round.
+        per-receiver views can diverge. With no plan the clean path costs a
+        few ``None`` checks per round.
 
         ``network`` (default: the plan given at construction) routes
         delivery through per-edge :class:`repro.net.Channel` objects --
@@ -233,11 +233,15 @@ class Simulator:
     ) -> RunResult:
         """The round engine proper (observers already resolved).
 
-        Adversarial executions (any fault or network plan) route every
-        delivery through a :class:`repro.net.NetworkManager`; a bare
-        fault plan rides in a *pristine* network plan, whose manager
-        allocates no channels and adds no RNG draws, keeping faults-only
-        runs bit-identical to the pre-channel-layer engine.
+        Clean and adversarial executions share one round loop. Each round
+        produces ``rows``, where ``rows[v][u]`` is sender u's message as
+        receiver v gets it: the broadcasts themselves in a clean run, one
+        :meth:`repro.net.NetworkManager.deliver_round` call in an
+        adversarial one (any fault or network plan). A bare fault plan
+        rides in a *pristine* network plan, whose manager allocates no
+        channels and adds no RNG draws, keeping faults-only runs
+        bit-identical to the pre-channel-layer engine. Receivers read
+        ``rows`` through a port table built once per run.
         """
         n = instance.n
         if net_plan is not None:
@@ -274,6 +278,12 @@ class Simulator:
 
         transcripts = [Transcript() for _ in range(n)]
         history: List[Tuple[str, ...]] = []
+        # Each receiver's (port, sender) pairs, sender ascending: the key
+        # order of every ``received`` dict, looked up once per run.
+        port_rows = [
+            [(instance.port_to_peer(v, u), u) for u in range(n) if u != v]
+            for v in range(n)
+        ]
 
         executed = 0
         total_bits = 0
@@ -288,70 +298,62 @@ class Simulator:
                 round_start = time.perf_counter()
                 for observer in observers:
                     observer.phase(t, "broadcast")
-            if net_run is None:
-                # The clean hot path: identical to the pre-resilience engine.
-                messages = tuple(
-                    self._model.validate_message(nodes[v].broadcast(t)) for v in range(n)
-                )
-            else:
-                # Adversarial channel. A node choking on corrupted input is
-                # part of the degradation being measured, not a simulator
-                # bug: any exception a node raises while computing against
-                # faulty messages fail-stops that node (silent forever,
-                # output None) instead of killing the execution.
-                collected: List[str] = []
-                for v in range(n):
-                    if v in failed_nodes:
-                        collected.append("")
-                        continue
-                    try:
-                        collected.append(
-                            self._model.validate_message(nodes[v].broadcast(t))
-                        )
-                    except Exception:
-                        failed_nodes.add(v)
-                        collected.append("")
-                # Sender-side faults (crash-stop) first, then the per-edge
-                # delivery pipeline (fault filter, then channel) so
+            # One loop for clean and adversarial rounds. Under an
+            # adversarial channel a node choking on corrupted input is
+            # part of the degradation being measured, not a simulator bug:
+            # any exception a node raises fail-stops that node (silent
+            # forever, output None) instead of killing the execution. In
+            # clean runs node exceptions propagate, and ``failed_nodes``
+            # stays empty.
+            collected: List[str] = []
+            for v in range(n):
+                if v in failed_nodes:
+                    collected.append("")
+                    continue
+                try:
+                    collected.append(self._model.validate_message(nodes[v].broadcast(t)))
+                except Exception:
+                    if net_run is None:
+                        raise
+                    failed_nodes.add(v)
+                    collected.append("")
+            messages = tuple(collected)
+            if net_run is not None:
+                # Sender-side faults (crash-stop) first, then the round's
+                # delivery pipeline (fault filter, then channels) so
                 # port-level views can diverge.
-                messages = net_run.filter_broadcasts(t, tuple(collected))
+                messages = net_run.filter_broadcasts(t, messages)
             history.append(messages)
             for observer in observers:
                 observer.phase(t, "deliver")
-            if net_run is None:
-                for v in range(n):
-                    received: Dict[int, str] = {}
-                    for u in range(n):
-                        if u == v:
-                            continue
-                        received[instance.port_to_peer(v, u)] = messages[u]
-                    nodes[v].receive(t, received)
-                    transcripts[v].append(RoundRecord(sent=messages[v], received=received))
-                done = all(node.finished() for node in nodes)
-            else:
-                for v in range(n):
-                    received = {}
-                    for u in range(n):
-                        if u == v:
-                            continue
-                        received[instance.port_to_peer(v, u)] = (
-                            net_run.deliver(t, u, v, messages[u])
-                        )
-                    if v not in failed_nodes:
-                        try:
-                            nodes[v].receive(t, received)
-                        except Exception:
-                            failed_nodes.add(v)
-                    transcripts[v].append(RoundRecord(sent=messages[v], received=received))
-                done = True
-                for v in range(n):
-                    if v in failed_nodes:
-                        continue  # a failed node makes no further progress
+            # rows[v][u]: sender u's message as receiver v gets it.
+            rows: List[Sequence[str]] = (
+                [messages] * n if net_run is None else net_run.deliver_round(t, messages)
+            )
+            for v in range(n):
+                row = rows[v]
+                received = {port: row[u] for port, u in port_rows[v]}
+                if v not in failed_nodes:
                     try:
-                        if not nodes[v].finished():
-                            done = False
+                        nodes[v].receive(t, received)
                     except Exception:
+                        if net_run is None:
+                            raise
                         failed_nodes.add(v)
+                transcripts[v].append(RoundRecord(sent=messages[v], received=received))
+            done = True
+            for v in range(n):
+                if v in failed_nodes:
+                    continue  # a failed node makes no further progress
+                try:
+                    if not nodes[v].finished():
+                        done = False
+                        if net_run is None:
+                            break  # clean runs ask no further node, as all() would
+                except Exception:
+                    if net_run is None:
+                        raise
+                    failed_nodes.add(v)
             executed = t
             if observers:
                 for observer in observers:
@@ -394,20 +396,19 @@ class Simulator:
                 observer.run_end(end)
             cost_summary = end.cost_summary
 
-        if net_run is None:
-            outputs = tuple(nodes[v].output() for v in range(n))
-        else:
-            collected_out: List[Any] = []
-            for v in range(n):
-                if v in failed_nodes:
-                    collected_out.append(None)
-                    continue
-                try:
-                    collected_out.append(nodes[v].output())
-                except Exception:
-                    failed_nodes.add(v)
-                    collected_out.append(None)
-            outputs = tuple(collected_out)
+        collected_out: List[Any] = []
+        for v in range(n):
+            if v in failed_nodes:
+                collected_out.append(None)
+                continue
+            try:
+                collected_out.append(nodes[v].output())
+            except Exception:
+                if net_run is None:
+                    raise
+                failed_nodes.add(v)
+                collected_out.append(None)
+        outputs = tuple(collected_out)
         return RunResult(
             instance=instance,
             outputs=outputs,

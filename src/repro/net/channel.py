@@ -2,7 +2,8 @@
 
 This is the delivery layer extracted from ``Simulator._execute``: every
 ordered pair of vertices gets a :class:`Channel`, and a
-:class:`NetworkManager` applies the run's delivery pipeline per copy::
+:class:`NetworkManager` applies the run's delivery pipeline to each
+round's copies in one call::
 
     broadcast --> fault filter (FaultRun, unchanged RNG stream)
               --> channel transmit (delay / duplicate / reorder queues)
@@ -14,17 +15,17 @@ fault layer, so pre-refactor faulted executions stay bit-identical and
 the clean path stays channel-free entirely.
 
 RNG discipline mirrors :class:`~repro.resilience.faults.FaultRun`: one
-``random.Random(plan.seed)`` on the manager, consumed in fixed
-(round, receiver, sender) order -- the exact order the simulator visits
-deliveries -- with a fixed number of draws per non-silent transmission,
-so the delivery schedule is a pure function of (plan, traffic).
+``random.Random(plan.seed)`` on the manager, consumed in fixed (round,
+receiver, sender) order with a fixed number of draws per non-silent
+transmission, so the delivery schedule is a pure function of (plan,
+traffic).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.plan import NetworkEvent, NetworkPlan
 from repro.resilience.faults import FaultRun
@@ -220,10 +221,12 @@ class Channel:
 class NetworkManager:
     """Per-run delivery state: fault filter first, channels second.
 
-    Created by :meth:`repro.net.NetworkPlan.begin_run`. ``fault_run`` may
-    be ``None`` (pure delivery policy, no corruption); channels exist
-    only for non-pristine plans, so a pristine manager is a thin shim
-    over the fault layer with zero extra RNG draws.
+    Created by :meth:`repro.net.NetworkPlan.begin_run`; the simulator
+    calls :meth:`filter_broadcasts` and then :meth:`deliver_round` once
+    per round. ``fault_run`` may be ``None`` (pure delivery policy, no
+    corruption); channels exist only for non-pristine plans, so a
+    pristine manager is a thin shim over the fault layer with zero extra
+    RNG draws.
     """
 
     __slots__ = ("plan", "n", "fault_run", "events", "_rng", "_channels")
@@ -249,15 +252,33 @@ class NetworkManager:
             return messages
         return self.fault_run.filter_broadcasts(t, messages)
 
-    def deliver(self, t: int, sender: int, receiver: int, message: str) -> str:
-        """One (sender, receiver) copy through the full delivery pipeline."""
-        if self.fault_run is not None:
-            message = self.fault_run.filter_delivery(t, sender, receiver, message)
+    def deliver_round(self, t: int, messages: Tuple[str, ...]) -> List[Sequence[str]]:
+        """Every copy of the round's broadcasts through the full pipeline.
+
+        Returns ``rows`` with ``rows[v][u]`` the message receiver v gets
+        from sender u. The fault filter runs over the whole round first,
+        then each edge's channel in (receiver, sender) order. The two
+        stages own separate RNG streams and event lists, so each stream
+        sees the same draws, and each list the same events, as when the
+        stages alternated copy by copy.
+        """
+        if self.fault_run is None:
+            rows: List[Sequence[str]] = [messages] * self.n
+        else:
+            rows = self.fault_run.filter_round(t, messages)
         if self._channels is None:
-            return message
-        return self._channels[sender][receiver].transmit(
-            t, message, self.plan, self._rng, self.events
-        )
+            return rows
+        plan, rng, events, channels = self.plan, self._rng, self.events, self._channels
+        delivered: List[Sequence[str]] = []
+        for receiver, row in enumerate(rows):
+            out = list(row)
+            for sender in range(self.n):
+                if sender != receiver:
+                    out[sender] = channels[sender][receiver].transmit(
+                        t, row[sender], plan, rng, events
+                    )
+            delivered.append(out)
+        return delivered
 
     def finish(self, final_round: int) -> None:
         """Close the run: record every still-queued copy as dropped."""

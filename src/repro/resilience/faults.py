@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 
@@ -255,11 +255,12 @@ class FaultPlan:
 class FaultRun:
     """Mutable per-execution fault state; created by ``FaultPlan.begin_run``.
 
-    The simulator calls :meth:`filter_broadcasts` once per round (sender-
-    side faults: crash-stop) and :meth:`filter_delivery` once per
-    (sender, receiver) pair (delivery faults: bit flips and erasures), in
-    fixed index order. All RNG consumption happens in that order, which is
-    what makes runs bit-reproducible under a fixed seed.
+    The simulator calls :meth:`filter_broadcasts` (sender-side faults:
+    crash-stop) and then :meth:`filter_round` (delivery faults: bit flips
+    and erasures) once per round. Each walks its vertices or (receiver,
+    sender) copies in fixed index order, and all RNG consumption happens
+    in that order, which is what makes runs bit-reproducible under a
+    fixed seed.
     """
 
     __slots__ = ("plan", "n", "_rng", "_crashed", "_crashes_injected", "events", "_by_round")
@@ -331,54 +332,111 @@ class FaultRun:
             out[v] = ""
         return tuple(out)
 
-    def filter_delivery(self, t: int, sender: int, receiver: int, message: str) -> str:
-        """Apply delivery faults to one (sender, receiver) copy of a message."""
+    def filter_round(self, t: int, messages: Tuple[str, ...]) -> List[Sequence[str]]:
+        """Apply delivery faults to every copy of the round's broadcasts.
+
+        Returns ``rows``: ``rows[v][u]`` is sender u's message as receiver
+        v gets it (``rows[v][v]`` is v's own broadcast, never delivered).
+        Copies are ordered receiver-major, then sender, both ascending --
+        the fixed order every RNG draw and event follows. A round that
+        cannot fault a copy (no scheduled delivery fault and no rate in
+        force) makes no draws and returns ``[messages] * n``.
+
+        Each copy takes a fixed number of rate draws whatever its message
+        (one for erasure, two for a bit flip), so the round's draws are
+        taken up front, in copy order, and only the copies a fault can
+        reach are visited: those a scheduled fault targets and those
+        whose erasure or bit-flip draw fires. A scheduled bit flip past
+        the end of its message raises :class:`FaultInjectionError` after
+        the round's draws; the error ends the run, so nothing reads the
+        RNG state it leaves.
+        """
         plan = self.plan
-        delivered = message
-        # explicit scheduled faults targeting this delivery
-        for fault in self._by_round.get(t, ()):
-            if fault.kind == "crash" or fault.vertex != sender:
-                continue
-            if fault.receiver is not None and fault.receiver != receiver:
-                continue
-            if fault.kind == "erasure":
-                if delivered != "":
-                    self.events.append(
-                        FaultEvent(t, "erasure", sender, receiver, delivered, "", True)
-                    )
-                    delivered = ""
-            else:  # bit_flip
-                if fault.bit_index >= len(delivered):
-                    raise FaultInjectionError(
-                        f"scheduled bit_flip at round {t} targets bit "
-                        f"{fault.bit_index} of message {delivered!r} from "
-                        f"vertex {sender} (message too short)"
-                    )
-                flipped = _flip(delivered, fault.bit_index)
-                self.events.append(
-                    FaultEvent(t, "bit_flip", sender, receiver, delivered, flipped, True)
-                )
-                delivered = flipped
-        # rate-driven faults; RNG draws happen unconditionally (fixed count
-        # per delivery) so the stream stays aligned whatever the messages are
+        n = self.n
+        scheduled = [f for f in self._by_round.get(t, ()) if f.kind != "crash"]
+        erasure_rate = bit_flip_rate = 0.0
         if self._in_window(t):
-            if plan.erasure_rate > 0.0:
-                if self._rng.random() < plan.erasure_rate and delivered != "":
-                    self.events.append(
+            erasure_rate = plan.erasure_rate
+            bit_flip_rate = plan.bit_flip_rate
+        if not scheduled and erasure_rate == 0.0 and bit_flip_rate == 0.0:
+            return [messages] * n
+        rand = self._rng.random
+        per_copy = (erasure_rate > 0.0) + 2 * (bit_flip_rate > 0.0)
+        draws = [rand() for _ in range(per_copy * n * (n - 1))]
+        # Copy c is (receiver, sender) = (c // (n - 1), the (c % (n - 1))-th
+        # other vertex); its draws are draws[c * per_copy:(c + 1) * per_copy].
+        hot = set()
+        if erasure_rate > 0.0:
+            hot.update(
+                c for c, draw in enumerate(draws[::per_copy]) if draw < erasure_rate
+            )
+        if bit_flip_rate > 0.0:
+            hot.update(
+                c
+                for c, draw in enumerate(draws[per_copy - 2 :: per_copy])
+                if draw < bit_flip_rate
+            )
+        for fault in scheduled:
+            sender = fault.vertex
+            receivers = range(n) if fault.receiver is None else (fault.receiver,)
+            hot.update(
+                receiver * (n - 1) + sender - (sender > receiver)
+                for receiver in receivers
+                if receiver != sender
+            )
+        events = self.events
+        rows: List[Sequence[str]] = [messages] * n
+        for c in sorted(hot):
+            receiver, offset = divmod(c, n - 1)
+            sender = offset + (offset >= receiver)
+            delivered = messages[sender]
+            # explicit scheduled faults targeting this delivery
+            for fault in scheduled:
+                if fault.vertex != sender:
+                    continue
+                if fault.receiver is not None and fault.receiver != receiver:
+                    continue
+                if fault.kind == "erasure":
+                    if delivered != "":
+                        events.append(
+                            FaultEvent(t, "erasure", sender, receiver, delivered, "", True)
+                        )
+                        delivered = ""
+                else:  # bit_flip
+                    if fault.bit_index >= len(delivered):
+                        raise FaultInjectionError(
+                            f"scheduled bit_flip at round {t} targets bit "
+                            f"{fault.bit_index} of message {delivered!r} from "
+                            f"vertex {sender} (message too short)"
+                        )
+                    flipped = _flip(delivered, fault.bit_index)
+                    events.append(
+                        FaultEvent(t, "bit_flip", sender, receiver, delivered, flipped, True)
+                    )
+                    delivered = flipped
+            # rate-driven faults, read off this copy's draws
+            at = c * per_copy
+            if erasure_rate > 0.0:
+                if draws[at] < erasure_rate and delivered != "":
+                    events.append(
                         FaultEvent(t, "erasure", sender, receiver, delivered, "")
                     )
                     delivered = ""
-            if plan.bit_flip_rate > 0.0:
-                draw = self._rng.random()
-                pick = self._rng.random()
-                if draw < plan.bit_flip_rate and delivered:
+                at += 1
+            if bit_flip_rate > 0.0:
+                draw, pick = draws[at], draws[at + 1]
+                if draw < bit_flip_rate and delivered:
                     index = int(pick * len(delivered))
                     flipped = _flip(delivered, min(index, len(delivered) - 1))
-                    self.events.append(
+                    events.append(
                         FaultEvent(t, "bit_flip", sender, receiver, delivered, flipped)
                     )
                     delivered = flipped
-        return delivered
+            row = rows[receiver]
+            if row is messages:
+                row = rows[receiver] = list(messages)
+            row[sender] = delivered
+        return rows
 
     # ------------------------------------------------------------------
     def rng_digest(self) -> str:

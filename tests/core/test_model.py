@@ -48,6 +48,18 @@ class TestMessageValidation:
         with pytest.raises(AlgorithmContractError):
             BCC1_KT0.validate_message(1)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("message", ["0x1", "1 0", "2", "\u00e9"])
+    def test_rejects_any_character_outside_01(self, message):
+        with pytest.raises(AlgorithmContractError) as excinfo:
+            BCCModel(bandwidth=4).validate_message(message)
+        assert str(excinfo.value) == (
+            f"message {message!r} contains characters outside {{0, 1}}"
+        )
+
+    @pytest.mark.parametrize("message", ["", "0", "1"])
+    def test_accepts_silence_and_single_bits(self, message):
+        assert BCCModel(bandwidth=4).validate_message(message) == message
+
     def test_wide_bandwidth(self):
         m = BCCModel(bandwidth=4)
         assert m.validate_message("0101") == "0101"

@@ -210,3 +210,77 @@ class TestAccounting:
         inst = BCCInstance.kt0_from_graph(one_cycle(4))
         res = Simulator(BCC1_KT0).run(inst, factory, 1)
         assert decision_of_run(res) == NO
+
+
+class _Raises(NodeAlgorithm):
+    """Vertex index 0 raises from the named hook once round 1 is under way."""
+
+    hook = "receive"
+
+    def setup(self, knowledge):
+        super().setup(knowledge)
+        self.raises = knowledge.vertex_id == 0
+        self.started = False
+
+    def _maybe_raise(self, name):
+        if self.raises and self.started and name == self.hook:
+            raise RuntimeError(f"{name} failed")
+
+    def broadcast(self, t):
+        self.started = True
+        self._maybe_raise("broadcast")
+        return "1"
+
+    def receive(self, t, messages):
+        self._maybe_raise("receive")
+
+    def finished(self):
+        self._maybe_raise("finished")
+        return False
+
+    def output(self):
+        self._maybe_raise("output")
+        return YES
+
+
+class TestNodeExceptions:
+    """Clean runs propagate node exceptions; adversarial runs fail-stop."""
+
+    HOOKS = ["broadcast", "receive", "finished", "output"]
+
+    @staticmethod
+    def _factory(hook):
+        return type(f"Raises_{hook}", (_Raises,), {"hook": hook})
+
+    @pytest.mark.parametrize("hook", HOOKS)
+    def test_clean_run_propagates(self, hook):
+        inst = BCCInstance.kt0_from_graph(one_cycle(4))
+        with pytest.raises(RuntimeError, match=f"{hook} failed"):
+            Simulator(BCC1_KT0).run(inst, self._factory(hook), 2)
+
+    @pytest.mark.parametrize("hook", HOOKS)
+    def test_adversarial_run_fail_stops_the_node(self, hook):
+        from repro.resilience import FaultPlan
+
+        inst = BCCInstance.kt0_from_graph(one_cycle(4))
+        res = Simulator(BCC1_KT0).run(inst, self._factory(hook), 2, faults=FaultPlan())
+        assert res.failed_vertices == (0,)
+        assert res.outputs == (None, YES, YES, YES)
+        assert res.rounds_executed == 2
+        # a failed node is silent from the next broadcast on
+        expected = {"broadcast": ("", ""), "output": ("1", "1")}.get(hook, ("1", ""))
+        assert tuple(messages[0] for messages in res.broadcast_history) == expected
+
+
+def test_port_table_is_built_once_per_run(monkeypatch):
+    calls = []
+    original = BCCInstance.port_to_peer
+
+    def counting(self, v, u):
+        calls.append((v, u))
+        return original(self, v, u)
+
+    monkeypatch.setattr(BCCInstance, "port_to_peer", counting)
+    inst = BCCInstance.kt1_from_graph(one_cycle(5))
+    Simulator(BCC1_KT1).run(inst, EchoDegree, 6)
+    assert sorted(calls) == [(v, u) for v in range(5) for u in range(5) if u != v]

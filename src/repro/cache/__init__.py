@@ -7,32 +7,34 @@ writes follow the session-log durability contract (retried, rolled
 back, atomically published).
 """
 
-from repro.cache.keys import (
-    CACHE_KEY_VERSION,
-    canonical_json,
-    code_fingerprint,
-    fingerprint_modules,
-    item_key,
-    kind_fingerprint,
-    payload_digest,
-    request_key,
-    shard_key,
-)
-from repro.cache.shards import ShardCache
-from repro.cache.store import CACHE_VERSION, CacheError, ResultCache
+# Every name is re-exported lazily (PEP 562), so reading a constant of
+# the store does not load the key derivation, and vice versa.
+_LAZY_EXPORTS = {
+    "CACHE_KEY_VERSION": "repro.cache.keys",
+    "canonical_json": "repro.cache.keys",
+    "code_fingerprint": "repro.cache.keys",
+    "fingerprint_modules": "repro.cache.keys",
+    "item_key": "repro.cache.keys",
+    "kind_fingerprint": "repro.cache.keys",
+    "payload_digest": "repro.cache.keys",
+    "request_key": "repro.cache.keys",
+    "shard_key": "repro.cache.keys",
+    "ShardCache": "repro.cache.shards",
+    "CACHE_VERSION": "repro.cache.store",
+    "CacheError": "repro.cache.store",
+    "ResultCache": "repro.cache.store",
+}
 
-__all__ = [
-    "CACHE_KEY_VERSION",
-    "CACHE_VERSION",
-    "CacheError",
-    "ResultCache",
-    "ShardCache",
-    "canonical_json",
-    "code_fingerprint",
-    "fingerprint_modules",
-    "item_key",
-    "kind_fingerprint",
-    "payload_digest",
-    "request_key",
-    "shard_key",
-]
+
+def __getattr__(name):
+    module_name = _LAZY_EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: __getattr__ only fires on misses
+    return value
+
+
+__all__ = sorted(_LAZY_EXPORTS)

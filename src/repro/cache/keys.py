@@ -280,7 +280,6 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.net",
         "repro.obs.sketches",
     ),
-    "bench": ("repro",),
 }
 
 

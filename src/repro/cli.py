@@ -1,86 +1,20 @@
 """Command-line interface: run any of the paper's experiments directly.
 
-    python -m repro.cli list
-    python -m repro.cli crossing      --n 12 --rounds 4
-    python -m repro.cli star          --n 30 --rounds 3
-    python -m repro.cli forced-error  --n 6  --rounds 2
-    python -m repro.cli ratio         --max-exp 6
-    python -m repro.cli ranks         --max-n 6
-    python -m repro.cli reduction     --n 8  --seed 1
-    python -m repro.cli information   --n 5  --eps 0.3
-    python -m repro.cli upper-bounds  --n 32
-    python -m repro.cli exhaustive    --n 6 --cache ck
-    python -m repro.cli sampling      --n 6 --samples 500
-    python -m repro.cli fault-sweep   --quick
-    python -m repro.cli bench         --quick --history
-    python -m repro.cli cache         stats
-    python -m repro.cli report
-    python -m repro.cli spans         --bench exhaustive --quick
-    python -m repro.cli compare       --fail-on-regress
-    python -m repro.cli cost-check    --quick
-    python -m repro.cli trace-validate run.jsonl --stats
-    python -m repro.cli record run    --session s.jsonl --algorithm flooding --n 8
-    python -m repro.cli replay s.jsonl --verify
-    python -m repro.cli rewind s.jsonl --to 3 --walk 2
-    python -m repro.cli report --session s.jsonl
+    python -m repro.cli list             # every subcommand, one line each
+    python -m repro.cli <cmd> --help     # its flags
 
-Each subcommand prints a paper-vs-measured table; see EXPERIMENTS.md for
-the mapping to the paper's lemmas and theorems. Observability:
+Each experiment prints a paper-vs-measured table (``--json``: one JSON
+object); EXPERIMENTS.md maps them to the paper's lemmas and theorems.
+Every subcommand is declared once, in :data:`COMMANDS`.
 
-* every experiment subcommand takes ``--json`` (emit the table as one
-  JSON object instead of ASCII);
-* the simulation-backed subcommands (crossing, star, forced-error,
-  reduction, fault-sweep) take ``--trace FILE`` to append a structured
-  JSONL run trace (see `repro.obs.trace`); ``trace-validate`` checks one
-  (any schema version, ``--stats`` for per-run event counts);
-* ``bench`` runs the machine-readable benchmark harness and writes
-  schema-versioned ``BENCH_<name>.json`` files (``--history`` appends a
-  one-line record to ``BENCH_HISTORY.jsonl``); ``report`` validates and
-  summarizes them;
-* ``spans`` profiles one harness kernel with the hierarchical span
-  recorder (see `repro.obs.spans`): indented tree, self-time hotspots,
-  ``--out`` span-tree JSON, ``--trace`` v3 mirroring;
-* ``compare`` runs the median+MAD perf-regression detector over the
-  history (``--fail-on-regress`` for a CI gate, ``--dashboard`` to
-  regenerate ``docs/PERF.md``) and prints warn-only communication-cost
-  changes from the history's bits columns;
-* ``cost-check`` runs the symbolic cost-conformance suite (see
-  `repro.costs`): every bundled spec's protocol executes under a
-  ``CostLedger`` and the measured bits/rounds are compared against the
-  closed forms at the run's n (exit 1 on any mismatch); ``report
-  --per-vertex`` breaks a payload's ledger down by vertex;
-* ``ranks`` and ``bench`` take ``--kernel {auto,reference}`` to run
-  the fast compute engines or the pure-python references (see
-  `repro.kernels`); both produce identical results, only the wall time
-  differs. ``ranks`` additionally takes
-  ``--streamed {auto,on,off}`` / ``--block-rows R`` to build M_n / E_n
-  through the block-streamed pipeline (peak memory bounded per block;
-  construction parallelizes over ``--workers``);
-* the engine-backed subcommands (exhaustive, sampling, ranks,
-  fault-sweep) and ``bench`` take ``--cache [DIR]`` (default
-  ``.repro-cache``; ``REPRO_CACHE_DIR`` works too) to memoize results
-  in a content-addressed on-disk store (see `repro.cache`): a repeated
-  invocation becomes a hash lookup whose payload is byte-identical to
-  the recompute, and a one-line hit/miss summary lands on stderr.
-  ``cache stats|verify|gc`` inspects, digest-checks, or size-bounds
-  the store; ``dash --cache DIR`` adds a cache panel.
-
-Resilience (see `repro.resilience`): ``exhaustive`` and ``sampling``
-take ``--budget-seconds`` / work caps; with ``--cache DIR`` (aliases
-``--checkpoint DIR`` / ``--resume DIR``) every completed shard is stored
-as it finishes, so re-running the same command after a budget stop,
-Ctrl-C or SIGTERM computes only the missing shards. ``fault-sweep``
-measures correctness-vs-fault-rate degradation curves for the
-upper-bound algorithms.
-
-Record/replay (see `repro.replay`): ``record`` executes any of the
-engines (a simulator run -- optionally under ``--bit-flip-rate`` /
-``--crash-at`` faults and ``--max-delay`` / ``--duplicate-rate`` /
-``--reorder`` adversarial delivery -- or exhaustive / sampling / ranks /
-fault-sweep) while writing a step-addressable session log; ``replay``
-re-executes it and diffs every step, ``rewind`` navigates and branches
-counterfactuals, and ``report --session`` summarizes one (rounds,
-faults, per-edge delivery anomalies, cost parity).
+Cache and resume: ``--cache [DIR]`` (or ``REPRO_CACHE_DIR``) memoizes a
+result in the content-addressed store of :mod:`repro.cache`. A repeat of
+the same request is a hash lookup whose stdout is byte-identical to the
+recompute, and one ``cache: hits=...`` line lands on stderr. ``exhaustive``
+and ``sampling`` also store each shard as it completes, so after a budget
+stop, Ctrl-C or SIGTERM, re-running the same command computes only the
+missing shards (``--checkpoint DIR`` and ``--resume DIR`` name the same
+directory).
 
 Exit codes: 0 success; 1 experiment-level failure (a FAIL row); 2 user
 error (bad arguments, invalid instance, unusable cache directory -- one
@@ -93,16 +27,25 @@ re-execution disagree -- first divergence on stderr or in the report);
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
 import random
 import sys
-from typing import List, Optional
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-from repro.analysis.reporting import emit_table
+from repro.cache.store import DEFAULT_GC_MAX_BYTES
+from repro.engine import ENGINE_KINDS, sweep_rows_from_payload
+from repro.kernels import KERNEL_MODES
+from repro.obs.regress import DEFAULT_HISTORY_PATH
 
 
 def _emit(args: argparse.Namespace, title: str, headers, rows) -> None:
     """Table or JSON, depending on the subcommand's ``--json`` flag."""
+    from repro.analysis.reporting import emit_table
+
     emit_table(title, headers, rows, as_json=getattr(args, "json", False))
 
 
@@ -224,53 +167,6 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         ["n", "ratio", "(1/2) ln n", "ratio / ln n"],
         rows,
     )
-    return 0
-
-
-def _cmd_ranks(args: argparse.Namespace) -> int:
-    from repro.engine import EngineRequest, execute
-    from repro.partitions import DEFAULT_BLOCK_ROWS
-
-    workers = _resolved_workers(args)
-    kernel = getattr(args, "kernel", "auto")
-    streamed = {"auto": None, "on": True, "off": False}[
-        getattr(args, "streamed", "auto")
-    ]
-    block_rows = getattr(args, "block_rows", None)
-    if block_rows is None:
-        block_rows = DEFAULT_BLOCK_ROWS
-    if block_rows < 1:
-        print(f"error: --block-rows must be >= 1, got {block_rows}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    result = execute(
-        EngineRequest(
-            "ranks",
-            {
-                "m_ns": list(range(1, args.max_n + 1)),
-                "e_ns": list(range(2, args.max_n + 3, 2)),
-                "streamed": streamed,
-                "block_rows": block_rows,
-            },
-            kernel=kernel,
-            workers=workers,
-        ),
-        cache=cache,
-    )
-    rows = [
-        ["M", row["n"], row["rank"], row["predicted"]]
-        for row in result.payload["m_rows"]
-    ] + [
-        ["E", row["n"], row["rank"], row["predicted"]]
-        for row in result.payload["e_rows"]
-    ]
-    _emit(
-        args,
-        "Theorem 2.3 / Lemma 4.1 exact ranks (E6)",
-        ["matrix", "n", "rank", "predicted"],
-        rows,
-    )
-    _cache_status(cache)
     return 0
 
 
@@ -418,7 +314,7 @@ def _budget_from_args(args: argparse.Namespace, max_units: Optional[int]) -> obj
 
 def _resume_hint(args: argparse.Namespace) -> str:
     """How to pick up where a stopped run left off ('' without a cache)."""
-    directory = getattr(args, "cache", None) or _cache_dir_from_env()
+    directory = _cache_dir(args)
     if directory is None:
         return ""
     return f"; re-run the same command (completed shards are cached in {directory})"
@@ -435,10 +331,12 @@ def _budget_exhausted(exc: Exception, args: argparse.Namespace) -> None:
     print(f"budget exhausted: {exc}{_resume_hint(args)}", file=sys.stderr)
 
 
-def _cache_dir_from_env() -> Optional[str]:
-    import os
-
-    return os.environ.get("REPRO_CACHE_DIR") or None
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """--cache DIR, else REPRO_CACHE_DIR, else None (the cache is off)."""
+    directory = getattr(args, "cache", None)
+    if directory is None:
+        directory = os.environ.get("REPRO_CACHE_DIR") or None
+    return directory
 
 
 def _cache_from_args(args: argparse.Namespace):
@@ -447,9 +345,7 @@ def _cache_from_args(args: argparse.Namespace):
     ``None`` means the engine takes the exact legacy path: no key
     derivation, no fingerprinting, no lookups.
     """
-    directory = getattr(args, "cache", None)
-    if directory is None:
-        directory = _cache_dir_from_env()
+    directory = _cache_dir(args)
     if directory is None:
         return None
     from repro.cache import ResultCache
@@ -476,7 +372,7 @@ def _cache_status(cache) -> None:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import ResultCache
 
-    directory = args.dir or _cache_dir_from_env() or ".repro-cache"
+    directory = args.dir or os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
     cache = ResultCache(directory)
     if args.cache_command == "stats":
         stats = cache.stats()
@@ -514,220 +410,168 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    from repro.engine import EngineOptions, EngineRequest, execute
-    from repro.errors import BudgetExceededError
-    from repro.resilience import graceful_interrupts
+@dataclass(frozen=True)
+class Engine:
+    """An engine-kind subcommand: its request, and how its result prints.
 
-    budget = _budget_from_args(args, args.max_assignments)
-    cache = _cache_from_args(args)
+    The subcommand's name is the engine kind it requests. ``rows`` reads fields by name, so the same function formats a payload
+    and the partial report of a budget-stopped run. ``cap`` names the
+    work-cap flag of the resumable kinds: only they take a budget, run
+    under :func:`~repro.resilience.graceful_interrupts` and end each row
+    with a status column. ``check`` lists problems with a payload (exit 1).
+    """
 
-    def _emit_report(n, class_size, min_error, is_constant, worst, note: str) -> None:
-        _emit(
-            args,
-            f"universal 1-round KT-0 bound at n={args.n} (exhaustive class search)",
-            ["n", "class size", "min forced error", "constant?", "worst assignment", "status"],
-            [
-                [
-                    n,
-                    class_size,
-                    min_error,
-                    is_constant,
-                    "".join(c if c else "-" for c in worst),
-                    note,
-                ]
-            ],
+    params: Callable[[argparse.Namespace], dict]
+    title: str  # str.format-ted with the request params
+    headers: Tuple[str, ...]
+    rows: Callable[[Mapping[str, Any]], list]
+    cap: Optional[str] = None
+    check: Optional[Callable[[dict], list]] = None
+
+    def __call__(self, args: argparse.Namespace) -> int:
+        """request -> ``execute()`` -> table, with the cache/budget plumbing."""
+        from repro.engine import EngineOptions, EngineRequest, execute
+        from repro.errors import BudgetExceededError
+
+        request = EngineRequest(
+            args.command,
+            self.params(args),
+            kernel=getattr(args, "kernel", "auto"),
+            workers=_resolved_workers(args),
         )
+        title = self.title.format(**request.params)
 
-    try:
-        with graceful_interrupts():
-            result = execute(
-                EngineRequest(
-                    "exhaustive",
-                    {"n": args.n, "vectorize": args.vectorize},
-                    workers=_resolved_workers(args),
-                ),
-                cache=cache,
-                options=EngineOptions(budget=budget),
-            )
-    except BudgetExceededError as exc:
-        if exc.partial is not None:
-            report = exc.partial
-            _emit_report(
-                report.n,
-                report.class_size,
-                report.minimum_forced_error,
-                report.is_constant,
-                report.worst_assignment,
-                "partial (budget exhausted)",
-            )
-        _budget_exhausted(exc, args)
-        return 3
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    payload = result.payload
-    _emit_report(
-        payload["n"],
-        payload["class_size"],
-        payload["minimum_forced_error"],
-        payload["is_constant"],
-        payload["worst_assignment"],
-        "complete",
-    )
-    _cache_status(cache)
-    return 0
+        def emit(fields: Mapping[str, Any], status: str) -> None:
+            headers, rows = self.headers, self.rows(fields)
+            if self.cap is not None:
+                headers += ("status",)
+                rows = [row + [status] for row in rows]
+            _emit(args, title, headers, rows)
 
+        budget = None
+        interrupts = nullcontext()
+        if self.cap is not None:
+            from repro.resilience import graceful_interrupts
 
-def _cmd_sampling(args: argparse.Namespace) -> int:
-    from repro.engine import EngineOptions, EngineRequest, execute
-    from repro.errors import BudgetExceededError
-    from repro.resilience import graceful_interrupts
-
-    budget = _budget_from_args(args, args.max_samples)
-    cache = _cache_from_args(args)
-
-    def _emit_report(values, note: str) -> None:
-        _emit(
-            args,
-            f"sampled information estimate at n={args.n} (Theorem 4.5 distribution)",
-            [
-                "n",
-                "samples",
-                "I estimate",
-                "corrected",
-                "H(P_A) true",
-                "saturated",
-                "error rate",
-                "status",
-            ],
-            [list(values) + [note]],
-        )
-
-    try:
-        with graceful_interrupts():
-            result = execute(
-                EngineRequest(
-                    "sampling",
-                    {
-                        "n": args.n,
-                        "samples": args.samples,
-                        "seed": args.seed,
-                        "eps": args.eps,
-                    },
-                    workers=_resolved_workers(args),
-                ),
-                cache=cache,
-                options=EngineOptions(budget=budget),
-            )
-    except BudgetExceededError as exc:
-        if exc.partial is not None:
-            report = exc.partial
-            _emit_report(
-                (
-                    report.n,
-                    report.samples,
-                    report.information_estimate,
-                    report.corrected_information,
-                    report.true_input_entropy,
-                    report.saturated,
-                    report.error_rate_estimate,
-                ),
-                "partial (budget exhausted)",
-            )
-        _budget_exhausted(exc, args)
-        return 3
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    payload = result.payload
-    _emit_report(
-        (
-            payload["n"],
-            payload["samples"],
-            payload["information_estimate"],
-            payload["corrected_information"],
-            payload["true_input_entropy"],
-            payload["saturated"],
-            payload["error_rate_estimate"],
-        ),
-        "complete",
-    )
-    _cache_status(cache)
-    return 0
-
-
-def _cmd_fault_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.engine import (
-        EngineOptions,
-        EngineRequest,
-        execute,
-        sweep_rows_from_payload,
-    )
-    from repro.resilience import validate_fault_sweep_payload
-
-    if args.quick:
-        algorithms = ["neighbor_exchange", "flooding"]
-        kinds = list(args.kinds or ("bit_flip", "erasure", "crash"))
-        rates = [0.0, 0.1]
-        n = 6
-        trials = 4
-    else:
-        algorithms = list(args.algorithms)
-        kinds = list(args.kinds or ("bit_flip", "erasure", "crash"))
-        rates = [float(r) for r in args.rates]
-        n = args.n
-        trials = args.trials
-    from contextlib import nullcontext
-
-    live_scope = nullcontext()
-    if getattr(args, "live", False):
-        from repro.obs.stream import EventBus, line_printer, use_bus
-
-        live_bus = EventBus()
-        live_bus.subscribe(line_printer())
-        live_scope = use_bus(live_bus)
-    cache = _cache_from_args(args)
-    trace = _open_trace(args)
-    try:
-        with live_scope:
-            result = execute(
-                EngineRequest(
-                    "fault-sweep",
-                    {
-                        "algorithms": algorithms,
-                        "kinds": kinds,
-                        "rates": rates,
-                        "n": n,
-                        "trials": trials,
-                        "seed": args.seed,
-                    },
-                    workers=_resolved_workers(args),
-                ),
-                cache=cache,
-                options=EngineOptions(trace=trace),
-            )
-    finally:
-        if trace is not None:
-            trace.close()
-    payload = result.payload
-    problems = validate_fault_sweep_payload(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    _emit(
-        args,
-        f"fault-injection degradation sweep (n={n}, {trials} trials/point)",
-        ["algorithm", "fault kind", "rate", "trials", "correct", "correctness", "faults", "mean rounds"],
-        sweep_rows_from_payload(payload),
-    )
-    _cache_status(cache)
-    if problems:
+            budget = _budget_from_args(args, getattr(args, self.cap))
+            interrupts = graceful_interrupts()
+        cache = _cache_from_args(args)
+        trace = _open_trace(args)
+        try:
+            with _live_scope(args), interrupts:
+                result = execute(
+                    request,
+                    cache=cache,
+                    options=EngineOptions(budget=budget, trace=trace),
+                )
+        except BudgetExceededError as exc:
+            partial = exc.partial
+            if partial is not None:  # a report: its payload keys are attributes
+                fields = {k: getattr(partial, k) for k in dir(partial) if k[0] != "_"}
+                emit(fields, "partial (budget exhausted)")
+            _budget_exhausted(exc, args)
+            return 3
+        except KeyboardInterrupt:
+            if self.cap is None:
+                raise
+            return _interrupted(args)
+        finally:
+            if trace is not None:
+                trace.close()
+        payload = result.payload
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        emit(payload, "complete")
+        _cache_status(cache)
+        problems = self.check(payload) if self.check is not None else []
         for problem in problems:
             print(f"INVALID payload: {problem}", file=sys.stderr)
-        return 1
-    return 0
+        return 1 if problems else 0
+
+
+def _live_scope(args: argparse.Namespace):
+    """``--live``: one progress line per sweep cell on stderr."""
+    if not getattr(args, "live", False):
+        return nullcontext()
+    from repro.obs.stream import EventBus, line_printer, use_bus
+
+    bus = EventBus()
+    bus.subscribe(line_printer())
+    return use_bus(bus)
+
+
+def _ranks_params(args: argparse.Namespace) -> dict:
+    from repro.partitions import DEFAULT_BLOCK_ROWS
+
+    block_rows = DEFAULT_BLOCK_ROWS if args.block_rows is None else args.block_rows
+    if block_rows < 1:
+        raise ValueError(f"--block-rows must be >= 1, got {block_rows}")
+    return {
+        "m_ns": list(range(1, args.max_n + 1)),
+        "e_ns": list(range(2, args.max_n + 3, 2)),
+        "streamed": {"auto": None, "on": True, "off": False}[args.streamed],
+        "block_rows": block_rows,
+    }
+
+
+def _ranks_rows(payload: Mapping[str, Any]) -> list:
+    return [
+        [matrix, row["n"], row["rank"], row["predicted"]]
+        for matrix, key in (("M", "m_rows"), ("E", "e_rows"))
+        for row in payload[key]
+    ]
+
+
+def _exhaustive_rows(report: Mapping[str, Any]) -> list:
+    worst = "".join(c if c else "-" for c in report["worst_assignment"])
+    return [
+        [
+            report["n"],
+            report["class_size"],
+            report["minimum_forced_error"],
+            report["is_constant"],
+            worst,
+        ]
+    ]
+
+
+_SAMPLING_FIELDS = (
+    "n",
+    "samples",
+    "information_estimate",
+    "corrected_information",
+    "true_input_entropy",
+    "saturated",
+    "error_rate_estimate",
+)
+
+
+def _sweep_params(args: argparse.Namespace) -> dict:
+    """``fault-sweep`` and ``record fault-sweep`` (which has no --quick)."""
+    kinds = list(args.kinds or ("bit_flip", "erasure", "crash"))
+    if getattr(args, "quick", False):
+        algorithms, rates = ["neighbor_exchange", "flooding"], [0.0, 0.1]
+        n, trials = 6, 4
+    else:
+        algorithms = list(args.algorithms)
+        rates = [float(r) for r in args.rates]
+        n, trials = args.n, args.trials
+    return {
+        "algorithms": algorithms,
+        "kinds": kinds,
+        "rates": rates,
+        "n": n,
+        "trials": trials,
+        "seed": args.seed,
+    }
+
+
+def _sweep_problems(payload: dict) -> list:
+    from repro.resilience import validate_fault_sweep_payload
+
+    return validate_fault_sweep_payload(payload)
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
@@ -759,7 +603,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     workers = _resolved_workers(args)
     kernel = getattr(args, "kernel", "auto")
-    cache_dir = getattr(args, "cache", None)
+    cache_dir = _cache_dir(args)
     harness = BenchmarkHarness(
         out_dir=args.out_dir,
         quick=args.quick,
@@ -934,8 +778,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs import (
         BenchmarkHarness,
         SpanRecorder,
@@ -966,11 +808,11 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     problems = validate_span_tree_payload(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=False)
+            json.dump(payload, handle, indent=2, sort_keys=False)
             handle.write("\n")
     if args.json:
         print(
-            _json.dumps(
+            json.dumps(
                 {
                     "bench": args.bench,
                     "quick": args.quick,
@@ -1001,8 +843,6 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs.regress import (
         detect_regressions,
         normalize_baseline,
@@ -1016,7 +856,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = normalize_baseline(_json.load(handle))
+            baseline = normalize_baseline(json.load(handle))
         newest = history[-1]
         baseline = dict(baseline)
         baseline["quick"] = newest.get("quick")  # force a comparable mode
@@ -1108,8 +948,6 @@ def _cmd_cost_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_validate(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs import read_trace, trace_stats, validate_trace_events
 
     events = read_trace(args.file, schema_version=args.schema_version)
@@ -1117,7 +955,7 @@ def _cmd_trace_validate(args: argparse.Namespace) -> int:
     stats = trace_stats(events)
     if args.json:
         print(
-            _json.dumps(
+            json.dumps(
                 {
                     "file": args.file,
                     "events": len(events),
@@ -1179,15 +1017,13 @@ def _cmd_trace_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs import load_bench_payloads, read_history
     from repro.obs.dash import build_dashboard, validate_dashboard_html
 
     def _load_json(path: str, what: str):
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return _json.load(handle)
+                return json.load(handle)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read {what} {path!r}: {exc}", file=sys.stderr)
             return None
@@ -1338,16 +1174,7 @@ def _record_params(args: argparse.Namespace) -> dict:
             "kernel": args.kernel,
             "workers": _resolved_workers(args),
         }
-    # fault-sweep
-    return {
-        "algorithms": list(args.algorithms),
-        "kinds": list(args.kinds or ("bit_flip", "erasure", "crash")),
-        "rates": [float(r) for r in args.rates],
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": _resolved_workers(args),
-    }
+    return dict(_sweep_params(args), workers=_resolved_workers(args))  # fault-sweep
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -1380,10 +1207,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     report = replay_session(args.file)
     if args.json:
-        import json as _json
-
         print(
-            _json.dumps(
+            json.dumps(
                 {
                     "file": args.file,
                     "run_id": report.run_id,
@@ -1417,8 +1242,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_rewind(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.replay import SessionCursor
 
     cursor = SessionCursor(args.file)
@@ -1450,7 +1273,7 @@ def _cmd_rewind(args: argparse.Namespace) -> int:
         rows,
     )
     if args.branch is not None:
-        overrides = _json.loads(args.branch)
+        overrides = json.loads(args.branch)
         cursor.rewind(args.to)
         branched = cursor.branch(overrides, sink=args.out)
         suffix = f" -> {args.out}" if args.out else ""
@@ -1533,74 +1356,10 @@ def _report_session(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("available experiments:")
-    for name, help_text in _COMMANDS_HELP:
-        print(f"  {name:14s} {help_text}")
+    for command in COMMANDS:
+        if command.run is not _cmd_list:
+            print(f"  {command.name:14s} {command.help}")
     return 0
-
-
-_COMMANDS_HELP = [
-    ("crossing", "E1: Figure 1 crossing + Lemma 3.4 on a live run"),
-    ("star", "E2: Theorem 3.5 star adversary"),
-    ("forced-error", "E5: Theorem 3.1 exact forced error (exhaustive; small n)"),
-    ("ratio", "E4: Lemma 3.9 |V2|/|V1| growth"),
-    ("ranks", "E6: Theorem 2.3 / Lemma 4.1 exact ranks"),
-    ("reduction", "E7+E8: Figure 2 reduction + Section 4.3 simulation"),
-    ("information", "E9: Theorem 4.5 information accounting"),
-    ("upper-bounds", "E10: the upper-bound comparators"),
-    ("exhaustive", "universal 1-round KT-0 bound (budget/resume)"),
-    ("sampling", "sampled Theorem 4.5 information estimate (resumable)"),
-    ("fault-sweep", "correctness-vs-fault-rate degradation curves"),
-    ("all", "one-pass summary of all three results"),
-    ("bench", "run the machine-readable benchmark harness (BENCH_*.json)"),
-    ("report", "validate + summarize existing BENCH_*.json files"),
-    ("spans", "profile a harness kernel: span tree + self-time hotspots"),
-    ("compare", "detect perf regressions against BENCH_HISTORY.jsonl"),
-    ("cost-check", "check measured bits/rounds against the symbolic cost specs"),
-    ("trace-validate", "validate a JSONL run trace (any schema version)"),
-    ("cache", "inspect, verify, or garbage-collect the result cache"),
-    ("dash", "build the self-contained HTML observability dashboard"),
-    ("record", "execute an engine while recording a replayable session log"),
-    ("replay", "re-execute a recorded session; exit 4 on any divergence"),
-    ("rewind", "inspect a recorded session step-by-step; branch counterfactuals"),
-]
-
-
-def _help(name: str) -> str:
-    """Help text for a subcommand, looked up by name (index-stable)."""
-    for candidate, text in _COMMANDS_HELP:
-        if candidate == name:
-            return text
-    raise KeyError(name)
-
-
-def _add_json_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result table as one JSON object instead of ASCII",
-    )
-
-
-def _add_trace_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="append a structured JSONL run trace to FILE",
-    )
-
-
-def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "fan the work out over N processes (deterministic: the result "
-            "is identical for every N; 0 = one per CPU, default: 1)"
-        ),
-    )
 
 
 def _resolved_workers(args: argparse.Namespace) -> int:
@@ -1610,23 +1369,49 @@ def _resolved_workers(args: argparse.Namespace) -> int:
     return resolve_workers(getattr(args, "workers", 1))
 
 
-def _add_kernel_flag(p: argparse.ArgumentParser) -> None:
-    from repro.kernels import KERNEL_MODES
-
-    p.add_argument(
-        "--kernel",
-        choices=KERNEL_MODES,
-        default="auto",
-        help=(
-            "compute-kernel mode: 'auto' (default) runs the fast engines "
-            "of repro.kernels, 'reference' the pure-python originals; "
-            "results are identical"
-        ),
-    )
+Flag = Callable[[argparse.ArgumentParser], Any]
 
 
-def _add_cache_flag(p: argparse.ArgumentParser, *aliases: str) -> None:
-    p.add_argument(
+def _arg(*names: str, **kwargs: Any) -> Flag:
+    """One ``add_argument`` call, made when the parser is built."""
+    return lambda p: p.add_argument(*names, **kwargs)
+
+
+_json_flag = _arg(
+    "--json",
+    action="store_true",
+    help="emit the result table as one JSON object instead of ASCII",
+)
+_trace_flag = _arg(
+    "--trace",
+    metavar="FILE",
+    default=None,
+    help="append a structured JSONL run trace to FILE",
+)
+_workers_flag = _arg(
+    "--workers",
+    type=int,
+    default=1,
+    metavar="N",
+    help=(
+        "fan the work out over N processes (deterministic: the result "
+        "is identical for every N; 0 = one per CPU, default: 1)"
+    ),
+)
+_kernel_flag = _arg(
+    "--kernel",
+    choices=KERNEL_MODES,
+    default="auto",
+    help=(
+        "compute-kernel mode: 'auto' (default) runs the fast engines "
+        "of repro.kernels, 'reference' the pure-python originals; "
+        "results are identical"
+    ),
+)
+
+
+def _cache_flag(*aliases: str) -> Flag:
+    return _arg(
         "--cache",
         *aliases,
         dest="cache",
@@ -1645,614 +1430,747 @@ def _add_cache_flag(p: argparse.ArgumentParser, *aliases: str) -> None:
     )
 
 
-def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="wall-clock budget; exhaustion prints the partial result, exit 3",
-    )
-    # --checkpoint / --resume name the same directory: completed shards
-    # land in the cache, and a re-run computes only the missing ones.
-    _add_cache_flag(p, "--checkpoint", "--resume")
+_budget_flag = _arg(
+    "--budget-seconds",
+    type=float,
+    default=None,
+    metavar="S",
+    help="wall-clock budget; exhaustion prints the partial result, exit 3",
+)
+# --checkpoint / --resume name the same directory: completed shards
+# land in the cache, and a re-run computes only the missing ones.
+_resume_flag = _cache_flag("--checkpoint", "--resume")
+_cache_dir_flag = _arg(
+    "--dir",
+    default=None,
+    metavar="DIR",
+    help="cache directory (default: REPRO_CACHE_DIR if set, else .repro-cache)",
+)
+
+
+class Command:
+    """One subcommand: its name, ``list``/``--help`` line, handler and flags.
+
+    ``actions`` makes it a command group (``cache stats|verify|gc``) whose
+    chosen action lands in ``<name>_command``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        help: str,
+        run: Optional[Callable[[argparse.Namespace], int]] = None,
+        *flags: Flag,
+        actions: Tuple["Command", ...] = (),
+    ):
+        self.name, self.help, self.run = name, help, run
+        self.flags, self.actions = flags, actions
+
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("list", "list experiments", _cmd_list),
+    Command(
+        "crossing",
+        "E1: Figure 1 crossing + Lemma 3.4 on a live run",
+        _cmd_crossing,
+        _arg("--n", type=int, default=12),
+        _arg("--rounds", type=int, default=4),
+        _json_flag,
+        _trace_flag,
+    ),
+    Command(
+        "star",
+        "E2: Theorem 3.5 star adversary",
+        _cmd_star,
+        _arg("--n", type=int, default=30),
+        _arg("--rounds", type=int, default=3),
+        _json_flag,
+        _trace_flag,
+    ),
+    Command(
+        "forced-error",
+        "E5: Theorem 3.1 exact forced error (exhaustive; small n)",
+        _cmd_forced_error,
+        _arg("--n", type=int, default=6),
+        _arg("--rounds", type=int, default=2),
+        _json_flag,
+        _trace_flag,
+    ),
+    Command(
+        "ratio",
+        "E4: Lemma 3.9 |V2|/|V1| growth",
+        _cmd_ratio,
+        _arg("--max-exp", type=int, default=6),
+        _json_flag,
+    ),
+    Command(
+        "ranks",
+        "E6: Theorem 2.3 / Lemma 4.1 exact ranks",
+        Engine(
+            _ranks_params,
+            "Theorem 2.3 / Lemma 4.1 exact ranks (E6)",
+            ("matrix", "n", "rank", "predicted"),
+            _ranks_rows,
+        ),
+        _arg("--max-n", type=int, default=5),
+        _arg(
+            "--streamed",
+            choices=("auto", "on", "off"),
+            default="auto",
+            help=(
+                "matrix pipeline: 'on' streams block rows (never materializes "
+                "the dense matrix), 'off' always builds densely, 'auto' "
+                "(default) streams at >= 1000 rows with a fast kernel"
+            ),
+        ),
+        _arg(
+            "--block-rows",
+            type=int,
+            default=None,
+            metavar="R",
+            help="rows per streamed construction block (default 256)",
+        ),
+        _workers_flag,
+        _kernel_flag,
+        _cache_flag(),
+        _json_flag,
+    ),
+    Command(
+        "reduction",
+        "E7+E8: Figure 2 reduction + Section 4.3 simulation",
+        _cmd_reduction,
+        _arg("--n", type=int, default=8),
+        _arg("--seed", type=int, default=1),
+        _json_flag,
+        _trace_flag,
+    ),
+    Command(
+        "information",
+        "E9: Theorem 4.5 information accounting",
+        _cmd_information,
+        _arg("--n", type=int, default=5),
+        _arg("--eps", type=float, default=0.3),
+        _json_flag,
+    ),
+    Command(
+        "upper-bounds",
+        "E10: the upper-bound comparators",
+        _cmd_upper_bounds,
+        _arg("--n", type=int, default=32),
+        _json_flag,
+    ),
+    Command(
+        "exhaustive",
+        "universal 1-round KT-0 bound (budget/resume)",
+        Engine(
+            lambda args: {"n": args.n, "vectorize": args.vectorize},
+            "universal 1-round KT-0 bound at n={n} (exhaustive class search)",
+            ("n", "class size", "min forced error", "constant?", "worst assignment"),
+            _exhaustive_rows,
+            cap="max_assignments",
+        ),
+        _arg("--n", type=int, default=6),
+        _arg(
+            "--max-assignments",
+            type=int,
+            default=None,
+            metavar="K",
+            help="stop (budget exhausted, exit 3) after K assignments",
+        ),
+        _arg(
+            "--vectorize",
+            action=argparse.BooleanOptionalAction,
+            default=None,
+            help=(
+                "use the numpy block-scoring kernel (default: auto -- on when "
+                "--workers > 1 and numpy is available; degrades cleanly without numpy)"
+            ),
+        ),
+        _workers_flag,
+        _budget_flag,
+        _resume_flag,
+        _json_flag,
+    ),
+    Command(
+        "sampling",
+        "sampled Theorem 4.5 information estimate (resumable)",
+        Engine(
+            lambda args: {
+                "n": args.n,
+                "samples": args.samples,
+                "seed": args.seed,
+                "eps": args.eps,
+            },
+            "sampled information estimate at n={n} (Theorem 4.5 distribution)",
+            (
+                "n",
+                "samples",
+                "I estimate",
+                "corrected",
+                "H(P_A) true",
+                "saturated",
+                "error rate",
+            ),
+            lambda report: [[report[field] for field in _SAMPLING_FIELDS]],
+            cap="max_samples",
+        ),
+        _arg("--n", type=int, default=6),
+        _arg("--samples", type=int, default=500),
+        _arg("--seed", type=int, default=0),
+        _arg(
+            "--eps",
+            type=float,
+            default=0.0,
+            help="use the lossy protocol with this target error (default: exact)",
+        ),
+        _arg(
+            "--max-samples",
+            type=int,
+            default=None,
+            metavar="K",
+            help="stop (budget exhausted, exit 3) after K samples",
+        ),
+        _workers_flag,
+        _budget_flag,
+        _resume_flag,
+        _json_flag,
+    ),
+    Command(
+        "fault-sweep",
+        "correctness-vs-fault-rate degradation curves",
+        Engine(
+            _sweep_params,
+            "fault-injection degradation sweep (n={n}, {trials} trials/point)",
+            (
+                "algorithm",
+                "fault kind",
+                "rate",
+                "trials",
+                "correct",
+                "correctness",
+                "faults",
+                "mean rounds",
+            ),
+            sweep_rows_from_payload,
+            check=_sweep_problems,
+        ),
+        _arg("--n", type=int, default=8),
+        _arg("--trials", type=int, default=6),
+        _arg("--seed", type=int, default=0),
+        _arg(
+            "--rates",
+            nargs="+",
+            default=["0.0", "0.01", "0.05", "0.1", "0.2"],
+            metavar="R",
+            help="fault rates to sweep",
+        ),
+        _arg(
+            "--kinds",
+            nargs="+",
+            default=None,
+            metavar="KIND",
+            help="fault kinds (bit_flip erasure crash; default: all)",
+        ),
+        _arg(
+            "--algorithms",
+            nargs="+",
+            default=["neighbor_exchange", "flooding", "boruvka", "sketch"],
+            metavar="ALGO",
+            help="upper-bound algorithms to sweep",
+        ),
+        _arg(
+            "--quick",
+            action="store_true",
+            help="CI smoke preset: n=6, 4 trials, rates 0.0/0.1, 2 fast algorithms",
+        ),
+        _arg(
+            "--out",
+            metavar="FILE",
+            default=None,
+            help="also write the schema-versioned fault_sweep JSON payload to FILE",
+        ),
+        _arg(
+            "--live",
+            action="store_true",
+            help=(
+                "stream one progress line per sweep cell to stderr as it "
+                "completes (via the repro.obs.stream event bus)"
+            ),
+        ),
+        _workers_flag,
+        _cache_flag(),
+        _json_flag,
+        _trace_flag,
+    ),
+    Command(
+        "all",
+        "one-pass summary of all three results",
+        _cmd_all,
+        _json_flag,
+    ),
+    Command(
+        "bench",
+        "run the machine-readable benchmark harness (BENCH_*.json)",
+        _cmd_bench,
+        _arg(
+            "--quick",
+            action="store_true",
+            help="use each benchmark's quick (CI smoke) parameter set",
+        ),
+        _arg(
+            "--only",
+            nargs="+",
+            metavar="NAME",
+            default=None,
+            help="run only these harness benchmarks (see `repro.cli bench --help`)",
+        ),
+        _arg(
+            "--out-dir",
+            default=".",
+            help="directory for BENCH_<name>.json files (default: current dir)",
+        ),
+        _arg(
+            "--history",
+            nargs="?",
+            const=DEFAULT_HISTORY_PATH,
+            default=None,
+            metavar="FILE",
+            help=(
+                "append one history line (git SHA, timestamp, per-kernel wall "
+                f"times) to FILE (default: {DEFAULT_HISTORY_PATH})"
+            ),
+        ),
+        _workers_flag,
+        _kernel_flag,
+        _cache_flag(),
+        _json_flag,
+    ),
+    Command(
+        "report",
+        "validate + summarize existing BENCH_*.json files",
+        _cmd_report,
+        _arg(
+            "--dir",
+            default=".",
+            help="directory holding BENCH_*.json files (default: current dir)",
+        ),
+        _arg(
+            "--per-vertex",
+            action="store_true",
+            dest="per_vertex",
+            help=(
+                "also print each payload's per-vertex ledger: bits sent and "
+                "silent rounds per vertex (from the optional costs section)"
+            ),
+        ),
+        _arg(
+            "--per-phase",
+            action="store_true",
+            dest="per_phase",
+            help=(
+                "also print each payload's per-phase ledger (two-party runs "
+                "split into simulate/decision phases)"
+            ),
+        ),
+        _arg(
+            "--session",
+            metavar="FILE",
+            default=None,
+            help=(
+                "summarize a recorded session log instead: rounds, faults, "
+                "per-edge delivery anomalies, and recorded-vs-log cost parity"
+            ),
+        ),
+        _json_flag,
+    ),
+    Command(
+        "spans",
+        "profile a harness kernel: span tree + self-time hotspots",
+        _cmd_spans,
+        _arg(
+            "--bench",
+            default="exhaustive",
+            metavar="NAME",
+            help="harness benchmark to profile (default: exhaustive)",
+        ),
+        _arg(
+            "--quick",
+            action="store_true",
+            help="use the benchmark's quick (CI smoke) parameter set",
+        ),
+        _arg(
+            "--top",
+            type=int,
+            default=10,
+            metavar="K",
+            help="how many hotspots (by self time) to print (default: 10)",
+        ),
+        _arg(
+            "--max-depth",
+            type=int,
+            default=None,
+            metavar="D",
+            help="truncate the printed tree below depth D (0 = roots only)",
+        ),
+        _arg(
+            "--out",
+            metavar="FILE",
+            default=None,
+            help="also write the span-tree JSON payload to FILE",
+        ),
+        _json_flag,
+        _trace_flag,
+    ),
+    Command(
+        "compare",
+        "detect perf regressions against BENCH_HISTORY.jsonl",
+        _cmd_compare,
+        _arg(
+            "--history",
+            default=DEFAULT_HISTORY_PATH,
+            metavar="FILE",
+            help=(
+                "history file written by bench --history "
+                f"(default: {DEFAULT_HISTORY_PATH})"
+            ),
+        ),
+        _arg(
+            "--baseline",
+            metavar="REF.json",
+            default=None,
+            help=(
+                "compare the newest history record against this reference payload "
+                "instead of the history's own baseline window"
+            ),
+        ),
+        _arg(
+            "--threshold",
+            type=float,
+            default=1.25,
+            metavar="X",
+            help="regression ratio gate: latest > X * baseline median (default: 1.25)",
+        ),
+        _arg(
+            "--min-samples",
+            type=int,
+            default=3,
+            metavar="K",
+            help="baseline points needed before a verdict (default: 3)",
+        ),
+        _arg(
+            "--fail-on-regress",
+            action="store_true",
+            help="exit 1 when any kernel regresses (default: warn only)",
+        ),
+        _arg(
+            "--dashboard",
+            metavar="FILE",
+            default=None,
+            help="write the markdown perf dashboard (sparklines) to FILE",
+        ),
+        _json_flag,
+    ),
+    Command(
+        "cost-check",
+        "check measured bits/rounds against the symbolic cost specs",
+        _cmd_cost_check,
+        _arg(
+            "--quick",
+            action="store_true",
+            help="use each spec's quick (CI smoke) parameter set",
+        ),
+        _arg(
+            "--only",
+            nargs="+",
+            metavar="SPEC",
+            default=None,
+            help="check only these specs (default: every bundled spec)",
+        ),
+        _json_flag,
+    ),
+    Command(
+        "trace-validate",
+        "validate a JSONL run trace (any schema version)",
+        _cmd_trace_validate,
+        _arg("file", help="JSONL run trace written with --trace"),
+        _arg(
+            "--stats",
+            action="store_true",
+            help="also print per-run event-type counts",
+        ),
+        _arg(
+            "--schema-version",
+            type=int,
+            default=None,
+            metavar="V",
+            help="only keep runs whose trace_start declares schema version V",
+        ),
+        _json_flag,
+    ),
+    Command(
+        "cache",
+        "inspect, verify, or garbage-collect the result cache",
+        actions=(
+            Command(
+                "stats",
+                "entry counts and bytes, total and per kind",
+                _cmd_cache,
+                _cache_dir_flag,
+                _json_flag,
+            ),
+            Command(
+                "verify",
+                "re-digest every entry; corrupt entries exit 1",
+                _cmd_cache,
+                _cache_dir_flag,
+                _arg(
+                    "--delete",
+                    action="store_true",
+                    help="delete corrupt entries instead of failing on them",
+                ),
+                _json_flag,
+            ),
+            Command(
+                "gc",
+                "evict least-recently-used entries down to a size bound",
+                _cmd_cache,
+                _cache_dir_flag,
+                _arg(
+                    "--max-bytes",
+                    type=int,
+                    default=DEFAULT_GC_MAX_BYTES,
+                    metavar="B",
+                    help=(
+                        "evict oldest-used entries until the store fits in B "
+                        f"bytes (default: {DEFAULT_GC_MAX_BYTES})"
+                    ),
+                ),
+                _json_flag,
+            ),
+        ),
+    ),
+    Command(
+        "dash",
+        "build the self-contained HTML observability dashboard",
+        _cmd_dash,
+        _arg(
+            "--out",
+            metavar="FILE",
+            default="dash.html",
+            help="dashboard HTML file to write (default: dash.html)",
+        ),
+        _arg(
+            "--dir",
+            default=".",
+            help="directory holding BENCH_*.json payloads (default: current dir)",
+        ),
+        _arg(
+            "--history",
+            metavar="FILE",
+            default=None,
+            help="BENCH_HISTORY.jsonl for the sparkline section",
+        ),
+        _arg(
+            "--sweep",
+            metavar="FILE",
+            default=None,
+            help="fault-sweep JSON payload (from `repro fault-sweep --out`)",
+        ),
+        _arg(
+            "--spans",
+            metavar="FILE",
+            default=None,
+            help="span tree JSON payload (from `repro spans --out`)",
+        ),
+        _arg(
+            "--session",
+            metavar="FILE",
+            action="append",
+            default=None,
+            dest="sessions",
+            help="recorded session log (repeatable; from `repro record`)",
+        ),
+        _arg(
+            "--cache",
+            metavar="DIR",
+            default=None,
+            help=(
+                "result-cache directory for the cache panel (entry counts, "
+                "bytes, per-kind breakdown; from --cache'd runs)"
+            ),
+        ),
+        _arg(
+            "--timestamp",
+            metavar="STR",
+            default=None,
+            help=(
+                "pinned generated-at string; with equal inputs and an equal "
+                "timestamp the output is byte-identical (omit to leave unpinned "
+                "-- output is still deterministic)"
+            ),
+        ),
+        _arg(
+            "--title",
+            default="repro dashboard",
+            help="page title (default: repro dashboard)",
+        ),
+    ),
+    Command(
+        "record",
+        "execute an engine while recording a replayable session log",
+        _cmd_record,
+        _arg("kind", choices=ENGINE_KINDS, help="which engine to record"),
+        _arg(
+            "--session",
+            metavar="FILE",
+            required=True,
+            help="session log to write (trace-v5 JSONL; replayable byte-identically)",
+        ),
+        _arg("--n", type=int, default=8),
+        _arg(
+            "--algorithm",
+            default="flooding",
+            help="run kind: harness algorithm (neighbor_exchange flooding boruvka sketch)",
+        ),
+        _arg(
+            "--instance",
+            choices=("one_cycle", "two_cycle"),
+            default="one_cycle",
+            help="run kind: input family (two_cycle needs --split)",
+        ),
+        _arg("--split", type=int, default=None, help="run kind: two_cycle split"),
+        _arg(
+            "--rounds",
+            type=int,
+            default=None,
+            help="run kind: round budget (default: the algorithm's)",
+        ),
+        _arg("--coin-seed", default=None, help="run kind: public-coin seed string"),
+        _arg("--bit-flip-rate", type=float, default=0.0),
+        _arg("--erasure-rate", type=float, default=0.0),
+        _arg("--crash-rate", type=float, default=0.0),
+        _arg("--fault-seed", type=int, default=0),
+        _arg("--max-crashes", type=int, default=None),
+        _arg(
+            "--crash-at",
+            action="append",
+            metavar="V:T",
+            default=None,
+            help="schedule vertex V to crash in round T (repeatable)",
+        ),
+        _arg(
+            "--max-delay",
+            type=int,
+            default=0,
+            help="network: delay each delivery by 0..D rounds (seeded)",
+        ),
+        _arg(
+            "--duplicate-rate",
+            type=float,
+            default=0.0,
+            help="network: per-delivery duplication probability (seeded)",
+        ),
+        _arg(
+            "--reorder",
+            action="store_true",
+            help="network: deterministically reorder queued deliveries",
+        ),
+        _arg("--net-seed", type=int, default=0, help="network RNG seed"),
+        _arg("--eps", type=float, default=0.0, help="sampling kind: protocol eps"),
+        _arg("--samples", type=int, default=200, help="sampling kind"),
+        _arg("--seed", type=int, default=0, help="sampling / fault-sweep seed"),
+        _arg(
+            "--ns", nargs="+", default=["3", "4", "5"], metavar="N", help="ranks kind: sizes"
+        ),
+        _arg(
+            "--rates",
+            nargs="+",
+            default=["0.0", "0.1"],
+            metavar="R",
+            help="fault-sweep kind: rates",
+        ),
+        _arg(
+            "--kinds", nargs="+", default=None, metavar="KIND", help="fault-sweep kind"
+        ),
+        _arg(
+            "--algorithms",
+            nargs="+",
+            default=["neighbor_exchange", "flooding"],
+            metavar="ALGO",
+            help="fault-sweep kind",
+        ),
+        _arg("--trials", type=int, default=4, help="fault-sweep kind"),
+        _kernel_flag,
+        _workers_flag,
+        _json_flag,
+    ),
+    Command(
+        "replay",
+        "re-execute a recorded session; exit 4 on any divergence",
+        _cmd_replay,
+        _arg("file", help="recorded session log"),
+        _arg(
+            "--verify",
+            action="store_true",
+            help="print the full comparison report (divergences always exit 4)",
+        ),
+        _json_flag,
+    ),
+    Command(
+        "rewind",
+        "inspect a recorded session step-by-step; branch counterfactuals",
+        _cmd_rewind,
+        _arg("file", help="recorded session log"),
+        _arg(
+            "--to", type=int, default=0, metavar="T", help="step to rewind to (0-based)"
+        ),
+        _arg(
+            "--walk",
+            type=int,
+            default=1,
+            metavar="K",
+            help="show K steps starting at the rewind point (default: 1)",
+        ),
+        _arg(
+            "--branch",
+            metavar="JSON",
+            default=None,
+            help=(
+                "re-execute with these param overrides (JSON object) after "
+                "verifying digest prefix agreement up to the rewind point; "
+                "a changed past exits 4"
+            ),
+        ),
+        _arg(
+            "--out",
+            metavar="FILE",
+            default=None,
+            help="save the branched session log (only written if the prefix check passes)",
+        ),
+        _json_flag,
+    ),
+)
+
+
+def _add_commands(sub, commands: Tuple[Command, ...]) -> None:
+    for command in commands:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag in command.flags:
+            flag(p)
+        if command.actions:
+            actions = p.add_subparsers(dest=f"{command.name}_command", required=True)
+            _add_commands(actions, command.actions)
+        else:
+            p.set_defaults(func=command.run)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="Run the experiments reproducing Pai & Pemmaraju, PODC 2019.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list experiments").set_defaults(func=_cmd_list)
-
-    p = sub.add_parser("crossing", help=_help("crossing"))
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--rounds", type=int, default=4)
-    _add_json_flag(p)
-    _add_trace_flag(p)
-    p.set_defaults(func=_cmd_crossing)
-
-    p = sub.add_parser("star", help=_help("star"))
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--rounds", type=int, default=3)
-    _add_json_flag(p)
-    _add_trace_flag(p)
-    p.set_defaults(func=_cmd_star)
-
-    p = sub.add_parser("forced-error", help=_help("forced-error"))
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--rounds", type=int, default=2)
-    _add_json_flag(p)
-    _add_trace_flag(p)
-    p.set_defaults(func=_cmd_forced_error)
-
-    p = sub.add_parser("ratio", help=_help("ratio"))
-    p.add_argument("--max-exp", type=int, default=6)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_ratio)
-
-    p = sub.add_parser("ranks", help=_help("ranks"))
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument(
-        "--streamed",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "matrix pipeline: 'on' streams block rows (never materializes "
-            "the dense matrix), 'off' always builds densely, 'auto' "
-            "(default) streams at >= 1000 rows with a fast kernel"
-        ),
-    )
-    p.add_argument(
-        "--block-rows",
-        type=int,
-        default=None,
-        metavar="R",
-        help="rows per streamed construction block (default 256)",
-    )
-    _add_workers_flag(p)
-    _add_kernel_flag(p)
-    _add_cache_flag(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_ranks)
-
-    p = sub.add_parser("reduction", help=_help("reduction"))
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
-    _add_json_flag(p)
-    _add_trace_flag(p)
-    p.set_defaults(func=_cmd_reduction)
-
-    p = sub.add_parser("information", help=_help("information"))
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--eps", type=float, default=0.3)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_information)
-
-    p = sub.add_parser("upper-bounds", help=_help("upper-bounds"))
-    p.add_argument("--n", type=int, default=32)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_upper_bounds)
-
-    p = sub.add_parser("exhaustive", help=_help("exhaustive"))
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument(
-        "--max-assignments",
-        type=int,
-        default=None,
-        metavar="K",
-        help="stop (budget exhausted, exit 3) after K assignments",
-    )
-    p.add_argument(
-        "--vectorize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "use the numpy block-scoring kernel (default: auto -- on when "
-            "--workers > 1 and numpy is available; degrades cleanly without numpy)"
-        ),
-    )
-    _add_workers_flag(p)
-    _add_resilience_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_exhaustive)
-
-    p = sub.add_parser("sampling", help=_help("sampling"))
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--eps",
-        type=float,
-        default=0.0,
-        help="use the lossy protocol with this target error (default: exact)",
-    )
-    p.add_argument(
-        "--max-samples",
-        type=int,
-        default=None,
-        metavar="K",
-        help="stop (budget exhausted, exit 3) after K samples",
-    )
-    _add_workers_flag(p)
-    _add_resilience_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_sampling)
-
-    p = sub.add_parser("fault-sweep", help=_help("fault-sweep"))
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--rates",
-        nargs="+",
-        default=["0.0", "0.01", "0.05", "0.1", "0.2"],
-        metavar="R",
-        help="fault rates to sweep",
-    )
-    p.add_argument(
-        "--kinds",
-        nargs="+",
-        default=None,
-        metavar="KIND",
-        help="fault kinds (bit_flip erasure crash; default: all)",
-    )
-    p.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["neighbor_exchange", "flooding", "boruvka", "sketch"],
-        metavar="ALGO",
-        help="upper-bound algorithms to sweep",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke preset: n=6, 4 trials, rates 0.0/0.1, 2 fast algorithms",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="also write the schema-versioned fault_sweep JSON payload to FILE",
-    )
-    p.add_argument(
-        "--live",
-        action="store_true",
-        help=(
-            "stream one progress line per sweep cell to stderr as it "
-            "completes (via the repro.obs.stream event bus)"
-        ),
-    )
-    _add_workers_flag(p)
-    _add_cache_flag(p)
-    _add_json_flag(p)
-    _add_trace_flag(p)
-    p.set_defaults(func=_cmd_fault_sweep)
-
-    p = sub.add_parser("all", help=_help("all"))
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_all)
-
-    from repro.obs.regress import DEFAULT_HISTORY_PATH
-
-    p = sub.add_parser("bench", help=_help("bench"))
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="use each benchmark's quick (CI smoke) parameter set",
-    )
-    p.add_argument(
-        "--only",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="run only these harness benchmarks (see `repro.cli bench --help`)",
-    )
-    p.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for BENCH_<name>.json files (default: current dir)",
-    )
-    p.add_argument(
-        "--history",
-        nargs="?",
-        const=DEFAULT_HISTORY_PATH,
-        default=None,
-        metavar="FILE",
-        help=(
-            "append one history line (git SHA, timestamp, per-kernel wall "
-            f"times) to FILE (default: {DEFAULT_HISTORY_PATH})"
-        ),
-    )
-    _add_workers_flag(p)
-    _add_kernel_flag(p)
-    _add_cache_flag(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("report", help=_help("report"))
-    p.add_argument(
-        "--dir",
-        default=".",
-        help="directory holding BENCH_*.json files (default: current dir)",
-    )
-    p.add_argument(
-        "--per-vertex",
-        action="store_true",
-        dest="per_vertex",
-        help=(
-            "also print each payload's per-vertex ledger: bits sent and "
-            "silent rounds per vertex (from the optional costs section)"
-        ),
-    )
-    p.add_argument(
-        "--per-phase",
-        action="store_true",
-        dest="per_phase",
-        help=(
-            "also print each payload's per-phase ledger (two-party runs "
-            "split into simulate/decision phases)"
-        ),
-    )
-    p.add_argument(
-        "--session",
-        metavar="FILE",
-        default=None,
-        help=(
-            "summarize a recorded session log instead: rounds, faults, "
-            "per-edge delivery anomalies, and recorded-vs-log cost parity"
-        ),
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("spans", help=_help("spans"))
-    p.add_argument(
-        "--bench",
-        default="exhaustive",
-        metavar="NAME",
-        help="harness benchmark to profile (default: exhaustive)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the benchmark's quick (CI smoke) parameter set",
-    )
-    p.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="K",
-        help="how many hotspots (by self time) to print (default: 10)",
-    )
-    p.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        metavar="D",
-        help="truncate the printed tree below depth D (0 = roots only)",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="also write the span-tree JSON payload to FILE",
-    )
-    _add_json_flag(p)
-    _add_trace_flag(p)
-    p.set_defaults(func=_cmd_spans)
-
-    p = sub.add_parser("compare", help=_help("compare"))
-    p.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY_PATH,
-        metavar="FILE",
-        help=f"history file written by bench --history (default: {DEFAULT_HISTORY_PATH})",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="REF.json",
-        default=None,
-        help=(
-            "compare the newest history record against this reference payload "
-            "instead of the history's own baseline window"
-        ),
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=1.25,
-        metavar="X",
-        help="regression ratio gate: latest > X * baseline median (default: 1.25)",
-    )
-    p.add_argument(
-        "--min-samples",
-        type=int,
-        default=3,
-        metavar="K",
-        help="baseline points needed before a verdict (default: 3)",
-    )
-    p.add_argument(
-        "--fail-on-regress",
-        action="store_true",
-        help="exit 1 when any kernel regresses (default: warn only)",
-    )
-    p.add_argument(
-        "--dashboard",
-        metavar="FILE",
-        default=None,
-        help="write the markdown perf dashboard (sparklines) to FILE",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("cost-check", help=_help("cost-check"))
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="use each spec's quick (CI smoke) parameter set",
-    )
-    p.add_argument(
-        "--only",
-        nargs="+",
-        metavar="SPEC",
-        default=None,
-        help="check only these specs (default: every bundled spec)",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_cost_check)
-
-    p = sub.add_parser("trace-validate", help=_help("trace-validate"))
-    p.add_argument("file", help="JSONL run trace written with --trace")
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print per-run event-type counts",
-    )
-    p.add_argument(
-        "--schema-version",
-        type=int,
-        default=None,
-        metavar="V",
-        help="only keep runs whose trace_start declares schema version V",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_trace_validate)
-
-    p = sub.add_parser("cache", help=_help("cache"))
-    cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    for action, action_help in (
-        ("stats", "entry counts and bytes, total and per kind"),
-        ("verify", "re-digest every entry; corrupt entries exit 1"),
-        ("gc", "evict least-recently-used entries down to a size bound"),
-    ):
-        cp = cache_sub.add_parser(action, help=action_help)
-        cp.add_argument(
-            "--dir",
-            default=None,
-            metavar="DIR",
-            help=(
-                "cache directory (default: REPRO_CACHE_DIR if set, "
-                "else .repro-cache)"
-            ),
-        )
-        if action == "verify":
-            cp.add_argument(
-                "--delete",
-                action="store_true",
-                help="delete corrupt entries instead of failing on them",
-            )
-        if action == "gc":
-            from repro.cache.store import DEFAULT_GC_MAX_BYTES
-
-            cp.add_argument(
-                "--max-bytes",
-                type=int,
-                default=DEFAULT_GC_MAX_BYTES,
-                metavar="B",
-                help=(
-                    "evict oldest-used entries until the store fits in B "
-                    f"bytes (default: {DEFAULT_GC_MAX_BYTES})"
-                ),
-            )
-        _add_json_flag(cp)
-        cp.set_defaults(func=_cmd_cache)
-
-    p = sub.add_parser("dash", help=_help("dash"))
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default="dash.html",
-        help="dashboard HTML file to write (default: dash.html)",
-    )
-    p.add_argument(
-        "--dir",
-        default=".",
-        help="directory holding BENCH_*.json payloads (default: current dir)",
-    )
-    p.add_argument(
-        "--history",
-        metavar="FILE",
-        default=None,
-        help="BENCH_HISTORY.jsonl for the sparkline section",
-    )
-    p.add_argument(
-        "--sweep",
-        metavar="FILE",
-        default=None,
-        help="fault-sweep JSON payload (from `repro fault-sweep --out`)",
-    )
-    p.add_argument(
-        "--spans",
-        metavar="FILE",
-        default=None,
-        help="span tree JSON payload (from `repro spans --out`)",
-    )
-    p.add_argument(
-        "--session",
-        metavar="FILE",
-        action="append",
-        default=None,
-        dest="sessions",
-        help="recorded session log (repeatable; from `repro record`)",
-    )
-    p.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help=(
-            "result-cache directory for the cache panel (entry counts, "
-            "bytes, per-kind breakdown; from --cache'd runs)"
-        ),
-    )
-    p.add_argument(
-        "--timestamp",
-        metavar="STR",
-        default=None,
-        help=(
-            "pinned generated-at string; with equal inputs and an equal "
-            "timestamp the output is byte-identical (omit to leave unpinned "
-            "-- output is still deterministic)"
-        ),
-    )
-    p.add_argument(
-        "--title",
-        default="repro dashboard",
-        help="page title (default: repro dashboard)",
-    )
-    p.set_defaults(func=_cmd_dash)
-
-    p = sub.add_parser("record", help=_help("record"))
-    from repro.replay.engines import RECORD_KINDS
-
-    p.add_argument("kind", choices=RECORD_KINDS, help="which engine to record")
-    p.add_argument(
-        "--session",
-        metavar="FILE",
-        required=True,
-        help="session log to write (trace-v5 JSONL; replayable byte-identically)",
-    )
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument(
-        "--algorithm",
-        default="flooding",
-        help="run kind: harness algorithm (neighbor_exchange flooding boruvka sketch)",
-    )
-    p.add_argument(
-        "--instance",
-        choices=("one_cycle", "two_cycle"),
-        default="one_cycle",
-        help="run kind: input family (two_cycle needs --split)",
-    )
-    p.add_argument("--split", type=int, default=None, help="run kind: two_cycle split")
-    p.add_argument(
-        "--rounds", type=int, default=None, help="run kind: round budget (default: the algorithm's)"
-    )
-    p.add_argument(
-        "--coin-seed", default=None, help="run kind: public-coin seed string"
-    )
-    p.add_argument("--bit-flip-rate", type=float, default=0.0)
-    p.add_argument("--erasure-rate", type=float, default=0.0)
-    p.add_argument("--crash-rate", type=float, default=0.0)
-    p.add_argument("--fault-seed", type=int, default=0)
-    p.add_argument("--max-crashes", type=int, default=None)
-    p.add_argument(
-        "--crash-at",
-        action="append",
-        metavar="V:T",
-        default=None,
-        help="schedule vertex V to crash in round T (repeatable)",
-    )
-    p.add_argument(
-        "--max-delay",
-        type=int,
-        default=0,
-        help="network: delay each delivery by 0..D rounds (seeded)",
-    )
-    p.add_argument(
-        "--duplicate-rate",
-        type=float,
-        default=0.0,
-        help="network: per-delivery duplication probability (seeded)",
-    )
-    p.add_argument(
-        "--reorder",
-        action="store_true",
-        help="network: deterministically reorder queued deliveries",
-    )
-    p.add_argument("--net-seed", type=int, default=0, help="network RNG seed")
-    p.add_argument("--eps", type=float, default=0.0, help="sampling kind: protocol eps")
-    p.add_argument("--samples", type=int, default=200, help="sampling kind")
-    p.add_argument("--seed", type=int, default=0, help="sampling / fault-sweep seed")
-    p.add_argument(
-        "--ns", nargs="+", default=["3", "4", "5"], metavar="N", help="ranks kind: sizes"
-    )
-    p.add_argument(
-        "--rates",
-        nargs="+",
-        default=["0.0", "0.1"],
-        metavar="R",
-        help="fault-sweep kind: rates",
-    )
-    p.add_argument(
-        "--kinds", nargs="+", default=None, metavar="KIND", help="fault-sweep kind"
-    )
-    p.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["neighbor_exchange", "flooding"],
-        metavar="ALGO",
-        help="fault-sweep kind",
-    )
-    p.add_argument("--trials", type=int, default=4, help="fault-sweep kind")
-    _add_kernel_flag(p)
-    _add_workers_flag(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_record)
-
-    p = sub.add_parser("replay", help=_help("replay"))
-    p.add_argument("file", help="recorded session log")
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="print the full comparison report (divergences always exit 4)",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("rewind", help=_help("rewind"))
-    p.add_argument("file", help="recorded session log")
-    p.add_argument(
-        "--to", type=int, default=0, metavar="T", help="step to rewind to (0-based)"
-    )
-    p.add_argument(
-        "--walk",
-        type=int,
-        default=1,
-        metavar="K",
-        help="show K steps starting at the rewind point (default: 1)",
-    )
-    p.add_argument(
-        "--branch",
-        metavar="JSON",
-        default=None,
-        help=(
-            "re-execute with these param overrides (JSON object) after "
-            "verifying digest prefix agreement up to the rewind point; "
-            "a changed past exits 4"
-        ),
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="save the branched session log (only written if the prefix check passes)",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_rewind)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), COMMANDS)
     return parser
 
 
@@ -2286,3 +2204,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())
+

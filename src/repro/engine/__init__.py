@@ -1,9 +1,8 @@
 """Library-level engine API: requests in, schema-versioned results out.
 
 Build an :class:`EngineRequest`, hand it to :func:`execute`, get an
-:class:`EngineResult` whose payload is canonical-JSON-shaped and -- for
-the kinds in :data:`CACHEABLE_KINDS` -- byte-identical whether it was
-computed fresh or served from an attached
+:class:`EngineResult` whose payload is canonical-JSON-shaped and
+byte-identical whether it was computed fresh or served from an attached
 :class:`repro.cache.ResultCache`::
 
     from repro.cache import ResultCache
@@ -26,7 +25,6 @@ from repro.engine.core import (
     sweep_rows_from_payload,
 )
 from repro.engine.request import (
-    CACHEABLE_KINDS,
     ENGINE_KINDS,
     ENGINE_RESULT_VERSION,
     EngineOptions,
@@ -36,7 +34,6 @@ from repro.engine.request import (
 )
 
 __all__ = [
-    "CACHEABLE_KINDS",
     "ENGINE_KINDS",
     "ENGINE_RESULT_VERSION",
     "EngineOptions",

@@ -38,7 +38,6 @@ import random
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.engine.request import (
-    CACHEABLE_KINDS,
     ENGINE_KINDS,
     ENGINE_RESULT_VERSION,
     EngineOptions,
@@ -46,7 +45,7 @@ from repro.engine.request import (
     EngineResult,
     normalize_params,
 )
-from repro.errors import EngineError, SessionError
+from repro.errors import SessionError
 
 __all__ = [
     "execute",
@@ -186,10 +185,12 @@ def _run_sampling(
 
     n = int(params["n"])
     eps = float(params.get("eps", 0.0))
+    # Every eps but 0 goes through the lossy protocol's range check, so a
+    # negative or NaN eps fails instead of running the exact protocol.
     protocol = (
-        LossyPartitionCompProtocol(n, eps)
-        if eps > 0
-        else TrivialPartitionCompProtocol(n)
+        TrivialPartitionCompProtocol(n)
+        if eps == 0
+        else LossyPartitionCompProtocol(n, eps)
     )
     rng = random.Random(int(params.get("seed", 0)))
     report = estimate_protocol_information(
@@ -308,34 +309,6 @@ def _run_fault_sweep(
     return payload
 
 
-def _run_bench(
-    params: Mapping[str, Any],
-    workers: int = 1,
-    kernel: str = "auto",
-    out_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    from repro.obs.bench import BenchmarkHarness
-
-    harness = BenchmarkHarness(
-        out_dir=out_dir,
-        quick=bool(params.get("quick", False)),
-        workers=int(workers),
-        kernel=kernel,
-    )
-    results = harness.run(params.get("only") or None)
-    return {
-        "results": [
-            {
-                "name": r.name,
-                "ok": r.ok,
-                "wall_time_seconds": r.wall_time_seconds,
-                "path": r.path,
-            }
-            for r in results
-        ]
-    }
-
-
 # ----------------------------------------------------------------------
 # record/replay adapter (payload shapes frozen since the sessions PR)
 # ----------------------------------------------------------------------
@@ -365,9 +338,7 @@ def run_record(kind: str, params: Mapping[str, Any], session=None) -> Dict[str, 
         )
     if kind == "fault-sweep":
         return _run_fault_sweep(params, workers=workers, session=session)
-    from repro.replay.engines import RECORD_KINDS
-
-    raise SessionError(f"unknown session kind {kind!r}; known: {RECORD_KINDS}")
+    raise SessionError(f"unknown session kind {kind!r}; known: {ENGINE_KINDS}")
 
 
 # ----------------------------------------------------------------------
@@ -423,10 +394,9 @@ def execute(
 ) -> EngineResult:
     """Dispatch one :class:`EngineRequest`; returns an :class:`EngineResult`.
 
-    With ``cache`` (a :class:`repro.cache.ResultCache`) attached and the
-    kind cacheable, the normalized request is looked up first -- a hit
-    returns the stored payload byte-identically and never touches the
-    compute layer. On a miss the fan-out kinds additionally carry a
+    With ``cache`` (a :class:`repro.cache.ResultCache`) attached, the
+    normalized request is looked up first -- a hit returns the stored
+    payload byte-identically and never touches the compute layer. On a miss the fan-out kinds additionally carry a
     :class:`~repro.cache.ShardCache` into their compute layer, the fresh
     payload is stored, and the request's key is returned either way.
     ``cache=None`` (or a disabled cache) is *exactly* the legacy path:
@@ -441,18 +411,13 @@ def execute(
     """
     opts = options if options is not None else EngineOptions()
     kind = request.kind
-    if kind not in ENGINE_KINDS:
-        raise EngineError(
-            f"unknown engine kind {kind!r}; known: {list(ENGINE_KINDS)}"
-        )
-    params = normalize_params(kind, request.params)
+    params = normalize_params(kind, request.params)  # rejects unknown kinds
     kernel = str(request.kernel)
     workers = int(request.workers)
 
     use_cache = (
         cache is not None
         and getattr(cache, "enabled", False)
-        and kind in CACHEABLE_KINDS
         and opts.session is None
     )
     key: Optional[str] = None
@@ -520,7 +485,7 @@ def execute(
         payload = _run_ranks(
             params, workers=workers, kernel=kernel, session=opts.session
         )
-    elif kind == "fault-sweep":
+    else:  # fault-sweep
         payload = _run_fault_sweep(
             params,
             workers=workers,
@@ -528,10 +493,6 @@ def execute(
             trace=opts.trace,
             metrics=opts.metrics,
             cell_cache=shard_cache,
-        )
-    else:  # bench
-        payload = _run_bench(
-            params, workers=workers, kernel=kernel, out_dir=opts.out_dir
         )
 
     payload = _json_roundtrip(payload)

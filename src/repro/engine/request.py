@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.errors import EngineError
 
 __all__ = [
-    "CACHEABLE_KINDS",
     "ENGINE_KINDS",
     "ENGINE_RESULT_VERSION",
     "EngineOptions",
@@ -37,13 +36,9 @@ __all__ = [
     "normalize_params",
 ]
 
-#: Every kind :func:`repro.engine.core.execute` dispatches.
-ENGINE_KINDS = ("run", "exhaustive", "sampling", "ranks", "fault-sweep", "bench")
-
-#: Kinds whose payloads are pure functions of their normalized params.
-#: ``bench`` is deliberately absent: its payload measures wall time, so a
-#: cache hit could never be byte-identical to a recompute.
-CACHEABLE_KINDS = ("run", "exhaustive", "sampling", "ranks", "fault-sweep")
+#: Every kind :func:`repro.engine.core.execute` dispatches, caches and
+#: records: each payload is a pure function of its normalized params.
+ENGINE_KINDS = ("run", "exhaustive", "sampling", "ranks", "fault-sweep")
 
 #: Bump when any kind's payload layout changes incompatibly; part of the
 #: cache key, so old entries become unreachable rather than wrong.
@@ -85,8 +80,6 @@ class EngineOptions:
     session: Optional[Any] = None
     trace: Optional[Any] = None
     metrics: Optional[Any] = None
-    #: ``bench`` kind only: where BENCH_<name>.json files land.
-    out_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -237,21 +230,12 @@ def _normalize_fault_sweep(params: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _normalize_bench(params: Mapping[str, Any]) -> Dict[str, Any]:
-    only = params.get("only")
-    return {
-        "quick": bool(params.get("quick", False)),
-        "only": None if only is None else [str(name) for name in only],
-    }
-
-
 _NORMALIZERS = {
     "run": _normalize_run,
     "exhaustive": _normalize_exhaustive,
     "sampling": _normalize_sampling,
     "ranks": _normalize_ranks,
     "fault-sweep": _normalize_fault_sweep,
-    "bench": _normalize_bench,
 }
 
 

@@ -9,7 +9,6 @@ share the recorded past. See ``docs/SESSIONS.md`` for the file format.
 """
 
 from repro.replay.engines import (
-    RECORD_KINDS,
     execute_record,
     execute_run,
     record_session,
@@ -34,7 +33,6 @@ from repro.replay.verify import (
 __all__ = [
     "Divergence",
     "ENVELOPE_FIELDS",
-    "RECORD_KINDS",
     "RecordedSession",
     "ReplayReport",
     "SESSION_SCHEMA_VERSION",

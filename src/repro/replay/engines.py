@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.engine.request import ENGINE_KINDS
 from repro.errors import SessionError
 from repro.replay.store import SessionStore
 
-__all__ = ["RECORD_KINDS", "execute_record", "execute_run", "record_session"]
-
-#: The session kinds ``repro record`` / ``repro replay`` understand.
-RECORD_KINDS = ("run", "exhaustive", "sampling", "ranks", "fault-sweep")
+__all__ = ["execute_record", "execute_run", "record_session"]
 
 
 def execute_run(params: Mapping[str, Any], session=None, trace=None, metrics=None):
@@ -85,8 +83,8 @@ def record_session(
     same if the interrupt fires elsewhere) and the interrupt re-raises,
     leaving a valid partial session behind.
     """
-    if kind not in RECORD_KINDS:
-        raise SessionError(f"unknown session kind {kind!r}; known: {RECORD_KINDS}")
+    if kind not in ENGINE_KINDS:
+        raise SessionError(f"unknown session kind {kind!r}; known: {ENGINE_KINDS}")
     store = SessionStore(sink, run_id=run_id, fsync=fsync)
     store.start(kind, dict(params))
     try:

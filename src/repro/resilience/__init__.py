@@ -23,54 +23,42 @@ supplies the shared transient-``OSError`` retry policy used by
 cache writes and session-log appends.
 """
 
-from repro.resilience.budget import Budget
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    FaultRun,
-    ScheduledFault,
-)
-from repro.resilience.harness import (
-    FAULT_SWEEP_SCHEMA_VERSION,
-    DegradationCurve,
-    DegradationPoint,
-    FaultSweepReport,
-    HARNESS_ALGORITHMS,
-    fault_sweep,
-    validate_fault_sweep_payload,
-)
-from repro.resilience.interrupt import (
-    graceful_interrupts,
-    register_flush_hook,
-    unregister_flush_hook,
-)
-from repro.resilience.retry import (
-    DEFAULT_RETRY_ATTEMPTS,
-    DEFAULT_RETRY_BASE_DELAY,
-    retry_transient,
-    set_retry_sleep,
-)
+# Every name is re-exported lazily (PEP 562): the cache store needs only
+# the retry policy, and must not load the fault harness and with it the
+# simulator.
+_LAZY_EXPORTS = {
+    "Budget": "repro.resilience.budget",
+    "FAULT_KINDS": "repro.resilience.faults",
+    "FaultEvent": "repro.resilience.faults",
+    "FaultPlan": "repro.resilience.faults",
+    "FaultRun": "repro.resilience.faults",
+    "ScheduledFault": "repro.resilience.faults",
+    "FAULT_SWEEP_SCHEMA_VERSION": "repro.resilience.harness",
+    "DegradationCurve": "repro.resilience.harness",
+    "DegradationPoint": "repro.resilience.harness",
+    "FaultSweepReport": "repro.resilience.harness",
+    "HARNESS_ALGORITHMS": "repro.resilience.harness",
+    "fault_sweep": "repro.resilience.harness",
+    "validate_fault_sweep_payload": "repro.resilience.harness",
+    "graceful_interrupts": "repro.resilience.interrupt",
+    "register_flush_hook": "repro.resilience.interrupt",
+    "unregister_flush_hook": "repro.resilience.interrupt",
+    "DEFAULT_RETRY_ATTEMPTS": "repro.resilience.retry",
+    "DEFAULT_RETRY_BASE_DELAY": "repro.resilience.retry",
+    "retry_transient": "repro.resilience.retry",
+    "set_retry_sleep": "repro.resilience.retry",
+}
 
-__all__ = [
-    "Budget",
-    "DEFAULT_RETRY_ATTEMPTS",
-    "DEFAULT_RETRY_BASE_DELAY",
-    "DegradationCurve",
-    "DegradationPoint",
-    "FAULT_KINDS",
-    "FAULT_SWEEP_SCHEMA_VERSION",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultRun",
-    "FaultSweepReport",
-    "HARNESS_ALGORITHMS",
-    "ScheduledFault",
-    "fault_sweep",
-    "graceful_interrupts",
-    "register_flush_hook",
-    "retry_transient",
-    "set_retry_sleep",
-    "unregister_flush_hook",
-    "validate_fault_sweep_payload",
-]
+
+def __getattr__(name):
+    module_name = _LAZY_EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: __getattr__ only fires on misses
+    return value
+
+
+__all__ = sorted(_LAZY_EXPORTS)

@@ -376,6 +376,11 @@ def fault_sweep(
             raise FaultInjectionError(
                 f"unknown fault kind {kind!r}; known: {FAULT_KINDS}"
             )
+    for rate in rates:
+        # A cell runs fault-free unless rate > 0, so a negative or NaN
+        # rate would otherwise pass as a clean cell.
+        if not 0.0 <= rate <= 1.0:
+            raise FaultInjectionError(f"fault rates must be in [0, 1], got {rate}")
     if metrics is None:
         metrics = get_registry()
     bus = get_bus()

@@ -17,6 +17,7 @@ from repro.cache.keys import (
     request_key,
     shard_key,
 )
+from repro.engine import ENGINE_KINDS
 
 
 class TestCanonicalJson:
@@ -64,7 +65,7 @@ class TestFingerprints:
             code_fingerprint(["os.path"])
 
     def test_every_engine_kind_has_a_table_entry(self):
-        for kind in ("run", "exhaustive", "sampling", "ranks", "fault-sweep", "bench"):
+        for kind in ENGINE_KINDS:
             assert kind in FINGERPRINT_PREFIXES
             assert len(kind_fingerprint(kind)) == 64
 

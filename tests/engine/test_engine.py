@@ -7,8 +7,6 @@ import pytest
 from repro.cache import ResultCache
 from repro.cache.keys import canonical_json
 from repro.engine import (
-    CACHEABLE_KINDS,
-    ENGINE_KINDS,
     EngineOptions,
     EngineRequest,
     execute,
@@ -96,9 +94,6 @@ class TestValidation:
             normalize_params("ranks", {"e_ns": [3]})  # odd E_n size
         with pytest.raises(EngineError):
             normalize_params("exhaustive", {})  # n is required
-
-    def test_kind_lists_are_coherent(self):
-        assert set(CACHEABLE_KINDS) == set(ENGINE_KINDS) - {"bench"}
 
 
 class TestWholeRequestCache:

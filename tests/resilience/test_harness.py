@@ -82,3 +82,8 @@ class TestSweepValidation:
     def test_tiny_n_rejected(self):
         with pytest.raises(FaultInjectionError):
             _small_sweep(n=4)
+
+    @pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf"), 1.5])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(FaultInjectionError, match="must be in"):
+            _small_sweep(rates=(0.0, rate))

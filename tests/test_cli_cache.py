@@ -171,3 +171,17 @@ class TestObservabilityIntegrations:
         assert run_cli(capsys, argv + ["--cache", str(tmp_path / "c")])[0] == 0
         lines = open(tmp_path / "BENCH_HISTORY.jsonl", encoding="utf-8").readlines()
         assert json.loads(lines[-1])["cache"] == "on"
+
+    def test_bench_cache_dir_from_env(self, tmp_path, capsys, monkeypatch):
+        cache_dir = str(tmp_path / "env-cache")
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "bench", "--quick", "--only", "parallel",
+            "--out-dir", str(tmp_path), "--history",
+        ]
+        assert run_cli(capsys, argv)[0] == 0
+        payload = json.loads((tmp_path / "BENCH_parallel.json").read_text())
+        assert payload["params"]["cache_dir"] == cache_dir
+        record = json.loads((tmp_path / "BENCH_HISTORY.jsonl").read_text())
+        assert record["cache"] == "on"

@@ -39,6 +39,25 @@ class TestUserErrorsExitTwo:
         assert code == 2
         assert err == "error: bad instance for the test\n"
 
+    @pytest.mark.parametrize("rate", ["-0.5", "nan", "inf", "1.5"])
+    def test_fault_sweep_rate_outside_unit_interval(self, capsys, rate):
+        code, out, err = _run(
+            capsys, "fault-sweep", "--n", "6", "--trials", "1", "--algorithms",
+            "flooding", "--kinds", "erasure", "--rates", "0.0", rate, "--json",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: fault rates must be in [0, 1], got {float(rate)}\n"
+
+    @pytest.mark.parametrize("command", ["sampling", "record"])
+    @pytest.mark.parametrize("eps", ["-0.5", "nan", "1.0"])
+    def test_sampling_eps_outside_unit_interval(self, capsys, tmp_path, command, eps):
+        argv = ["sampling", "--n", "4", "--samples", "50", "--eps", eps]
+        if command == "record":
+            argv = ["record", "--session", str(tmp_path / "s.jsonl")] + argv
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: error_rate must be in [0, 1), got {float(eps)}\n"
+
     def test_unknown_subcommand_still_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["no-such-command"])

@@ -1,11 +1,12 @@
 """Each command loads only what it runs (lazy package re-exports).
 
-``repro.obs``, ``repro.costs`` and ``repro.kernels`` re-export their
-submodules' names through a PEP 562 ``_LAZY_EXPORTS`` table, sympy is
-imported only by the cost cross-check, and numpy only when a numpy
-kernel fires. The subprocess probes pin which heavy dependencies each
-CLI command may load; the identity test pins that laziness never changes
-what a public name refers to.
+``repro.obs``, ``repro.costs``, ``repro.kernels``, ``repro.resilience``
+and ``repro.cache`` re-export their submodules' names through a PEP 562
+``_LAZY_EXPORTS`` table, sympy is imported only by the cost cross-check,
+and numpy only when a numpy kernel fires. The subprocess probes pin which
+heavy dependencies each CLI command may load, and which ``repro`` modules
+building the parser loads; the identity test pins that laziness never
+changes what a public name refers to.
 """
 
 import importlib
@@ -17,7 +18,13 @@ import sys
 
 import pytest
 
-LAZY_PACKAGES = ("repro.obs", "repro.costs", "repro.kernels")
+LAZY_PACKAGES = (
+    "repro.obs",
+    "repro.costs",
+    "repro.kernels",
+    "repro.resilience",
+    "repro.cache",
+)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
@@ -94,3 +101,41 @@ def test_command_loads_neither_sympy_nor_numpy(argv, tmp_path):
 @pytest.mark.parametrize("argv", NUMPY_KERNEL, ids=lambda a: " ".join(a))
 def test_command_loads_no_sympy(argv, tmp_path):
     assert "sympy" not in _loaded(argv, tmp_path)
+
+
+#: All that ``list`` and ``<cmd> --help`` may load from ``repro``: the
+#: engine's kind list (``record`` choices), the kernel modes and the two
+#: defaults the help text prints (``cache gc --max-bytes``, ``bench
+#: --history``). The command table itself lives in ``repro.cli``, which
+#: runs as ``__main__``.
+PARSER_MODULES = {
+    "repro",
+    "repro.cache",
+    "repro.cache.keys",
+    "repro.cache.store",
+    "repro.engine",
+    "repro.engine.core",
+    "repro.engine.request",
+    "repro.errors",
+    "repro.kernels",
+    "repro.obs",
+    "repro.obs.regress",
+    "repro.resilience",
+    "repro.resilience.retry",
+}
+
+
+def _parser_argvs():
+    from repro.cli import COMMANDS
+
+    yield ("list",)
+    for command in COMMANDS:
+        yield (command.name, "--help")
+        for action in command.actions:
+            yield (command.name, action.name, "--help")
+
+
+@pytest.mark.parametrize("argv", list(_parser_argvs()), ids=" ".join)
+def test_parser_loads_only_pinned_modules(argv, tmp_path):
+    loaded = {m for m in _loaded(argv, tmp_path) if m.split(".")[0] == "repro"}
+    assert loaded == PARSER_MODULES

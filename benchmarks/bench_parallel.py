@@ -1,6 +1,6 @@
 """P2 -- the ``repro.parallel`` execution layer, timed honestly.
 
-Three questions, all answered on the same exhaustive-search instance so
+Two questions, both answered on the same exhaustive-search instance so
 the numbers are comparable:
 
 1. What does sharding itself cost? (``ShardPlan`` + merge on a trivial
@@ -9,19 +9,15 @@ the numbers are comparable:
    (``workers=4`` vs serial; on a single-core CI runner the answer is
    honestly *negative*, which is exactly why the perf gate keys bench
    history on worker count instead of asserting a speedup here.)
-3. What does the vectorized numpy kernel buy? (This is the
-   machine-independent win: one python-level pass per block instead of
-   per assignment.)
 
-Correctness -- bit-identical reports across all three execution modes --
-is asserted; speed is only printed.
+Correctness -- bit-identical reports across both execution modes -- is
+asserted; speed is only printed.
 """
 
 import pytest
 
 from repro.analysis import print_table
 from repro.lowerbounds import clear_pair_cache, universal_bound_id_oblivious
-from repro.lowerbounds.vectorized import HAVE_NUMPY
 from repro.parallel import MIN_KEYED, ShardPlan
 
 
@@ -59,7 +55,6 @@ def test_fanout(benchmark, workers):
         n,
         alphabet=alphabet,
         workers=workers,
-        vectorize=False,
     )
     print_table(
         f"P2: exhaustive fan-out (n={n}, |alphabet|={len(alphabet)}, workers={workers})",
@@ -72,22 +67,5 @@ def test_fanout(benchmark, workers):
                 report == serial,
             ]
         ],
-    )
-    assert report == serial
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-@pytest.mark.parametrize("n", [6, 7])
-def test_vectorized_kernel(benchmark, n):
-    """Vectorized vs python scan at n=6/7: the machine-independent win."""
-    clear_pair_cache()
-    serial = universal_bound_id_oblivious(n, alphabet=("0", "1"))
-    report = benchmark(
-        universal_bound_id_oblivious, n, alphabet=("0", "1"), vectorize=True
-    )
-    print_table(
-        f"P2: vectorized exhaustive scan (n={n}, binary alphabet)",
-        ["n", "class size", "min forced error", "identical to python scan"],
-        [[n, report.class_size, report.minimum_forced_error, report == serial]],
     )
     assert report == serial

@@ -224,9 +224,10 @@ def shard_key(
 #: results after a behavior change, which is a correctness bug. Every
 #: cached shard is served again on each resume, so tests/cache/
 #: test_keys.py checks each entry against the static import closure of
-#: the kind's engine runner.
+#: the kind's engine runner, which includes the runner's own module.
 FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
     "run": (
+        "repro.engine.core",
         "repro.core",
         "repro.algorithms",
         "repro.instances",
@@ -238,6 +239,7 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.obs.sketches",
     ),
     "exhaustive": (
+        "repro.engine.core",
         "repro.lowerbounds",
         "repro.parallel",
         "repro.instances",
@@ -252,6 +254,7 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.obs.sketches",
     ),
     "sampling": (
+        "repro.engine.core",
         "repro.information",
         "repro.twoparty",
         "repro.partitions",
@@ -264,12 +267,14 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.obs.sketches",
     ),
     "ranks": (
+        "repro.engine.core",
         "repro.partitions",
         "repro.kernels",
         "repro.parallel",
         "repro.graphs",
     ),
     "fault-sweep": (
+        "repro.engine.core",
         "repro.resilience",
         "repro.core",
         "repro.algorithms",

@@ -1563,7 +1563,7 @@ COMMANDS: Tuple[Command, ...] = (
         "exhaustive",
         "universal 1-round KT-0 bound (budget/resume)",
         Engine(
-            lambda args: {"n": args.n, "vectorize": args.vectorize},
+            lambda args: {"n": args.n},
             "universal 1-round KT-0 bound at n={n} (exhaustive class search)",
             ("n", "class size", "min forced error", "constant?", "worst assignment"),
             _exhaustive_rows,
@@ -1581,10 +1581,7 @@ COMMANDS: Tuple[Command, ...] = (
             "--vectorize",
             action=argparse.BooleanOptionalAction,
             default=None,
-            help=(
-                "use the numpy block-scoring kernel (default: auto -- on when "
-                "--workers > 1 and numpy is available; degrades cleanly without numpy)"
-            ),
+            help="ignored: kept so existing scripts still parse",
         ),
         _workers_flag,
         _budget_flag,

@@ -152,7 +152,6 @@ def _run_exhaustive(
         metrics=metrics,
         budget=budget,
         workers=int(workers),
-        vectorize=params.get("vectorize"),
         population=bool(params.get("population", False)),
         shard_cache=shard_cache,
     )

@@ -161,14 +161,9 @@ def _normalize_run(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _normalize_exhaustive(params: Mapping[str, Any]) -> Dict[str, Any]:
-    vectorize = params.get("vectorize")
     return {
         "n": _int(params, "n"),
         "alphabet": _str_list(params, "alphabet", ("", "0", "1")),
-        # The RAW requested flag, not the resolved one: auto (None)
-        # resolves differently per worker count, and resolving before
-        # keying would break the workers-invariant hit the key promises.
-        "vectorize": None if vectorize is None else bool(vectorize),
         "population": bool(params.get("population", False)),
     }
 

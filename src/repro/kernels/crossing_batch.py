@@ -7,9 +7,8 @@ in the cover, and neither would-be new edge already present. The
 reference path (:func:`repro.indist.graph_builder.cross_cover`) runs
 those checks pair by pair in Python -- O(active^2) set lookups per
 cover. This kernel scores **all pairs of one cover in a single numpy
-block**, reusing the PR 4 ``lowerbounds/vectorized.py`` idiom of
-encoding structure into int64 arrays and letting one vectorized mask
-replace the per-item Python calls:
+block**: it encodes structure into int64 arrays and lets one vectorized
+mask replace the per-item Python calls:
 
 * undirected edges are encoded as ``min * n + max`` int64 codes;
 * all ``C(m, 2)`` candidate pairs come from one ``triu_indices`` call;

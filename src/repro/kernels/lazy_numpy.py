@@ -1,8 +1,7 @@
 """numpy, imported on the first fast-path call instead of at module import.
 
-The numpy-backed kernels (:mod:`repro.kernels.modp`,
-:mod:`repro.kernels.crossing_batch` and
-:mod:`repro.lowerbounds.vectorized`) each keep a module-level ``_np``
+The numpy-backed kernels (:mod:`repro.kernels.modp` and
+:mod:`repro.kernels.crossing_batch`) each keep a module-level ``_np``
 handle. It is ``None`` when numpy is not installed and otherwise the
 shared :data:`NUMPY` stand-in, which imports numpy the first time one of
 its attributes is read. A command whose inputs never reach a numpy

@@ -29,6 +29,15 @@ the reference. A broadcast assignment f activates the pairs whose head
 IDs and tail IDs agree under f, and the optimal output rule pays, per
 one-cycle instance, the cheaper of (its own YES-side mass) and (the mass
 of its fooled crossed NO-instances).
+
+That condition compares broadcast labels only for equality, so an
+assignment's score depends only on the set partition it induces on the
+vertices: 365 classes at n = 7 against 2,187 assignments. The scan
+still visits every assignment in order, but scores each class once per
+process (:func:`_class_score`, keyed by the assignment's restricted
+growth string) and counts a class's fooled pairs for all covers at once
+with bit lanes of one integer. :func:`_forced_error_and_fooled` is the
+per-assignment reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -36,13 +45,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BudgetExceededError
 from repro.indist.graph_builder import cross_cover
 from repro.instances.enumeration import CycleCover, enumerate_one_cycle_covers
-from repro.lowerbounds.vectorized import HAVE_NUMPY, scan_assignments
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.sketches import MomentsSketch, QuantileSketch, merge_population
 from repro.obs.spans import span
@@ -51,7 +60,7 @@ from repro.parallel.merge import MIN_KEYED
 from repro.parallel.shard import ShardPlan, split_budget
 from repro.resilience.budget import Budget
 
-#: Assignments per shard: about 1 s of pure-python scanning at n = 8,
+#: Assignments per shard: the unit the shard cache stores and a resume skips,
 #: which bounds the work a kill can lose (completed shards are cached).
 EXHAUSTIVE_SHARD_UNITS = 256
 
@@ -145,9 +154,90 @@ def covers_and_pairs_for(
     return table
 
 
+#: Number of set bits in each byte value, for ``bytes.translate``.
+_POPCOUNT = bytes(bin(b).count("1") for b in range(256))
+
+#: Per size n, the (error, fooled) of every class scored so far in this
+#: process, keyed by RGS. Pool workers fork with the parent's copy.
+_CLASS_SCORES: Dict[int, Dict[Tuple[int, ...], Tuple[float, int]]] = {}
+
+
 def clear_pair_cache() -> None:
-    """Drop the memoized pair tables (tests that assert the precompute span)."""
+    """Drop the memoized pair tables and class scores (tests that assert
+    the precompute span)."""
     _precompute_pairs_cached.cache_clear()
+    _lane_masks.cache_clear()
+    _CLASS_SCORES.clear()
+
+
+@lru_cache(maxsize=None)
+def _lane_masks(n: int) -> Tuple[int, int, Tuple[Tuple[int, int, int, int], ...]]:
+    """The size-``n`` pair table as bit masks, one lane of bytes per cover.
+
+    Pair j of cover c is bit ``8 * lane * c + j``, where ``lane`` is the
+    byte width of the longest pair list. For each vertex pair x < y, the
+    v-mask holds the pairs with {v1, v2} = {x, y} and the u-mask those
+    with {u1, u2} = {x, y}. Returns ``(lane, covers, ((x, y, v-mask,
+    u-mask), ...))``.
+    """
+    table = _precompute_pairs_cached(n)
+    lane = max(1, -(-max(len(pairs) for _cover, pairs in table) // 8))
+    if 8 * lane > 255:
+        # A lane's count must fit the byte that _class_score sums it into.
+        raise ValueError(f"pair lists too long to count in byte lanes (n={n})")
+    size = lane * len(table)
+    v_bits: Dict[Tuple[int, int], bytearray] = {}
+    u_bits: Dict[Tuple[int, int], bytearray] = {}
+    for c, (_cover, pairs) in enumerate(table):
+        for bit, ((v1, u1), (v2, u2)) in enumerate(pairs, 8 * lane * c):
+            for bits, a, b in ((v_bits, v1, v2), (u_bits, u1, u2)):
+                key = (a, b) if a < b else (b, a)
+                buf = bits.get(key)
+                if buf is None:
+                    buf = bits[key] = bytearray(size)
+                buf[bit >> 3] |= 1 << (bit & 7)
+    empty = bytes(size)
+    masks = tuple(
+        (x, y, int.from_bytes(v_bits.get((x, y), empty), "little"),
+         int.from_bytes(u_bits.get((x, y), empty), "little"))
+        for x, y in itertools.combinations(range(n), 2)
+    )
+    return lane, len(table), masks
+
+
+def _class_score(n: int, rgs: Sequence[int]) -> Tuple[float, int]:
+    """(forced error, total fooled pairs) of every assignment inducing ``rgs``.
+
+    A pair is fooled when its v-sides and its u-sides each share a block,
+    so a class's fooled bits are the OR of the v-masks of its same-block
+    vertex pairs AND the OR of their u-masks. Popcounting each byte and
+    folding ``lane`` bytes together counts every cover at once; the
+    error then adds one term per cover, in cover order, with the
+    expression of :func:`_forced_error_and_fooled`, so the two agree
+    bit for bit.
+    """
+    lane, covers, masks = _lane_masks(n)
+    v = u = 0
+    for x, y, v_mask, u_mask in masks:
+        if rgs[x] == rgs[y]:
+            v |= v_mask
+            u |= u_mask
+    size = lane * covers
+    popcounts = int.from_bytes(
+        (v & u).to_bytes(size, "little").translate(_POPCOUNT), "little"
+    )
+    lanes = popcounts
+    for k in range(1, lane):
+        lanes += popcounts >> (8 * k)
+    counts = lanes.to_bytes(size, "little")[::lane]
+    total_fooled = sum(counts)
+    per_yes_instance = 0.5 / covers
+    terms = [
+        min(per_yes_instance, 0.5 * count / total_fooled if total_fooled else 0.0)
+        for count in range(8 * lane + 1)
+    ]
+    # reduce, not sum(): sum() of floats is compensated on Python >= 3.12.
+    return reduce(add, map(terms.__getitem__, counts), 0.0), total_fooled
 
 
 def assignment_at(alphabet: Sequence[str], n: int, index: int) -> Tuple[str, ...]:
@@ -201,8 +291,8 @@ class UniversalBoundReport:
     every assignment's forced error (``"forced_error"``) and a
     :class:`repro.obs.sketches.MomentsSketch` over its fooled-pair total
     (``"fooled"``). The states are pure functions of the scanned
-    assignment multiset, so serial, sharded, and vectorized searches
-    produce byte-identical populations. Excluded from report equality
+    assignment multiset, so serial and sharded searches produce
+    byte-identical populations. Excluded from report equality
     (``compare=False``) so the long-standing serial == sharded report
     assertions are unaffected; compare populations explicitly.
     """
@@ -280,7 +370,6 @@ def universal_bound_id_oblivious(
     metrics: Optional[MetricsRegistry] = None,
     budget: Optional[Budget] = None,
     workers: int = 1,
-    vectorize: Optional[bool] = None,
     population: bool = False,
     shard_cache=None,
 ) -> UniversalBoundReport:
@@ -297,11 +386,9 @@ def universal_bound_id_oblivious(
     reports ``(error, global_index)`` and the fold is :data:`MIN_KEYED`
     (lowest index wins ties), so the report -- minimum, winning
     assignment, tie-breaks -- is a pure function of ``(n, alphabet)``.
-    ``vectorize`` selects the numpy block-scoring kernel
-    (:mod:`repro.lowerbounds.vectorized`); ``None`` auto-enables it when
-    ``workers > 1`` and numpy is importable, and a ``True`` without
-    numpy degrades cleanly to the pure-python scanner. Both scanners
-    produce identical shard results.
+    Each process scores an induced set partition once
+    (:func:`_class_score`); pool workers fork with the parent's pair
+    table and class scores.
 
     When ``metrics`` is given (or a registry is installed process-wide
     via :func:`repro.obs.use_registry`), the search records enumeration
@@ -332,17 +419,11 @@ def universal_bound_id_oblivious(
     ``population=True`` additionally accumulates mergeable sketches over
     the whole scanned class -- forced-error quantiles and fooled-count
     moments, exposed as :attr:`UniversalBoundReport.population` -- with
-    byte-identical states for every ``workers``/``vectorize`` choice
-    (the sketches are pure functions of the scanned assignment
-    multiset).
+    byte-identical states for every ``workers`` choice (the sketches are
+    pure functions of the scanned assignment multiset).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    use_vectorize = (
-        (workers > 1 and HAVE_NUMPY)
-        if vectorize is None
-        else bool(vectorize) and HAVE_NUMPY
-    )
     if metrics is None:
         metrics = get_registry()
     alphabet = tuple(alphabet)
@@ -367,13 +448,9 @@ def universal_bound_id_oblivious(
         if cached_shards and metrics is not None:
             metrics.counter("exhaustive.shards_cached").inc(cached_shards)
 
-        # Workers only score pairs; covers themselves stay parent-side so
-        # the pickled payload is just index tuples.
-        wire_table = tuple((None, pairs) for _cover, pairs in table)
         budgets = split_budget(budget, [shard.size for shard in pending])
         payloads = [
-            (n, alphabet, shard.start, shard.stop, wire_table, sb,
-             use_vectorize, population)
+            (n, alphabet, shard.start, shard.stop, sb, population)
             for shard, sb in zip(pending, budgets)
         ]
 
@@ -450,38 +527,42 @@ def _shard_item(shard) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# sharded / vectorized search
+# the shard scan
 # ----------------------------------------------------------------------
 def _scan_shard_python(
     n: int,
     alphabet: Sequence[str],
-    covers_and_pairs: Sequence[Tuple[object, Sequence[DirectedPair]]],
     start: int,
     stop: int,
     budget: Optional[Budget],
     sketches: Optional[Tuple[QuantileSketch, MomentsSketch]] = None,
 ) -> Tuple[Optional[Tuple[float, int]], int, int, int, bool]:
-    """Pure-python scan of global indices ``[start, stop)``.
+    """Scan global indices ``[start, stop)``.
 
-    Same return shape as :func:`repro.lowerbounds.vectorized
-    .scan_assignments`: ``(best, next_index, enumerated, fooled_total,
-    exhausted)`` with the strict-first tie-break and
-    per-assignment budget ticks. ``exhausted`` is True only when the
-    budget tripped with work still remaining (a budget that raises on the
-    shard's very last assignment still yields a completed shard).
+    Returns ``(best, next_index, enumerated, fooled_total, exhausted)``
+    with the strict-first tie-break and per-assignment budget ticks.
+    ``exhausted`` is True only when the budget tripped with work still
+    remaining (a budget that raises on the shard's very last assignment
+    still yields a completed shard). Each assignment's score is looked
+    up by its RGS in the process's class memo and computed on a miss.
 
     ``sketches`` (an ``(error QuantileSketch, fooled MomentsSketch)``
     pair) is updated in place with one observation per *enumerated*
-    assignment -- the same multiset the vectorized scanner observes, so
-    population states agree bit-for-bit across scanners.
+    assignment, so population states do not depend on the shard layout.
     """
+    scores = _CLASS_SCORES.setdefault(n, {})
     best: Optional[Tuple[float, int]] = None
     pos = start
     enumerated = 0
     fooled_total = 0
     try:
         for assignment in _iter_assignments(alphabet, n, start, stop):
-            err, fooled = _forced_error_and_fooled(n, assignment, covers_and_pairs)
+            first: Dict[str, int] = {}
+            rgs = tuple([first.setdefault(label, len(first)) for label in assignment])
+            score = scores.get(rgs)
+            if score is None:
+                score = scores[rgs] = _class_score(n, rgs)
+            err, fooled = score
             pos += 1
             enumerated += 1
             fooled_total += fooled
@@ -500,13 +581,14 @@ def _scan_shard_python(
 def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
     """Score one shard of the assignment space (module-level: picklable).
 
-    ``payload`` is ``(n, alphabet, start, stop, covers_and_pairs,
-    shard_budget, vectorize, collect)``. Returns a JSON-ready dict so the
-    pooled path ships nothing fancier than lists and ints across the
-    pipe; with ``collect`` the dict additionally carries the shard's
-    serialized population sketch states under ``"population"``.
+    ``payload`` is ``(n, alphabet, start, stop, shard_budget, collect)``;
+    the pair table comes from the process cache, which a forked worker
+    inherits. Returns a JSON-ready dict so the pooled path ships nothing
+    fancier than lists and ints across the pipe; with ``collect`` the
+    dict additionally carries the shard's serialized population sketch
+    states under ``"population"``.
     """
-    n, alphabet, start, stop, table, shard_budget, vectorize, collect = payload
+    n, alphabet, start, stop, shard_budget, collect = payload
     sketches: Optional[Tuple[QuantileSketch, MomentsSketch]] = None
     if collect:
         sketches = _new_population()
@@ -515,9 +597,10 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
     except BudgetExceededError:
         best, pos, enumerated, fooled, exhausted = None, start, 0, 0, start < stop
     else:
-        best, pos, enumerated, fooled, exhausted = _scan_shard(
-            n, alphabet, table, start, stop, budget, vectorize, sketches
-        )
+        with span("exhaustive.scan_python", start=start, stop=stop):
+            best, pos, enumerated, fooled, exhausted = _scan_shard_python(
+                n, alphabet, start, stop, budget, sketches
+            )
     return {
         "best": None if best is None else [float(best[0]), int(best[1])],
         "next_index": int(pos),
@@ -526,16 +609,3 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
         "exhausted": bool(exhausted),
         "population": None if sketches is None else _population_state(*sketches),
     }
-
-
-def _scan_shard(n, alphabet, table, start, stop, budget, vectorize, sketches):
-    """Scan ``[start, stop)`` with the numpy or the pure-python scanner."""
-    if vectorize and HAVE_NUMPY:
-        with span("exhaustive.scan_vectorized", start=start, stop=stop):
-            return scan_assignments(
-                n, alphabet, table, start, stop, budget=budget, sketches=sketches
-            )
-    with span("exhaustive.scan_python", start=start, stop=stop):
-        return _scan_shard_python(
-            n, alphabet, table, start, stop, budget, sketches=sketches
-        )

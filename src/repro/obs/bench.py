@@ -601,31 +601,29 @@ def _run_resilience(params: Dict[str, Any]) -> RunnerOutput:
 def _run_parallel(params: Dict[str, Any]) -> RunnerOutput:
     """P2: the ``repro.parallel`` layer -- correctness first, speed second.
 
-    Times the serial python scan, the fanned-out scan (``workers``
-    processes), and -- when numpy is present -- the vectorized kernel,
-    all on the same exhaustive-search instance, and checks the three
-    reports are identical. ``ok`` is the identity check plus schema
+    Times the serial scan and the fanned-out scan (``workers``
+    processes) on the same exhaustive-search instance, and checks the
+    two reports are identical. ``ok`` is the identity check plus schema
     validity only: speedups are *recorded* but never gate (single-core
     CI runners make fan-out speedups meaningless; the honest number is
     still worth tracking).
     """
     from repro.lowerbounds import clear_pair_cache, universal_bound_id_oblivious
-    from repro.lowerbounds.vectorized import HAVE_NUMPY
 
     n = params["n"]
     alphabet = tuple(params["alphabet"])
     workers = int(params.get("workers", 4))
 
-    def _timed(w: int, vectorize: bool):
+    def _timed(w: int):
+        # Cold each time: forked workers would inherit the serial leg's
+        # class scores.
+        clear_pair_cache()
         start = time.perf_counter()
-        report = universal_bound_id_oblivious(
-            n, alphabet=alphabet, workers=w, vectorize=vectorize
-        )
+        report = universal_bound_id_oblivious(n, alphabet=alphabet, workers=w)
         return report, time.perf_counter() - start
 
-    clear_pair_cache()
-    serial, serial_s = _timed(1, False)
-    fanned, fanout_s = _timed(workers, False)
+    serial, serial_s = _timed(1)
+    fanned, fanout_s = _timed(workers)
     identical = (
         fanned.minimum_forced_error == serial.minimum_forced_error
         and fanned.worst_assignment == serial.worst_assignment
@@ -636,16 +634,7 @@ def _run_parallel(params: Dict[str, Any]) -> RunnerOutput:
         "fanout_seconds": fanout_s,
         "fanout_workers": workers,
         "fanout_speedup": serial_s / fanout_s if fanout_s > 0 else None,
-        "have_numpy": HAVE_NUMPY,
     }
-    if HAVE_NUMPY:
-        vec, vec_s = _timed(1, True)
-        identical = identical and (
-            vec.minimum_forced_error == serial.minimum_forced_error
-            and vec.worst_assignment == serial.worst_assignment
-        )
-        measured["vectorized_seconds"] = vec_s
-        measured["vectorized_speedup"] = serial_s / vec_s if vec_s > 0 else None
     cache_dir = params.get("cache_dir")
     if cache_dir:
         # Warm-path leg (``repro bench --cache DIR`` only): the same
@@ -989,7 +978,7 @@ _SPECS: List[BenchmarkSpec] = [
     ),
     BenchmarkSpec(
         "parallel",
-        "P2: serial vs fan-out vs vectorized exhaustive scan, identity-gated",
+        "P2: serial vs fan-out exhaustive scan, identity-gated",
         _run_parallel,
         {"n": 4, "alphabet": ["0", "1", "2"], "workers": 4},
         {"n": 6, "alphabet": ["0", "1", "2"], "workers": 4},

@@ -83,7 +83,12 @@ def _suffix_counts(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def random_partition(n: int, rng: random.Random) -> SetPartition:
-    """A uniformly random set partition of [n].
+    """A uniformly random set partition of [n] (see :func:`random_rgs`)."""
+    return SetPartition.from_rgs(random_rgs(n, rng))
+
+
+def random_rgs(n: int, rng: random.Random) -> Tuple[int, ...]:
+    """The RGS of a uniformly random set partition of [n].
 
     Uses the RGS chain with exact suffix counts D[i][m] = number of ways to
     extend an RGS prefix of length i whose running maximum is m; sampling
@@ -104,7 +109,7 @@ def random_partition(n: int, rng: random.Random) -> SetPartition:
         if label > m:
             label = m = m + 1
         rgs[i] = label
-    return SetPartition.from_rgs(rgs)
+    return tuple(rgs)
 
 
 def random_perfect_matching(n: int, rng: random.Random) -> SetPartition:

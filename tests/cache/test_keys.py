@@ -132,7 +132,12 @@ def _static_imports(tree):
 
 
 def _closure(kind):
-    """The static import closure of a kind's runner, without importing."""
+    """The static import closure of a kind's runner, without importing.
+
+    The runner's own module counts too: an edit to the runner (say, a
+    parameter check) changes results as surely as one to a module it
+    imports.
+    """
     with open(_module_path("repro.engine.core"), encoding="utf-8") as handle:
         engine = ast.parse(handle.read())
     (runner,) = [
@@ -140,7 +145,7 @@ def _closure(kind):
         for node in engine.body
         if isinstance(node, ast.FunctionDef) and node.name == KIND_RUNNERS[kind]
     ]
-    seen, stack = set(), sorted(_static_imports(runner))
+    seen, stack = {"repro.engine.core"}, sorted(_static_imports(runner))
     while stack:
         module = stack.pop()
         if module in seen or module in NOT_RESULT_BEARING:

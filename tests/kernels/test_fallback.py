@@ -4,7 +4,7 @@ The auto mode must never *require* numpy: the bitset-HK engine is
 dependency-free, and the numpy-backed engines (batched mod-p, batched
 crossing filter) fall back to the reference path. These
 tests simulate a numpy-less install by monkeypatching the module-level
-``_np`` handles, mirroring ``tests/lowerbounds/test_vectorized.py``.
+``_np`` handles.
 """
 
 import pytest

@@ -35,7 +35,7 @@ def _search_seconds(registry: MetricsRegistry) -> float:
     [
         {},  # metrics-only path
         {"budget": Budget(max_units=10_000)},  # resilient path
-        {"workers": 2, "vectorize": False},  # sharded path
+        {"workers": 2},  # sharded path
     ],
     ids=["metrics_only", "resilient", "sharded"],
 )

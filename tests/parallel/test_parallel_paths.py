@@ -22,9 +22,9 @@ from repro.lowerbounds import universal_bound_id_oblivious
 from repro.lowerbounds.exhaustive import (
     EXHAUSTIVE_SHARD_UNITS,
     _exhaustive_shard_worker,
+    clear_pair_cache,
     covers_and_pairs_for,
 )
-from repro.lowerbounds.vectorized import HAVE_NUMPY
 from repro.obs.metrics import MetricsRegistry
 from repro.partitions import build_m_matrix, rank_exact, rank_mod_p, rank_multi_prime
 from repro.resilience import Budget, fault_sweep
@@ -40,27 +40,15 @@ WORKER_COUNTS = (1, 2, 4)
 def test_exhaustive_identical_across_worker_counts(workers):
     serial = universal_bound_id_oblivious(4, alphabet=("", "0", "1"))
     report = universal_bound_id_oblivious(
-        4, alphabet=("", "0", "1"), workers=workers, vectorize=False
+        4, alphabet=("", "0", "1"), workers=workers
     )
     assert report == serial
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-@pytest.mark.parametrize("n", [3, 4])
-def test_exhaustive_vectorized_identical(n):
-    serial = universal_bound_id_oblivious(n, alphabet=("", "0", "1"))
-    vectorized = universal_bound_id_oblivious(
-        n, alphabet=("", "0", "1"), vectorize=True
-    )
-    assert vectorized == serial
-
-
 def test_exhaustive_workers_one_is_the_golden_serial_path():
-    # workers=1 + vectorize=False must be the byte-identical original
-    # loop: same report object contents as the no-argument call.
-    assert universal_bound_id_oblivious(
-        4, workers=1, vectorize=False
-    ) == universal_bound_id_oblivious(4)
+    # workers=1 must be the byte-identical original loop: same report
+    # object contents as the no-argument call.
+    assert universal_bound_id_oblivious(4, workers=1) == universal_bound_id_oblivious(4)
 
 
 @given(workers=st.sampled_from(WORKER_COUNTS), n=st.integers(3, 4))
@@ -68,9 +56,7 @@ def test_exhaustive_workers_one_is_the_golden_serial_path():
 def test_exhaustive_serial_parallel_property(workers, n):
     serial = universal_bound_id_oblivious(n, alphabet=("0", "1"))
     assert (
-        universal_bound_id_oblivious(
-            n, alphabet=("0", "1"), workers=workers, vectorize=False
-        )
+        universal_bound_id_oblivious(n, alphabet=("0", "1"), workers=workers)
         == serial
     )
 
@@ -94,7 +80,6 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
                 n,
                 alphabet=alphabet,
                 workers=workers,
-                vectorize=False,
                 budget=Budget(max_units=total // 2),
             )
         partials.append(excinfo.value.partial)
@@ -106,14 +91,13 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
             n,
             alphabet=alphabet,
             workers=2,
-            vectorize=False,
             budget=Budget(max_units=total // 2),
             shard_cache=cache,
         )
     # resume under a different worker count: only the missing shards run
     registry = MetricsRegistry()
     resumed = universal_bound_id_oblivious(
-        n, alphabet=alphabet, workers=4, vectorize=False, metrics=registry,
+        n, alphabet=alphabet, workers=4, metrics=registry,
         shard_cache=cache,
     )
     assert resumed == serial
@@ -127,7 +111,6 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
                 n,
                 alphabet=alphabet,
                 workers=workers,
-                vectorize=False,
                 budget=Budget(max_units=total),
             )
         assert excinfo.value.partial == serial
@@ -136,16 +119,14 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
                 n,
                 alphabet=alphabet,
                 workers=workers,
-                vectorize=False,
                 budget=Budget(max_units=total + 1),
             )
             == serial
         )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 def test_exhaustive_resume_crosses_kernels(tmp_path):
-    """Shards cached by the python scan serve a vectorized re-run."""
+    """Shards cached by a pooled scan serve an in-process re-run."""
     n, alphabet = 6, ("", "0", "1")
     serial = universal_bound_id_oblivious(n, alphabet=alphabet)
     cache = _exhaustive_cache(tmp_path, n, alphabet)
@@ -154,13 +135,12 @@ def test_exhaustive_resume_crosses_kernels(tmp_path):
             n,
             alphabet=alphabet,
             workers=2,
-            vectorize=False,
             budget=Budget(max_units=EXHAUSTIVE_SHARD_UNITS + 5),
             shard_cache=cache,
         )
     hits_before = cache.cache.hits
     resumed = universal_bound_id_oblivious(
-        n, alphabet=alphabet, workers=1, vectorize=True, shard_cache=cache
+        n, alphabet=alphabet, workers=1, shard_cache=cache
     )
     assert resumed == serial
     assert cache.cache.hits - hits_before == 1
@@ -169,14 +149,16 @@ def test_exhaustive_resume_crosses_kernels(tmp_path):
 @pytest.mark.parametrize("workers", (1, 2))
 def test_wall_budget_is_one_deadline_across_shards(workers):
     """Shards share the parent's deadline instead of restarting it."""
-    n, alphabet = 7, ("", "0", "1")
-    table = covers_and_pairs_for(n)  # warm: the precompute is not scanning
-    wire = tuple((None, pairs) for _cover, pairs in table)
+    # Each class is scored once per process, so the class count sets the
+    # search time: 2,795 classes of 65,536 assignments outlast the budget.
+    n, alphabet = 8, ("", "0", "1", "2")
+    clear_pair_cache()
+    covers_and_pairs_for(n)  # warm: the precompute is not scanning
     start = time.perf_counter()
-    _exhaustive_shard_worker(
-        (n, alphabet, 0, EXHAUSTIVE_SHARD_UNITS, wire, None, False, False)
-    )
+    _exhaustive_shard_worker((n, alphabet, 0, EXHAUSTIVE_SHARD_UNITS, None, False))
     shard_seconds = time.perf_counter() - start
+    clear_pair_cache()  # the search scores every class cold
+    covers_and_pairs_for(n)
     seconds = 0.3
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
@@ -184,7 +166,6 @@ def test_wall_budget_is_one_deadline_across_shards(workers):
             n,
             alphabet=alphabet,
             workers=workers,
-            vectorize=False,
             budget=Budget(wall_seconds=seconds),
         )
     elapsed = time.perf_counter() - start

@@ -78,8 +78,7 @@ NO_NUMPY = [
     ("forced-error", "--n", "4"),
     ("ratio", "--max-exp", "4"),
     ("fault-sweep", "--quick"),
-    # workers=1 scans assignments in python; the numpy scanner is the
-    # pooled default
+    # the exhaustive scanner is pure python at every worker count
     ("exhaustive", "--n", "5"),
     ("sampling", "--n", "5", "--samples", "200"),
 ]

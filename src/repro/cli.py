@@ -34,7 +34,7 @@ import random
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache.store import DEFAULT_GC_MAX_BYTES
 from repro.engine import ENGINE_KINDS, sweep_rows_from_payload
@@ -598,9 +598,26 @@ def _round_percentiles(metrics: dict) -> tuple:
     )
 
 
+def _unknown_bench(names: Sequence[str]) -> bool:
+    """Print the usage error for the first unregistered benchmark name."""
+    from repro.obs import bench_names
+
+    for name in names:
+        if name not in bench_names():
+            print(
+                f"error: unknown benchmark {name!r}; known: "
+                f"{', '.join(bench_names())}",
+                file=sys.stderr,
+            )
+            return True
+    return False
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import BenchmarkHarness
 
+    if _unknown_bench(args.only or ()):
+        return 2
     workers = _resolved_workers(args)
     kernel = getattr(args, "kernel", "auto")
     cache_dir = _cache_dir(args)
@@ -781,19 +798,13 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     from repro.obs import (
         BenchmarkHarness,
         SpanRecorder,
-        bench_names,
         render_hotspots,
         render_span_tree,
         use_recorder,
         validate_span_tree_payload,
     )
 
-    if args.bench not in bench_names():
-        print(
-            f"error: unknown benchmark {args.bench!r}; known: "
-            f"{', '.join(bench_names())}",
-            file=sys.stderr,
-        )
+    if _unknown_bench([args.bench]):
         return 2
     trace = _open_trace(args)
     recorder = SpanRecorder(trace=trace)

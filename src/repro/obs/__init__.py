@@ -14,8 +14,9 @@ Five small, dependency-free layers:
 * :mod:`repro.obs.trace` -- a JSONL run-trace writer (one event per
   line, run-id + seq + timestamp), the machine-readable counterpart to
   the human tables in :mod:`repro.core.tracing`;
-* :mod:`repro.obs.bench` -- the :class:`BenchmarkHarness` that runs every
-  ``benchmarks/bench_*.py`` kernel under a fresh registry and writes
+* :mod:`repro.obs.bench` -- the experiment registry (the only
+  definition of each E/A/R/P/O experiment) and the
+  :class:`BenchmarkHarness` that runs it under a fresh registry and writes
   schema-versioned ``BENCH_<name>.json`` perf records
   (:mod:`repro.obs.schema` documents and validates the format);
 * :mod:`repro.obs.regress` -- the ``BENCH_HISTORY.jsonl`` history store

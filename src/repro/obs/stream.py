@@ -16,8 +16,8 @@ is one observer on the run-event stream
 (:mod:`repro.core.observers`): the simulator builds one record per run
 event and hands it to the observer tuple, so with no sink installed
 each hook costs one empty-tuple check and no payload is built (the <1%
-``Simulator.run`` overhead budget is measured A/B in
-``benchmarks/bench_stream.py`` and EXPERIMENTS.md). Subscriber
+``Simulator.run`` overhead budget was measured A/B in EXPERIMENTS.md
+O2; end-to-end runs report it as ``trace.overhead_frac``). Subscriber
 callbacks run on the publishing thread, outside the bus lock; a
 callback that raises is counted (``error_count``) and never breaks the
 publisher.

@@ -7,10 +7,10 @@ and run id, then arbitrary events (per-round simulator events, protocol
 turns, benchmark milestones), each stamped with a monotonically
 increasing sequence number and a wall-clock timestamp.
 
-Line format (schema version 2)::
+Line format (schema version 5)::
 
     {"run_id": "a1b2...", "seq": 0, "ts": 1754464000.123,
-     "event": "trace_start", "schema_version": 2}
+     "event": "trace_start", "schema_version": 5}
     {"run_id": "a1b2...", "seq": 1, "ts": ..., "event": "run_start",
      "n": 12, "kt": 0, "bandwidth": 1, "rounds_budget": 4}
     {"run_id": "a1b2...", "seq": 2, "ts": ..., "event": "fault",
@@ -20,7 +20,8 @@ Line format (schema version 2)::
      "t": 1, "bits": 12, "wall_seconds": 3.1e-05}
     ...
 
-Schema history:
+Schema history (:func:`validate_trace_events` accepts v4 and v5 and
+flags a header declaring v1--v3; no committed trace uses them):
 
 * **v1** -- ``trace_start`` / ``run_start`` / ``round`` / ``run_end``
   plus the protocol events (``protocol_start`` / ``turn`` /
@@ -30,27 +31,21 @@ Schema history:
   ``original``/``delivered``/``scheduled``), an optional ``faults``
   count on ``round`` events, fault metadata (``fault_seed``,
   ``fault_rates``) on ``run_start``, and ``faults_injected`` /
-  ``crashed_vertices`` / ``failed_vertices`` on ``run_end``. v2 is a
-  strict superset: every v1 trace is a valid v2 trace, and
-  :func:`read_trace` parses both.
+  ``crashed_vertices`` / ``failed_vertices`` on ``run_end``.
 * **v3** -- adds the hierarchical span-profiling surface (see
   :mod:`repro.obs.spans`): ``span_start`` events (``span_id``,
   ``parent_id`` -- null for roots -- ``name``, ``attrs``) and
   ``span_end`` events (``span_id``, ``name``, ``duration_seconds``,
   ``self_seconds``), emitted by a
   :class:`~repro.obs.spans.SpanRecorder` constructed with a trace, so
-  profiles interleave with round/fault events on one timeline. v3 is
-  again a strict superset: every v1 or v2 trace is a valid v3 trace,
-  and :func:`validate_trace_events` accepts all three.
+  profiles interleave with round/fault events on one timeline.
 * **v4** -- adds the communication-cost surface (see
   :mod:`repro.costs`): one ``cost_summary`` event per run with an
   active :class:`~repro.costs.CostLedger` (fields ``total_bits``,
   ``rounds``, and ``per_vertex`` -- a list of
   ``{"vertex", "bits", "silent_rounds"}`` records), emitted just
   before ``run_end`` so the per-run ledger rides the same timeline
-  as the rounds it accounts for. v4 is a strict superset: every
-  v1--v3 trace is a valid v4 trace, and cost_summary events inside
-  traces declaring a version below 4 are flagged.
+  as the rounds it accounts for.
 * **v5** -- adds the channel/session surface. ``delivery`` events
   (one per delivery anomaly injected by a non-pristine
   :class:`repro.net.NetworkPlan`: fields ``t`` / ``kind`` in
@@ -62,9 +57,8 @@ Schema history:
   format: ``session_start`` (``kind``, ``session_version``,
   ``params``), one ``step`` per recorded step (integer ``step``),
   ``result`` (object ``payload``), and ``session_end`` (integer
-  ``steps``, boolean ``complete``). v5 is a strict superset: every
-  v1--v4 trace is a valid v5 trace, and delivery/session events
-  inside traces declaring a version below 5 are flagged.
+  ``steps``, boolean ``complete``). v5 is a strict superset of v4,
+  and delivery/session events inside traces declaring v4 are flagged.
 
 Crash safety: every event is written as one line and flushed
 immediately (file sinks are opened line-buffered, and ``fsync=True``
@@ -99,8 +93,9 @@ __all__ = [
 #: Bump when the line format changes incompatibly.
 TRACE_SCHEMA_VERSION = 5
 
-#: Oldest schema version read_trace / validate_trace_events still accept.
-OLDEST_SUPPORTED_TRACE_SCHEMA = 1
+#: Oldest schema version validate_trace_events still accepts. v1-v3
+#: traces were never committed as artifacts; their headers are rejected.
+OLDEST_SUPPORTED_TRACE_SCHEMA = 4
 
 
 class JsonlWriter:
@@ -348,20 +343,16 @@ _SESSION_START_FIELDS = {
 def validate_trace_events(events: List[Dict[str, Any]]) -> List[str]:
     """Return a list of schema violations for a parsed trace (empty = valid).
 
-    Accepts schema versions 1 through :data:`TRACE_SCHEMA_VERSION`:
-    the envelope (run_id / seq / ts / event) is checked on every line,
-    v2 ``fault`` events are checked field-by-field, ``fault`` events
-    inside a trace whose header declares schema version 1 are flagged
-    (v1 predates fault injection), v3 ``span_start`` / ``span_end``
-    events are likewise checked and flagged inside traces declaring a
-    version below 3 (which predate span profiling), v4
-    ``cost_summary`` events are checked (integer ``total_bits`` /
-    ``rounds``, a well-formed ``per_vertex`` list) and flagged inside
-    traces declaring a version below 4 (which predate cost accounting),
-    and v5 ``delivery`` and session events (``session_start`` /
-    ``step`` / ``result`` / ``session_end``) are checked and flagged
-    inside traces declaring a version below 5 (which predate the
-    channel layer and session store).
+    Accepts schema versions :data:`OLDEST_SUPPORTED_TRACE_SCHEMA` (4)
+    through :data:`TRACE_SCHEMA_VERSION`; a ``trace_start`` header
+    declaring any other version is flagged. The envelope (run_id / seq /
+    ts / event) is checked on every line; ``fault``, ``span_start`` /
+    ``span_end`` and ``cost_summary`` events (integer ``total_bits`` /
+    ``rounds``, a well-formed ``per_vertex`` list) are checked
+    field-by-field; and v5 ``delivery`` and session events
+    (``session_start`` / ``step`` / ``result`` / ``session_end``) are
+    checked and flagged inside traces declaring version 4 (which
+    predates the channel layer and session store).
     """
     problems: List[str] = []
     if not events:
@@ -369,7 +360,7 @@ def validate_trace_events(events: List[Dict[str, Any]]) -> List[str]:
     if events[0].get("event") != "trace_start":
         problems.append("first event is not trace_start")
     # Every appended run declares its own schema version in its own
-    # trace_start header, so a mixed v1/v2/v3 file is judged run by run
+    # trace_start header, so a mixed v4/v5 file is judged run by run
     # rather than by whichever writer happened to come first.
     versions_by_run: Dict[str, int] = {}
     for index, event in enumerate(events):
@@ -399,11 +390,6 @@ def validate_trace_events(events: List[Dict[str, Any]]) -> List[str]:
             if field not in event:
                 problems.append(f"event {index} missing field {field!r}")
         if event.get("event") == "fault":
-            if version < 2:
-                problems.append(
-                    f"event {index} is a fault event but the trace declares "
-                    f"schema version {version} (faults need version >= 2)"
-                )
             for field, expected in _FAULT_EVENT_FIELDS.items():
                 value = event.get(field)
                 if isinstance(value, bool) or not isinstance(value, expected):
@@ -418,11 +404,6 @@ def validate_trace_events(events: List[Dict[str, Any]]) -> List[str]:
                 )
         elif event.get("event") in ("span_start", "span_end"):
             which = event["event"]
-            if version < 3:
-                problems.append(
-                    f"event {index} is a {which} event but the trace declares "
-                    f"schema version {version} (spans need version >= 3)"
-                )
             fields = _SPAN_START_FIELDS if which == "span_start" else _SPAN_END_FIELDS
             for field, expected in fields.items():
                 value = event.get(field)
@@ -451,12 +432,6 @@ def validate_trace_events(events: List[Dict[str, Any]]) -> List[str]:
                             f"numeric"
                         )
         elif event.get("event") == "cost_summary":
-            if version < 4:
-                problems.append(
-                    f"event {index} is a cost_summary event but the trace "
-                    f"declares schema version {version} (cost summaries need "
-                    f"version >= 4)"
-                )
             for field, expected in _COST_SUMMARY_FIELDS.items():
                 value = event.get(field)
                 if isinstance(value, bool) or not isinstance(value, expected):

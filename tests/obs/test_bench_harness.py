@@ -8,7 +8,6 @@ import pytest
 from repro.obs import (
     BENCH_SCHEMA_VERSION,
     BenchmarkHarness,
-    bench_names,
     load_bench_payloads,
     validate_bench_payload,
 )
@@ -33,16 +32,45 @@ GOLDEN_KEYS = {
 }
 
 
-class TestHarness:
-    def test_registry_names_cover_every_bench_script(self):
-        import glob
+#: Claims the runners' ``ok`` gates beyond their headline value, as
+#: (runner, measured key, value at the quick parameters).
+FOLDED_CLAIMS = [
+    ("simulator", "counters_match_run", True),
+    ("simulator", "messages_validated", 16 * 4),
+    ("simulator", "round_samples", 4),
+    ("kt0_star", "floor_has_shape", True),
+    ("kt0_constant_error", "constant_forced_error", pytest.approx(0.5)),
+    ("partition_rank", "trivial_protocol_bits", 4 * 2 + 1),
+    ("reduction", "connectivity_agreements", 3 * 3),
+    ("upper_bounds", "full_adjacency_rounds", 16),
+    ("mutual_information", "chain_holds", True),
+    ("mutual_information", "round_bound_r_squared", pytest.approx(0.998, abs=1e-3)),
+    ("sampling", "growth_monotone", True),
+    ("indist_degrees", "split_counts_match", True),
+    ("ablations", "hopcroft_karp_matching", 10),
+    ("ablations", "e_rank_bareiss", 3),
+    ("ablations", "e_rank_mod_p", 3),
+    ("ablations", "pls_complete", True),
+    ("kernels", "m_matrix_rank", 52),
+    ("kernels", "e_matrix_rank", 105),
+    ("costs", "ledger_total_bits", 16 * 4),
+    ("costs", "ledger_deterministic_per_vertex", True),
+]
 
-        here = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        scripts = sorted(
-            os.path.basename(p)[len("bench_") : -len(".py")]
-            for p in glob.glob(os.path.join(here, "benchmarks", "bench_*.py"))
-        )
-        assert sorted(bench_names()) == scripts
+
+@pytest.fixture(scope="module")
+def quick_results():
+    harness = BenchmarkHarness(out_dir=None, quick=True)
+    names = sorted({name for name, _key, _value in FOLDED_CLAIMS})
+    return {name: harness.run_one(name) for name in names}
+
+
+class TestHarness:
+    @pytest.mark.parametrize("name,key,expected", FOLDED_CLAIMS)
+    def test_folded_claim_measured_and_gated(self, quick_results, name, key, expected):
+        result = quick_results[name]
+        assert result.measured[key] == expected
+        assert result.ok
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):

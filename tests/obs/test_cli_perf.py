@@ -3,6 +3,7 @@
 trace-validate``, and ``repro bench --history``."""
 
 import json
+import os
 
 from repro.cli import main
 from repro.obs import (
@@ -68,6 +69,14 @@ class TestSpansCommand:
     def test_unknown_bench_exits_two(self, capsys):
         assert main(["spans", "--bench", "nope", "--quick"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_bench_only_unknown_exits_two_before_running(self, tmp_path, capsys):
+        out = str(tmp_path)
+        code = main(["bench", "--quick", "--out-dir", out, "--only", "reduction", "nope"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown benchmark 'nope'; known: ")
+        assert os.listdir(out) == []
 
 
 class TestCompareGate:
@@ -162,10 +171,10 @@ class TestTraceValidateCommand:
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"run_id": "old", "seq": 0, "ts": 1.0, "event": "trace_start",'
-            ' "schema_version": 1}\n'
+            ' "schema_version": 4}\n'
             '{"run_id": "old", "seq": 1, "ts": 1.1, "event": "round", "t": 1}\n'
         )
-        assert main(["trace-validate", str(path), "--schema-version", "1"]) == 0
+        assert main(["trace-validate", str(path), "--schema-version", "4"]) == 0
         assert "2 events, 1 run(s), valid" in capsys.readouterr().out
         assert main(["trace-validate", str(path), "--schema-version", "3",
                      "--json"]) == 1  # no v3 runs -> empty trace is a problem

@@ -198,32 +198,38 @@ class TestSharedLineWriter:
 
 
 class TestSchemaCompatibility:
-    """v1 traces predate fault injection but must keep parsing."""
+    """v4 is the oldest schema that validates; v1-v3 headers are rejected."""
 
-    V1_TRACE = (
-        '{"run_id": "old", "seq": 0, "ts": 1.0, "event": "trace_start", "schema_version": 1}\n'
+    OLD_TRACE = (
+        '{"run_id": "old", "seq": 0, "ts": 1.0, "event": "trace_start", "schema_version": 4}\n'
         '{"run_id": "old", "seq": 1, "ts": 1.1, "event": "run_start", "n": 6, "kt": 0}\n'
         '{"run_id": "old", "seq": 2, "ts": 1.2, "event": "round", "t": 1, "bits": 6}\n'
         '{"run_id": "old", "seq": 3, "ts": 1.3, "event": "run_end", "rounds_executed": 1}\n'
     )
 
-    def test_v1_trace_still_parses_and_validates(self):
+    @staticmethod
+    def declaring(version, text):
+        return text.replace('"schema_version": 4', f'"schema_version": {version}', 1)
+
+    def test_pre_v4_header_parses_but_is_rejected(self):
         from repro.obs import validate_trace_events
 
-        events = read_trace(io.StringIO(self.V1_TRACE))
-        assert len(events) == 4
-        assert validate_trace_events(events) == []
+        assert validate_trace_events(read_trace(io.StringIO(self.OLD_TRACE))) == []
+        for version in (1, 2, 3):
+            events = read_trace(io.StringIO(self.declaring(version, self.OLD_TRACE)))
+            assert len(events) == 4
+            assert validate_trace_events(events) == ["schema_version must be >= 4"]
 
     def test_fault_event_in_v1_trace_flagged(self):
         from repro.obs import validate_trace_events
 
-        text = self.V1_TRACE + (
+        text = self.declaring(1, self.OLD_TRACE) + (
             '{"run_id": "old", "seq": 4, "ts": 1.4, "event": "fault", "t": 1,'
             ' "kind": "bit_flip", "vertex": 0, "receiver": 2,'
             ' "original": "0", "delivered": "1"}\n'
         )
         problems = validate_trace_events(read_trace(io.StringIO(text)))
-        assert any("schema version 1" in p for p in problems)
+        assert problems == ["schema_version must be >= 4"]
 
     def test_newer_schema_version_flagged(self):
         from repro.obs import validate_trace_events
@@ -240,7 +246,7 @@ class TestSchemaCompatibility:
 
         text = (
             '{"run_id": "r", "seq": 0, "ts": 1.0, "event": "trace_start",'
-            ' "schema_version": 2}\n'
+            ' "schema_version": 4}\n'
             '{"run_id": "r", "seq": 1, "ts": 1.1, "event": "fault", "t": "one",'
             ' "kind": "gamma_ray", "vertex": 0, "original": "0", "delivered": "1"}\n'
             '{"run_id": "r", "seq": 1, "ts": 1.2, "event": "round", "t": 1}\n'
@@ -297,7 +303,7 @@ class TestSchemaV3SpansAndStats:
             ' "span_id": 0, "parent_id": null, "name": "outer"}\n'
         )
         problems = validate_trace_events(read_trace(io.StringIO(text)))
-        assert any("schema version 2" in p for p in problems)
+        assert problems == ["schema_version must be >= 4"]
 
     def test_validator_flags_malformed_span_events(self):
         from repro.obs import validate_trace_events
@@ -316,18 +322,15 @@ class TestSchemaV3SpansAndStats:
         assert any("name" in p for p in problems)
         assert any("duration_seconds" in p for p in problems)
 
-    def test_v1_v2_v3_all_validate_side_by_side(self):
+    def test_v4_and_v5_runs_validate_side_by_side(self):
         from repro.obs import validate_trace_events
 
-        v1 = TestSchemaCompatibility.V1_TRACE
-        v2 = (
-            '{"run_id": "mid", "seq": 0, "ts": 2.0, "event": "trace_start",'
-            ' "schema_version": 2}\n'
-            '{"run_id": "mid", "seq": 1, "ts": 2.1, "event": "fault", "t": 1,'
+        v4 = TestSchemaCompatibility.OLD_TRACE + (
+            '{"run_id": "old", "seq": 4, "ts": 1.4, "event": "fault", "t": 1,'
             ' "kind": "bit_flip", "vertex": 0, "receiver": 2,'
             ' "original": "0", "delivered": "1"}\n'
         )
-        combined = v1 + v2 + self._v3_with_spans()
+        combined = v4 + self._v3_with_spans()
         events = read_trace(io.StringIO(combined))
         assert validate_trace_events(events) == []
         versions = {
@@ -335,31 +338,35 @@ class TestSchemaV3SpansAndStats:
             for e in events
             if e["event"] == "trace_start"
         }
-        assert sorted(versions.values())[:2] == [1, 2]
+        assert sorted(versions.values()) == [4, TRACE_SCHEMA_VERSION]
+        # a v3 run appended to the same file is judged, and rejected, alone
+        v3 = TestSchemaCompatibility.declaring(3, v4.replace('"old"', '"older"'))
+        problems = validate_trace_events(read_trace(io.StringIO(combined + v3)))
+        assert problems == ["schema_version must be >= 4"]
 
     def test_read_trace_schema_version_filter(self):
-        v1 = TestSchemaCompatibility.V1_TRACE
+        old = TestSchemaCompatibility.OLD_TRACE
         headerless = '{"run_id": "lost", "seq": 0, "ts": 3.0, "event": "round", "t": 1}\n'
-        combined = v1 + headerless + self._v3_with_spans()
+        combined = old + headerless + self._v3_with_spans()
         latest = read_trace(
             io.StringIO(combined), schema_version=TRACE_SCHEMA_VERSION
         )
         assert latest  # the v3 run survives
         assert all(e["run_id"] != "old" for e in latest)
         assert all(e["run_id"] != "lost" for e in latest)  # headerless dropped
-        old = read_trace(io.StringIO(combined), schema_version=1)
-        assert {e["run_id"] for e in old} == {"old"}
+        oldest = read_trace(io.StringIO(combined), schema_version=4)
+        assert {e["run_id"] for e in oldest} == {"old"}
         nobody = read_trace(io.StringIO(combined), schema_version=99)
         assert nobody == []
 
     def test_trace_stats_counts_per_run(self):
         from repro.obs import trace_stats
 
-        v1 = TestSchemaCompatibility.V1_TRACE
+        old = TestSchemaCompatibility.OLD_TRACE
         headerless = '{"seq": 0, "ts": 3.0, "event": "round", "t": 1}\n'
-        events = read_trace(io.StringIO(v1 + headerless))
+        events = read_trace(io.StringIO(old + headerless))
         stats = trace_stats(events)
-        assert stats["old"]["schema_version"] == 1
+        assert stats["old"]["schema_version"] == 4
         assert stats["old"]["events"] == 4
         assert stats["old"]["by_event"] == {
             "trace_start": 1,
@@ -431,7 +438,7 @@ class TestSchemaV4CostSummary:
             ' "total_bits": 8, "rounds": 2, "per_vertex": []}\n'
         )
         problems = validate_trace_events(read_trace(io.StringIO(text)))
-        assert any("schema version 3" in p for p in problems)
+        assert problems == ["schema_version must be >= 4"]
 
     def test_validator_flags_malformed_cost_summary(self):
         from repro.obs import validate_trace_events
@@ -459,18 +466,19 @@ class TestSchemaV4CostSummary:
             read_trace(str(path), skip_torn_tail=False)
 
     def test_read_trace_filter_splits_v3_and_v4_runs(self):
-        # A hand-written v3 run: the live writer now stamps v4 headers,
-        # so a mixed-version file has to come from an older producer.
-        v3 = (
+        # A hand-written v4 span run beside a live one: the live writer
+        # stamps the current version, so a mixed-version file has to come
+        # from an older producer.
+        v4_spans = (
             '{"run_id": "spanrun", "seq": 0, "ts": 1.0, "event": "trace_start",'
-            ' "schema_version": 3}\n'
+            ' "schema_version": 4}\n'
             '{"run_id": "spanrun", "seq": 1, "ts": 1.1, "event": "span_start",'
             ' "span_id": 0, "parent_id": null, "name": "outer", "attrs": {}}\n'
             '{"run_id": "spanrun", "seq": 2, "ts": 1.2, "event": "span_end",'
             ' "span_id": 0, "name": "outer", "duration_seconds": 0.1}\n'
         )
-        v4 = self._v4_with_costs(n=4, rounds=2)
-        combined = v3 + v4
+        live = self._v4_with_costs(n=4, rounds=2)
+        combined = v4_spans + live
         # The live writer stamps the current schema version, so filter on
         # TRACE_SCHEMA_VERSION rather than a literal (this test tracks bumps).
         latest = read_trace(io.StringIO(combined), schema_version=TRACE_SCHEMA_VERSION)
@@ -481,7 +489,7 @@ class TestSchemaV4CostSummary:
         )
         assert any(e["event"] == "cost_summary" for e in latest)
         assert not any(e["event"] == "span_start" for e in latest)
-        spans_only = read_trace(io.StringIO(combined), schema_version=3)
+        spans_only = read_trace(io.StringIO(combined), schema_version=4)
         assert any(e["event"] == "span_start" for e in spans_only)
         assert not any(e["event"] == "cost_summary" for e in spans_only)
 
@@ -528,7 +536,7 @@ class TestTraceStatsSiblingKeys:
         from repro.obs import trace_stats
 
         events = [
-            {"run_id": "r", "event": "trace_start", "schema_version": 3},
+            {"run_id": "r", "event": "trace_start", "schema_version": 4},
             {"run_id": "r", "event": "round", "t": 1},
         ]
         entry = trace_stats(events)["r"]

@@ -1898,7 +1898,7 @@ COMMANDS: Tuple[Command, ...] = (
     ),
     Command(
         "trace-validate",
-        "validate a JSONL run trace (any schema version)",
+        "validate a JSONL run trace (schema v4 or v5)",
         _cmd_trace_validate,
         _arg("file", help="JSONL run trace written with --trace"),
         _arg(

@@ -20,7 +20,7 @@ from repro.core.knowledge import InitialKnowledge
 from repro.core.model import BCCModel
 from repro.core.observers import RoundEnd, RunEnd, RunObserver, RunStart, run_observers
 from repro.core.randomness import PublicCoin
-from repro.core.transcript import RoundRecord, Transcript
+from repro.core.transcript import Transcript
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # imported lazily to keep core free of resilience deps
@@ -39,7 +39,10 @@ class RunResult:
     outputs:
         ``outputs[v]`` is vertex index v's output.
     transcripts:
-        ``transcripts[v]`` is vertex index v's full transcript.
+        ``transcripts[v]`` is vertex index v's full transcript, held as
+        its ``sent`` and ``received`` columns (one entry per round);
+        ``transcripts[v].record(t)`` builds round t's
+        :class:`~repro.core.transcript.RoundRecord` on demand.
     rounds_executed:
         Number of rounds actually run (may be fewer than requested when
         every vertex reported ``finished()``).
@@ -103,6 +106,28 @@ class RunResult:
         """Hashable state (knowledge + t-round transcript prefix) of vertex v."""
         rounds = self.rounds_executed if t is None else t
         return (knowledge.comparable_view(), self.transcripts[v].prefix_comparable(rounds))
+
+
+def _receiver_free_labels(
+    port_rows: Sequence[Sequence[Tuple[int, int]]],
+) -> Optional[List[int]]:
+    """Sender u's port label at every receiver, if no label depends on it.
+
+    ``port_rows[v]`` lists receiver v's ``(port, sender)`` pairs, sender
+    ascending. In KT-1 the port to u is u's ID at every receiver, so the
+    result is the ID vector; a KT-0 numbering generally gives ``None``.
+    ``None`` also when two senders share a label.
+    """
+    n = len(port_rows)
+    if n < 2:
+        return None
+    labels = [port_rows[1][0][0]] + [port for port, _ in port_rows[0]]
+    if len(set(labels)) < n:
+        return None
+    for v, row in enumerate(port_rows):
+        if row != [(labels[u], u) for u in range(n) if u != v]:
+            return None
+    return labels
 
 
 class Simulator:
@@ -241,7 +266,14 @@ class Simulator:
         rides in a *pristine* network plan, whose manager allocates no
         channels and adds no RNG draws, keeping faults-only runs
         bit-identical to the pre-channel-layer engine. Receivers read
-        ``rows`` through a port table built once per run.
+        ``rows`` through a port table built once per run. When no port
+        label depends on the receiver (KT-1, where the port to u is u's
+        ID), each round builds one label -> message map of the broadcasts,
+        and every receiver whose row is the broadcasts themselves gets a
+        copy of it without its own entry; other rows (faulted, delayed)
+        and receiver-specific labels (KT-0) are read port by port. Each
+        vertex's ``sent`` and ``received`` go straight onto its
+        transcript's columns.
         """
         n = instance.n
         if net_plan is not None:
@@ -277,6 +309,8 @@ class Simulator:
             nodes.append(node)
 
         transcripts = [Transcript() for _ in range(n)]
+        append_sent = [tr.sent.append for tr in transcripts]
+        append_received = [tr.received.append for tr in transcripts]
         history: List[Tuple[str, ...]] = []
         # Each receiver's (port, sender) pairs, sender ascending: the key
         # order of every ``received`` dict, looked up once per run.
@@ -284,6 +318,7 @@ class Simulator:
             [(instance.port_to_peer(v, u), u) for u in range(n) if u != v]
             for v in range(n)
         ]
+        labels = _receiver_free_labels(port_rows)
 
         executed = 0
         total_bits = 0
@@ -330,9 +365,17 @@ class Simulator:
             rows: List[Sequence[str]] = (
                 [messages] * n if net_run is None else net_run.deliver_round(t, messages)
             )
+            # Every receiver of an undisturbed row hears the same vector;
+            # with receiver-free port labels (KT-1) its map is one shared
+            # map, copied, minus the receiver's own entry.
+            shared = dict(zip(labels, messages)) if labels is not None else None
             for v in range(n):
                 row = rows[v]
-                received = {port: row[u] for port, u in port_rows[v]}
+                if row is messages and shared is not None:
+                    received = shared.copy()
+                    del received[labels[v]]
+                else:
+                    received = {port: row[u] for port, u in port_rows[v]}
                 if v not in failed_nodes:
                     try:
                         nodes[v].receive(t, received)
@@ -340,7 +383,8 @@ class Simulator:
                         if net_run is None:
                             raise
                         failed_nodes.add(v)
-                transcripts[v].append(RoundRecord(sent=messages[v], received=received))
+                append_sent[v](messages[v])
+                append_received[v](received)
             done = True
             for v in range(n):
                 if v in failed_nodes:

@@ -1,5 +1,9 @@
 """Tests for the synchronous round engine."""
 
+import io
+import random
+from collections.abc import Mapping
+
 import pytest
 
 from repro.core import (
@@ -17,8 +21,13 @@ from repro.core import (
     YES,
     decision_of_run,
 )
+from repro.core.transcript import RoundRecord
 from repro.errors import AlgorithmContractError, SimulationError
 from repro.graphs import one_cycle, two_cycles
+from repro.instances import one_cycle_instance
+from repro.replay import SessionStore
+from repro.resilience import FaultPlan
+from repro.resilience.harness import HARNESS_ALGORITHMS
 
 
 class EchoDegree(NodeAlgorithm):
@@ -284,3 +293,125 @@ def test_port_table_is_built_once_per_run(monkeypatch):
     inst = BCCInstance.kt1_from_graph(one_cycle(5))
     Simulator(BCC1_KT1).run(inst, EchoDegree, 6)
     assert sorted(calls) == [(v, u) for v in range(5) for u in range(5) if u != v]
+
+
+class KeepsMaps(NodeAlgorithm):
+    """Keeps every received map object itself, not a copy."""
+
+    def setup(self, knowledge):
+        super().setup(knowledge)
+        self.maps = []
+
+    def broadcast(self, round_index):
+        return "1" if (self.knowledge.vertex_id + round_index) % 3 else "0"
+
+    def receive(self, round_index, messages):
+        self.maps.append(messages)
+
+    def output(self):
+        return YES
+
+
+class TestReceiveMaps:
+    """Each receiver gets its own map: keys are its ports to the other
+    vertices, sender ascending, whether the map was copied from the
+    round's shared KT-1 map or built port by port."""
+
+    INSTANCES = {
+        # IDs out of index order, so sender order differs from ID order
+        "kt1": (BCC1_KT1, BCCInstance.kt1_from_graph(one_cycle(5), ids=[40, 3, 17, 9, 25])),
+        "kt0": (BCC1_KT0, BCCInstance.kt0_from_graph(one_cycle(5), rng=random.Random(1))),
+    }
+
+    @pytest.mark.parametrize(
+        "faults", [None, FaultPlan(seed=2, erasure_rate=0.3)], ids=["clean", "faults"]
+    )
+    @pytest.mark.parametrize("kt", sorted(INSTANCES))
+    def test_distinct_maps_in_sender_order(self, kt, faults):
+        model, inst = self.INSTANCES[kt]
+        nodes = []
+
+        def factory():
+            nodes.append(KeepsMaps())
+            return nodes[-1]
+
+        res = Simulator(model).run(inst, factory, 4, faults=faults)
+        n = inst.n
+        for t in range(4):
+            maps = [node.maps[t] for node in nodes]
+            assert len({id(m) for m in maps}) == n
+            for v, received in enumerate(maps):
+                assert isinstance(received, Mapping)
+                assert list(received) == [inst.port_to_peer(v, u) for u in range(n) if u != v]
+                assert received is res.transcripts[v].received[t]
+        if faults is None:
+            for v, node in enumerate(nodes):
+                assert list(node.maps[0].values()) == [
+                    res.broadcast_history[0][u] for u in range(n) if u != v
+                ]
+
+    @pytest.mark.parametrize("kt", sorted(INSTANCES))
+    def test_mutating_one_map_leaves_the_others(self, kt):
+        model, inst = self.INSTANCES[kt]
+        nodes = []
+
+        def factory():
+            nodes.append(KeepsMaps())
+            return nodes[-1]
+
+        Simulator(model).run(inst, factory, 2)
+        before = [[dict(m) for m in node.maps] for node in nodes]
+        nodes[0].maps[0].clear()
+        nodes[1].maps[0][-1] = "mutated"
+        for v in range(2, inst.n):
+            assert [dict(m) for m in nodes[v].maps] == before[v]
+        assert [dict(m) for m in nodes[0].maps[1:]] == before[0][1:]
+
+
+def _counting_records(monkeypatch):
+    """Count every ``RoundRecord`` constructed from here on."""
+    built = []
+    init = RoundRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RoundRecord, "__init__", counting)
+    return built
+
+
+def _sketch_run(n=8, session=None):
+    spec = HARNESS_ALGORITHMS["sketch"]
+    return Simulator(spec.model(n)).run(
+        one_cycle_instance(n, kt=1), spec.factory(n), spec.rounds(n), session=session
+    )
+
+
+def test_kt1_sketch_run_builds_no_round_records(monkeypatch):
+    """Counts only, no timing: the engine writes columns, looks each port
+    up once per run, and leaves ``RoundRecord`` to the readers."""
+    built = _counting_records(monkeypatch)
+    calls = []
+    original = BCCInstance.port_to_peer
+
+    def counting(self, v, u):
+        calls.append((v, u))
+        return original(self, v, u)
+
+    monkeypatch.setattr(BCCInstance, "port_to_peer", counting)
+    res = _sketch_run()
+    assert res.all_finished and res.rounds_executed > 100
+    assert built == []
+    assert len(calls) == 8 * 7
+    res.transcripts[3].record(5)
+    assert len(built) == 1
+
+
+def test_session_recording_builds_one_record_per_vertex_round(monkeypatch):
+    built = _counting_records(monkeypatch)
+    store = SessionStore(io.StringIO(), run_id="fixed")
+    store.start("run", {})
+    res = _sketch_run(session=store)
+    store.finish()
+    assert len(built) == 8 * res.rounds_executed

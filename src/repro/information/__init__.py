@@ -15,6 +15,7 @@ from repro.information.entropy import (
 )
 from repro.information.sampling import (
     SampledInformationReport,
+    clear_run_memo,
     estimate_protocol_information,
 )
 from repro.information.partition_comp import (
@@ -29,6 +30,7 @@ __all__ = [
     "PartitionCompReport",
     "SampledInformationReport",
     "binary_entropy",
+    "clear_run_memo",
     "estimate_protocol_information",
     "conditional_entropy",
     "empirical_joint",

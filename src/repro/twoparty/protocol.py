@@ -69,13 +69,19 @@ class ProtocolResult:
 class TwoPartyProtocol(ABC):
     """A deterministic protocol, specified by per-turn message functions.
 
-    Subclasses implement :meth:`next_turn`: given the inputs-so-far view
-    (the party's own input and the transcript), return the next
-    (speaker, bits) or None when the conversation is over, after which
-    :meth:`alice_output` / :meth:`bob_output` are read. The framework
-    enforces that each party's messages depend only on its own input and
-    the transcript -- ``next_turn`` receives exactly one input, selected by
-    whose turn it is.
+    Subclasses implement four methods. :meth:`next_speaker` names who
+    speaks next from the transcript alone, or None when the conversation
+    is over; :meth:`message` returns that party's bits; after the last
+    turn :meth:`alice_output` / :meth:`bob_output` are read. The
+    framework enforces that each party's messages depend only on its own
+    input and the transcript -- ``message`` receives exactly one input,
+    selected by whose turn it is.
+
+    Contract: :meth:`run` is a pure function of the two inputs and the
+    instance's attributes (``vars(self)``, all hashable). The sampled
+    Theorem 4.5 estimator relies on it to run each distinct input once
+    per process (:mod:`repro.information.sampling`); a side effect of a
+    run, such as a metrics counter, is not repeated for a memoized input.
     """
 
     #: Safety valve against non-terminating protocols.

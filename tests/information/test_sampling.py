@@ -5,12 +5,19 @@ import random
 
 import pytest
 
+from repro.cli import main
+from repro.errors import BudgetExceededError
 from repro.information import (
+    clear_run_memo,
     estimate_protocol_information,
     evaluate_protocol,
 )
+from repro.information.sampling import SAMPLING_SHARD_UNITS
 from repro.partitions import bell_number, log2_bell
+from repro.partitions.enumeration import random_rgs
+from repro.resilience import Budget
 from repro.twoparty import LossyPartitionCompProtocol, TrivialPartitionCompProtocol
+from repro.twoparty.protocol import TwoPartyProtocol
 
 
 class TestSampledEstimation:
@@ -65,3 +72,115 @@ class TestSampledEstimation:
             estimate_protocol_information(
                 TrivialPartitionCompProtocol(3), 3, samples=1, rng=random.Random(0)
             )
+
+
+# ----------------------------------------------------------------------
+# the per-process run memo
+# ----------------------------------------------------------------------
+@pytest.fixture
+def protocol_runs(monkeypatch):
+    """Cold run memo; yields the list of protocols run, one per call."""
+    calls = []
+    run = TwoPartyProtocol.run
+
+    def counting_run(self, alice_input, bob_input):
+        calls.append(self)
+        return run(self, alice_input, bob_input)
+
+    monkeypatch.setattr(TwoPartyProtocol, "run", counting_run)
+    clear_run_memo()
+    yield calls
+    clear_run_memo()
+
+
+def _estimate(protocol, n=6, samples=3000, seed=1, **kwargs):
+    return estimate_protocol_information(
+        protocol, n, samples, random.Random(seed), **kwargs
+    )
+
+
+def _cli_json(capsys, argv):
+    assert main(["sampling", *argv, "--json"]) == 0
+    return capsys.readouterr().out
+
+
+class TestRunMemo:
+    def test_one_run_per_distinct_input(self, protocol_runs):
+        rng = random.Random(5)
+        drawn = {random_rgs(7, rng) for _ in range(8000)}
+        first = _estimate(TrivialPartitionCompProtocol(7), 7, 8000, 5, workers=1)
+        assert len(protocol_runs) == len(drawn) <= bell_number(7)
+        second = _estimate(TrivialPartitionCompProtocol(7), 7, 8000, 5, workers=1)
+        assert len(protocol_runs) == len(drawn)
+        assert second == first
+        assert second.population == first.population
+
+    def test_protocols_never_share_entries(self, protocol_runs):
+        protocols = [
+            TrivialPartitionCompProtocol(7),
+            LossyPartitionCompProtocol(7, 0.2),
+            LossyPartitionCompProtocol(7, 0.3),
+        ]
+        warm = [_estimate(p, 7, 2000, 9) for p in protocols]
+        # Each protocol ran every input it drew: none was served from
+        # another protocol's entries.
+        per_protocol = [sum(c is p for c in protocol_runs) for p in protocols]
+        assert per_protocol == [warm[0].distinct_inputs_seen] * 3
+        for protocol, report in zip(protocols, warm):
+            clear_run_memo()
+            cold = _estimate(protocol, 7, 2000, 9)
+            assert cold == report
+            assert cold.population == report.population
+        errors = [report.error_rate_estimate for report in warm]
+        assert errors[0] == 0.0 < errors[1] < errors[2]
+
+    def test_warm_equals_cold(self, protocol_runs, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        argv = ["--n", "6", "--samples", "3000", "--seed", "1", "--eps", "0.2"]
+        protocol = LossyPartitionCompProtocol(6, 0.2)
+        cold = _estimate(protocol)
+        clear_run_memo()
+        cold_json = _cli_json(capsys, argv)
+        runs = len(protocol_runs)
+        warm = _estimate(protocol)
+        warm_json = _cli_json(capsys, argv)
+        assert len(protocol_runs) == runs
+        assert warm == cold
+        assert warm.population == cold.population
+        assert warm_json == cold_json
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_boundaries_under_warm_memo(self, protocol_runs, workers):
+        protocol = TrivialPartitionCompProtocol(6)
+        plain = _estimate(protocol, samples=1500)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            _estimate(
+                protocol, samples=1500, workers=workers,
+                budget=Budget(max_units=1500, check_interval=1),
+            )
+        assert exc_info.value.partial == plain
+        done = _estimate(
+            protocol, samples=1500, workers=workers,
+            budget=Budget(max_units=1501, check_interval=1),
+        )
+        assert done == plain
+        assert done.population == plain.population
+
+    def test_partial_report_warm_equals_cold(self, protocol_runs):
+        protocol = LossyPartitionCompProtocol(6, 0.2)
+        budget_units = SAMPLING_SHARD_UNITS + 60
+
+        def partial():
+            with pytest.raises(BudgetExceededError) as exc_info:
+                _estimate(
+                    protocol, budget=Budget(max_units=budget_units, check_interval=1)
+                )
+            return exc_info.value.partial
+
+        cold = partial()
+        _estimate(protocol)  # every drawn input is now memoized
+        runs = len(protocol_runs)
+        warm = partial()
+        assert len(protocol_runs) == runs
+        assert warm == cold
+        assert warm.samples == budget_units

@@ -115,6 +115,10 @@ class TestCheckpointer:
 
     def test_flush_always_writes(self, tmp_path):
         # An interrupt keeps every shard that completed before it landed.
+        # The protocol runs once per distinct input, so n = 7 (B_7 = 877)
+        # puts the interrupting run inside the second shard: the first
+        # shard's 512 draws hold fewer than 522 distinct inputs, the
+        # first two shards' 1024 draws more.
         class Interrupting(TrivialPartitionCompProtocol):
             calls = 0
 
@@ -125,18 +129,18 @@ class TestCheckpointer:
                 return super().run(pa, pb)
 
         samples = 3 * SAMPLING_SHARD_UNITS
-        cache = _sampling_cache(tmp_path, 4, samples, 5)
+        cache = _sampling_cache(tmp_path, 7, samples, 5)
         with pytest.raises(KeyboardInterrupt):
             estimate_protocol_information(
-                Interrupting(4), 4, samples, random.Random(5), shard_cache=cache
+                Interrupting(7), 7, samples, random.Random(5), shard_cache=cache
             )
         assert len(_entry_paths(tmp_path)) == 1
         uninterrupted = estimate_protocol_information(
-            TrivialPartitionCompProtocol(4), 4, samples, random.Random(5)
+            TrivialPartitionCompProtocol(7), 7, samples, random.Random(5)
         )
         resumed = estimate_protocol_information(
-            TrivialPartitionCompProtocol(4),
-            4,
+            TrivialPartitionCompProtocol(7),
+            7,
             samples,
             random.Random(5),
             shard_cache=cache,

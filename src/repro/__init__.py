@@ -25,4 +25,30 @@ The package provides:
 * :mod:`repro.lowerbounds` -- one executable engine per theorem.
 """
 
+import importlib
+
 __version__ = "1.0.0"
+
+
+def lazy_getattr(namespace):
+    """Return the PEP 562 ``__getattr__`` of a package that re-exports lazily.
+
+    Every ``repro.*`` package lists its public names in a
+    ``_LAZY_EXPORTS`` dict literal mapping each name to the submodule
+    that defines it, and sets ``__getattr__ = lazy_getattr(globals())``.
+    A name's submodule is imported on its first lookup, and the value is
+    then bound in ``namespace``, so ``__getattr__`` fires only on misses.
+    A command therefore loads only the submodules it uses.
+    """
+    table = namespace["_LAZY_EXPORTS"]
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        module_name = table.get(name)
+        if module_name is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module_name), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__

@@ -1,29 +1,20 @@
 """Analysis utilities: growth fitting and table reporting."""
 
-from repro.analysis.fitting import (
-    LogFit,
-    fit_linear,
-    fit_logarithmic,
-    is_logarithmic_growth,
-    ratio_stability,
-)
-from repro.analysis.reporting import (
-    emit_table,
-    format_cell,
-    print_table,
-    render_table,
-    table_payload,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "LogFit",
-    "emit_table",
-    "fit_linear",
-    "fit_logarithmic",
-    "format_cell",
-    "is_logarithmic_growth",
-    "print_table",
-    "ratio_stability",
-    "render_table",
-    "table_payload",
-]
+_LAZY_EXPORTS = {
+    "LogFit": "repro.analysis.fitting",
+    "fit_linear": "repro.analysis.fitting",
+    "fit_logarithmic": "repro.analysis.fitting",
+    "is_logarithmic_growth": "repro.analysis.fitting",
+    "ratio_stability": "repro.analysis.fitting",
+    "emit_table": "repro.analysis.reporting",
+    "format_cell": "repro.analysis.reporting",
+    "print_table": "repro.analysis.reporting",
+    "render_table": "repro.analysis.reporting",
+    "table_payload": "repro.analysis.reporting",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

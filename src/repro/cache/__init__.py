@@ -7,6 +7,8 @@ writes follow the session-log durability contract (retried, rolled
 back, atomically published).
 """
 
+from repro import lazy_getattr
+
 # Every name is re-exported lazily (PEP 562), so reading a constant of
 # the store does not load the key derivation, and vice versa.
 _LAZY_EXPORTS = {
@@ -25,16 +27,11 @@ _LAZY_EXPORTS = {
     "ResultCache": "repro.cache.store",
 }
 
+__getattr__ = lazy_getattr(globals())
 
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+#: Default eviction budget for ``repro cache gc`` (256 MiB). Defined
+#: here, not in repro.cache.store, so the CLI parser can print it without
+#: loading the store.
+DEFAULT_GC_MAX_BYTES = 256 * 1024 * 1024
 
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ only fires on misses
-    return value
-
-
-__all__ = sorted(_LAZY_EXPORTS)
+__all__ = sorted([*_LAZY_EXPORTS, "DEFAULT_GC_MAX_BYTES"])

@@ -41,6 +41,7 @@ import tempfile
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.cache import DEFAULT_GC_MAX_BYTES
 from repro.cache.keys import canonical_json, payload_digest
 from repro.errors import ReproError
 from repro.resilience.retry import retry_transient
@@ -49,9 +50,6 @@ __all__ = ["CACHE_VERSION", "CacheError", "ResultCache"]
 
 #: Bump when the on-disk entry envelope changes incompatibly.
 CACHE_VERSION = 1
-
-#: Default eviction budget for ``repro cache gc`` (256 MiB).
-DEFAULT_GC_MAX_BYTES = 256 * 1024 * 1024
 
 
 class CacheError(ReproError):

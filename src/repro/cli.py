@@ -36,10 +36,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cache.store import DEFAULT_GC_MAX_BYTES
+from repro.cache import DEFAULT_GC_MAX_BYTES
 from repro.engine import ENGINE_KINDS, sweep_rows_from_payload
 from repro.kernels import KERNEL_MODES
-from repro.obs.regress import DEFAULT_HISTORY_PATH
+from repro.obs import DEFAULT_HISTORY_PATH
 
 
 def _emit(args: argparse.Namespace, title: str, headers, rows) -> None:
@@ -1587,12 +1587,6 @@ COMMANDS: Tuple[Command, ...] = (
             default=None,
             metavar="K",
             help="stop (budget exhausted, exit 3) after K assignments",
-        ),
-        _arg(
-            "--vectorize",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="ignored: kept so existing scripts still parse",
         ),
         _workers_flag,
         _budget_flag,

@@ -18,6 +18,8 @@ Three layers, mirroring the structure of :mod:`repro.obs`:
   ``repro cost-check`` and ``tests/costs/``.
 """
 
+from repro import lazy_getattr
+
 # Every name is re-exported lazily (PEP 562), so the simulator's import
 # of the ledger does not load the conformance checker.
 _LAZY_EXPORTS = {
@@ -56,16 +58,6 @@ _LAZY_EXPORTS = {
 # cheap: specs.py imports only the calculus at module level.
 from repro.costs.specs import specs  # noqa: E402
 
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ only fires on misses
-    return value
-
+__getattr__ = lazy_getattr(globals())
 
 __all__ = sorted(_LAZY_EXPORTS)

@@ -1,48 +1,29 @@
 """Port-preserving crossings and operational indistinguishability (Section 3)."""
 
-from repro.crossing.active import (
-    active_edges,
-    directed_input_edges,
-    edge_label,
-    edge_labels,
-    label_classes,
-    largest_active_pair,
-    largest_label_class,
-)
-from repro.crossing.crossing import cross, crossed_edge_sets
-from repro.crossing.independent import (
-    DirectedEdge,
-    are_independent,
-    independent_edge_set_on_cycle,
-    independent_pairs,
-)
-from repro.crossing.indistinguishability import (
-    check_lemma_3_4,
-    distinguishing_vertices,
-    indistinguishable_runs,
-    lemma_3_4_premise_holds,
-    operational_indistinguishability_graph,
-    vertex_states,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "DirectedEdge",
-    "active_edges",
-    "are_independent",
-    "check_lemma_3_4",
-    "cross",
-    "crossed_edge_sets",
-    "directed_input_edges",
-    "distinguishing_vertices",
-    "edge_label",
-    "edge_labels",
-    "independent_edge_set_on_cycle",
-    "independent_pairs",
-    "indistinguishable_runs",
-    "label_classes",
-    "largest_active_pair",
-    "largest_label_class",
-    "lemma_3_4_premise_holds",
-    "operational_indistinguishability_graph",
-    "vertex_states",
-]
+_LAZY_EXPORTS = {
+    "active_edges": "repro.crossing.active",
+    "directed_input_edges": "repro.crossing.active",
+    "edge_label": "repro.crossing.active",
+    "edge_labels": "repro.crossing.active",
+    "label_classes": "repro.crossing.active",
+    "largest_active_pair": "repro.crossing.active",
+    "largest_label_class": "repro.crossing.active",
+    "cross": "repro.crossing.crossing",
+    "crossed_edge_sets": "repro.crossing.crossing",
+    "DirectedEdge": "repro.crossing.independent",
+    "are_independent": "repro.crossing.independent",
+    "independent_edge_set_on_cycle": "repro.crossing.independent",
+    "independent_pairs": "repro.crossing.independent",
+    "check_lemma_3_4": "repro.crossing.indistinguishability",
+    "distinguishing_vertices": "repro.crossing.indistinguishability",
+    "indistinguishable_runs": "repro.crossing.indistinguishability",
+    "lemma_3_4_premise_holds": "repro.crossing.indistinguishability",
+    "operational_indistinguishability_graph": "repro.crossing.indistinguishability",
+    "vertex_states": "repro.crossing.indistinguishability",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

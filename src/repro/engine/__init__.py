@@ -17,32 +17,22 @@ The CLI subcommands and :mod:`repro.replay.engines` are thin adapters
 over this module.
 """
 
-from repro.engine.core import (
-    execute,
-    execute_run,
-    run_payload,
-    run_record,
-    sweep_rows_from_payload,
-)
-from repro.engine.request import (
-    ENGINE_KINDS,
-    ENGINE_RESULT_VERSION,
-    EngineOptions,
-    EngineRequest,
-    EngineResult,
-    normalize_params,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "ENGINE_KINDS",
-    "ENGINE_RESULT_VERSION",
-    "EngineOptions",
-    "EngineRequest",
-    "EngineResult",
-    "execute",
-    "execute_run",
-    "normalize_params",
-    "run_payload",
-    "run_record",
-    "sweep_rows_from_payload",
-]
+_LAZY_EXPORTS = {
+    "execute": "repro.engine.core",
+    "execute_run": "repro.engine.core",
+    "run_payload": "repro.engine.core",
+    "run_record": "repro.engine.core",
+    "sweep_rows_from_payload": "repro.engine.core",
+    "ENGINE_KINDS": "repro.engine.request",
+    "ENGINE_RESULT_VERSION": "repro.engine.request",
+    "EngineOptions": "repro.engine.request",
+    "EngineRequest": "repro.engine.request",
+    "EngineResult": "repro.engine.request",
+    "normalize_params": "repro.engine.request",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

@@ -1,77 +1,42 @@
 """Indistinguishability graphs, Hall machinery, and degree statistics."""
 
-from repro.indist.degree_stats import (
-    hall_expansion_curve,
-    harmonic,
-    lemma_3_9_table,
-    measured_one_cycle_degree,
-    measured_split_population,
-    measured_two_cycle_degree,
-    one_cycle_degree,
-    one_cycle_neighbor_split_counts,
-    predicted_split_counts,
-    predicted_v2_v1_ratio,
-    split_population_bound,
-    two_cycle_degree,
-)
-from repro.indist.graph_builder import (
-    all_two_cycle_covers_present,
-    build_combinatorial_graph,
-    build_operational_graph,
-    cover_from_edges,
-    cross_cover,
-    crossing_neighbors,
-    one_cycle_two_cycle_neighbors,
-)
-from repro.indist.hall import (
-    all_subsets_satisfy_hall,
-    cloned_graph,
-    hall_condition_violations,
-    is_valid_k_matching,
-    k_matching,
-    k_matching_size,
-    max_saturating_k,
-    sampled_hall_check,
-    saturates,
-)
-from repro.indist.matching import (
-    BipartiteGraph,
-    hopcroft_karp,
-    is_valid_matching,
-    maximum_matching_size,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "BipartiteGraph",
-    "all_subsets_satisfy_hall",
-    "all_two_cycle_covers_present",
-    "build_combinatorial_graph",
-    "build_operational_graph",
-    "cloned_graph",
-    "cover_from_edges",
-    "cross_cover",
-    "crossing_neighbors",
-    "hall_condition_violations",
-    "hall_expansion_curve",
-    "harmonic",
-    "hopcroft_karp",
-    "is_valid_k_matching",
-    "is_valid_matching",
-    "k_matching",
-    "k_matching_size",
-    "lemma_3_9_table",
-    "max_saturating_k",
-    "maximum_matching_size",
-    "measured_one_cycle_degree",
-    "measured_split_population",
-    "measured_two_cycle_degree",
-    "one_cycle_degree",
-    "one_cycle_neighbor_split_counts",
-    "one_cycle_two_cycle_neighbors",
-    "predicted_split_counts",
-    "predicted_v2_v1_ratio",
-    "sampled_hall_check",
-    "saturates",
-    "split_population_bound",
-    "two_cycle_degree",
-]
+_LAZY_EXPORTS = {
+    "hall_expansion_curve": "repro.indist.degree_stats",
+    "harmonic": "repro.indist.degree_stats",
+    "lemma_3_9_table": "repro.indist.degree_stats",
+    "measured_one_cycle_degree": "repro.indist.degree_stats",
+    "measured_split_population": "repro.indist.degree_stats",
+    "measured_two_cycle_degree": "repro.indist.degree_stats",
+    "one_cycle_degree": "repro.indist.degree_stats",
+    "one_cycle_neighbor_split_counts": "repro.indist.degree_stats",
+    "predicted_split_counts": "repro.indist.degree_stats",
+    "predicted_v2_v1_ratio": "repro.indist.degree_stats",
+    "split_population_bound": "repro.indist.degree_stats",
+    "two_cycle_degree": "repro.indist.degree_stats",
+    "all_two_cycle_covers_present": "repro.indist.graph_builder",
+    "build_combinatorial_graph": "repro.indist.graph_builder",
+    "build_operational_graph": "repro.indist.graph_builder",
+    "cover_from_edges": "repro.indist.graph_builder",
+    "cross_cover": "repro.indist.graph_builder",
+    "crossing_neighbors": "repro.indist.graph_builder",
+    "one_cycle_two_cycle_neighbors": "repro.indist.graph_builder",
+    "all_subsets_satisfy_hall": "repro.indist.hall",
+    "cloned_graph": "repro.indist.hall",
+    "hall_condition_violations": "repro.indist.hall",
+    "is_valid_k_matching": "repro.indist.hall",
+    "k_matching": "repro.indist.hall",
+    "k_matching_size": "repro.indist.hall",
+    "max_saturating_k": "repro.indist.hall",
+    "sampled_hall_check": "repro.indist.hall",
+    "saturates": "repro.indist.hall",
+    "BipartiteGraph": "repro.indist.matching",
+    "hopcroft_karp": "repro.indist.matching",
+    "is_valid_matching": "repro.indist.matching",
+    "maximum_matching_size": "repro.indist.matching",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

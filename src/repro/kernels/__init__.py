@@ -50,6 +50,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro import lazy_getattr
+
 # The engines are re-exported lazily (PEP 562): the CLI parser reads
 # KERNEL_MODES, and the graph builder resolve_kernel, without loading
 # every engine module.
@@ -66,17 +68,7 @@ _LAZY_EXPORTS = {
     "sparsify_rows": "repro.kernels.sparse",
 }
 
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ only fires on misses
-    return value
-
+__getattr__ = lazy_getattr(globals())
 
 __all__ = sorted([*_LAZY_EXPORTS, "KERNEL_MODES", "resolve_kernel"])
 

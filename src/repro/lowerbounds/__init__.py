@@ -1,84 +1,45 @@
 """Executable lower-bound engines, one per theorem of the paper."""
 
-from repro.lowerbounds.adversary import FoolingPair, adversary_defeats, find_fooling_pairs
-from repro.lowerbounds.exhaustive import (
-    UniversalBoundReport,
-    assignment_at,
-    clear_pair_cache,
-    covers_and_pairs_for,
-    disconnecting_pairs,
-    forced_error_of_assignment,
-    universal_bound_id_oblivious,
-)
-from repro.lowerbounds.kt0_constant_error import (
-    ForcedErrorReport,
-    forced_error_curve,
-    forced_error_of_algorithm,
-)
-from repro.lowerbounds.kt0_star import (
-    FoolingReport,
-    fool_algorithm,
-    guaranteed_class_size,
-    label_class_count,
-    minimum_rounds_for_error,
-    theorem_3_5_error_bound,
-)
-from repro.lowerbounds.kt1_infotheory import (
-    KT1InformationBound,
-    components_round_bound,
-    information_bound_table,
-    measure_bcc_algorithm_information,
-)
-from repro.lowerbounds.kt1_rank import (
-    KT1RankBound,
-    connectivity_round_bound,
-    connectivity_round_bound_certified,
-    multicycle_round_bound,
-    multicycle_round_bound_certified,
-    omega_log_constant,
-    round_bound_table,
-)
-from repro.lowerbounds.report import FullReport, full_report
-from repro.lowerbounds.yao import (
-    WeightedInput,
-    star_distribution,
-    uniform_v1_v2_distribution,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "FoolingPair",
-    "FoolingReport",
-    "ForcedErrorReport",
-    "FullReport",
-    "full_report",
-    "KT1InformationBound",
-    "KT1RankBound",
-    "UniversalBoundReport",
-    "WeightedInput",
-    "assignment_at",
-    "clear_pair_cache",
-    "covers_and_pairs_for",
-    "disconnecting_pairs",
-    "forced_error_of_assignment",
-    "universal_bound_id_oblivious",
-    "adversary_defeats",
-    "components_round_bound",
-    "connectivity_round_bound",
-    "connectivity_round_bound_certified",
-    "find_fooling_pairs",
-    "fool_algorithm",
-    "forced_error_curve",
-    "forced_error_of_algorithm",
-    "guaranteed_class_size",
-    "information_bound_table",
-    "label_class_count",
-    "measure_bcc_algorithm_information",
-    "minimum_rounds_for_error",
-    "multicycle_round_bound",
-    "multicycle_round_bound_certified",
-    "omega_log_constant",
-    "round_bound_table",
-    "star_distribution",
-    "theorem_3_5_error_bound",
-    "uniform_v1_v2_distribution",
-]
+_LAZY_EXPORTS = {
+    "FoolingPair": "repro.lowerbounds.adversary",
+    "adversary_defeats": "repro.lowerbounds.adversary",
+    "find_fooling_pairs": "repro.lowerbounds.adversary",
+    "UniversalBoundReport": "repro.lowerbounds.exhaustive",
+    "assignment_at": "repro.lowerbounds.exhaustive",
+    "clear_pair_cache": "repro.lowerbounds.exhaustive",
+    "covers_and_pairs_for": "repro.lowerbounds.exhaustive",
+    "disconnecting_pairs": "repro.lowerbounds.exhaustive",
+    "forced_error_of_assignment": "repro.lowerbounds.exhaustive",
+    "universal_bound_id_oblivious": "repro.lowerbounds.exhaustive",
+    "ForcedErrorReport": "repro.lowerbounds.kt0_constant_error",
+    "forced_error_curve": "repro.lowerbounds.kt0_constant_error",
+    "forced_error_of_algorithm": "repro.lowerbounds.kt0_constant_error",
+    "FoolingReport": "repro.lowerbounds.kt0_star",
+    "fool_algorithm": "repro.lowerbounds.kt0_star",
+    "guaranteed_class_size": "repro.lowerbounds.kt0_star",
+    "label_class_count": "repro.lowerbounds.kt0_star",
+    "minimum_rounds_for_error": "repro.lowerbounds.kt0_star",
+    "theorem_3_5_error_bound": "repro.lowerbounds.kt0_star",
+    "KT1InformationBound": "repro.lowerbounds.kt1_infotheory",
+    "components_round_bound": "repro.lowerbounds.kt1_infotheory",
+    "information_bound_table": "repro.lowerbounds.kt1_infotheory",
+    "measure_bcc_algorithm_information": "repro.lowerbounds.kt1_infotheory",
+    "KT1RankBound": "repro.lowerbounds.kt1_rank",
+    "connectivity_round_bound": "repro.lowerbounds.kt1_rank",
+    "connectivity_round_bound_certified": "repro.lowerbounds.kt1_rank",
+    "multicycle_round_bound": "repro.lowerbounds.kt1_rank",
+    "multicycle_round_bound_certified": "repro.lowerbounds.kt1_rank",
+    "omega_log_constant": "repro.lowerbounds.kt1_rank",
+    "round_bound_table": "repro.lowerbounds.kt1_rank",
+    "FullReport": "repro.lowerbounds.report",
+    "full_report": "repro.lowerbounds.report",
+    "WeightedInput": "repro.lowerbounds.yao",
+    "star_distribution": "repro.lowerbounds.yao",
+    "uniform_v1_v2_distribution": "repro.lowerbounds.yao",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

@@ -9,14 +9,17 @@ the corruption stage of the same pipeline. See :mod:`repro.net.plan` for
 the policy semantics and determinism contract.
 """
 
-from repro.net.channel import Channel, NetworkManager, delivery_population
-from repro.net.plan import DELIVERY_KINDS, NetworkEvent, NetworkPlan
+from repro import lazy_getattr
 
-__all__ = [
-    "Channel",
-    "DELIVERY_KINDS",
-    "NetworkEvent",
-    "NetworkManager",
-    "NetworkPlan",
-    "delivery_population",
-]
+_LAZY_EXPORTS = {
+    "Channel": "repro.net.channel",
+    "NetworkManager": "repro.net.channel",
+    "delivery_population": "repro.net.channel",
+    "DELIVERY_KINDS": "repro.net.plan",
+    "NetworkEvent": "repro.net.plan",
+    "NetworkPlan": "repro.net.plan",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

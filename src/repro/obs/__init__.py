@@ -35,6 +35,8 @@ Five small, dependency-free layers:
   population summaries in one dependency-free file.
 """
 
+from repro import lazy_getattr
+
 # Every name is re-exported lazily (PEP 562): a command that only needs
 # the metrics registry must not pay for the bench harness, the history
 # store or the dashboard, and importing a submodule here would also tie
@@ -55,7 +57,6 @@ _LAZY_EXPORTS = {
     "merge_snapshots": "repro.obs.metrics",
     "set_registry": "repro.obs.metrics",
     "use_registry": "repro.obs.metrics",
-    "DEFAULT_HISTORY_PATH": "repro.obs.regress",
     "HISTORY_SCHEMA_VERSION": "repro.obs.regress",
     "RegressionFinding": "repro.obs.regress",
     "append_history": "repro.obs.regress",
@@ -100,16 +101,11 @@ _LAZY_EXPORTS = {
     "validate_dashboard_html": "repro.obs.dash",
 }
 
+__getattr__ = lazy_getattr(globals())
 
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+#: Where ``repro bench --history`` appends by default. Defined here, not
+#: in repro.obs.regress, so the CLI parser can print it without loading
+#: the history store.
+DEFAULT_HISTORY_PATH = "BENCH_HISTORY.jsonl"
 
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ only fires on misses
-    return value
-
-
-__all__ = sorted(_LAZY_EXPORTS)
+__all__ = sorted([*_LAZY_EXPORTS, "DEFAULT_HISTORY_PATH"])

@@ -67,6 +67,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs import DEFAULT_HISTORY_PATH
+
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "DEFAULT_HISTORY_PATH",
@@ -84,9 +86,6 @@ __all__ = [
 
 #: Bump when the history line format changes incompatibly.
 HISTORY_SCHEMA_VERSION = 1
-
-#: Where ``repro bench --history`` appends by default.
-DEFAULT_HISTORY_PATH = "BENCH_HISTORY.jsonl"
 
 #: How many MADs above the baseline median the absolute gate sits.
 MAD_K = 3.0

@@ -78,7 +78,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from typing import Any, Dict, List, Optional, TextIO, Union
 
 __all__ = [
@@ -125,7 +124,13 @@ class JsonlWriter:
         run_id: Optional[str] = None,
         fsync: bool = False,
     ):
-        self.run_id = run_id if run_id is not None else uuid.uuid4().hex
+        if run_id is None:
+            # uuid (and the platform module it loads) only once a trace
+            # is written: every simulator command imports this module.
+            import uuid
+
+            run_id = uuid.uuid4().hex
+        self.run_id = run_id
         self._lock = threading.RLock()
         self._seq = 0
         self._path: Optional[str] = None

@@ -16,38 +16,26 @@ package, the final report is a pure function of the problem inputs --
 independent of worker count, completion order, and scheduling.
 """
 
-from repro.parallel.executor import ParallelExecutor, default_workers, resolve_workers
-from repro.parallel.merge import (
-    MAX_INT,
-    MIN_KEYED,
-    Monoid,
-    SUM_COUNTS,
-    merge_concat,
-    merge_counts,
-    merge_min_keyed,
-)
-from repro.parallel.shard import (
-    Shard,
-    ShardBudget,
-    ShardPlan,
-    derive_seed,
-    split_budget,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "MAX_INT",
-    "MIN_KEYED",
-    "Monoid",
-    "ParallelExecutor",
-    "SUM_COUNTS",
-    "Shard",
-    "ShardBudget",
-    "ShardPlan",
-    "default_workers",
-    "derive_seed",
-    "merge_concat",
-    "merge_counts",
-    "merge_min_keyed",
-    "resolve_workers",
-    "split_budget",
-]
+_LAZY_EXPORTS = {
+    "ParallelExecutor": "repro.parallel.executor",
+    "default_workers": "repro.parallel.executor",
+    "resolve_workers": "repro.parallel.executor",
+    "MAX_INT": "repro.parallel.merge",
+    "MIN_KEYED": "repro.parallel.merge",
+    "Monoid": "repro.parallel.merge",
+    "SUM_COUNTS": "repro.parallel.merge",
+    "merge_concat": "repro.parallel.merge",
+    "merge_counts": "repro.parallel.merge",
+    "merge_min_keyed": "repro.parallel.merge",
+    "Shard": "repro.parallel.shard",
+    "ShardBudget": "repro.parallel.shard",
+    "ShardPlan": "repro.parallel.shard",
+    "derive_seed": "repro.parallel.shard",
+    "split_budget": "repro.parallel.shard",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

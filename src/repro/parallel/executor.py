@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -191,6 +190,11 @@ class ParallelExecutor:
         return results
 
     def _map_pooled(self, fn, payloads, on_result, metrics, bus=None):
+        # Imported here, not at module level: concurrent.futures.process
+        # loads multiprocessing, which a serial run or a cache hit never
+        # uses.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         capture = get_recorder() is not None
         recorder = get_recorder()
         results: List[Optional[tuple]] = [None] * len(payloads)

@@ -1,21 +1,17 @@
 """Proof-labeling schemes in the broadcast clique (Section 1.3 machinery)."""
 
-from repro.pls.from_bcc import TranscriptPLS
-from repro.pls.randomized import RandomizedSpanningTreePLS
-from repro.pls.scheme import (
-    Labelling,
-    ProofLabelingScheme,
-    VerificationResult,
-    VertexView,
-)
-from repro.pls.spanning_tree import SpanningTreePLS
+from repro import lazy_getattr
 
-__all__ = [
-    "Labelling",
-    "ProofLabelingScheme",
-    "RandomizedSpanningTreePLS",
-    "SpanningTreePLS",
-    "TranscriptPLS",
-    "VerificationResult",
-    "VertexView",
-]
+_LAZY_EXPORTS = {
+    "TranscriptPLS": "repro.pls.from_bcc",
+    "RandomizedSpanningTreePLS": "repro.pls.randomized",
+    "Labelling": "repro.pls.scheme",
+    "ProofLabelingScheme": "repro.pls.scheme",
+    "VerificationResult": "repro.pls.scheme",
+    "VertexView": "repro.pls.scheme",
+    "SpanningTreePLS": "repro.pls.spanning_tree",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

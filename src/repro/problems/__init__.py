@@ -1,26 +1,22 @@
 """Problem definitions: Connectivity, ConnectedComponents, TwoCycle, MultiCycle."""
 
-from repro.problems.base import DecisionProblem, LabellingProblem, Problem
-from repro.problems.connectivity import ConnectedComponents, Connectivity
-from repro.problems.cycles import MultiCycle, TwoCycle, cycle_lengths
-from repro.problems.subgraph import (
-    K4Detection,
-    contains_k4,
-    dko14_round_lower_bound,
-    trivial_upper_bound_rounds,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "ConnectedComponents",
-    "Connectivity",
-    "DecisionProblem",
-    "K4Detection",
-    "LabellingProblem",
-    "MultiCycle",
-    "Problem",
-    "TwoCycle",
-    "contains_k4",
-    "cycle_lengths",
-    "dko14_round_lower_bound",
-    "trivial_upper_bound_rounds",
-]
+_LAZY_EXPORTS = {
+    "DecisionProblem": "repro.problems.base",
+    "LabellingProblem": "repro.problems.base",
+    "Problem": "repro.problems.base",
+    "ConnectedComponents": "repro.problems.connectivity",
+    "Connectivity": "repro.problems.connectivity",
+    "MultiCycle": "repro.problems.cycles",
+    "TwoCycle": "repro.problems.cycles",
+    "cycle_lengths": "repro.problems.cycles",
+    "K4Detection": "repro.problems.subgraph",
+    "contains_k4": "repro.problems.subgraph",
+    "dko14_round_lower_bound": "repro.problems.subgraph",
+    "trivial_upper_bound_rounds": "repro.problems.subgraph",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

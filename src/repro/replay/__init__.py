@@ -8,42 +8,26 @@ parameters, steps, and result that can be byte-identically re-executed
 share the recorded past. See ``docs/SESSIONS.md`` for the file format.
 """
 
-from repro.replay.engines import (
-    execute_record,
-    execute_run,
-    record_session,
-)
-from repro.replay.session import SessionCursor
-from repro.replay.store import (
-    ENVELOPE_FIELDS,
-    SESSION_SCHEMA_VERSION,
-    RecordedSession,
-    SessionStore,
-    read_session,
-    round_digest,
-    validate_session_events,
-)
-from repro.replay.verify import (
-    Divergence,
-    ReplayReport,
-    compare_sessions,
-    replay_session,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "Divergence",
-    "ENVELOPE_FIELDS",
-    "RecordedSession",
-    "ReplayReport",
-    "SESSION_SCHEMA_VERSION",
-    "SessionCursor",
-    "SessionStore",
-    "compare_sessions",
-    "execute_record",
-    "execute_run",
-    "read_session",
-    "record_session",
-    "replay_session",
-    "round_digest",
-    "validate_session_events",
-]
+_LAZY_EXPORTS = {
+    "execute_record": "repro.replay.engines",
+    "execute_run": "repro.replay.engines",
+    "record_session": "repro.replay.engines",
+    "SessionCursor": "repro.replay.session",
+    "ENVELOPE_FIELDS": "repro.replay.store",
+    "RecordedSession": "repro.replay.store",
+    "SESSION_SCHEMA_VERSION": "repro.replay.store",
+    "SessionStore": "repro.replay.store",
+    "read_session": "repro.replay.store",
+    "round_digest": "repro.replay.store",
+    "validate_session_events": "repro.replay.store",
+    "Divergence": "repro.replay.verify",
+    "ReplayReport": "repro.replay.verify",
+    "compare_sessions": "repro.replay.verify",
+    "replay_session": "repro.replay.verify",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

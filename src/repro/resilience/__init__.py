@@ -23,6 +23,8 @@ supplies the shared transient-``OSError`` retry policy used by
 cache writes and session-log appends.
 """
 
+from repro import lazy_getattr
+
 # Every name is re-exported lazily (PEP 562): the cache store needs only
 # the retry policy, and must not load the fault harness and with it the
 # simulator.
@@ -49,16 +51,6 @@ _LAZY_EXPORTS = {
     "set_retry_sleep": "repro.resilience.retry",
 }
 
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ only fires on misses
-    return value
-
+__getattr__ = lazy_getattr(globals())
 
 __all__ = sorted(_LAZY_EXPORTS)

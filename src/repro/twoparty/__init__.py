@@ -1,99 +1,50 @@
 """Two-party communication: protocols, reductions (Sec. 4.2), simulation (Sec. 4.3)."""
 
-from repro.twoparty.lower_bounds import (
-    fooling_set_lower_bound,
-    is_fooling_set,
-    rank_lower_bound,
-    rank_lower_bound_from_rank,
-    verify_rank_bound_on_protocol,
-)
-from repro.twoparty.problems import (
-    PartitionCompProblem,
-    PartitionProblem,
-    TwoPartitionProblem,
-)
-from repro.twoparty.protocol import (
-    ALICE,
-    BOB,
-    ProtocolResult,
-    Turn,
-    TwoPartyProtocol,
-    decode_int,
-    encode_int,
-)
-from repro.twoparty.rectangles import (
-    all_classes_are_rectangles,
-    is_rectangle,
-    partition_is_monochromatic,
-    rectangle_count_bound,
-    transcript_partition,
-    verify_rectangle_structure,
-    worst_case_bits,
-)
-from repro.twoparty.reductions import (
-    HostedInstance,
-    NamedVertex,
-    ReductionGraph,
-    build_partition_reduction,
-    build_two_partition_reduction,
-    paper_id,
-    to_kt1_instance,
-)
-from repro.twoparty.simulation import (
-    PARTITION,
-    TWO_PARTITION,
-    BCCSimulationProtocol,
-    rounds_lower_bound_from_cc,
-    simulation_bits_per_round,
-)
-from repro.twoparty.upper_bounds import (
-    LossyPartitionCompProtocol,
-    TrivialPartitionCompProtocol,
-    TrivialPartitionProtocol,
-    decode_partition,
-    encode_partition,
-    rgs_bit_width,
-)
+from repro import lazy_getattr
 
-__all__ = [
-    "ALICE",
-    "BCCSimulationProtocol",
-    "BOB",
-    "HostedInstance",
-    "LossyPartitionCompProtocol",
-    "NamedVertex",
-    "PARTITION",
-    "PartitionCompProblem",
-    "PartitionProblem",
-    "ProtocolResult",
-    "ReductionGraph",
-    "TWO_PARTITION",
-    "TrivialPartitionCompProtocol",
-    "TrivialPartitionProtocol",
-    "Turn",
-    "TwoPartitionProblem",
-    "TwoPartyProtocol",
-    "all_classes_are_rectangles",
-    "build_partition_reduction",
-    "build_two_partition_reduction",
-    "decode_int",
-    "decode_partition",
-    "encode_int",
-    "encode_partition",
-    "fooling_set_lower_bound",
-    "is_fooling_set",
-    "is_rectangle",
-    "paper_id",
-    "partition_is_monochromatic",
-    "rank_lower_bound",
-    "rank_lower_bound_from_rank",
-    "rectangle_count_bound",
-    "rgs_bit_width",
-    "transcript_partition",
-    "verify_rectangle_structure",
-    "worst_case_bits",
-    "rounds_lower_bound_from_cc",
-    "simulation_bits_per_round",
-    "to_kt1_instance",
-    "verify_rank_bound_on_protocol",
-]
+_LAZY_EXPORTS = {
+    "fooling_set_lower_bound": "repro.twoparty.lower_bounds",
+    "is_fooling_set": "repro.twoparty.lower_bounds",
+    "rank_lower_bound": "repro.twoparty.lower_bounds",
+    "rank_lower_bound_from_rank": "repro.twoparty.lower_bounds",
+    "verify_rank_bound_on_protocol": "repro.twoparty.lower_bounds",
+    "PartitionCompProblem": "repro.twoparty.problems",
+    "PartitionProblem": "repro.twoparty.problems",
+    "TwoPartitionProblem": "repro.twoparty.problems",
+    "ALICE": "repro.twoparty.protocol",
+    "BOB": "repro.twoparty.protocol",
+    "ProtocolResult": "repro.twoparty.protocol",
+    "Turn": "repro.twoparty.protocol",
+    "TwoPartyProtocol": "repro.twoparty.protocol",
+    "decode_int": "repro.twoparty.protocol",
+    "encode_int": "repro.twoparty.protocol",
+    "all_classes_are_rectangles": "repro.twoparty.rectangles",
+    "is_rectangle": "repro.twoparty.rectangles",
+    "partition_is_monochromatic": "repro.twoparty.rectangles",
+    "rectangle_count_bound": "repro.twoparty.rectangles",
+    "transcript_partition": "repro.twoparty.rectangles",
+    "verify_rectangle_structure": "repro.twoparty.rectangles",
+    "worst_case_bits": "repro.twoparty.rectangles",
+    "HostedInstance": "repro.twoparty.reductions",
+    "NamedVertex": "repro.twoparty.reductions",
+    "ReductionGraph": "repro.twoparty.reductions",
+    "build_partition_reduction": "repro.twoparty.reductions",
+    "build_two_partition_reduction": "repro.twoparty.reductions",
+    "paper_id": "repro.twoparty.reductions",
+    "to_kt1_instance": "repro.twoparty.reductions",
+    "BCCSimulationProtocol": "repro.twoparty.simulation",
+    "PARTITION": "repro.twoparty.simulation",
+    "TWO_PARTITION": "repro.twoparty.simulation",
+    "rounds_lower_bound_from_cc": "repro.twoparty.simulation",
+    "simulation_bits_per_round": "repro.twoparty.simulation",
+    "LossyPartitionCompProtocol": "repro.twoparty.upper_bounds",
+    "TrivialPartitionCompProtocol": "repro.twoparty.upper_bounds",
+    "TrivialPartitionProtocol": "repro.twoparty.upper_bounds",
+    "decode_partition": "repro.twoparty.upper_bounds",
+    "encode_partition": "repro.twoparty.upper_bounds",
+    "rgs_bit_width": "repro.twoparty.upper_bounds",
+}
+
+__getattr__ = lazy_getattr(globals())
+
+__all__ = sorted(_LAZY_EXPORTS)

@@ -120,8 +120,7 @@ class TestWorkersFlag:
     def test_exhaustive_workers_identical_to_serial(self, capsys):
         assert main(["exhaustive", "--n", "4", "--json"]) == 0
         serial = json.loads(capsys.readouterr().out.strip())
-        assert main(["exhaustive", "--n", "4", "--workers", "2",
-                     "--no-vectorize", "--json"]) == 0
+        assert main(["exhaustive", "--n", "4", "--workers", "2", "--json"]) == 0
         parallel = json.loads(capsys.readouterr().out.strip())
         assert parallel == serial
 
@@ -130,13 +129,6 @@ class TestWorkersFlag:
         assert main(["exhaustive", "--n", "4", "--workers", "0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["rows"][0][-1] == "complete"
-
-    def test_exhaustive_vectorize_flag_identical(self, capsys):
-        # the flag is accepted and ignored
-        assert main(["exhaustive", "--n", "4", "--json"]) == 0
-        serial = json.loads(capsys.readouterr().out.strip())
-        assert main(["exhaustive", "--n", "4", "--vectorize", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out.strip()) == serial
 
     def test_sampling_workers_identical_across_counts(self, capsys):
         # every workers>1 count shards the same plan: identical output

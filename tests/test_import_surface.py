@@ -1,12 +1,12 @@
 """Each command loads only what it runs (lazy package re-exports).
 
-``repro.obs``, ``repro.costs``, ``repro.kernels``, ``repro.resilience``
-and ``repro.cache`` re-export their submodules' names through a PEP 562
-``_LAZY_EXPORTS`` table, sympy is imported only by the cost cross-check,
-and numpy only when a numpy kernel fires. The subprocess probes pin which
-heavy dependencies each CLI command may load, and which ``repro`` modules
-building the parser loads; the identity test pins that laziness never
-changes what a public name refers to.
+Every ``repro.*`` package re-exports its submodules' names through a
+PEP 562 ``_LAZY_EXPORTS`` table served by :func:`repro.lazy_getattr`,
+sympy is imported only by the cost cross-check, and numpy only when a
+numpy kernel fires. The subprocess probes pin which heavy dependencies
+each CLI command may load, and which ``repro`` modules building the
+parser loads; the identity test pins that laziness never changes what a
+public name refers to.
 """
 
 import importlib
@@ -18,13 +18,17 @@ import sys
 
 import pytest
 
-LAZY_PACKAGES = (
-    "repro.obs",
-    "repro.costs",
-    "repro.kernels",
-    "repro.resilience",
-    "repro.cache",
+import repro
+
+#: Every package under ``src/repro``, found on disk rather than listed.
+LAZY_PACKAGES = sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
 )
+
+
+def test_packages_are_found():
+    # An empty parametrization below would skip, not fail.
+    assert "repro.core" in LAZY_PACKAGES and len(LAZY_PACKAGES) >= 22
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
@@ -102,25 +106,63 @@ def test_command_loads_no_sympy(argv, tmp_path):
     assert "sympy" not in _loaded(argv, tmp_path)
 
 
+#: Commands of the ``cli_light`` end-to-end workload that run no search
+#: or estimate: none of them may load the executor, the information
+#: engine, the two-party protocols or a process pool's modules.
+NO_POOL = [
+    ("list",),
+    ("crossing", "--n", "8", "--rounds", "2", "--json"),
+    ("star", "--n", "12", "--rounds", "2", "--json"),
+    ("forced-error", "--n", "4", "--json"),
+    ("ratio", "--max-exp", "4", "--json"),
+]
+
+UNCALLED_PACKAGES = ("repro.parallel", "repro.information", "repro.twoparty")
+
+
+@pytest.mark.parametrize("argv", NO_POOL, ids=lambda a: " ".join(a))
+def test_light_command_loads_only_its_call_path(argv, tmp_path):
+    modules = _loaded(argv, tmp_path)
+    uncalled = sorted(
+        m
+        for m in modules
+        if any(m == p or m.startswith(p + ".") for p in UNCALLED_PACKAGES)
+    )
+    assert uncalled == []
+    assert "multiprocessing" not in modules
+    assert "concurrent.futures.process" not in modules
+
+
+#: Searches, estimates and sweeps at one worker run in process:
+#: ``ParallelExecutor`` imports the process pool only when it starts one.
+SERIAL = [
+    ("exhaustive", "--n", "5", "--workers", "1"),
+    ("sampling", "--n", "5", "--samples", "200", "--workers", "1"),
+    ("fault-sweep", "--quick", "--workers", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", SERIAL, ids=lambda a: " ".join(a))
+def test_serial_run_loads_no_process_pool(argv, tmp_path):
+    modules = _loaded(argv, tmp_path)
+    assert "multiprocessing" not in modules
+    assert "concurrent.futures.process" not in modules
+
+
 #: All that ``list`` and ``<cmd> --help`` may load from ``repro``: the
 #: engine's kind list (``record`` choices), the kernel modes and the two
 #: defaults the help text prints (``cache gc --max-bytes``, ``bench
-#: --history``). The command table itself lives in ``repro.cli``, which
-#: runs as ``__main__``.
+#: --history``), each read from its package ``__init__``. The command
+#: table itself lives in ``repro.cli``, which runs as ``__main__``.
 PARSER_MODULES = {
     "repro",
     "repro.cache",
-    "repro.cache.keys",
-    "repro.cache.store",
     "repro.engine",
     "repro.engine.core",
     "repro.engine.request",
     "repro.errors",
     "repro.kernels",
     "repro.obs",
-    "repro.obs.regress",
-    "repro.resilience",
-    "repro.resilience.retry",
 }
 
 

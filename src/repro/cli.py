@@ -503,16 +503,9 @@ def _live_scope(args: argparse.Namespace):
 
 
 def _ranks_params(args: argparse.Namespace) -> dict:
-    from repro.partitions import DEFAULT_BLOCK_ROWS
-
-    block_rows = DEFAULT_BLOCK_ROWS if args.block_rows is None else args.block_rows
-    if block_rows < 1:
-        raise ValueError(f"--block-rows must be >= 1, got {block_rows}")
     return {
         "m_ns": list(range(1, args.max_n + 1)),
         "e_ns": list(range(2, args.max_n + 3, 2)),
-        "streamed": {"auto": None, "on": True, "off": False}[args.streamed],
-        "block_rows": block_rows,
     }
 
 
@@ -1524,23 +1517,6 @@ COMMANDS: Tuple[Command, ...] = (
             _ranks_rows,
         ),
         _arg("--max-n", type=int, default=5),
-        _arg(
-            "--streamed",
-            choices=("auto", "on", "off"),
-            default="auto",
-            help=(
-                "matrix pipeline: 'on' streams block rows (never materializes "
-                "the dense matrix), 'off' always builds densely, 'auto' "
-                "(default) streams at >= 1000 rows with a fast kernel"
-            ),
-        ),
-        _arg(
-            "--block-rows",
-            type=int,
-            default=None,
-            metavar="R",
-            help="rows per streamed construction block (default 256)",
-        ),
         _workers_flag,
         _kernel_flag,
         _cache_flag(),

@@ -223,29 +223,16 @@ def _run_ranks(
     kernel: str = "auto",
     session=None,
 ) -> Dict[str, Any]:
-    from repro.partitions import (
-        DEFAULT_BLOCK_ROWS,
-        bell_number,
-        perfect_matching_count,
-    )
+    from repro.partitions import bell_number, perfect_matching_count
     from repro.partitions.matrices import e_matrix_rank, m_matrix_rank
 
-    streamed = params.get("streamed")
-    block_rows = params.get("block_rows")
-    if block_rows is None:
-        block_rows = DEFAULT_BLOCK_ROWS
-    block_rows = int(block_rows)
     workers = int(workers)
 
     def _m_rank(n: int) -> int:
-        return m_matrix_rank(
-            n, workers=workers, kernel=kernel, streamed=streamed, block_rows=block_rows
-        )
+        return m_matrix_rank(n, workers=workers, kernel=kernel)
 
     def _e_rank(n: int) -> int:
-        return e_matrix_rank(
-            n, workers=workers, kernel=kernel, streamed=streamed, block_rows=block_rows
-        )
+        return e_matrix_rank(n, workers=workers, kernel=kernel)
 
     if params.get("ns") is not None:
         ns = [int(n) for n in params["ns"]]

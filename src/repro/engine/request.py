@@ -112,11 +112,6 @@ def _int(params: Mapping[str, Any], name: str, default: Optional[int] = None) ->
         raise EngineError(f"parameter {name!r} must be an integer, got {value!r}") from exc
 
 
-def _opt_int(params: Mapping[str, Any], name: str) -> Optional[int]:
-    value = params.get(name)
-    return None if value is None else _int(params, name)
-
-
 def _float(params: Mapping[str, Any], name: str, default: float) -> float:
     value = params.get(name, default)
     try:
@@ -186,26 +181,18 @@ def _normalize_ranks(params: Mapping[str, Any]) -> Dict[str, Any]:
     the M and E size lists separately and yields ``{"m_rows", "e_rows"}``
     with the paper-predicted values alongside each rank.
     """
-    streamed = params.get("streamed")
-    normalized: Dict[str, Any] = {
-        "streamed": None if streamed is None else bool(streamed),
-        "block_rows": _opt_int(params, "block_rows"),
-    }
     if params.get("ns") is not None:
         ns = _int_list(params, "ns")
         if not ns:
             raise EngineError("ranks requests need a non-empty 'ns' parameter")
-        normalized["ns"] = ns
-        return normalized
+        return {"ns": ns}
     m_ns = _int_list(params, "m_ns")
     e_ns = _int_list(params, "e_ns")
     if not m_ns and not e_ns:
         raise EngineError("ranks requests need 'ns' or 'm_ns'/'e_ns' parameters")
     if any(n % 2 for n in e_ns):
         raise EngineError(f"'e_ns' sizes must be even, got {e_ns}")
-    normalized["m_ns"] = m_ns
-    normalized["e_ns"] = e_ns
-    return normalized
+    return {"m_ns": m_ns, "e_ns": e_ns}
 
 
 def _normalize_fault_sweep(params: Mapping[str, Any]) -> Dict[str, Any]:

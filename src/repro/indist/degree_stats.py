@@ -20,7 +20,7 @@ constant factor that cancels everywhere in the Theta() statements.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.instances.enumeration import (
     CycleCover,
@@ -28,8 +28,13 @@ from repro.instances.enumeration import (
     count_two_cycle_covers,
     count_two_cycle_covers_with_split,
 )
-from repro.indist.graph_builder import crossing_neighbors, one_cycle_two_cycle_neighbors
-from repro.indist.matching import BipartiteGraph
+
+if TYPE_CHECKING:
+    from repro.indist.matching import BipartiteGraph
+
+# The measured-degree helpers import the graph builder (and with it the
+# simulator and the crossing kernels) when called: the closed forms, and
+# the ``ratio`` command that prints them, need neither.
 
 
 def one_cycle_degree(n: int) -> int:
@@ -49,6 +54,8 @@ def one_cycle_degree(n: int) -> int:
 
 def measured_one_cycle_degree(cover: CycleCover) -> int:
     """Measured number of two-cycle crossing neighbors of a one-cycle cover."""
+    from repro.indist.graph_builder import one_cycle_two_cycle_neighbors
+
     return len(one_cycle_two_cycle_neighbors(cover))
 
 
@@ -64,6 +71,8 @@ def two_cycle_degree(n: int, i: int) -> int:
 
 def measured_two_cycle_degree(cover: CycleCover) -> int:
     """Measured number of one-cycle crossing neighbors of a two-cycle cover."""
+    from repro.indist.graph_builder import crossing_neighbors
+
     return sum(1 for c in crossing_neighbors(cover) if c.num_cycles == 1)
 
 
@@ -73,6 +82,8 @@ def one_cycle_neighbor_split_counts(cover: CycleCover) -> Dict[int, int]:
     The paper predicts n neighbors for each 3 <= i < n/2 and n/2 for
     i = n/2 (when n is even).
     """
+    from repro.indist.graph_builder import one_cycle_two_cycle_neighbors
+
     counts: Dict[int, int] = {}
     for nbr in one_cycle_two_cycle_neighbors(cover):
         i = nbr.cycle_lengths()[0]

@@ -9,11 +9,7 @@ generalizes that pattern to the paper's hot paths:
 * :mod:`repro.kernels.modp` -- batched mod-p rank over numpy int64
   blocks (one argmax per pivot, then one chunked update + ``mod`` of
   only the rows the pivot touches, instead of per-entry Python loops);
-  the engine for every dense matrix, at every prime (p = 2 included).
-* :mod:`repro.kernels.sparse` -- sparse mod-p rank on dict-of-columns
-  rows; the engine of the streamed M_n / E_n pipeline
-  (:func:`repro.partitions.streamed_matrix_rank_mod_p`), whose rows are
-  never materialized densely.
+  the engine for every rank, at every prime (p = 2 included).
 * :mod:`repro.kernels.bitset_matching` -- integer-indexed Hopcroft-Karp
   on big-int adjacency masks, with a dedicated k-clone path that shares
   one mask across all k clones of a left vertex (Theorem 2.1).
@@ -32,11 +28,12 @@ values:
 * ``"reference"`` -- the pure-python reference implementation, exactly
   as it was before this package existed.
 
-Rank-engine choice is by matrix representation, not by mode: dense
-matrices go through :func:`repro.partitions.linalg.rank_mod_p`, the
-streamed pipeline through the sparse engine. :func:`resolve_kernel`
-validates the mode and resolves its *family* (fast vs reference) for
-the matching / graph-builder / rank call sites.
+Every rank, M_n and E_n included, goes through
+:func:`repro.partitions.linalg.rank_mod_p` on a dense matrix, which
+picks the batched engine or the reference by mode, prime and numpy's
+presence. :func:`resolve_kernel` validates the mode and resolves its
+*family* (fast vs reference) for the matching / graph-builder / rank
+call sites.
 
 The contract, enforced by the ``tests/kernels`` suites: identical
 results at any worker count and under every kernel mode -- ranks are
@@ -63,9 +60,6 @@ _LAZY_EXPORTS = {
     "HAVE_NUMPY": "repro.kernels.modp",
     "batched_modp_supported": "repro.kernels.modp",
     "rank_mod_p_batched": "repro.kernels.modp",
-    "rank_mod_p_sparse": "repro.kernels.sparse",
-    "rank_mod_p_sparse_rows": "repro.kernels.sparse",
-    "sparsify_rows": "repro.kernels.sparse",
 }
 
 __getattr__ = lazy_getattr(globals())

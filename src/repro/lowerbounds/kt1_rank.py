@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.partitions.bell import bell_number, perfect_matching_count
 from repro.partitions.matrices import e_matrix_rank, m_matrix_rank
@@ -80,20 +80,18 @@ def multicycle_round_bound(n: int) -> KT1RankBound:
 
 
 def connectivity_round_bound_certified(
-    n: int, workers: int = 1, kernel: str = "auto", streamed: Optional[bool] = None
+    n: int, workers: int = 1, kernel: str = "auto"
 ) -> KT1RankBound:
     """Theorem 4.4 for Connectivity with rank(M_n) *computed*, not quoted.
 
     Builds M_n (B_n x B_n, read off the partition lattice's Möbius
     function: under a second up to n = 8) and runs the exact rank chain,
-    which is what bounds n -- under a second densely at n = 7, the
-    streamed pipeline past that; Theorem 2.3 guarantees the result equals
+    which is what bounds n -- under a second at n = 7, ~8 s at n = 8
+    with numpy; Theorem 2.3 guarantees the result equals
     :func:`connectivity_round_bound`'s closed-form row, and the tests
-    pin that equality for every kernel. ``streamed`` is passed through
-    to :func:`~repro.partitions.matrices.m_matrix_rank` (None = auto by
-    matrix size).
+    pin that equality for every kernel.
     """
-    rank = m_matrix_rank(n, workers=workers, kernel=kernel, streamed=streamed)
+    rank = m_matrix_rank(n, workers=workers, kernel=kernel)
     cc = math.log2(rank)
     bits = simulation_bits_per_round(PARTITION, n)
     return KT1RankBound(
@@ -107,12 +105,12 @@ def connectivity_round_bound_certified(
 
 
 def multicycle_round_bound_certified(
-    n: int, workers: int = 1, kernel: str = "auto", streamed: Optional[bool] = None
+    n: int, workers: int = 1, kernel: str = "auto"
 ) -> KT1RankBound:
     """Theorem 4.4 for MultiCycle with rank(E_n) *computed*, not quoted."""
     if n % 2 != 0:
         raise ValueError(f"TwoPartition needs even n, got {n}")
-    rank = e_matrix_rank(n, workers=workers, kernel=kernel, streamed=streamed)
+    rank = e_matrix_rank(n, workers=workers, kernel=kernel)
     cc = math.log2(rank)
     bits = simulation_bits_per_round(TWO_PARTITION, n)
     return KT1RankBound(

@@ -702,7 +702,7 @@ def _run_stream(params: Dict[str, Any]) -> RunnerOutput:
     seen = []
     bus.subscribe(seen.append)
     with use_bus(bus):
-        streamed = sim.run(inst, ConstantAlgorithm, rounds)
+        on_bus = sim.run(inst, ConstantAlgorithm, rounds)
     kinds = [event.kind for event in seen]
     round_events = [e for e in seen if e.kind == "simulator.round"]
     measured = {
@@ -714,8 +714,8 @@ def _run_stream(params: Dict[str, Any]) -> RunnerOutput:
         == list(range(1, rounds + 1)),
         "subscriber_errors": bus.error_count,
         "results_identical": (
-            bare.broadcast_history == streamed.broadcast_history
-            and bare.outputs == streamed.outputs
+            bare.broadcast_history == on_bus.broadcast_history
+            and bare.outputs == on_bus.outputs
         ),
     }
     predicted = {
@@ -866,17 +866,16 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     """P3/P10: fast kernels vs their references, identity-gated.
 
     The rank half is the P10 crossover table: every mod-p rank engine
-    (``reference``, ``numpy-batched``, ``sparse``) on every matrix
-    family (M_n, E_n, a seeded random dense matrix, a seeded random
-    2%-dense one) at the spec's sizes, one ``measured["rows"]`` entry
-    per (family, engine) holding the best of 3 timings, or the one timing
-    of a leg that takes a second or more (at full size the reference and
-    sparse engines on the 300x300 dense matrix) --
-    ``numpy-batched`` only when numpy is present. ``<family>_speedup``
-    is the reference time over the time of the engine ``rank_mod_p``
-    dispatches to under ``kernel``. The
-    graph half times batched graph construction and bitset matching
-    against the reference engines. ``ok`` gates purely on result
+    (``reference``, and ``numpy-batched`` when numpy is present) on
+    every matrix family (M_n, E_n, a seeded random dense matrix, a
+    seeded random 2%-dense one) at the spec's sizes, one
+    ``measured["rows"]`` entry per (family, engine) holding the best of
+    3 timings, or the one timing of a leg that takes a second or more
+    (at full size the reference engine on the 300x300 dense matrix).
+    ``<family>_speedup`` is the reference time over the time of the
+    engine ``rank_mod_p`` dispatches to under ``kernel``. The graph
+    half times batched graph construction and bitset matching against
+    the reference engines. ``ok`` gates purely on result
     identity: equal ranks across engines, element-for-element equal
     indistinguishability graphs, equal maximum-matching size. Speedups
     are *recorded* but never gate (machine-dependent;
@@ -884,7 +883,7 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     """
     from repro.indist.graph_builder import build_combinatorial_graph
     from repro.indist.matching import hopcroft_karp
-    from repro.kernels import batched_modp_supported, rank_mod_p_batched, rank_mod_p_sparse
+    from repro.kernels import batched_modp_supported, rank_mod_p_batched
     from repro.partitions import (
         bell_number,
         build_e_matrix,
@@ -915,7 +914,6 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     engines = {"reference": lambda m: rank_mod_p(m, p, kernel="reference")}
     if batched_modp_supported(p):
         engines["numpy-batched"] = lambda m: rank_mod_p_batched(m, p)
-    engines["sparse"] = lambda m: rank_mod_p_sparse(m, p)
     dispatched = _modp_engine(p, kernel)
     dispatched = "reference" if dispatched == "python" else dispatched
 

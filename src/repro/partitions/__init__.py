@@ -30,9 +30,6 @@ _LAZY_EXPORTS = {
     "rank_exact": "repro.partitions.linalg",
     "rank_mod_p": "repro.partitions.linalg",
     "rank_multi_prime": "repro.partitions.linalg",
-    "DEFAULT_BLOCK_ROWS": "repro.partitions.matrices",
-    "MATRIX_FAMILIES": "repro.partitions.matrices",
-    "STREAM_ROW_THRESHOLD": "repro.partitions.matrices",
     "build_e_matrix": "repro.partitions.matrices",
     "build_m_matrix": "repro.partitions.matrices",
     "clear_enumeration_cache": "repro.partitions.matrices",
@@ -44,9 +41,6 @@ _LAZY_EXPORTS = {
     "partition_cc_lower_bound": "repro.partitions.matrices",
     "partition_matrix": "repro.partitions.matrices",
     "partitions_for": "repro.partitions.matrices",
-    "stream_matrix_rows": "repro.partitions.matrices",
-    "streamed_matrix_rank": "repro.partitions.matrices",
-    "streamed_matrix_rank_mod_p": "repro.partitions.matrices",
     "two_partition_cc_lower_bound": "repro.partitions.matrices",
     "Block": "repro.partitions.set_partition",
     "SetPartition": "repro.partitions.set_partition",

@@ -27,9 +27,8 @@ elimination, and the pure-python reference, which runs under
 fixed field is mathematically determined, and each engine ticks the
 :class:`~repro.resilience.Budget` once per pivot column under the same
 pivot structure, so budget boundaries and span trees are unchanged.
-(The streamed M_n / E_n pipeline in :mod:`repro.partitions.matrices`
-runs the sparse dict-row engine instead; it never materializes the
-dense matrix this module works on.)
+Every M_n / E_n rank of :mod:`repro.partitions.matrices` runs
+:func:`rank_exact` on the dense matrix.
 """
 
 from __future__ import annotations
@@ -146,12 +145,9 @@ def _modp_engine(p: int, kernel: str) -> str:
         return "python"
     if batched_modp_supported(p):
         # P12, every family at both sizes: numpy-batched is 2.3-26x
-        # faster than python and 1.3-31x faster than the sparse engine
-        # (M_7: 0.16 s vs 0.66 s; E_10, which fills in: 1.0 s vs 19 s).
+        # faster than python.
         return "numpy-batched"
-    # P12 numpy-blocked rows: python is the reference itself. (Sparse
-    # beats it 1.3-2.7x on three of four families; routing to it is an
-    # open ROADMAP item.)
+    # P12 numpy-blocked rows: python is the reference itself.
     return "python"
 
 

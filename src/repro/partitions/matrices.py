@@ -14,68 +14,35 @@ communication complexity of a Boolean function is at least log2 of the rank
 of its communication matrix -- giving Corollaries 2.4 and 4.2:
 D(Partition) = Omega(n log n) and D(TwoPartition) = Omega(n log n).
 
-Both construction pipelines start from the same row bitmasks
-(:func:`_join_masks`), read off the Möbius factorization M = Z·D·Zᵀ of
-the partition lattice: Z[P, x] = [P <= x] and D = diag(mu(x, 1)). That
-costs sum_k S(n, k)·B_k big-int additions (19,302 at n = 7) instead of
-one union-find join per cell (769k at n = 7); :func:`~repro.partitions.
-set_partition.joins_to_top` is kept as the test oracle. The pipelines
-differ in what they decode the masks into:
-
-* The *dense* pipeline (:func:`build_m_matrix` / :func:`build_e_matrix`)
-  materializes the full B_n x B_n list-of-lists. Simple, and what the
-  reference kernel needs -- but a Python list-of-lists costs a pointer
-  (8 bytes) per cell, so M_8 (4140^2 cells) already holds ~137 MB before
-  the rank starts.
-* The *streamed* pipeline (:func:`streamed_matrix_rank` and friends)
-  never materializes the dense matrix: row blocks of fixed size are
-  decoded from the masks (sharded over a
-  :class:`~repro.parallel.ShardPlan`, so construction parallelizes and
-  each shard's seed/extent is deterministic), and each row becomes a
-  sparse ``{col: 1}`` dict the moment it is built, at every prime
-  (p = 2 included). Peak memory is the masks (one bit per cell), one
-  block of column indices and the sparse rows -- one dict entry per
-  nonzero, not a Python int per cell. Ranks agree exactly with the
-  dense pipeline's (pinned by tests): the sparse engine satisfies the
-  kernels' bit-identical contract, and the streamed exact rank runs the
-  same certificate chain as :func:`repro.partitions.linalg.rank_exact`
-  does for large matrices.
+Every row is read off the Möbius factorization M = Z·D·Zᵀ of the
+partition lattice (:func:`_join_masks`): Z[P, x] = [P <= x] and
+D = diag(mu(x, 1)). That costs sum_k S(n, k)·B_k big-int additions
+(19,302 at n = 7) instead of one union-find join per cell (769k at
+n = 7); :func:`~repro.partitions.set_partition.joins_to_top` is kept as
+the test oracle. The builders (:func:`build_m_matrix` /
+:func:`build_e_matrix`) decode the row masks into the dense B_n x B_n
+list-of-lists, and every rank runs :func:`repro.partitions.linalg.
+rank_exact` on it. A list-of-lists costs a pointer (8 bytes) per cell,
+so M_8 (4140^2 cells) holds ~137 MB before the rank starts; ``ranks
+--max-n 8`` peaks at ~310 MB with numpy (EXPERIMENTS.md P20).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.spans import span
 from repro.partitions.bell import bell_number, perfect_matching_count
 from repro.partitions.enumeration import (
     enumerate_partitions,
     enumerate_perfect_matchings,
     enumerate_rgs,
 )
-from repro.partitions.linalg import DEFAULT_PRIMES, is_full_rank, rank_exact
+from repro.partitions.linalg import is_full_rank, rank_exact
 from repro.partitions.set_partition import SetPartition
-
-if TYPE_CHECKING:
-    from repro.resilience.budget import Budget
-
-#: Rows per construction block of the streamed pipeline: bounds peak
-#: memory (one block of column-index lists at a time) and is the shard
-#: extent for parallel construction.
-DEFAULT_BLOCK_ROWS = 256
-
-#: ``streamed=None`` (auto) switches m/e_matrix_rank to the streamed
-#: pipeline at or above this many rows -- the regime where the dense
-#: list-of-lists starts to dominate memory.
-STREAM_ROW_THRESHOLD = 1000
-
-#: The two matrix families the streamed pipeline knows how to build.
-MATRIX_FAMILIES = ("m", "e")
 
 
 # ----------------------------------------------------------------------
@@ -99,8 +66,8 @@ def partitions_for(
 ) -> Tuple[SetPartition, ...]:
     """Memoized ``enumerate_partitions(n)``; counts repeat hits.
 
-    ``m_matrix_rank`` and every streamed M-block at the same ``n`` share
-    one enumeration; each repeated call increments the
+    ``m_matrix_rank`` and every builder at the same ``n`` share one
+    enumeration; each repeated call increments the
     ``partitions.enumeration_cache_hits`` counter (mirroring
     ``exhaustive.pair_cache_hits``) and costs one dict lookup.
     """
@@ -130,21 +97,10 @@ def clear_enumeration_cache() -> None:
     """Drop the memoized partition/matching tables (tests; memory pressure)."""
     _all_partitions_cached.cache_clear()
     _all_matchings_cached.cache_clear()
-    _family_masks.cache_clear()
-
-
-def _family_table(family: str, n: int) -> Tuple[SetPartition, ...]:
-    if family == "m":
-        return partitions_for(n)
-    if family == "e":
-        return matchings_for(n)
-    raise ValueError(
-        f"unknown matrix family {family!r}; expected one of {', '.join(MATRIX_FAMILIES)}"
-    )
 
 
 # ----------------------------------------------------------------------
-# row bitmasks from the Möbius factorization (shared by both pipelines)
+# row bitmasks from the Möbius factorization
 # ----------------------------------------------------------------------
 
 def _mobius_to_top(blocks: int) -> int:
@@ -227,7 +183,7 @@ def _mask_bits(mask: int, width: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# dense pipeline
+# dense matrices
 # ----------------------------------------------------------------------
 
 def partition_matrix(partitions: Sequence[SetPartition]) -> List[List[int]]:
@@ -249,217 +205,25 @@ def build_e_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
 
 
 # ----------------------------------------------------------------------
-# streamed pipeline
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _family_masks(family: str, n: int) -> Tuple[int, ...]:
-    """Row bitmasks of a family matrix, built once per process."""
-    return tuple(_join_masks(_family_table(family, n)))
-
-
-def _stream_block_worker(payload: tuple) -> List[Tuple[int, ...]]:
-    """Build rows [start, stop) of a family matrix as column-index tuples.
-
-    Module-level and picklable (executor contract). Each worker
-    process builds the family's row bitmasks once (:func:`_join_masks`,
-    memoized per process) and decodes its block from them; the wire
-    format is just the nonzero column indices per row -- the compact
-    truth of a 0/1 matrix, independent of the prime the caller will
-    reduce at.
-    """
-    n, family, start, stop = payload
-    width = len(_family_table(family, n))
-    masks = _family_masks(family, n)
-    columns = range(width)
-    return [
-        tuple(compress(columns, _mask_bits(masks[i], width)))
-        for i in range(start, stop)
-    ]
-
-
-def stream_matrix_rows(
-    n: int,
-    family: str = "m",
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    workers: int = 1,
-) -> Iterator[Tuple[int, List[Tuple[int, ...]]]]:
-    """Yield ``(start_row, rows)`` blocks of a family matrix in row order.
-
-    Rows are tuples of nonzero column indices, decoded from the
-    family's row bitmasks -- the dense matrix never exists. Blocks are the
-    shards of a :class:`~repro.parallel.ShardPlan` over the row count
-    (contiguous, balanced, deterministic), so the construction is
-    embarrassingly parallel: with ``workers > 1`` the blocks are built
-    by a :class:`~repro.parallel.ParallelExecutor` process pool and
-    yielded in shard order, byte-identical to the serial build.
-    """
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    table = _family_table(family, n)
-    total = len(table)
-    if total == 0:
-        return
-    from repro.parallel.shard import ShardPlan
-
-    plan = ShardPlan(
-        total=total,
-        num_shards=max(1, math.ceil(total / block_rows)),
-        base_seed=0,
-    )
-    payloads = [(n, family, shard.start, shard.stop) for shard in plan.shards()]
-    if workers <= 1:
-        for payload in payloads:
-            yield payload[2], _stream_block_worker(payload)
-        return
-    from repro.parallel.executor import ParallelExecutor
-
-    results = ParallelExecutor(workers=workers).map(_stream_block_worker, payloads)
-    for payload, rows in zip(payloads, results):
-        yield payload[2], rows
-
-
-def streamed_matrix_rank_mod_p(
-    n: int,
-    p: int,
-    family: str = "m",
-    budget: Optional["Budget"] = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    workers: int = 1,
-    kernel: str = "auto",
-) -> int:
-    """Rank of M_n (``family="m"``) or E_n (``"e"``) mod ``p``, streamed.
-
-    Each block of rows becomes sparse ``{col: 1}`` dicts the moment it
-    is built, and the sparse engine eliminates them at every prime --
-    the matrices this pipeline exists for are exactly the low-fill-in
-    family where it wins, and a dense engine would need the
-    materialized matrix the pipeline avoids. ``kernel="reference"``
-    raises ``ValueError``: the reference engine is defined on the dense
-    matrix (use the dense pipeline to cross-check, as the tests do).
-    Ranks, budget ticks, and exhaustion boundaries equal the dense
-    pipeline's on every input.
-    """
-    from repro.kernels import rank_mod_p_sparse_rows, resolve_kernel
-
-    if resolve_kernel(kernel) == "reference":
-        raise ValueError(
-            "streamed matrix pipeline requires kernel='auto' "
-            "(the dense pipeline serves kernel='reference')"
-        )
-    table = _family_table(family, n)
-    total = len(table)
-    with span(
-        "partitions.streamed_rank_mod_p",
-        rows=total,
-        cols=total,
-        p=p,
-        family=family,
-        workers=workers,
-    ):
-        sparse: List[Dict[int, int]] = []
-        one = 1 % p
-        for _, rows in stream_matrix_rows(n, family, block_rows, workers):
-            sparse.extend({c: one for c in r} for r in rows)
-        return rank_mod_p_sparse_rows(sparse, total, p, budget)
-
-
-def streamed_matrix_rank(
-    n: int,
-    family: str = "m",
-    primes: Sequence[int] = DEFAULT_PRIMES,
-    budget: Optional["Budget"] = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    workers: int = 1,
-    kernel: str = "auto",
-) -> int:
-    """Exact-certificate rank of a family matrix, fully streamed.
-
-    The same certificate chain :func:`~repro.partitions.linalg.rank_exact`
-    runs for large matrices: a *full* rank mod the first prime certifies
-    the rational rank (short-circuit -- the common case, since
-    Theorem 2.3 / Lemma 4.1 say M_n and E_n are non-singular);
-    otherwise the maximum mod-p rank over the remaining primes is a
-    certified lower bound, exact unless every listed prime divides the
-    relevant minors. Construction cost is paid once per prime actually
-    eliminated, never for the dense matrix.
-    """
-    table = _family_table(family, n)
-    total = len(table)
-    if total == 0:
-        return 0
-    with span("partitions.streamed_rank", rows=total, cols=total, family=family):
-        first = streamed_matrix_rank_mod_p(
-            n, primes[0], family, budget, block_rows, workers, kernel
-        )
-        if first == total:
-            return first
-        best = first
-        for p in primes[1:]:
-            best = max(
-                best,
-                streamed_matrix_rank_mod_p(
-                    n, p, family, budget, block_rows, workers, kernel
-                ),
-            )
-        return best
-
-
-def _use_streamed(streamed: Optional[bool], total: int, kernel: str) -> bool:
-    from repro.kernels import resolve_kernel
-
-    if streamed is not None:
-        return streamed
-    return total >= STREAM_ROW_THRESHOLD and resolve_kernel(kernel) == "packed"
-
-
-# ----------------------------------------------------------------------
 # the paper's rank facts
 # ----------------------------------------------------------------------
 
-def m_matrix_rank(
-    n: int,
-    workers: int = 1,
-    kernel: str = "auto",
-    streamed: Optional[bool] = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> int:
+def m_matrix_rank(n: int, workers: int = 1, kernel: str = "auto") -> int:
     """rank(M_n), computed exactly; Theorem 2.3 predicts B_n.
 
-    ``workers`` fans the multi-prime confirmation (dense) or the block
-    construction (streamed) out; ``kernel`` picks the rank engine
-    (``repro.kernels``) -- every mode returns the same value.
-    ``streamed=None`` picks the streamed pipeline automatically at
-    B_n >= :data:`STREAM_ROW_THRESHOLD` (never for
-    ``kernel="reference"``, which is defined on the dense matrix).
+    ``workers`` fans the multi-prime confirmation out; ``kernel`` picks
+    the rank engine (``repro.kernels``) -- every mode returns the same
+    value.
     """
-    total = bell_number(n)
-    if _use_streamed(streamed, total, kernel):
-        return streamed_matrix_rank(
-            n, "m", workers=workers, kernel=kernel, block_rows=block_rows
-        )
     _, matrix = build_m_matrix(n)
     return rank_exact(matrix, workers=workers, kernel=kernel)
 
 
-def e_matrix_rank(
-    n: int,
-    workers: int = 1,
-    kernel: str = "auto",
-    streamed: Optional[bool] = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> int:
+def e_matrix_rank(n: int, workers: int = 1, kernel: str = "auto") -> int:
     """rank(E_n), computed exactly; Lemma 4.1 predicts n!/(2^{n/2}(n/2)!).
 
     Same knobs as :func:`m_matrix_rank`.
     """
-    total = perfect_matching_count(n)
-    if _use_streamed(streamed, total, kernel):
-        return streamed_matrix_rank(
-            n, "e", workers=workers, kernel=kernel, block_rows=block_rows
-        )
     _, matrix = build_e_matrix(n)
     return rank_exact(matrix, workers=workers, kernel=kernel)
 

@@ -12,7 +12,8 @@ Three small layers that make the library's executions survivable:
   :class:`~repro.errors.BudgetExceededError` with a best-so-far partial;
 * :mod:`repro.resilience.harness` -- the graceful-degradation harness:
   correctness-vs-fault-rate curves for the upper-bound algorithms, with
-  a schema-versioned ``fault_sweep`` JSON payload and validator.
+  a schema-versioned ``fault_sweep`` JSON payload, whose validator is
+  :mod:`repro.resilience.schema` (light: no simulator).
 
 :func:`graceful_interrupts` rounds it out: inside the context manager
 SIGTERM raises ``KeyboardInterrupt`` so Ctrl-C and scheduler kills take
@@ -35,13 +36,11 @@ _LAZY_EXPORTS = {
     "FaultPlan": "repro.resilience.faults",
     "FaultRun": "repro.resilience.faults",
     "ScheduledFault": "repro.resilience.faults",
-    "FAULT_SWEEP_SCHEMA_VERSION": "repro.resilience.harness",
     "DegradationCurve": "repro.resilience.harness",
     "DegradationPoint": "repro.resilience.harness",
     "FaultSweepReport": "repro.resilience.harness",
     "HARNESS_ALGORITHMS": "repro.resilience.harness",
     "fault_sweep": "repro.resilience.harness",
-    "validate_fault_sweep_payload": "repro.resilience.harness",
     "graceful_interrupts": "repro.resilience.interrupt",
     "register_flush_hook": "repro.resilience.interrupt",
     "unregister_flush_hook": "repro.resilience.interrupt",
@@ -49,6 +48,8 @@ _LAZY_EXPORTS = {
     "DEFAULT_RETRY_BASE_DELAY": "repro.resilience.retry",
     "retry_transient": "repro.resilience.retry",
     "set_retry_sleep": "repro.resilience.retry",
+    "FAULT_SWEEP_SCHEMA_VERSION": "repro.resilience.schema",
+    "validate_fault_sweep_payload": "repro.resilience.schema",
 }
 
 __getattr__ = lazy_getattr(globals())

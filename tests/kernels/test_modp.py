@@ -26,7 +26,7 @@ from repro.partitions import (
     rank_mod_p,
     rank_multi_prime,
 )
-from repro.partitions.linalg import _rank_mod_p_python
+from repro.partitions.linalg import _modp_engine, _rank_mod_p_python
 from repro.resilience import Budget
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
@@ -193,6 +193,13 @@ class TestEngineIdentity:
     def test_empty_matrix(self):
         for p in PRIMES:
             assert rank_mod_p([], p, kernel="auto") == 0
+
+    def test_dispatch_by_mode(self):
+        # dense ranks run numpy-batched at every prime, p = 2 included
+        expected = "numpy-batched" if HAVE_NUMPY else "python"
+        for p in PRIMES:
+            assert _modp_engine(p, "auto") == expected
+            assert _modp_engine(p, "reference") == "python"
 
 
 class TestModTwoCollapse:

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.partitions import (
     bell_number,
     build_e_matrix,
     build_m_matrix,
+    clear_enumeration_cache,
     e_matrix_is_full_rank,
     e_matrix_rank,
     is_full_rank,
     m_matrix_is_full_rank,
     m_matrix_rank,
+    matchings_for,
     partition_cc_lower_bound,
+    partitions_for,
     perfect_matching_count,
     rank_bareiss,
     rank_exact,
@@ -157,3 +161,48 @@ class TestCCBounds:
     def test_two_partition_below_partition(self):
         for n in (4, 6, 8, 10):
             assert two_partition_cc_lower_bound(n) <= partition_cc_lower_bound(n)
+
+
+class TestMemoizedEnumeration:
+    def test_partitions_cache_hit_counter(self):
+        clear_enumeration_cache()
+        registry = MetricsRegistry()
+        first = partitions_for(5, registry)
+        assert registry.counter("partitions.enumeration_cache_hits").value == 0
+        second = partitions_for(5, registry)
+        assert second is first  # the cached tuple, not a recomputation
+        assert registry.counter("partitions.enumeration_cache_hits").value == 1
+        partitions_for(4, registry)  # a different n is a miss
+        assert registry.counter("partitions.enumeration_cache_hits").value == 1
+        clear_enumeration_cache()
+
+    def test_matchings_cache_hit_counter(self):
+        clear_enumeration_cache()
+        registry = MetricsRegistry()
+        first = matchings_for(6, registry)
+        second = matchings_for(6, registry)
+        assert second is first
+        assert registry.counter("partitions.enumeration_cache_hits").value == 1
+        clear_enumeration_cache()
+
+    def test_m_rank_reuses_the_enumeration(self):
+        clear_enumeration_cache()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            m_matrix_rank(4)
+            first_hits = registry.counter("partitions.enumeration_cache_hits").value
+            m_matrix_rank(4)  # second call reuses the table
+            assert (
+                registry.counter("partitions.enumeration_cache_hits").value
+                > first_hits
+            )
+        clear_enumeration_cache()
+
+    def test_clear_forces_recompute(self):
+        clear_enumeration_cache()
+        registry = MetricsRegistry()
+        partitions_for(4, registry)
+        clear_enumeration_cache()
+        partitions_for(4, registry)
+        assert registry.counter("partitions.enumeration_cache_hits").value == 0
+        clear_enumeration_cache()

@@ -3,9 +3,9 @@
 The builders read every row off M = Z·D·Zᵀ (Z[P, x] = [P <= x],
 D = diag(mu(x, 1))) instead of joining each pair of partitions. The
 union-find predicate ``joins_to_top`` stays as the oracle here: every
-cell of M_n (n <= 7), E_n (n <= 8), random subfamilies with duplicates,
-and the streamed column blocks must equal it. A guard test pins that
-the builders no longer call it.
+cell of M_n (n <= 7), E_n (n <= 8) and random subfamilies with
+duplicates must equal it. A guard test pins that the builders no longer
+call it.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.partitions import (
     matchings_for,
     partition_matrix,
     partitions_for,
-    stream_matrix_rows,
 )
 from repro.partitions import matrices, set_partition
 from repro.partitions.set_partition import joins_to_top
@@ -28,13 +27,6 @@ from repro.partitions.set_partition import joins_to_top
 
 def oracle(family):
     return [[1 if joins_to_top(pa, pb) else 0 for pb in family] for pa in family]
-
-
-def oracle_columns(family):
-    return [
-        tuple(j for j, pb in enumerate(family) if joins_to_top(pa, pb))
-        for pa in family
-    ]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -82,18 +74,6 @@ def test_random_subfamilies_equal_the_oracle(data):
     assert partition_matrix(family) == oracle(family)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("block_rows", [1, 7, 256])
-def test_streamed_blocks_equal_the_oracle_columns(block_rows, workers):
-    expected = oracle_columns(partitions_for(6))
-    rows = []
-    for start, block in stream_matrix_rows(6, "m", block_rows, workers):
-        assert start == len(rows)
-        assert len(block) <= block_rows
-        rows.extend(block)
-    assert rows == expected
-
-
 def test_builders_never_call_the_join(monkeypatch):
     def boom(*_args, **_kwargs):
         raise AssertionError("joins_to_top called on a build path")
@@ -104,12 +84,8 @@ def test_builders_never_call_the_join(monkeypatch):
     try:
         m6 = build_m_matrix(6)[1]
         e6 = build_e_matrix(6)[1]
-        streamed = [
-            row for _, block in stream_matrix_rows(6, "m", workers=1) for row in block
-        ]
     finally:
         clear_enumeration_cache()
     monkeypatch.undo()
     assert m6 == oracle(partitions_for(6))
     assert e6 == oracle(matchings_for(6))
-    assert streamed == oracle_columns(partitions_for(6))

@@ -193,29 +193,13 @@ class TestKernelFlag:
             assert exc.value.code == 2
             assert "--kernel" in capsys.readouterr().err
 
-    def test_ranks_new_kernels_and_streaming_identical(self, capsys):
+    def test_ranks_kernels_and_workers_identical(self, capsys):
         assert main(["ranks", "--max-n", "4", "--kernel", "reference",
                      "--json"]) == 0
         reference = capsys.readouterr().out
-        for flags in (
-            [],
-            ["--streamed", "on", "--block-rows", "3"],
-            ["--streamed", "off"],
-            ["--workers", "2"],
-        ):
+        for flags in ([], ["--workers", "2"]):
             assert main(["ranks", "--max-n", "4", "--json", *flags]) == 0
             assert capsys.readouterr().out == reference
-
-    def test_ranks_streamed_reference_exits_two(self, capsys):
-        assert main(["ranks", "--max-n", "3", "--kernel", "reference",
-                     "--streamed", "on"]) == 2
-        assert "streamed" in capsys.readouterr().err
-
-    def test_ranks_zero_block_rows_exits_two(self, capsys):
-        # 0 is falsy: a naive `or DEFAULT_BLOCK_ROWS` would silently
-        # accept it instead of rejecting it
-        assert main(["ranks", "--max-n", "3", "--block-rows", "0"]) == 2
-        assert "--block-rows" in capsys.readouterr().err
 
     def test_bench_kernel_lands_in_history_record(self, tmp_path, capsys):
         from repro.obs import read_history

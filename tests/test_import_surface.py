@@ -133,6 +133,36 @@ def test_light_command_loads_only_its_call_path(argv, tmp_path):
     assert "concurrent.futures.process" not in modules
 
 
+def test_closed_form_ratio_runs_no_graph_machinery(tmp_path):
+    # Lemma 3.9's table is closed-form: no simulator, crossing or graph
+    # builder (only the measured-degree helpers need those).
+    modules = _loaded(("ratio", "--max-exp", "4", "--json"), tmp_path)
+    for name in (
+        "repro.core.simulator",
+        "repro.crossing",
+        "repro.kernels.crossing_batch",
+        "repro.indist.graph_builder",
+    ):
+        assert name not in modules
+
+
+def test_cached_fault_sweep_hit_loads_no_simulator(tmp_path):
+    # A hit validates the stored payload; the validator lives apart from
+    # the sweep machinery, so the hit never imports the round engine.
+    from repro.cli import main
+
+    argv = ("fault-sweep", "--quick", "--cache", str(tmp_path / "cache"))
+    assert main(list(argv)) == 0
+    modules = _loaded(argv, tmp_path)
+    for name in (
+        "repro.core.simulator",
+        "repro.algorithms",
+        "repro.resilience.harness",
+    ):
+        assert name not in modules
+    assert "repro.resilience.schema" in modules
+
+
 #: Searches, estimates and sweeps at one worker run in process:
 #: ``ParallelExecutor`` imports the process pool only when it starts one.
 SERIAL = [

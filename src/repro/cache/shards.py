@@ -1,12 +1,11 @@
 """Per-unit cache adapter: one request's view of the content store.
 
-The sharded compute layers (:mod:`repro.lowerbounds.exhaustive`,
-:mod:`repro.resilience.harness`) should not know about fingerprints or
-key material -- they know "I am about to compute this shard / this grid
-cell". :class:`ShardCache` closes over everything else (the backing
+The sharded compute layers name each unit (a shard, a grid cell) by a
+small item and know nothing of fingerprints or key material.
+:class:`ShardCache` closes over everything else (the backing
 :class:`~repro.cache.store.ResultCache`, the engine kind, the normalized
-request params, the kernel mode, the code fingerprint) so the compute
-layer's cache surface shrinks to two calls::
+request params, the kernel mode, the code fingerprint), so the cache
+surface is two calls, made only by :func:`repro.parallel.shard.map_units`::
 
     cached = shard_cache.get_item({"start": 0, "stop": 81, "seed": 1234})
     ...

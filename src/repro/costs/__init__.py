@@ -46,17 +46,10 @@ _LAZY_EXPORTS = {
     "use_ledger": "repro.costs.ledger",
     "CostSpec": "repro.costs.specs",
     "MeasuredCost": "repro.costs.specs",
+    "all_specs": "repro.costs.specs",
     "get_spec": "repro.costs.specs",
     "spec_names": "repro.costs.specs",
-    "specs": "repro.costs.specs",
 }
-
-# Importing the submodule repro.costs.specs binds the package attribute
-# ``specs`` to that module, and then __getattr__ never fires for the
-# function of the same name. Binding the function here, after the
-# submodule is loaded, keeps ``repro.costs.specs`` the function. It is
-# cheap: specs.py imports only the calculus at module level.
-from repro.costs.specs import specs  # noqa: E402
 
 __getattr__ = lazy_getattr(globals())
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.costs.calculus import HAVE_SYMPY, Expr, evaluate, sympy_cross_check
-from repro.costs.specs import CostSpec, MeasuredCost, get_spec, spec_names, specs
+from repro.costs.specs import CostSpec, MeasuredCost, all_specs, get_spec, spec_names
 
 __all__ = ["ConformanceResult", "check_all", "check_spec"]
 
@@ -168,7 +168,7 @@ def check_all(
 ) -> List[ConformanceResult]:
     """Check the named specs (default: every bundled spec), in order."""
     if names is None:
-        chosen = specs()
+        chosen = all_specs()
     else:
         chosen = [get_spec(name) for name in names]
     return [check_spec(spec, quick=quick) for spec in chosen]

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.costs.calculus import Expr, bits_width, dfact, log2, symbols
 
-__all__ = ["CostSpec", "MeasuredCost", "get_spec", "spec_names", "specs"]
+__all__ = ["CostSpec", "MeasuredCost", "all_specs", "get_spec", "spec_names"]
 
 Number = Union[int, float]
 
@@ -272,7 +272,7 @@ _SPECS: List[CostSpec] = [
 _SPEC_BY_NAME: Dict[str, CostSpec] = {spec.name: spec for spec in _SPECS}
 
 
-def specs() -> List[CostSpec]:
+def all_specs() -> List[CostSpec]:
     """All bundled cost specs, in registry order."""
     return list(_SPECS)
 

@@ -41,9 +41,8 @@ from repro.information.entropy import (
     marginal_y,
     mutual_information,
 )
-from repro.parallel.executor import ParallelExecutor
 from repro.parallel.merge import merge_counts
-from repro.parallel.shard import ShardPlan, split_budget
+from repro.parallel.shard import ShardPlan, map_units
 from repro.partitions.bell import bell_number
 from repro.partitions.enumeration import random_rgs
 from repro.partitions.set_partition import SetPartition
@@ -212,36 +211,22 @@ def estimate_protocol_information(
             # than it would as SetPartition objects.
             inputs = [random_rgs(n, rng) for _ in range(samples)]
             shards = ShardPlan.for_units(samples, SAMPLING_SHARD_UNITS).shards()
-            results: List[Dict[str, Any]] = [{}] * len(shards)
-            pending = []
-            for shard in shards:
-                hit = None
-                if shard_cache is not None:
-                    hit = shard_cache.get_item(_shard_item(shard))
-                if hit is not None and hit.get("done") == shard.size:
-                    results[shard.index] = hit
-                else:
-                    pending.append(shard)
-            budgets = split_budget(budget, [shard.size for shard in pending])
-            payloads = [
-                (protocol, n, inputs[shard.start:shard.stop], shard.start, sb)
-                for shard, sb in zip(pending, budgets)
-            ]
-
-            def _store(index: int, result: Dict[str, Any]) -> None:
-                if shard_cache is not None and not result["exhausted"]:
-                    shard_cache.put_item(_shard_item(pending[index]), result)
-
-            fresh = ParallelExecutor(workers=workers).map(
-                _sampling_shard_worker, payloads, on_result=_store
+            mapped = map_units(
+                _sampling_shard_worker,
+                [({"start": s.start, "stop": s.stop}, s.size) for s in shards],
+                lambda i, sb: (
+                    protocol, n, inputs[shards[i].start:shards[i].stop], shards[i].start, sb
+                ),
+                lambda result: result.get("done"),
+                cache=shard_cache,
+                budget=budget,
+                workers=workers,
             )
-            for shard, result in zip(pending, fresh):
-                results[shard.index] = result
 
         counts: Dict[Tuple[str, str], int] = {}
         errors = 0
         done = 0
-        for result in results:
+        for result in mapped.results:
             merge_counts(
                 counts, {(str(x), str(y)): int(c) for x, y, c in result["counts"]}
             )
@@ -253,33 +238,18 @@ def estimate_protocol_information(
             # hence the report -- independent of the shard layout.
             return {pair: c / total for pair, c in sorted(counts.items())}
 
-        ran = sum(int(result["done"]) for result in fresh)
-        exhausted = any(result["exhausted"] for result in fresh)
-        budget_message = f"budget exhausted during sampling (n={n})"
-        if budget is not None and ran:
-            try:
-                # Tick the parent by the consumed units so "budget == exact
-                # sample count" raises, exactly as a per-sample loop does.
-                budget.tick(units=ran)
-            except BudgetExceededError as exc:
-                budget_message = str(exc)
-                exhausted = True
-        if exhausted:
+        if mapped.exhausted:
             partial = (
                 _report_from_joint(n, done, _joint(done), errors) if done >= 2 else None
             )
-            raise BudgetExceededError(budget_message, partial=partial)
+            message = mapped.budget_message or f"budget exhausted during sampling (n={n})"
+            raise BudgetExceededError(message, partial=partial)
 
         with span("sampling.reduce"):
             population = _transcript_population(
                 _transcript_counts_from_pairs(counts.items())
             )
             return _report_from_joint(n, samples, _joint(samples), errors, population)
-
-
-def _shard_item(shard) -> Dict[str, int]:
-    """The shard-cache item naming one slice of the drawn inputs."""
-    return {"start": shard.start, "stop": shard.stop}
 
 
 def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:

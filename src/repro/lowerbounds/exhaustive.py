@@ -55,9 +55,8 @@ from repro.instances.enumeration import CycleCover, enumerate_one_cycle_covers
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.sketches import MomentsSketch, QuantileSketch, merge_population
 from repro.obs.spans import span
-from repro.parallel.executor import ParallelExecutor
 from repro.parallel.merge import MIN_KEYED
-from repro.parallel.shard import ShardPlan, split_budget
+from repro.parallel.shard import ShardPlan, map_units
 from repro.resilience.budget import Budget
 
 #: Assignments per shard: the unit the shard cache stores and a resume skips,
@@ -403,13 +402,10 @@ def universal_bound_id_oblivious(
     exactly the class size raises, one more completes.
 
     ``shard_cache`` (a :class:`repro.cache.ShardCache` bound to this
-    request's normalized params) memoizes completed shards: cached shards
-    are folded in without running or ticking the budget, and each fresh
-    shard is stored the moment it completes. Resuming a budget-exhausted
-    or interrupted search is therefore just running it again with the
-    same cache -- only the missing shards compute. Shard boundaries do
-    not depend on ``workers``, so entries are shared across worker
-    counts.
+    request's normalized params) memoizes completed shards through
+    :func:`repro.parallel.shard.map_units`: re-running a stopped or
+    interrupted search with the same cache, at any ``workers``, computes
+    only the missing shards and ticks the budget only for them.
 
     When a :class:`repro.obs.SpanRecorder` is installed (via
     :func:`repro.obs.use_recorder`), the search emits an
@@ -432,41 +428,22 @@ def universal_bound_id_oblivious(
         table = covers_and_pairs_for(n, metrics)
         start_time = time.perf_counter()
         shards = ShardPlan.for_units(total, EXHAUSTIVE_SHARD_UNITS).shards()
-        results: List[Dict[str, object]] = [{}] * len(shards)
-        pending = []
-        for shard in shards:
-            hit = None
-            if shard_cache is not None:
-                hit = shard_cache.get_item(_shard_item(shard))
-            # Only complete scans are ever stored; the check guards
-            # against a hand-edited entry that still passes its digest.
-            if hit is not None and hit.get("next_index") == shard.stop:
-                results[shard.index] = hit
-            else:
-                pending.append(shard)
-        cached_shards = len(shards) - len(pending)
+        mapped = map_units(
+            _exhaustive_shard_worker,
+            [({"start": s.start, "stop": s.stop, "seed": s.seed}, s.size) for s in shards],
+            lambda i, sb: (n, alphabet, shards[i].start, shards[i].stop, sb, population),
+            lambda result: result.get("enumerated"),
+            cache=shard_cache,
+            budget=budget,
+            workers=workers,
+            metrics=metrics,
+            enclosing_span="exhaustive.enumerate",
+        )
+        cached_shards = mapped.fresh.count(False)
         if cached_shards and metrics is not None:
             metrics.counter("exhaustive.shards_cached").inc(cached_shards)
 
-        budgets = split_budget(budget, [shard.size for shard in pending])
-        payloads = [
-            (n, alphabet, shard.start, shard.stop, sb, population)
-            for shard, sb in zip(pending, budgets)
-        ]
-
-        def _store(index: int, result: Dict[str, object]) -> None:
-            if shard_cache is not None and not result["exhausted"]:
-                shard_cache.put_item(_shard_item(pending[index]), result)
-
-        with span("exhaustive.enumerate", shards=len(shards), cached=cached_shards):
-            fresh = ParallelExecutor(workers=workers, metrics=metrics).map(
-                _exhaustive_shard_worker, payloads, on_result=_store
-            )
-        for shard, result in zip(pending, fresh):
-            results[shard.index] = result
-
-    ran = sum(int(result["enumerated"]) for result in fresh)
-    exhausted = any(result["exhausted"] for result in fresh)
+    results, ran = mapped.results, mapped.consumed
     best = MIN_KEYED.fold(
         [None if r["best"] is None else (float(r["best"][0]), int(r["best"][1]))
          for r in results]
@@ -487,17 +464,9 @@ def universal_bound_id_oblivious(
         population=report_population,
     )
 
-    budget_message = f"budget exhausted during exhaustive search (n={n})"
-    if budget is not None and ran:
-        try:
-            # Tick the parent by the units the shards consumed: it raises
-            # at exactly the point a per-assignment loop would.
-            budget.tick(units=ran)
-        except BudgetExceededError as exc:
-            budget_message = str(exc)
-            exhausted = True
-    if exhausted:
-        raise BudgetExceededError(budget_message, partial=report)
+    if mapped.exhausted:
+        message = mapped.budget_message or f"budget exhausted during exhaustive search (n={n})"
+        raise BudgetExceededError(message, partial=report)
 
     if metrics is not None:
         elapsed = time.perf_counter() - start_time
@@ -519,11 +488,6 @@ def universal_bound_id_oblivious(
             if remaining is not None:
                 metrics.gauge("exhaustive.budget_remaining").set(remaining)
     return report
-
-
-def _shard_item(shard) -> Dict[str, int]:
-    """The shard-cache item naming one shard of the assignment space."""
-    return {"start": shard.start, "stop": shard.stop, "seed": shard.seed}
 
 
 # ----------------------------------------------------------------------

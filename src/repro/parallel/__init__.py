@@ -4,7 +4,8 @@ The package has three layers, each usable on its own:
 
 * :mod:`repro.parallel.shard` -- pure-data :class:`ShardPlan` objects
   that cut an index range into contiguous, balanced, seed-annotated
-  shards, plus :func:`split_budget` for cooperative budget propagation.
+  shards, :func:`split_budget` for cooperative budget propagation, and
+  :func:`map_units`, the one cached, budgeted shard map.
 * :mod:`repro.parallel.merge` -- the order-invariant :class:`Monoid`
   merges every fan-out reduces with (min-keyed, count-sum, max, concat).
 * :mod:`repro.parallel.executor` -- :class:`ParallelExecutor`, the
@@ -29,10 +30,12 @@ _LAZY_EXPORTS = {
     "merge_concat": "repro.parallel.merge",
     "merge_counts": "repro.parallel.merge",
     "merge_min_keyed": "repro.parallel.merge",
+    "MappedUnits": "repro.parallel.shard",
     "Shard": "repro.parallel.shard",
     "ShardBudget": "repro.parallel.shard",
     "ShardPlan": "repro.parallel.shard",
     "derive_seed": "repro.parallel.shard",
+    "map_units": "repro.parallel.shard",
     "split_budget": "repro.parallel.shard",
 }
 

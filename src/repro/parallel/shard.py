@@ -13,19 +13,28 @@ The plan also knows how to split a cooperative
 (:func:`split_budget`): work units fill the shards in shard order, so a
 capped run covers exactly the first K indices whatever the worker count,
 and every shard carries the parent's one absolute wall-clock deadline.
+
+:func:`map_units` is the one cached, budgeted shard map every sharded
+scan (exhaustive search, sampling, fault sweep) runs through.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import BudgetExceededError
+from repro.obs.spans import span
+from repro.parallel.executor import ParallelExecutor
 from repro.resilience.budget import Budget
 
-__all__ = ["Shard", "ShardBudget", "ShardPlan", "derive_seed", "split_budget"]
+__all__ = [
+    "MappedUnits", "Shard", "ShardBudget", "ShardPlan", "derive_seed", "map_units",
+    "split_budget",
+]
 
 #: Seeds live below 2**63 so they fit signed 64-bit RNG seed APIs.
 _SEED_SPACE = 2**63
@@ -201,3 +210,83 @@ def split_budget(
             left -= allocation
         out.append(ShardBudget(max_units=allocation, deadline=deadline))
     return out
+
+
+class MappedUnits(NamedTuple):
+    """:func:`map_units`'s results (in unit order) and budget outcome."""
+
+    results: List[Dict[str, Any]]
+    fresh: List[bool]  # per unit: ran here (False: a cache hit)
+    consumed: int  # work units the fresh results cover
+    exhausted: bool
+    budget_message: Optional[str]  # the parent re-tick's, when it raised
+
+
+def map_units(
+    worker: Callable[[Any], Dict[str, Any]],
+    units: Sequence[Tuple[Mapping[str, Any], int]],
+    payload: Callable[[int, Optional[ShardBudget]], Any],
+    covered: Callable[[Dict[str, Any]], Any],
+    *,
+    cache=None,
+    budget: Optional[Budget] = None,
+    workers: int = 1,
+    metrics=None,
+    on_result: Optional[Callable[[int, Dict[str, Any]], None]] = None,
+    span_name: str = "parallel.map",
+    enclosing_span: Optional[str] = None,
+) -> MappedUnits:
+    """Run ``worker(payload(i, shard_budget))`` for each unit ``i`` -- a
+    ``(cache item, size)`` pair -- that the shard ``cache`` cannot serve.
+
+    ``covered(result)`` counts the work units a result covers. A hit
+    counts only if it covers its unit (a hand-edited entry can pass its
+    digest); a fresh result that covers less ran out of budget, and only
+    full ones are stored, each as it completes. The parent budget is
+    split over the pending units in order, then ticked by the units
+    consumed, so it raises exactly where a per-unit loop would.
+    ``on_result(i, result)`` fires for each hit in unit order, then for
+    each fresh unit as it completes. The map runs under ``span_name``,
+    inside ``enclosing_span`` (with the unit and hit counts) if given.
+    """
+    results: List[Any] = [None] * len(units)
+    pending: List[int] = []
+    for index, (item, size) in enumerate(units):
+        hit = None if cache is None else cache.get_item(item)
+        if hit is not None and covered(hit) == size:
+            results[index] = hit
+            if on_result is not None:
+                on_result(index, hit)
+        else:
+            pending.append(index)
+    budgets = split_budget(budget, [units[index][1] for index in pending])
+
+    def _completed(local: int, result: Dict[str, Any]) -> None:
+        index = pending[local]
+        if cache is not None and covered(result) == units[index][1]:
+            cache.put_item(units[index][0], result)
+        if on_result is not None:
+            on_result(index, result)
+
+    scope = nullcontext()
+    if enclosing_span is not None:
+        scope = span(enclosing_span, shards=len(units), cached=len(units) - len(pending))
+    with scope:
+        computed = ParallelExecutor(workers=workers, metrics=metrics).map(
+            worker,
+            [payload(index, sb) for index, sb in zip(pending, budgets)],
+            on_result=_completed,
+            span_name=span_name,
+        )
+    ran = [result is None for result in results]
+    for index, result in zip(pending, computed):
+        results[index] = result
+    exhausted = any(covered(r) < units[i][1] for i, r in zip(pending, computed))
+    consumed = sum(covered(result) for result in computed)
+    message = None
+    if budget is not None and consumed:
+        try:
+            budget.tick(units=consumed)
+        except BudgetExceededError as exc:
+            message, exhausted = str(exc), True
+    return MappedUnits(results, ran, consumed, exhausted, message)

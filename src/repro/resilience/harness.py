@@ -451,7 +451,7 @@ def _sweep_cells(
     ``sweep.cell`` bus events fire in *completion* order -- they are a
     progress feed, not a deterministic artifact.
     """
-    from repro.parallel.executor import ParallelExecutor
+    from repro.parallel.shard import map_units
 
     in_process = workers == 1 or trace is not None
     if trace is not None:
@@ -492,53 +492,32 @@ def _sweep_cells(
                 },
             )
 
-    # Partition the grid into cached and fresh cells before dispatching:
-    # only the fresh ones reach the worker pool, and the cached ones emit
-    # their bus events / session shard steps parent-side, so
+    # Cached cells emit their bus events / session shard steps too, so
     # merge_shard_steps still sees every index and the merged step
     # sequence is byte-identical to an all-fresh run's.
-    cells: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    fresh_indices: List[int] = []
-    for index, payload in enumerate(payloads):
-        hit = None
-        if cell_cache is not None:
-            hit = cell_cache.get_item(_cell_item(*payload[:6]))
-        if hit is None:
-            fresh_indices.append(index)
-            continue
-        cells[index] = hit
-        _publish(index, hit)
-
-    def _on_result(local_index: int, cell: Dict[str, Any]) -> None:
-        # Store each cell as it completes, so an interrupted sweep
-        # resumes from every finished cell.
-        index = fresh_indices[local_index]
-        if cell_cache is not None:
-            cell_cache.put_item(_cell_item(*payloads[index][:6]), cell)
-        _publish(index, cell)
-
-    executor = ParallelExecutor(workers=1 if in_process else workers, metrics=metrics)
-    results = executor.map(
-        _fault_cell_worker, [payloads[i] for i in fresh_indices],
-        on_result=_on_result, span_name="resilience.sweep_map",
+    mapped = map_units(
+        _fault_cell_worker,
+        [(_cell_item(*payload[:6]), 1) for payload in payloads],
+        lambda index, _budget: payloads[index],
+        lambda cell: int(all(k in cell for k in ("correct", "faults", "rounds_total"))),
+        cache=cell_cache,
+        workers=1 if in_process else workers,
+        metrics=metrics,
+        on_result=_publish,
+        span_name="resilience.sweep_map",
     )
-    for index, cell in zip(fresh_indices, results):
-        cells[index] = cell
     if session is not None:
         session.merge_shard_steps(len(payloads))
     from repro.obs.sketches import merge_population
 
-    fresh = set(fresh_indices)
     curves: List[DegradationCurve] = []
     population: Optional[Dict[str, Dict[str, Any]]] = None
-    cursor = 0
+    cells = zip(mapped.results, mapped.fresh)
     for name in algorithms:
         for kind in kinds:
             points: List[DegradationPoint] = []
             for rate in rates:
-                cell = cells[cursor]
-                was_fresh = cursor in fresh
-                cursor += 1
+                cell, was_fresh = next(cells)
                 faults = int(cell["faults"])
                 population = merge_population(population, cell.get("population"))
                 points.append(

@@ -12,11 +12,11 @@ from repro.costs import (
     HAVE_SYMPY,
     CostSpec,
     MeasuredCost,
+    all_specs,
     check_all,
     check_spec,
     get_spec,
     spec_names,
-    specs,
     symbols,
 )
 from repro.costs.conformance import _conforms
@@ -54,7 +54,7 @@ class TestBundledSpecs:
         assert len(names) == len(set(names))
         assert "constant_cycle" in names
         assert "two_partition_simulation" in names
-        assert [s.name for s in specs()] == list(names)
+        assert [s.name for s in all_specs()] == list(names)
 
     def test_get_spec_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="constant_cycle"):

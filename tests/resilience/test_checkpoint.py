@@ -27,6 +27,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ShardPlan
 from repro.partitions.linalg import rank_bareiss, rank_exact
 from repro.resilience import Budget
+from repro.resilience.harness import fault_sweep
 from repro.twoparty import TrivialPartitionCompProtocol
 
 ALPHABET = ("", "0", "1")
@@ -170,19 +171,6 @@ class TestExhaustiveResume:
         enumerated = registry.counter("exhaustive.assignments_enumerated").value
         assert enumerated + shards[2].start == total
 
-    def test_malformed_shard_entry_is_recomputed(self, tmp_path):
-        # An entry that passes its digest but does not cover its shard is
-        # never folded in; the shard computes afresh.
-        cache = _exhaustive_cache(tmp_path)
-        first = _exhaustive_shards(6)[0]
-        cache.put_item(
-            {"start": first.start, "stop": first.stop, "seed": first.seed},
-            {"nonsense": 1},
-        )
-        assert universal_bound_id_oblivious(6, shard_cache=cache) == (
-            universal_bound_id_oblivious(6)
-        )
-
     def test_param_mismatch_recomputes(self, tmp_path):
         with pytest.raises(BudgetExceededError):
             universal_bound_id_oblivious(
@@ -195,6 +183,55 @@ class TestExhaustiveResume:
             universal_bound_id_oblivious(7)
         )
         assert cache.cache.hits == 0
+
+
+def _exhaustive_case(root):
+    first = _exhaustive_shards(6)[0]
+    return (
+        _exhaustive_cache(root),
+        {"start": first.start, "stop": first.stop, "seed": first.seed},
+        lambda cache: universal_bound_id_oblivious(6, shard_cache=cache),
+    )
+
+
+def _sampling_case(root):
+    samples = 2 * SAMPLING_SHARD_UNITS
+    return (
+        _sampling_cache(root, 5, samples, 7),
+        {"start": 0, "stop": SAMPLING_SHARD_UNITS},
+        lambda cache: estimate_protocol_information(
+            TrivialPartitionCompProtocol(5), 5, samples, random.Random(7),
+            shard_cache=cache,
+        ),
+    )
+
+
+def _fault_sweep_case(root):
+    return (
+        ShardCache(
+            ResultCache(str(root)), "fault-sweep", {"n": 6, "trials": 2, "seed": 0}
+        ),
+        {"algorithm": "flooding", "a_idx": 0, "kind": "erasure", "k_idx": 0,
+         "rate": 0.1, "r_idx": 0},
+        lambda cache: fault_sweep(
+            ("flooding",), ("erasure",), (0.1,), n=6, trials=2, cell_cache=cache
+        ).curves,
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_exhaustive_case, _sampling_case, _fault_sweep_case],
+    ids=["exhaustive", "sampling", "fault-sweep"],
+)
+def test_malformed_shard_entry_is_recomputed(case, tmp_path):
+    # An entry that passes its digest but does not carry its unit's
+    # result is never folded in; the unit computes afresh and its entry
+    # is replaced.
+    cache, item, run = case(tmp_path)
+    cache.put_item(item, {"nonsense": 1})
+    assert run(cache) == run(None)
+    assert cache.get_item(item) != {"nonsense": 1}
 
 
 class TestSamplingResume:

@@ -170,9 +170,9 @@ def item_key(
     (minus budget/resume state, which only affect *how much* of the space
     gets covered, never any unit's value). Any plan that produces the
     same unit under the same params addresses the same entry, which is
-    what lets a resumed or re-sharded run reuse completed pieces; the
-    order-invariant monoid merge layer makes mixing cached and fresh
-    units deterministic.
+    what lets a resumed or re-sharded run reuse completed pieces; each
+    caller folds its units in unit order, so mixing cached and fresh
+    units is deterministic.
     """
     material = {
         "cache_key_version": CACHE_KEY_VERSION,
@@ -270,8 +270,6 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.engine.core",
         "repro.partitions",
         "repro.kernels",
-        "repro.parallel",
-        "repro.graphs",
     ),
     "fault-sweep": (
         "repro.engine.core",

@@ -1367,10 +1367,13 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _resolved_workers(args: argparse.Namespace) -> int:
-    """The effective --workers value (0 -> one per CPU)."""
+    """The effective --workers value (0 -> one per CPU; 1 without the flag)."""
+    workers = getattr(args, "workers", None)
+    if workers is None:
+        return 1
     from repro.parallel import resolve_workers
 
-    return resolve_workers(getattr(args, "workers", 1))
+    return resolve_workers(workers)
 
 
 Flag = Callable[[argparse.ArgumentParser], Any]
@@ -1517,7 +1520,6 @@ COMMANDS: Tuple[Command, ...] = (
             _ranks_rows,
         ),
         _arg("--max-n", type=int, default=5),
-        _workers_flag,
         _kernel_flag,
         _cache_flag(),
         _json_flag,

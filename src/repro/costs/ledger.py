@@ -190,8 +190,7 @@ class CostLedger:
         :meth:`merge` the ledgers first and take one population when
         cells may overlap.
         """
-        # Lazy: sketches imports repro.parallel, whose package __init__
-        # reaches modules that install cost ledgers.
+        # Lazy: only population summaries need the sketches.
         from repro.obs.sketches import QuantileSketch, TopKSketch
 
         cell_bits = QuantileSketch()

@@ -17,7 +17,7 @@ The content-addressed cache plugs in here, at two granularities:
   (``exhaustive`` and ``sampling`` shards, ``fault-sweep`` grid cells),
   so a re-run that shares only *part* of its work with history -- a
   resumed budget-exhausted or interrupted run, an overlapping grid --
-  computes the delta and the order-invariant monoid merges reassemble
+  computes the delta, and each kind's fold (in unit order) reassembles
   mixed cached+fresh pieces.
 
 Hit/recompute byte-identity is structural, not hoped-for: every fresh
@@ -219,20 +219,17 @@ def _run_sampling(
 
 def _run_ranks(
     params: Mapping[str, Any],
-    workers: int = 1,
     kernel: str = "auto",
     session=None,
 ) -> Dict[str, Any]:
     from repro.partitions import bell_number, perfect_matching_count
     from repro.partitions.matrices import e_matrix_rank, m_matrix_rank
 
-    workers = int(workers)
-
     def _m_rank(n: int) -> int:
-        return m_matrix_rank(n, workers=workers, kernel=kernel)
+        return m_matrix_rank(n, kernel=kernel)
 
     def _e_rank(n: int) -> int:
-        return e_matrix_rank(n, workers=workers, kernel=kernel)
+        return e_matrix_rank(n, kernel=kernel)
 
     if params.get("ns") is not None:
         ns = [int(n) for n in params["ns"]]
@@ -316,12 +313,7 @@ def run_record(kind: str, params: Mapping[str, Any], session=None) -> Dict[str, 
     if kind == "ranks":
         if params.get("ns") is None:
             raise SessionError("ranks sessions need a non-empty 'ns' parameter")
-        return _run_ranks(
-            params,
-            workers=workers,
-            kernel=params.get("kernel", "auto"),
-            session=session,
-        )
+        return _run_ranks(params, kernel=params.get("kernel", "auto"), session=session)
     if kind == "fault-sweep":
         return _run_fault_sweep(params, workers=workers, session=session)
     raise SessionError(f"unknown session kind {kind!r}; known: {ENGINE_KINDS}")
@@ -468,9 +460,7 @@ def execute(
             shard_cache=shard_cache,
         )
     elif kind == "ranks":
-        payload = _run_ranks(
-            params, workers=workers, kernel=kernel, session=opts.session
-        )
+        payload = _run_ranks(params, kernel=kernel, session=opts.session)
     else:  # fault-sweep
         payload = _run_fault_sweep(
             params,

@@ -55,7 +55,6 @@ from repro.instances.enumeration import CycleCover, enumerate_one_cycle_covers
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.sketches import MomentsSketch, QuantileSketch, merge_population
 from repro.obs.spans import span
-from repro.parallel.merge import MIN_KEYED
 from repro.parallel.shard import ShardPlan, map_units
 from repro.resilience.budget import Budget
 
@@ -363,6 +362,22 @@ def _population_state(
     }
 
 
+def merge_min_keyed(
+    a: Optional[Tuple[float, int]], b: Optional[Tuple[float, int]]
+) -> Optional[Tuple[float, int]]:
+    """Min of two shard bests ``(error, index)``; ``None`` = no candidate.
+
+    Comparing the tuples directly makes the earliest index win ties,
+    matching the serial loop's first-strict-improvement rule regardless
+    of the order shards complete in.
+    """
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a <= b else b
+
+
 def universal_bound_id_oblivious(
     n: int,
     alphabet: Sequence[str] = ("", "0", "1"),
@@ -382,9 +397,10 @@ def universal_bound_id_oblivious(
     of :data:`EXHAUSTIVE_SHARD_UNITS`-assignment shards that does not
     depend on ``workers``: ``workers=1`` scans the shards in-process,
     ``workers > 1`` fans them out over a process pool. Every shard
-    reports ``(error, global_index)`` and the fold is :data:`MIN_KEYED`
-    (lowest index wins ties), so the report -- minimum, winning
-    assignment, tie-breaks -- is a pure function of ``(n, alphabet)``.
+    reports ``(error, global_index)`` and the fold is
+    :func:`merge_min_keyed` (lowest index wins ties), so the report --
+    minimum, winning assignment, tie-breaks -- is a pure function of
+    ``(n, alphabet)``.
     Each process scores an induced set partition once
     (:func:`_class_score`); pool workers fork with the parent's pair
     table and class scores.
@@ -444,9 +460,11 @@ def universal_bound_id_oblivious(
             metrics.counter("exhaustive.shards_cached").inc(cached_shards)
 
     results, ran = mapped.results, mapped.consumed
-    best = MIN_KEYED.fold(
+    best = reduce(
+        merge_min_keyed,
         [None if r["best"] is None else (float(r["best"][0]), int(r["best"][1]))
-         for r in results]
+         for r in results],
+        None,
     )
     report_population = None
     if population:

@@ -16,9 +16,9 @@ The default bounds read the ranks off the closed forms (Theorem 2.3 /
 Lemma 4.1 give them exactly). The ``*_certified`` variants instead
 *compute* rank(M_n) / rank(E_n) on the materialized matrices through the
 exact rank machinery -- so the whole Theorem 4.4 chain is numeric end to
-end -- and accept ``workers`` / ``kernel`` to pick the elimination
-engines (:mod:`repro.kernels`); every combination certifies the same
-row, which the tests pin against the closed-form variant.
+end -- and accept ``kernel`` to pick the elimination engines
+(:mod:`repro.kernels`); every engine certifies the same row, which the
+tests pin against the closed-form variant.
 """
 
 from __future__ import annotations
@@ -79,9 +79,7 @@ def multicycle_round_bound(n: int) -> KT1RankBound:
     )
 
 
-def connectivity_round_bound_certified(
-    n: int, workers: int = 1, kernel: str = "auto"
-) -> KT1RankBound:
+def connectivity_round_bound_certified(n: int, kernel: str = "auto") -> KT1RankBound:
     """Theorem 4.4 for Connectivity with rank(M_n) *computed*, not quoted.
 
     Builds M_n (B_n x B_n, read off the partition lattice's Möbius
@@ -91,7 +89,7 @@ def connectivity_round_bound_certified(
     :func:`connectivity_round_bound`'s closed-form row, and the tests
     pin that equality for every kernel.
     """
-    rank = m_matrix_rank(n, workers=workers, kernel=kernel)
+    rank = m_matrix_rank(n, kernel=kernel)
     cc = math.log2(rank)
     bits = simulation_bits_per_round(PARTITION, n)
     return KT1RankBound(
@@ -104,13 +102,11 @@ def connectivity_round_bound_certified(
     )
 
 
-def multicycle_round_bound_certified(
-    n: int, workers: int = 1, kernel: str = "auto"
-) -> KT1RankBound:
+def multicycle_round_bound_certified(n: int, kernel: str = "auto") -> KT1RankBound:
     """Theorem 4.4 for MultiCycle with rank(E_n) *computed*, not quoted."""
     if n % 2 != 0:
         raise ValueError(f"TwoPartition needs even n, got {n}")
-    rank = e_matrix_rank(n, workers=workers, kernel=kernel)
+    rank = e_matrix_rank(n, kernel=kernel)
     cc = math.log2(rank)
     bits = simulation_bits_per_round(TWO_PARTITION, n)
     return KT1RankBound(

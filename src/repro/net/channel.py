@@ -46,8 +46,7 @@ def delivery_population(stats: List[Dict[str, int]]) -> Dict[str, Dict[str, obje
     fold to the same state regardless of worker count -- combine them
     with :func:`repro.obs.sketches.merge_population`.
     """
-    # Lazy: sketches pulls in repro.parallel, which reaches back through
-    # repro.resilience into modules that import this delivery layer.
+    # Lazy: only population summaries need the sketches.
     from repro.obs.sketches import QuantileSketch, TopKSketch
 
     sent = QuantileSketch()

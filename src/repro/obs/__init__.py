@@ -24,9 +24,8 @@ Five small, dependency-free layers:
   --history``, ``repro compare``, and the generated ``docs/PERF.md``;
 * :mod:`repro.obs.sketches` -- deterministic, *mergeable* population
   summaries (quantile / top-k / moments sketches) whose states are pure
-  functions of the observed multiset, registered as monoids with
-  :mod:`repro.parallel.merge` so sharded sweeps fold to bit-identical
-  populations for any worker count;
+  functions of the observed multiset, so sharded sweeps fold to
+  bit-identical populations for any worker count;
 * :mod:`repro.obs.stream` -- a bounded, subscribable in-process
   :class:`EventBus` (opt-in via :func:`use_bus`) that instrumented call
   sites publish live progress events to;

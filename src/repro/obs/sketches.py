@@ -38,12 +38,11 @@ of arrival order, shard boundaries, or merge history:
   exact arithmetic*, so merged moments are bit-identical for any merge
   tree -- no float summation-order drift.
 
-Each sketch serializes to a JSON-ready dict (``to_dict``/``from_dict``)
-and is registered with the :mod:`repro.parallel.merge` monoid registry
-under ``sketch.quantile`` / ``sketch.topk`` / ``sketch.moments``
-(operating on serialized states, so shard workers ship plain JSON), plus
-``sketch.population`` for the name -> state maps the sweep/scan paths
-fold. Merge-law property tests live in ``tests/obs/test_sketches.py``.
+Each sketch serializes to a JSON-ready dict (``to_dict``/``from_dict``),
+so shard workers ship plain JSON, and :func:`merge_population` merges
+the name -> state maps the sweep/scan parents fold, key by key, one
+sketch kind per name. Merge-law property tests live in
+``tests/obs/test_sketches.py``.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
-
-from repro.parallel.merge import Monoid, register_monoid
 
 __all__ = [
     "MomentsSketch",
@@ -509,7 +506,7 @@ def sketch_from_dict(state: Dict[str, Any]) -> Sketch:
 def _merge_states(
     a: Optional[Dict[str, Any]], b: Optional[Dict[str, Any]]
 ) -> Optional[Dict[str, Any]]:
-    """Monoid combine over *serialized* states (None = absent shard)."""
+    """Merge two *serialized* states of one kind (None = absent shard)."""
     if a is None:
         return b
     if b is None:
@@ -517,18 +514,6 @@ def _merge_states(
     if a.get("kind") != b.get("kind"):
         raise ValueError(f"sketch kind mismatch: {a.get('kind')!r} vs {b.get('kind')!r}")
     return sketch_from_dict(a).merge(sketch_from_dict(b)).to_dict()  # type: ignore[arg-type]
-
-
-def _kinded_combine(kind: str):
-    def combine(a: Optional[Dict[str, Any]], b: Optional[Dict[str, Any]]):
-        for state in (a, b):
-            if state is not None and state.get("kind") != kind:
-                raise ValueError(
-                    f"expected a {kind!r} sketch state, got {state.get('kind')!r}"
-                )
-        return _merge_states(a, b)
-
-    return combine
 
 
 def merge_population(
@@ -562,20 +547,3 @@ def population_summary(
         name: sketch_from_dict(population[name]).summary()
         for name in sorted(population)
     }
-
-
-# ----------------------------------------------------------------------
-# monoid registrations (shard parents look these up by name)
-# ----------------------------------------------------------------------
-register_monoid(
-    "sketch.quantile", Monoid(identity=lambda: None, combine=_kinded_combine("quantile"))
-)
-register_monoid(
-    "sketch.topk", Monoid(identity=lambda: None, combine=_kinded_combine("topk"))
-)
-register_monoid(
-    "sketch.moments", Monoid(identity=lambda: None, combine=_kinded_combine("moments"))
-)
-register_monoid(
-    "sketch.population", Monoid(identity=lambda: None, combine=merge_population)
-)

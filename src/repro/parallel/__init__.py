@@ -1,16 +1,20 @@
 """repro.parallel -- deterministic sharded execution for the hot loops.
 
-The package has three layers, each usable on its own:
+The package has two layers:
 
 * :mod:`repro.parallel.shard` -- pure-data :class:`ShardPlan` objects
   that cut an index range into contiguous, balanced, seed-annotated
   shards, :func:`split_budget` for cooperative budget propagation, and
-  :func:`map_units`, the one cached, budgeted shard map.
-* :mod:`repro.parallel.merge` -- the order-invariant :class:`Monoid`
-  merges every fan-out reduces with (min-keyed, count-sum, max, concat).
+  :func:`map_units`, the one cached, budgeted shard map and the only
+  code that starts a process pool.
 * :mod:`repro.parallel.executor` -- :class:`ParallelExecutor`, the
-  process-pool map/reduce engine with a bit-identical in-process serial
-  path at ``workers=1``, span stitching, and metrics.
+  process-pool map engine behind :func:`map_units`, with a bit-identical
+  in-process serial path at ``workers=1``, span stitching, and metrics.
+
+Each caller of :func:`map_units` folds the results it gets back in unit
+order with its own merge (``exhaustive``: min-keyed by ``(error,
+index)``; ``sampling``: key-wise count sums; ``fault-sweep``: cells
+written by grid coordinates).
 
 Determinism contract: for every entry point threaded through this
 package, the final report is a pure function of the problem inputs --
@@ -23,13 +27,6 @@ _LAZY_EXPORTS = {
     "ParallelExecutor": "repro.parallel.executor",
     "default_workers": "repro.parallel.executor",
     "resolve_workers": "repro.parallel.executor",
-    "MAX_INT": "repro.parallel.merge",
-    "MIN_KEYED": "repro.parallel.merge",
-    "Monoid": "repro.parallel.merge",
-    "SUM_COUNTS": "repro.parallel.merge",
-    "merge_concat": "repro.parallel.merge",
-    "merge_counts": "repro.parallel.merge",
-    "merge_min_keyed": "repro.parallel.merge",
     "MappedUnits": "repro.parallel.shard",
     "Shard": "repro.parallel.shard",
     "ShardBudget": "repro.parallel.shard",

@@ -1,7 +1,9 @@
 """The deterministic fan-out engine behind every ``--workers N`` flag.
 
 :class:`ParallelExecutor` maps a **module-level, picklable** task
-function over a list of payloads:
+function over a list of payloads. Its one caller is
+:func:`repro.parallel.shard.map_units`, which adds the shard cache and
+the budget; the callers of ``map_units`` fold the results themselves.
 
 * ``workers <= 1`` runs everything in-process, in payload order, with no
   pool, no pickling, and no semantic difference from a plain ``for``
@@ -23,9 +25,8 @@ Observability mirrors the rest of the repo and is fully opt-in:
   the whole fan-out.
 * **Metrics** -- ``parallel.shards_dispatched`` / ``_completed``
   counters, a ``parallel.shard_seconds`` histogram of worker-side task
-  times, a ``parallel.merge_seconds`` histogram (via :meth:`reduce`),
-  and a ``parallel.worker_utilization`` gauge (busy seconds / (workers x
-  wall seconds)).
+  times, and a ``parallel.worker_utilization`` gauge (busy seconds /
+  (workers x wall seconds)).
 
 Interrupt/budget contract: a ``KeyboardInterrupt`` or any exception from
 a task cancels all not-yet-started tasks (``cancel_futures=True``) and
@@ -242,26 +243,3 @@ class ParallelExecutor:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def reduce(
-        self,
-        merge: Callable[[Any, Any], Any],
-        values: Sequence[Any],
-        initial: Any,
-        span_name: str = "parallel.merge",
-    ) -> Any:
-        """Fold shard results in **shard order**, timing the merge."""
-        metrics = self._registry()
-        start = time.perf_counter()
-        with span(span_name, shards=len(values)):
-            acc = initial
-            for value in values:
-                if value is None:
-                    continue
-                acc = merge(acc, value)
-        if metrics is not None:
-            metrics.histogram("parallel.merge_seconds").observe(
-                time.perf_counter() - start
-            )
-        return acc

@@ -175,123 +175,29 @@ def rank_mod_p(
         return _rank_mod_p_python(matrix, p, budget)
 
 
-def _rank_prime_worker(payload: tuple) -> dict:
-    """One prime's elimination for :func:`rank_multi_prime` (picklable).
-
-    ``payload`` is ``(matrix, p, shard_budget, kernel)``; returns
-    ``{"rank", "units", "exhausted"}`` where ``units`` is the number of
-    pivot columns the shard's budget actually ticked (the parent
-    re-ticks them on its own budget, keeping aggregate accounting equal
-    to the serial per-column loop). ``kernel`` rides along so each
-    shard picks up the fast engines (the rank is engine-independent,
-    so the merge stays order- and worker-count-invariant).
-    """
-    from repro.errors import BudgetExceededError
-
-    matrix, p, shard_budget, kernel = payload
-    try:
-        budget = None if shard_budget is None else shard_budget.to_budget()
-    except BudgetExceededError:
-        return {"rank": 0, "units": 0, "exhausted": True}
-    try:
-        rank = rank_mod_p(matrix, p, budget, kernel=kernel)
-    except BudgetExceededError:
-        return {
-            "rank": 0,
-            "units": budget.units_done if budget is not None else 0,
-            "exhausted": True,
-        }
-    return {
-        "rank": rank,
-        "units": budget.units_done if budget is not None else 0,
-        "exhausted": False,
-    }
-
-
 def rank_multi_prime(
     matrix: Matrix,
     primes: Sequence[int] = DEFAULT_PRIMES,
     budget: Optional["Budget"] = None,
-    workers: int = 1,
     kernel: str = "auto",
 ) -> int:
     """Max of the mod-p ranks over ``primes`` -- a certified lower bound.
 
-    ``workers > 1`` eliminates the primes concurrently (one process per
-    prime, capped by the pool size); the max-merge
-    (:data:`repro.parallel.MAX_INT`) is order-invariant, so the value is
-    independent of worker count and completion order and equal to the
-    serial loop's. The parent ``budget`` is split across primes
-    (:func:`repro.parallel.split_budget`) and re-ticked with the columns
-    the workers consumed; any shard exhaustion -- or the re-tick itself
-    tripping -- raises :class:`~repro.errors.BudgetExceededError`, just
-    as the serial sequential eliminations would (no partial: an
+    The primes are eliminated one after another, each ticking ``budget``
+    once per pivot column; exhaustion raises
+    :class:`~repro.errors.BudgetExceededError` (no partial: an
     unfinished elimination certifies nothing).
-
-    All parallel imports are lazy so the serial path keeps this module's
-    runtime-import-free footprint.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     rows_, cols_ = _shape(matrix)
     if not primes or rows_ == 0 or cols_ == 0:
         return 0
-    if workers <= 1 or len(primes) <= 1:
-        return max(rank_mod_p(matrix, p, budget, kernel=kernel) for p in primes)
-
-    from repro.errors import BudgetExceededError
-    from repro.parallel.executor import ParallelExecutor
-    from repro.parallel.shard import ShardBudget
-
-    wire = tuple(tuple(int(x) for x in row) for row in matrix)
-    # Budget translation. The elimination ticks *before* each pivot
-    # column, so the serial sequential loop completes iff the parent
-    # budget strictly exceeds the total tick count. An even unit split
-    # cannot reproduce that boundary (a barely-sufficient budget divided
-    # across primes starves some shard), so each shard instead gets its
-    # own work size plus the tick-before headroom unit, clamped by the
-    # parent's remaining units, and the parent re-tick below is the
-    # arbiter: raise/complete agrees with the serial loop at every
-    # budget value.
-    if budget is None:
-        shard_budgets: list = [None] * len(primes)
-    else:
-        remaining = budget.remaining_units()
-        per_shard = (
-            None if remaining is None else min(cols_ + 1, remaining)
-        )
-        shard_budgets = [
-            ShardBudget(max_units=per_shard, deadline=budget.deadline())
-            for _ in primes
-        ]
-    payloads = [(wire, p, sb, kernel) for p, sb in zip(primes, shard_budgets)]
-    with span(
-        "partitions.rank_multi_prime",
-        rows=rows_,
-        cols=cols_,
-        primes=len(primes),
-        workers=workers,
-    ):
-        results = ParallelExecutor(workers=workers).map(
-            _rank_prime_worker, payloads
-        )
-    units = sum(int(r["units"]) for r in results)
-    exhausted = any(r["exhausted"] for r in results)
-    if budget is not None and units:
-        budget.tick(units=units)
-    if exhausted:
-        raise BudgetExceededError(
-            f"budget exhausted during multi-prime rank "
-            f"({len(primes)} primes, {units} pivot columns)"
-        )
-    return max(int(r["rank"]) for r in results)
+    return max(rank_mod_p(matrix, p, budget, kernel=kernel) for p in primes)
 
 
 def rank_exact(
     matrix: Matrix,
     primes: Sequence[int] = DEFAULT_PRIMES,
     budget: Optional["Budget"] = None,
-    workers: int = 1,
     kernel: str = "auto",
 ) -> int:
     """Exact rational rank of an integer matrix.
@@ -301,12 +207,9 @@ def rank_exact(
     for matrices up to a few hundred rows; above that the maximum mod-p
     rank over several primes is returned, which fails to be exact only if
     every listed prime divides the relevant determinantal minors.
-    ``workers`` parallelizes only that multi-prime fallback (via
-    :func:`rank_multi_prime`); the certificate and Bareiss branches are
-    inherently serial and unchanged. ``kernel`` selects the mod-p
-    engines (see :func:`rank_mod_p`); the chain, the budget tick
-    boundaries, and the returned value are identical under every
-    kernel.
+    ``kernel`` selects the mod-p engines (see :func:`rank_mod_p`); the
+    chain, the budget tick boundaries, and the returned value are
+    identical under every kernel.
     """
     rows = len(matrix)
     if rows == 0:
@@ -318,12 +221,7 @@ def rank_exact(
             return first
         if rows <= 220:
             return rank_bareiss(matrix, budget)
-        return max(
-            first,
-            rank_multi_prime(
-                matrix, primes[1:], budget, workers=workers, kernel=kernel
-            ),
-        )
+        return max(first, rank_multi_prime(matrix, primes[1:], budget, kernel=kernel))
 
 
 def is_full_rank(

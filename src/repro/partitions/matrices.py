@@ -208,24 +208,23 @@ def build_e_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
 # the paper's rank facts
 # ----------------------------------------------------------------------
 
-def m_matrix_rank(n: int, workers: int = 1, kernel: str = "auto") -> int:
+def m_matrix_rank(n: int, kernel: str = "auto") -> int:
     """rank(M_n), computed exactly; Theorem 2.3 predicts B_n.
 
-    ``workers`` fans the multi-prime confirmation out; ``kernel`` picks
-    the rank engine (``repro.kernels``) -- every mode returns the same
-    value.
+    ``kernel`` picks the rank engine (``repro.kernels``) -- every mode
+    returns the same value.
     """
     _, matrix = build_m_matrix(n)
-    return rank_exact(matrix, workers=workers, kernel=kernel)
+    return rank_exact(matrix, kernel=kernel)
 
 
-def e_matrix_rank(n: int, workers: int = 1, kernel: str = "auto") -> int:
+def e_matrix_rank(n: int, kernel: str = "auto") -> int:
     """rank(E_n), computed exactly; Lemma 4.1 predicts n!/(2^{n/2}(n/2)!).
 
     Same knobs as :func:`m_matrix_rank`.
     """
     _, matrix = build_e_matrix(n)
-    return rank_exact(matrix, workers=workers, kernel=kernel)
+    return rank_exact(matrix, kernel=kernel)
 
 
 def m_matrix_is_full_rank(n: int, kernel: str = "auto") -> bool:

@@ -39,9 +39,9 @@ its last complete step.
 Parallel recording: workers cannot share one append stream, so sharded
 engines write *segment files* (``<path>.shard-<k>``) in completion order
 and :meth:`SessionStore.merge_shard_steps` folds them into the main log
-in shard-index order -- the same order-invariance discipline as the
-:mod:`repro.parallel.merge` monoids, so the recorded session is
-independent of worker scheduling.
+in shard-index order -- the same discipline as the shard folds of
+:func:`repro.parallel.shard.map_units`' callers, so the recorded session
+is independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -234,8 +234,8 @@ class SessionStore(JsonlWriter):
     def merge_shard_steps(self, shards: int) -> int:
         """Fold segments 0..shards-1 into the main log; returns steps merged.
 
-        Shard-index order makes the merge order-invariant (the
-        :mod:`repro.parallel.merge` discipline); consumed segment files
+        Shard-index order makes the merge independent of completion
+        order; consumed segment files
         are deleted so a sealed session is a single self-contained log.
         """
         merged = 0

@@ -46,10 +46,7 @@ from repro.instances import one_cycle_instance, two_cycle_instance
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 # repro.obs.sketches is imported lazily inside the functions that use it:
-# this module is pulled in by the ``repro.resilience`` package __init__,
-# while sketches itself imports ``repro.parallel.merge`` (whose package
-# __init__ reaches back into ``repro.resilience``) -- a top-level import
-# here would close that cycle.
+# only population summaries need it.
 from repro.obs.stream import get_bus
 from repro.resilience.faults import FAULT_KINDS, FaultPlan
 from repro.resilience.schema import FAULT_SWEEP_SCHEMA_VERSION

@@ -19,16 +19,13 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 from repro.partitions.linalg import rank_exact
 
 
-def rank_lower_bound(
-    matrix: Sequence[Sequence[int]], workers: int = 1, kernel: str = "auto"
-) -> float:
+def rank_lower_bound(matrix: Sequence[Sequence[int]], kernel: str = "auto") -> float:
     """log2 rank(M_f): a lower bound on deterministic communication.
 
-    ``workers`` / ``kernel`` are forwarded to
-    :func:`repro.partitions.linalg.rank_exact`; the bound is identical
-    under every combination.
+    ``kernel`` is forwarded to :func:`repro.partitions.linalg.rank_exact`;
+    the bound is identical under every engine.
     """
-    r = rank_exact(matrix, workers=workers, kernel=kernel)
+    r = rank_exact(matrix, kernel=kernel)
     return math.log2(r) if r > 0 else 0.0
 
 

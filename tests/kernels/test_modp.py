@@ -22,9 +22,7 @@ from repro.partitions import (
     build_e_matrix,
     build_m_matrix,
     rank_bareiss,
-    rank_exact,
     rank_mod_p,
-    rank_multi_prime,
 )
 from repro.partitions.linalg import _modp_engine, _rank_mod_p_python
 from repro.resilience import Budget
@@ -241,22 +239,6 @@ class TestBudgetParity:
                 rank_mod_p_batched(matrix, p, Budget(max_units=cutoff))
             with pytest.raises(BudgetExceededError):
                 rank_mod_p(matrix, p, Budget(max_units=cutoff), kernel="reference")
-
-
-class TestWorkersTimesKernels:
-    """The PR 4 contract extended: any workers x either kernel, same number."""
-
-    def test_rank_exact_packed_workers_equals_serial_reference(self):
-        _parts, matrix = build_m_matrix(4)
-        serial_ref = rank_exact(matrix, workers=1, kernel="reference")
-        assert rank_exact(matrix, workers=2, kernel="auto") == serial_ref
-        assert rank_exact(matrix, workers=2, kernel="reference") == serial_ref
-        assert rank_exact(matrix, workers=1, kernel="auto") == serial_ref
-
-    def test_rank_multi_prime_packed_workers_equals_serial_reference(self):
-        _parts, matrix = build_m_matrix(3)
-        serial_ref = rank_multi_prime(matrix, workers=1, kernel="reference")
-        assert rank_multi_prime(matrix, workers=2, kernel="auto") == serial_ref
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,9 +2,10 @@
 
 Two layers:
 
-* property tests (hypothesis) driving every registered ``sketch.*``
-  monoid through the algebraic laws -- associativity, commutativity,
-  identity -- on *serialized* states, exactly as shard parents fold them;
+* property tests (hypothesis) driving the per-kind state merge and
+  :func:`merge_population` through the algebraic laws -- associativity,
+  commutativity, identity (``None``, an absent shard) -- on *serialized*
+  states, exactly as shard parents fold them;
 * parity tests pinning the end-to-end contract: a sketch built in one
   serial pass over a stream equals the fold of per-shard sketches for
   workers in {1, 2}, and the instrumented engines (fault sweep,
@@ -14,6 +15,7 @@ Two layers:
 
 import math
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,11 @@ from repro.obs.sketches import (
     MomentsSketch,
     QuantileSketch,
     TopKSketch,
+    _merge_states,
     merge_population,
     population_summary,
     sketch_from_dict,
 )
-from repro.parallel.merge import get_monoid, monoid_names
 
 # ----------------------------------------------------------------------
 # strategies: serialized sketch states, built only through update()
@@ -86,69 +88,63 @@ population_states = st.fixed_dictionaries(
     },
 )
 
-#: monoid name -> a strategy of valid operands (None = absent shard).
-_STATE_STRATEGIES = {
-    "sketch.quantile": st.one_of(st.none(), quantile_states),
-    "sketch.topk": st.one_of(st.none(), topk_states),
-    "sketch.moments": st.one_of(st.none(), moments_states),
-    "sketch.population": st.one_of(st.none(), population_states),
+#: merge name -> (merge function, a strategy of valid operands; None =
+#: absent shard, the identity of every merge).
+_MERGES = {
+    "sketch.quantile": (_merge_states, st.one_of(st.none(), quantile_states)),
+    "sketch.topk": (_merge_states, st.one_of(st.none(), topk_states)),
+    "sketch.moments": (_merge_states, st.one_of(st.none(), moments_states)),
+    "sketch.population": (merge_population, st.one_of(st.none(), population_states)),
 }
 
-SKETCH_MONOIDS = sorted(name for name in monoid_names() if name.startswith("sketch."))
+SKETCH_MONOIDS = sorted(_MERGES)
 
 
 def test_every_sketch_monoid_is_registered_and_covered():
-    assert SKETCH_MONOIDS == sorted(_STATE_STRATEGIES)
-    assert set(SKETCH_MONOIDS) == {
-        "sketch.moments",
-        "sketch.population",
-        "sketch.quantile",
-        "sketch.topk",
-    }
+    # every kind of the SKETCH_KINDS registry has its laws checked
+    assert SKETCH_MONOIDS == sorted(
+        [f"sketch.{kind}" for kind in SKETCH_KINDS] + ["sketch.population"]
+    )
 
 
 # ----------------------------------------------------------------------
-# the monoid laws, for every registered sketch monoid
+# the merge laws, for every sketch kind and for whole populations
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", SKETCH_MONOIDS)
 def test_identity_laws(name):
-    monoid = get_monoid(name)
+    merge, operands = _MERGES[name]
 
-    @given(a=_STATE_STRATEGIES[name])
+    @given(a=operands)
     @settings(max_examples=50, deadline=None)
     def check(a):
-        assert monoid.combine(monoid.identity(), a) == a
-        assert monoid.combine(a, monoid.identity()) == a
+        assert merge(None, a) == a
+        assert merge(a, None) == a
 
     check()
 
 
 @pytest.mark.parametrize("name", SKETCH_MONOIDS)
 def test_commutativity(name):
-    monoid = get_monoid(name)
-    operands = _STATE_STRATEGIES[name]
+    merge, operands = _MERGES[name]
 
     @given(a=operands, b=operands)
     @settings(max_examples=100, deadline=None)
     def check(a, b):
-        assert monoid.combine(a, b) == monoid.combine(b, a)
+        assert merge(a, b) == merge(b, a)
 
     check()
 
 
 @pytest.mark.parametrize("name", SKETCH_MONOIDS)
 def test_associativity(name):
-    monoid = get_monoid(name)
-    operands = _STATE_STRATEGIES[name]
+    merge, operands = _MERGES[name]
 
     @given(a=operands, b=operands, c=operands)
     @settings(max_examples=100, deadline=None)
     def check(a, b, c):
-        left = monoid.combine(monoid.combine(a, b), c)
-        right = monoid.combine(a, monoid.combine(b, c))
-        assert left == right
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
     check()
 
@@ -165,7 +161,7 @@ def test_quantile_serial_equals_sharded(observations, workers):
     shard_states = [
         _quantile_state(observations[shard::workers]) for shard in range(workers)
     ]
-    folded = get_monoid("sketch.quantile").fold(shard_states)
+    folded = reduce(_merge_states, shard_states, None)
     assert folded == serial.to_dict()
 
 
@@ -181,7 +177,7 @@ def test_topk_serial_equals_sharded(observations, workers):
     shard_states = [
         _topk_state(observations[shard::workers]) for shard in range(workers)
     ]
-    folded = get_monoid("sketch.topk").fold(shard_states)
+    folded = reduce(_merge_states, shard_states, None)
     assert folded == serial.to_dict()
 
 
@@ -197,7 +193,7 @@ def test_moments_serial_equals_sharded(observations, workers):
     shard_states = [
         _moments_state(observations[shard::workers]) for shard in range(workers)
     ]
-    folded = get_monoid("sketch.moments").fold(shard_states)
+    folded = reduce(_merge_states, shard_states, None)
     assert folded == serial.to_dict()
 
 
@@ -211,8 +207,7 @@ def test_merge_order_is_irrelevant(observations):
     singles = [_quantile_state([obs]) for obs in observations]
     shuffled = list(singles)
     random.Random(0).shuffle(shuffled)
-    monoid = get_monoid("sketch.quantile")
-    assert monoid.fold(singles) == monoid.fold(shuffled)
+    assert reduce(_merge_states, singles, None) == reduce(_merge_states, shuffled, None)
 
 
 # ----------------------------------------------------------------------

@@ -97,11 +97,3 @@ def test_span_tree_covers_every_shard(workers):
     for shard_span in shard_spans:
         names = [child.name for child in shard_span.children]
         assert "task.square" in names
-
-
-def test_reduce_folds_in_shard_order_and_times_merge():
-    registry = MetricsRegistry()
-    executor = ParallelExecutor(workers=1, metrics=registry)
-    out = executor.reduce(lambda acc, v: acc + [v], [1, None, 2, 3], initial=[])
-    assert out == [1, 2, 3]  # shard order, None skipped
-    assert registry.histogram("parallel.merge_seconds").count == 1

@@ -84,9 +84,9 @@ def test_an_entry_that_does_not_cover_its_unit_is_recomputed(tmp_path):
     assert cache.get_item({"unit": 0}) == {"done": 3}
 
 
-#: Calls that read or write the shard cache, or split a budget over
-#: shards: only the shared map may make them.
-SHARD_PLUMBING = {"get_item", "put_item", "split_budget"}
+#: Calls that read or write the shard cache, split a budget over shards
+#: or start a pool: only the shared map may make them.
+SHARD_PLUMBING = {"ParallelExecutor", "get_item", "put_item", "split_budget"}
 
 
 def _plumbing_calls(path):
@@ -107,5 +107,7 @@ def test_only_the_shared_map_touches_the_shard_cache():
         if names:
             callers[path.relative_to(src).as_posix()] = names
     # ShardCache's own get_item/put_item are definitions, not calls.
-    assert callers == {"parallel/shard.py": ["get_item", "put_item", "split_budget"]}
+    assert callers == {
+        "parallel/shard.py": ["ParallelExecutor", "get_item", "put_item", "split_budget"]
+    }
 

@@ -1,18 +1,18 @@
-"""Monoid laws for the shard merges: the algebra behind order-invariance."""
+"""Laws of the shard folds: the algebra behind order-invariance.
+
+``exhaustive`` folds its shard bests with :func:`merge_min_keyed` and
+``sampling`` its shard joints with :func:`merge_counts`, each starting
+from its identity (``None`` and ``{}``).
+"""
 
 from collections import Counter
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import (
-    MAX_INT,
-    MIN_KEYED,
-    SUM_COUNTS,
-    merge_concat,
-    merge_counts,
-    merge_min_keyed,
-)
+from repro.information.sampling import merge_counts
+from repro.lowerbounds.exhaustive import merge_min_keyed
 
 keyed = st.one_of(
     st.none(),
@@ -37,7 +37,7 @@ def test_min_keyed_is_associative_and_commutative(a, b, c):
 @given(values=st.lists(keyed, max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_min_keyed_fold_matches_global_min(values):
-    folded = MIN_KEYED.fold(values)
+    folded = reduce(merge_min_keyed, values, None)
     candidates = [v for v in values if v is not None]
     assert folded == (min(candidates) if candidates else None)
 
@@ -64,15 +64,15 @@ def test_sum_counts_fold_matches_counter_sum(parts):
     for part in parts:
         expected.update(part)
     # fold on deep copies: merge_counts mutates its accumulator
-    folded = SUM_COUNTS.fold([dict(p) for p in parts])
+    folded = reduce(merge_counts, [dict(p) for p in parts], {})
     assert folded == dict(expected)
 
 
 @given(parts=st.lists(count_dicts, min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_sum_counts_is_order_invariant(parts):
-    forward = SUM_COUNTS.fold([dict(p) for p in parts])
-    backward = SUM_COUNTS.fold([dict(p) for p in reversed(parts)])
+    forward = reduce(merge_counts, [dict(p) for p in parts], {})
+    backward = reduce(merge_counts, [dict(p) for p in reversed(parts)], {})
     assert forward == backward
 
 
@@ -82,67 +82,5 @@ def test_merge_counts_mutates_left():
     assert out is a and a == {"x": 3, "y": 3}
 
 
-@given(values=st.lists(st.integers(min_value=0, max_value=10**9), max_size=20))
-@settings(max_examples=100, deadline=None)
-def test_max_int_fold(values):
-    assert MAX_INT.fold(values) == max(values, default=0)
-
-
-def test_merge_concat_is_shard_ordered_and_skips_none():
-    assert merge_concat([[1, 2], None, [3], []]) == [1, 2, 3]
-    assert merge_concat([]) == []
-
-
 def test_fold_skips_none_entries():
-    assert MIN_KEYED.fold([None, (0.5, 2), None, (0.5, 1)]) == (0.5, 1)
-    assert MAX_INT.fold([None, 3, None]) == 3
-
-
-class TestMonoidRegistry:
-    def test_builtin_monoids_registered(self):
-        from repro.parallel.merge import get_monoid, monoid_names
-
-        names = monoid_names()
-        for name in ("min_keyed", "sum_counts", "max_int"):
-            assert name in names
-            assert get_monoid(name) is not None
-
-    def test_sketch_monoids_register_on_import(self):
-        import repro.obs.sketches  # noqa: F401  (registration side effect)
-        from repro.parallel.merge import monoid_names
-
-        names = monoid_names()
-        for name in (
-            "sketch.quantile",
-            "sketch.topk",
-            "sketch.moments",
-            "sketch.population",
-        ):
-            assert name in names
-        assert names == sorted(names)
-
-    def test_unknown_name_raises_with_known_list(self):
-        import pytest
-
-        from repro.parallel.merge import get_monoid
-
-        with pytest.raises(KeyError, match="no monoid registered"):
-            get_monoid("sketch.hyperloglog")
-
-    def test_reregistering_same_object_is_idempotent(self):
-        from repro.parallel.merge import MAX_INT, register_monoid
-
-        assert register_monoid("max_int", MAX_INT) is MAX_INT
-
-    def test_conflicting_registration_rejected(self):
-        import pytest
-
-        from repro.parallel.merge import MAX_INT, Monoid, register_monoid
-
-        other = Monoid(identity=lambda: 0, combine=max)
-        with pytest.raises(ValueError, match="already registered"):
-            register_monoid("max_int", other)
-        # the original stays installed
-        from repro.parallel.merge import get_monoid
-
-        assert get_monoid("max_int") is MAX_INT
+    assert reduce(merge_min_keyed, [None, (0.5, 2), None, (0.5, 1)], None) == (0.5, 1)

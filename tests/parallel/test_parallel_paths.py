@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ResultCache, ShardCache
+from repro.engine.core import run_record
 from repro.errors import BudgetExceededError
 from repro.information import estimate_protocol_information
 from repro.lowerbounds import universal_bound_id_oblivious
@@ -26,7 +27,7 @@ from repro.lowerbounds.exhaustive import (
     covers_and_pairs_for,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.partitions import build_m_matrix, rank_exact, rank_mod_p, rank_multi_prime
+from repro.partitions import build_m_matrix, rank_mod_p, rank_multi_prime
 from repro.resilience import Budget, fault_sweep
 from repro.twoparty import TrivialPartitionCompProtocol
 
@@ -244,55 +245,33 @@ def test_sampling_resume_rejects_mismatched_seed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# multi-prime rank
+# ranks: serial eliminations, whatever a session's worker count
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_rank_identical_across_worker_counts(workers):
+    # `record ranks --workers N` keeps N in the session header, but the
+    # ranks run serially, so every N records the same rows.
+    params = {"ns": [3, 4], "kernel": "auto"}
+    serial = run_record("ranks", dict(params, workers=1))
+    assert run_record("ranks", dict(params, workers=workers)) == serial
+    assert [row["m_rank"] for row in serial["rows"]] == [5, 15]
+
+
+@pytest.mark.parametrize("prime_count", (1, 2, 4))
+def test_rank_budget_accounting_matches_serial(prime_count):
+    # The primes are eliminated one after another, each ticking once
+    # before every pivot column: a budget of exactly the summed ticks
+    # raises, one more unit completes.
     _parts, matrix = build_m_matrix(4)
-    serial = rank_multi_prime(matrix, workers=1)
-    assert rank_multi_prime(matrix, workers=workers) == serial
-    assert rank_exact(matrix, workers=workers) == rank_exact(matrix)
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_rank_budget_accounting_matches_serial(workers):
-    _parts, matrix = build_m_matrix(4)
-    cols = len(matrix[0])
-    primes = (1_000_003, 999_983)
-    total_ticks = len(primes) * cols
-    # exactly at the boundary: serial raises iff budget <= total ticks
-    serial_budget = Budget(max_units=total_ticks + 1)
-    serial = rank_multi_prime(matrix, primes, budget=serial_budget, workers=1)
-    parallel_budget = Budget(max_units=total_ticks + 1)
-    assert (
-        rank_multi_prime(matrix, primes, budget=parallel_budget, workers=workers)
-        == serial
-    )
-    assert parallel_budget.units_done == serial_budget.units_done
-    with pytest.raises(BudgetExceededError):
-        rank_multi_prime(
-            matrix, primes, budget=Budget(max_units=total_ticks), workers=workers
-        )
-    with pytest.raises(BudgetExceededError):
-        rank_multi_prime(
-            matrix, primes, budget=Budget(max_units=total_ticks), workers=1
-        )
-
-
-@given(
-    rows=st.integers(2, 6),
-    cols=st.integers(2, 6),
-    seed=st.integers(0, 10_000),
-    workers=st.sampled_from((2, 3)),
-)
-@settings(max_examples=10, deadline=None)
-def test_rank_serial_parallel_property(rows, cols, seed, workers):
-    rng = random.Random(seed)
-    matrix = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-    primes = (1_000_003, 999_983, 2_147_483_647)
-    assert rank_multi_prime(matrix, primes, workers=workers) == max(
+    primes = (1_000_003, 999_983, 2_147_483_647, 998_244_353)[:prime_count]
+    total_ticks = len(primes) * len(matrix[0])
+    budget = Budget(max_units=total_ticks + 1)
+    assert rank_multi_prime(matrix, primes, budget=budget) == max(
         rank_mod_p(matrix, p) for p in primes
     )
+    assert budget.units_done == total_ticks
+    with pytest.raises(BudgetExceededError):
+        rank_multi_prime(matrix, primes, budget=Budget(max_units=total_ticks))
 
 
 # ----------------------------------------------------------------------

@@ -180,10 +180,13 @@ class TestKernelFlag:
     def test_ranks_kernel_with_workers_identical(self, capsys):
         assert main(["ranks", "--max-n", "4", "--json"]) == 0
         default = json.loads(capsys.readouterr().out.strip())
-        assert main(["ranks", "--max-n", "4", "--workers", "2",
-                     "--kernel", "auto", "--json"]) == 0
-        fanned = json.loads(capsys.readouterr().out.strip())
-        assert fanned == default
+        assert main(["ranks", "--max-n", "4", "--kernel", "auto", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out.strip()) == default
+        # ranks runs no fan-out, so it takes no --workers
+        with pytest.raises(SystemExit) as exc:
+            main(["ranks", "--max-n", "4", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_kernel_exits_two(self, capsys):
         # the retired rank modes are unknown now, like any other name
@@ -197,9 +200,8 @@ class TestKernelFlag:
         assert main(["ranks", "--max-n", "4", "--kernel", "reference",
                      "--json"]) == 0
         reference = capsys.readouterr().out
-        for flags in ([], ["--workers", "2"]):
-            assert main(["ranks", "--max-n", "4", "--json", *flags]) == 0
-            assert capsys.readouterr().out == reference
+        assert main(["ranks", "--max-n", "4", "--json"]) == 0
+        assert capsys.readouterr().out == reference
 
     def test_bench_kernel_lands_in_history_record(self, tmp_path, capsys):
         from repro.obs import read_history

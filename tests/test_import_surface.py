@@ -115,6 +115,8 @@ NO_POOL = [
     ("star", "--n", "12", "--rounds", "2", "--json"),
     ("forced-error", "--n", "4", "--json"),
     ("ratio", "--max-exp", "4", "--json"),
+    # each rank is serial eliminations: no fan-out, so no repro.parallel
+    ("ranks", "--max-n", "4", "--json"),
 ]
 
 UNCALLED_PACKAGES = (

@@ -12,8 +12,10 @@ The protocols here are deterministic and P_B is fixed, so a run is a
 function of P_A alone: N samples draw at most B_n distinct inputs (877
 at n = 7 against 8000 samples). Each process therefore runs the protocol
 once per distinct input and protocol and keeps the outcome in a memo
-(:func:`clear_run_memo`). The memo is per process: forked pool workers
-start from a copy of the parent's and keep what they add to themselves.
+(:func:`clear_run_memo`). The memo is per process: a pool forks only
+after the executor's in-process shards have run for a while, so its
+workers start from a copy of the memo those shards warmed, and keep
+what they add to themselves.
 Samples, budget ticks and joint counts stay one per draw, so the memo
 changes no report, no budget boundary and no cached shard.
 
@@ -188,10 +190,11 @@ def estimate_protocol_information(
     RNG always ends in the same state), cuts them into a fixed
     :class:`repro.parallel.ShardPlan` of :data:`SAMPLING_SHARD_UNITS`
     samples that does not depend on ``workers``, runs the protocol over
-    each shard (in-process for ``workers=1``, over a process pool
-    otherwise), and merges the per-shard joint counts key-wise. The
-    joint is summed in sorted key order, so the report is bit-identical
-    for every worker count.
+    each shard (in-process, then over a pool of up to ``workers``
+    processes once the in-process shards have run long enough), and
+    merges the per-shard joint counts key-wise. The joint is summed in
+    sorted key order, so the report is bit-identical for every worker
+    count.
 
     ``budget`` -- a :class:`repro.resilience.Budget` whose units fill the
     shards in shard order, one unit per sample; exhaustion raises

@@ -395,15 +395,16 @@ def universal_bound_id_oblivious(
 
     The enumeration runs over a fixed :class:`repro.parallel.ShardPlan`
     of :data:`EXHAUSTIVE_SHARD_UNITS`-assignment shards that does not
-    depend on ``workers``: ``workers=1`` scans the shards in-process,
-    ``workers > 1`` fans them out over a process pool. Every shard
+    depend on ``workers``: the shards are scanned in-process, and with
+    ``workers > 1`` the ones left once the in-process scan has run for
+    the executor's threshold fan out over a process pool. Every shard
     reports ``(error, global_index)`` and the fold is
     :func:`merge_min_keyed` (lowest index wins ties), so the report --
     minimum, winning assignment, tie-breaks -- is a pure function of
     ``(n, alphabet)``.
     Each process scores an induced set partition once
     (:func:`_class_score`); pool workers fork with the parent's pair
-    table and class scores.
+    table and the class scores its in-process shards filled.
 
     When ``metrics`` is given (or a registry is installed process-wide
     via :func:`repro.obs.use_registry`), the search records enumeration

@@ -8,8 +8,10 @@ The package has two layers:
   :func:`map_units`, the one cached, budgeted shard map and the only
   code that starts a process pool.
 * :mod:`repro.parallel.executor` -- :class:`ParallelExecutor`, the
-  process-pool map engine behind :func:`map_units`, with a bit-identical
-  in-process serial path at ``workers=1``, span stitching, and metrics.
+  map engine behind :func:`map_units`: it runs payloads in-process and
+  forks a process pool for the rest only once they have run for
+  ``POOL_AFTER_SECONDS`` (``workers=1`` is the plain in-process loop),
+  with span stitching and metrics.
 
 Each caller of :func:`map_units` folds the results it gets back in unit
 order with its own merge (``exhaustive``: min-keyed by ``(error,

@@ -5,28 +5,43 @@ function over a list of payloads. Its one caller is
 :func:`repro.parallel.shard.map_units`, which adds the shard cache and
 the budget; the callers of ``map_units`` fold the results themselves.
 
-* ``workers <= 1`` runs everything in-process, in payload order, with no
-  pool, no pickling, and no semantic difference from a plain ``for``
-  loop -- the serial entry points stay bit-identical.
-* ``workers > 1`` dispatches through a
-  :class:`concurrent.futures.ProcessPoolExecutor` and streams results
-  back as they complete. Results are *returned* in payload order; the
-  optional ``on_result`` callback fires in completion order (callers use
-  it to store completed shards and publish progress, both of which are
-  order-invariant by construction).
+``--workers N`` is a ceiling, not an order. A map first runs payloads
+in-process, in payload order, exactly as a plain ``for`` loop would.
+Only once :data:`POOL_AFTER_SECONDS` of wall time has passed since the
+map started, and at least two payloads are left, does it fork a
+:class:`concurrent.futures.ProcessPoolExecutor` of ``min(N, payloads
+left)`` workers for the rest (the ski-rental rule: rent until you have
+paid what buying costs). So:
+
+* ``workers <= 1`` is the plain in-process loop: no pool, no pickling,
+  no clock read per payload -- the serial entry points stay
+  bit-identical.
+* A map whose work is shorter than the threshold never pays for a pool.
+  A longer one loses at most about ``POOL_AFTER_SECONDS * (1 -
+  1/workers)`` of wall time against starting the pool at once, and its
+  forked workers start with every per-process memo the in-process
+  payloads filled (the sampler's run memo, the search's class scores).
+* Results are *returned* in payload order. ``on_result`` fires in
+  payload order for the in-process prefix, then in completion order
+  for the pooled rest (callers use it to store completed shards and
+  publish progress, both order-invariant by construction). Every index
+  it sees, like every shard index in a span or bus event, is the
+  payload's index in the whole map.
 
 Observability mirrors the rest of the repo and is fully opt-in:
 
 * **Spans** -- the whole map runs under a ``parallel.map`` span with one
-  ``parallel.shard`` child per task. In the serial path the task's own
-  spans nest naturally; in the pooled path each worker records its own
-  span tree, which is shipped back and **stitched** under the matching
-  ``parallel.shard`` node, so ``repro spans`` shows one tree spanning
-  the whole fan-out.
+  ``parallel.shard`` child per task; the map span's ``pooled``
+  attribute counts the payloads handed to a pool (0: none, the map ran
+  in-process). An in-process task's own spans nest naturally; each
+  pooled worker records its own span tree, which is shipped back and
+  **stitched** under the matching ``parallel.shard`` node, so ``repro
+  spans`` shows one tree spanning the whole fan-out.
 * **Metrics** -- ``parallel.shards_dispatched`` / ``_completed``
-  counters, a ``parallel.shard_seconds`` histogram of worker-side task
-  times, and a ``parallel.worker_utilization`` gauge (busy seconds /
-  (workers x wall seconds)).
+  counters, a ``parallel.shard_seconds`` histogram of task times, and a
+  ``parallel.worker_utilization`` gauge (busy seconds / (processes that
+  ran tasks x wall seconds): the pool's workers, or the parent alone
+  when no pool started).
 
 Interrupt/budget contract: a ``KeyboardInterrupt`` or any exception from
 a task cancels all not-yet-started tasks (``cancel_futures=True``) and
@@ -45,6 +60,18 @@ from repro.obs.spans import Span, SpanRecorder, get_recorder, span, use_recorder
 from repro.obs.stream import get_bus
 
 __all__ = ["ParallelExecutor", "default_workers", "resolve_workers"]
+
+#: In-process wall time after which a map with ``workers > 1`` forks a
+#: pool for the payloads left. Measured on a 2-vCPU Xeon (Python 3.11,
+#: fork start method): a pool costs ~25-45 ms to import
+#: ``concurrent.futures.process`` and ``multiprocessing`` and ~13-17 ms
+#: to fork and join 2 workers, and each worker then re-fills the memos
+#: its parent had not filled yet. At the n = 7 search and sampling
+#: sizes (0.04-0.11 s of shard work) that made ``--workers 2`` ~0.1 s
+#: slower than ``--workers 1``. 0.2 s keeps every such map in-process
+#: and bounds the loss of a map that does need the pool to
+#: 0.2 * (1 - 1/2) = 0.1 s at 2 workers.
+POOL_AFTER_SECONDS = 0.2
 
 
 def default_workers() -> int:
@@ -100,13 +127,15 @@ def _revive_span(node: Dict[str, Any]) -> Span:
 
 
 class ParallelExecutor:
-    """Deterministic process-pool fan-out with an in-process serial path.
+    """Deterministic fan-out: in-process first, a process pool once it pays.
 
     Parameters
     ----------
     workers:
-        Pool size. ``<= 1`` means the in-process serial path (the
-        default, and the path every golden test pins).
+        The most processes a map may use. ``<= 1`` means the in-process
+        loop (the default, and the path every golden test pins); above
+        1 a map forks a pool only after :data:`POOL_AFTER_SECONDS` of
+        in-process work.
     metrics:
         Explicit registry; falls back to the process-wide one
         (:func:`repro.obs.get_registry`), and records nothing when
@@ -133,7 +162,7 @@ class ParallelExecutor:
         """Apply ``fn`` to every payload; return results in payload order.
 
         ``on_result(index, value)`` fires as results arrive (payload
-        order in the serial path, completion order in the pooled path).
+        order in-process, completion order for pooled payloads).
         ``fn`` must be a module-level function when ``workers > 1``.
 
         When an :class:`repro.obs.stream.EventBus` is installed the map
@@ -144,13 +173,29 @@ class ParallelExecutor:
         metrics = self._registry()
         bus = get_bus()
         wall_start = time.perf_counter()
-        with span(span_name, workers=self.workers, shards=len(payloads)):
+        with span(span_name, workers=self.workers, shards=len(payloads)) as map_span:
             if metrics is not None:
                 metrics.counter("parallel.shards_dispatched").inc(len(payloads))
-            if self.workers <= 1 or len(payloads) <= 1:
-                results = self._map_serial(fn, payloads, on_result, metrics, bus)
-            else:
-                results = self._map_pooled(fn, payloads, on_result, metrics, bus)
+            results = []
+            for index, payload in enumerate(payloads):
+                if (
+                    self.workers > 1
+                    and len(payloads) - index > 1
+                    and time.perf_counter() - wall_start >= POOL_AFTER_SECONDS
+                ):
+                    break
+                with span("parallel.shard", shard=index):
+                    start = time.perf_counter()
+                    value = fn(payload)
+                    elapsed = time.perf_counter() - start
+                results.append((value, elapsed, None))
+                self._completed(index, value, elapsed, on_result, metrics, bus)
+            pooled = len(payloads) - len(results)
+            if pooled:
+                results += self._map_pooled(fn, payloads, len(results), on_result, metrics, bus)
+            if map_span is not None:
+                map_span.set_attr("pooled", pooled)
+        wall = time.perf_counter() - wall_start
         if bus is not None:
             bus.publish(
                 "parallel.map",
@@ -158,54 +203,46 @@ class ParallelExecutor:
                     "span": span_name,
                     "shards": len(payloads),
                     "workers": self.workers,
-                    "wall_seconds": time.perf_counter() - wall_start,
+                    "wall_seconds": wall,
                 },
             )
         if metrics is not None:
-            wall = time.perf_counter() - wall_start
             busy = sum(r[1] for r in results)
-            effective = min(self.workers, max(1, len(payloads)))
+            processes = min(self.workers, pooled) if pooled else 1
             metrics.gauge("parallel.worker_utilization").set(
-                busy / (effective * wall) if wall > 0 else 0.0
+                busy / (processes * wall) if wall > 0 else 0.0
             )
         return [value for value, _elapsed, _roots in results]
 
     # ------------------------------------------------------------------
-    def _map_serial(self, fn, payloads, on_result, metrics, bus=None):
-        results = []
-        for index, payload in enumerate(payloads):
-            with span("parallel.shard", shard=index):
-                start = time.perf_counter()
-                value = fn(payload)
-                elapsed = time.perf_counter() - start
-            results.append((value, elapsed, None))
-            if metrics is not None:
-                metrics.counter("parallel.shards_completed").inc()
-                metrics.histogram("parallel.shard_seconds").observe(elapsed)
-            if bus is not None:
-                bus.publish(
-                    "parallel.shard", {"shard": index, "wall_seconds": elapsed}
-                )
-            if on_result is not None:
-                on_result(index, value)
-        return results
+    @staticmethod
+    def _completed(index, value, elapsed, on_result, metrics, bus) -> None:
+        """Record one finished payload, then hand it to ``on_result``."""
+        if metrics is not None:
+            metrics.counter("parallel.shards_completed").inc()
+            metrics.histogram("parallel.shard_seconds").observe(elapsed)
+        if bus is not None:
+            bus.publish("parallel.shard", {"shard": index, "wall_seconds": elapsed})
+        if on_result is not None:
+            on_result(index, value)
 
-    def _map_pooled(self, fn, payloads, on_result, metrics, bus=None):
+    def _map_pooled(self, fn, payloads, first, on_result, metrics, bus):
+        """Run ``payloads[first:]`` over a pool; results in payload order."""
         # Imported here, not at module level: concurrent.futures.process
-        # loads multiprocessing, which a serial run or a cache hit never
-        # uses.
+        # loads multiprocessing, which an in-process map or a cache hit
+        # never uses.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-        capture = get_recorder() is not None
         recorder = get_recorder()
-        results: List[Optional[tuple]] = [None] * len(payloads)
+        capture = recorder is not None
+        results: List[Optional[tuple]] = [None] * (len(payloads) - first)
         with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(payloads))
+            max_workers=min(self.workers, len(results))
         ) as pool:
             try:
                 futures = {
-                    pool.submit(_timed_task, fn, capture, payload): index
-                    for index, payload in enumerate(payloads)
+                    pool.submit(_timed_task, fn, capture, payloads[index]): index
+                    for index in range(first, len(payloads))
                 }
                 pending = set(futures)
                 while pending:
@@ -213,12 +250,7 @@ class ParallelExecutor:
                     for future in done:
                         index = futures[future]
                         value, elapsed, roots = future.result()
-                        results[index] = (value, elapsed, roots)
-                        if metrics is not None:
-                            metrics.counter("parallel.shards_completed").inc()
-                            metrics.histogram("parallel.shard_seconds").observe(
-                                elapsed
-                            )
+                        results[index - first] = (value, elapsed, roots)
                         if recorder is not None:
                             shard_span = recorder.start(
                                 "parallel.shard", shard=index, worker_seconds=elapsed
@@ -228,13 +260,7 @@ class ParallelExecutor:
                                     _revive_span(root) for root in roots
                                 )
                             recorder.finish(shard_span)
-                        if bus is not None:
-                            bus.publish(
-                                "parallel.shard",
-                                {"shard": index, "wall_seconds": elapsed},
-                            )
-                        if on_result is not None:
-                            on_result(index, value)
+                        self._completed(index, value, elapsed, on_result, metrics, bus)
             except BaseException:
                 # Cancel what has not started; let running tasks finish
                 # (they are pure functions whose results we now discard),
@@ -242,4 +268,4 @@ class ParallelExecutor:
                 # to on_result.
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-        return results  # type: ignore[return-value]
+        return results

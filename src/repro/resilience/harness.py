@@ -280,8 +280,10 @@ def _fault_cell_worker(payload: Tuple) -> Dict[str, Any]:
     seed, metrics, trace)``. Cells are pure functions of their
     coordinates, so each builds its own Simulator (construction emits
     nothing). ``metrics`` and ``trace`` are the parent's sinks on the
-    in-process map and None on the pool; the per-cell counters are
-    incremented parent-side, in cell order, either way.
+    in-process-only map (``workers=1``, or any run with a trace) and
+    None otherwise, where a cell may run in the parent or in a pool
+    worker; the per-cell counters are incremented parent-side, in cell
+    order, either way.
     """
     name, a_idx, kind, k_idx, rate, r_idx, n, trials, seed, metrics, trace = payload
     spec = HARNESS_ALGORITHMS[name]
@@ -329,8 +331,9 @@ def fault_sweep(
     ``resilience.faults_injected``; pass ``trace`` to stream the
     underlying simulator runs (including schema-v2 ``fault`` events).
 
-    The (algorithm, kind, rate) cells are the shards: ``workers=1`` maps
-    them in-process, ``workers > 1`` over a process pool. Every cell is
+    The (algorithm, kind, rate) cells are the shards: they run
+    in-process, and with ``workers > 1`` the cells left once the
+    executor's threshold has passed run over a process pool. Every cell is
     a pure function of its coordinates (per-trial seeds are derived
     arithmetically), so the curves -- and the per-cell metric totals,
     which the parent increments in cell order -- are identical for every

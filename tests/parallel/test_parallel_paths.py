@@ -3,9 +3,14 @@
 The contract under test is the whole point of :mod:`repro.parallel`:
 every workload runs one shard plan whose shards do not depend on the
 worker count, ``workers=1`` maps it in-process and ``workers > 1`` over
-a pool, and every execution returns the *identical* report -- same
-floats, same tie-breaks, same RNG stream consumption, same budget
-accounting -- so parallelism can never change a paper-facing number.
+a pool once the in-process part has run for
+:data:`~repro.parallel.executor.POOL_AFTER_SECONDS`, and every execution
+returns the *identical* report -- same floats, same tie-breaks, same RNG
+stream consumption, same budget accounting -- so parallelism can never
+change a paper-facing number. The sizes here are far below that
+threshold, so the pooled tests take the ``pool_at_once`` fixture (the
+threshold at 0, and a record of each pool started) and assert that a
+pool really ran.
 """
 
 import random
@@ -27,6 +32,7 @@ from repro.lowerbounds.exhaustive import (
     covers_and_pairs_for,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import executor
 from repro.partitions import build_m_matrix, rank_mod_p, rank_multi_prime
 from repro.resilience import Budget, fault_sweep
 from repro.twoparty import TrivialPartitionCompProtocol
@@ -38,12 +44,14 @@ WORKER_COUNTS = (1, 2, 4)
 # exhaustive universal-bound search
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_exhaustive_identical_across_worker_counts(workers):
-    serial = universal_bound_id_oblivious(4, alphabet=("", "0", "1"))
+def test_exhaustive_identical_across_worker_counts(workers, pool_at_once):
+    # n = 6: 729 assignments in 3 shards (n = 4 is one shard, no pool)
+    serial = universal_bound_id_oblivious(6, alphabet=("", "0", "1"))
     report = universal_bound_id_oblivious(
-        4, alphabet=("", "0", "1"), workers=workers
+        6, alphabet=("", "0", "1"), workers=workers
     )
     assert report == serial
+    assert pool_at_once == ([min(workers, 3)] if workers > 1 else [])
 
 
 def test_exhaustive_workers_one_is_the_golden_serial_path():
@@ -68,7 +76,7 @@ def _exhaustive_cache(tmp_path, n, alphabet):
     )
 
 
-def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
+def test_exhaustive_budget_raise_parity_and_resume(tmp_path, pool_at_once):
     """Mid-fan-out budget exhaustion resumes from the shard cache exactly."""
     n, alphabet = 6, ("", "0", "1")
     total = len(alphabet) ** n
@@ -104,6 +112,7 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
     assert resumed == serial
     assert registry.counter("exhaustive.shards_cached").value >= 1
     assert registry.counter("exhaustive.assignments_enumerated").value < total
+    assert pool_at_once == [2, 3, 2, 2]
     # budget == total work raises at every worker count (tick-after
     # semantics), and budget == total + 1 completes at every one.
     for workers in WORKER_COUNTS:
@@ -126,7 +135,7 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
         )
 
 
-def test_exhaustive_resume_crosses_kernels(tmp_path):
+def test_exhaustive_resume_crosses_kernels(tmp_path, pool_at_once):
     """Shards cached by a pooled scan serve an in-process re-run."""
     n, alphabet = 6, ("", "0", "1")
     serial = universal_bound_id_oblivious(n, alphabet=alphabet)
@@ -145,6 +154,7 @@ def test_exhaustive_resume_crosses_kernels(tmp_path):
     )
     assert resumed == serial
     assert cache.cache.hits - hits_before == 1
+    assert pool_at_once == [2]
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -174,6 +184,46 @@ def test_wall_budget_is_one_deadline_across_shards(workers):
     assert elapsed < seconds + shard_seconds + 0.5
 
 
+@pytest.mark.parametrize("threshold", ("default", 0))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_budget_boundaries_do_not_depend_on_the_pool(workers, threshold, monkeypatch, pools_started):
+    """The same raise/complete edges in-process (the default threshold at
+    these sizes) and pooled (threshold 0)."""
+    if threshold != "default":
+        monkeypatch.setattr(executor, "POOL_AFTER_SECONDS", threshold)
+    n, alphabet = 6, ("", "0", "1")
+    serial = universal_bound_id_oblivious(n, alphabet=alphabet)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        universal_bound_id_oblivious(
+            n, alphabet=alphabet, workers=workers, budget=Budget(max_units=729)
+        )
+    assert excinfo.value.partial == serial
+    assert universal_bound_id_oblivious(
+        n, alphabet=alphabet, workers=workers, budget=Budget(max_units=730)
+    ) == serial
+    golden, _ = _sampling_report(None, samples=2000)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        _sampling_report(workers, samples=2000, budget=Budget(max_units=2000))
+    assert excinfo.value.partial == golden
+    assert _sampling_report(workers, samples=2000, budget=Budget(max_units=2001))[0] == golden
+    if threshold == 0 and workers > 1:
+        assert pools_started == [2, 2, 2, 2]
+    # A deadline shorter than the default threshold expires while the
+    # shards still run in-process (in the pool at threshold 0); the
+    # search stops there all the same.
+    n, alphabet = 8, ("", "0", "1", "2")
+    clear_pair_cache()  # cold: 2,795 classes outlast the deadline
+    covers_and_pairs_for(n)
+    seconds = 0.05
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as excinfo:
+        universal_bound_id_oblivious(
+            n, alphabet=alphabet, workers=workers, budget=Budget(wall_seconds=seconds)
+        )
+    assert time.perf_counter() - start < seconds + 1.0
+    assert excinfo.value.partial.class_size == len(alphabet) ** n
+
+
 # ----------------------------------------------------------------------
 # sampled information estimator
 # ----------------------------------------------------------------------
@@ -188,7 +238,7 @@ def _sampling_report(workers, samples=60, seed=11, n=4, **kwargs):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_sampling_identical_across_worker_counts(workers):
+def test_sampling_identical_across_worker_counts(workers, pool_at_once):
     # Exact equality, floats included, against the default call; enough
     # samples for several shards so the merge order is exercised.
     golden, golden_rng = _sampling_report(None, samples=1500)
@@ -198,6 +248,7 @@ def test_sampling_identical_across_worker_counts(workers):
     assert report.population == golden.population
     # the parent rng consumed the identical stream (pre-drawn inputs)
     assert rng_state == golden_rng
+    assert pool_at_once == ([min(workers, 3)] if workers > 1 else [])
 
 
 def _sampling_cache(tmp_path, seed):
@@ -208,7 +259,7 @@ def _sampling_cache(tmp_path, seed):
     )
 
 
-def test_sampling_budget_resume_mid_fan_out(tmp_path):
+def test_sampling_budget_resume_mid_fan_out(tmp_path, pool_at_once):
     serial, _ = _sampling_report(1, samples=1500)
     cache = _sampling_cache(tmp_path, 11)
     with pytest.raises(BudgetExceededError) as excinfo:
@@ -220,9 +271,10 @@ def test_sampling_budget_resume_mid_fan_out(tmp_path):
     resumed, _ = _sampling_report(4, samples=1500, shard_cache=cache)
     assert resumed == serial
     assert cache.cache.hits - hits_before == 2
+    assert pool_at_once == [2]  # the resume has one shard left to run
 
 
-def test_sampling_resume_rejects_mismatched_seed(tmp_path):
+def test_sampling_resume_rejects_mismatched_seed(tmp_path, pool_at_once):
     from repro.engine import EngineOptions, EngineRequest, execute
 
     cache = ResultCache(str(tmp_path))
@@ -242,6 +294,7 @@ def test_sampling_resume_rejects_mismatched_seed(tmp_path):
     assert other.payload == execute(
         EngineRequest("sampling", dict(params, seed=999))
     ).payload
+    assert pool_at_once == [2, 2]
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +331,7 @@ def test_rank_budget_accounting_matches_serial(prime_count):
 # fault sweeps
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_fault_sweep_identical_across_worker_counts(workers):
+def test_fault_sweep_identical_across_worker_counts(workers, pool_at_once):
     kwargs = dict(
         algorithms=("neighbor_exchange",),
         kinds=("bit_flip", "erasure"),
@@ -296,9 +349,10 @@ def test_fault_sweep_identical_across_worker_counts(workers):
         serial.trials,
         serial.seed,
     )
+    assert pool_at_once == ([workers] if workers > 1 else [])
 
 
-def test_fault_sweep_metrics_match_serial():
+def test_fault_sweep_metrics_match_serial(pool_at_once):
     from repro.obs.metrics import MetricsRegistry
 
     kwargs = dict(
@@ -318,3 +372,4 @@ def test_fault_sweep_metrics_match_serial():
             parallel_registry.counter(name).value
             == serial_registry.counter(name).value
         )
+    assert pool_at_once == [2]

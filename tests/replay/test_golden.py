@@ -100,7 +100,9 @@ class TestWorkersInvariance:
             "workers": workers,
         }
 
-    def test_fault_sweep_session_independent_of_workers(self):
+    # The sweep is far below the executor's in-process threshold, so
+    # ``pool_at_once`` sets it to 0: the workers-2 session is pooled.
+    def test_fault_sweep_session_independent_of_workers(self, pool_at_once):
         serial, parallel = io.StringIO(), io.StringIO()
         payload_1, _ = record_session(
             "fault-sweep", self._sweep_params(1), serial, run_id="golden"
@@ -115,12 +117,14 @@ class TestWorkersInvariance:
         payload_1.pop("workers", None)
         payload_2.pop("workers", None)
         assert payload_1 == payload_2
+        assert pool_at_once == [2]
 
-    def test_fault_sweep_replay_matches_under_workers(self):
+    def test_fault_sweep_replay_matches_under_workers(self, pool_at_once):
         buffer = io.StringIO()
         record_session("fault-sweep", self._sweep_params(2), buffer)
         report = replay_session(io.StringIO(buffer.getvalue()))
         assert report.matched, report.describe()
+        assert pool_at_once[:1] == [2]  # the recording ran pooled
 
 
 class TestBatchKinds:

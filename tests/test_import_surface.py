@@ -171,12 +171,18 @@ def test_cached_fault_sweep_hit_loads_no_simulator(tmp_path):
     assert "repro.resilience.schema" in modules
 
 
-#: Searches, estimates and sweeps at one worker run in process:
-#: ``ParallelExecutor`` imports the process pool only when it starts one.
+#: Searches, estimates and sweeps this small run in process at either
+#: worker count: ``ParallelExecutor`` forks a pool only after
+#: ``POOL_AFTER_SECONDS`` of in-process work, and imports the process
+#: pool's modules only when it starts one.
 SERIAL = [
-    ("exhaustive", "--n", "5", "--workers", "1"),
-    ("sampling", "--n", "5", "--samples", "200", "--workers", "1"),
-    ("fault-sweep", "--quick", "--workers", "1"),
+    (*argv, "--workers", workers)
+    for argv in (
+        ("exhaustive", "--n", "5"),
+        ("sampling", "--n", "5", "--samples", "200"),
+        ("fault-sweep", "--quick"),
+    )
+    for workers in ("1", "2")
 ]
 
 

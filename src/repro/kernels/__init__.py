@@ -7,9 +7,10 @@ a silent fallback when the accelerator (numpy) is absent. This package
 generalizes that pattern to the paper's hot paths:
 
 * :mod:`repro.kernels.modp` -- batched mod-p rank over numpy int64
-  blocks (one argmax per pivot, then one chunked update + ``mod`` of
-  only the rows the pivot touches, instead of per-entry Python loops);
-  the engine for every rank, at every prime (p = 2 included).
+  blocks (one pivot search per column, then one chunked update of only
+  the rows the pivot touches, reduced mod p only when int64 could
+  overflow, instead of per-entry Python loops); the engine for every
+  rank, at every prime (p = 2 included).
 * :mod:`repro.kernels.bitset_matching` -- integer-indexed Hopcroft-Karp
   on big-int adjacency masks, with a dedicated k-clone path that shares
   one mask across all k clones of a left vertex (Theorem 2.1).

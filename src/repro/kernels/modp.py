@@ -1,7 +1,8 @@
 """Batched mod-p rank over numpy int64 row blocks.
 
 The reference engine eliminates entry by entry in Python. This kernel
-fills one int64 array row by row, then per pivot column does one
+copies the matrix into one int64 array (a numpy array in one call, a
+sequence of rows row by row), then per pivot column does one
 vectorized pivot search (``flatnonzero`` down the column from the
 current pivot row) and one row normalization, and updates only the
 rows the pivot touches: the other nonzeros of that search. Those rows
@@ -13,14 +14,31 @@ gather runs in chunks of ``_CHUNK_ROWS`` rows, which keeps the
 temporaries at two chunk-sized blocks instead of one outer product the
 size of the trailing submatrix.
 
-Overflow safety, pinned by ``tests/kernels/test_modp.py``: entries stay
-in ``[0, p)`` after every update, and the intermediate
-``block - outer(factors, pivot_row)`` is bounded by ``(p-1)^2`` in
-magnitude. For the largest default prime ``p = 2_147_483_647`` (the
-Mersenne prime ``2^31 - 1``), ``(p-1)^2 = 2^62 - 2^33 + 4 < 2^63 - 1``,
-so the whole reduction fits signed int64 with headroom;
-:func:`batched_modp_supported` encodes exactly that bound and anything
-larger falls back to the pure-python reference.
+Lazy reduction: the elimination reads only the pivot column (the
+search and the factors) and the pivot row, so those two are reduced
+mod p in place before they are read, and the updated rows are reduced
+after each update only when they have to be. An update subtracts
+``factor x pivot_entry``, at most ``(p-1)^2``, from the entries right
+of the pivot column and sets the pivot column itself to exactly 0.
+Between two reductions an entry takes at most one update per pivot
+above its row and left of its column; taking ``k = min(rows, cols)``
+of them would need ``k`` pivot rows above it and ``k`` pivot columns
+left of it, which no ``rows x cols`` matrix has. So every entry stays
+in ``[-(k-1) (p-1)^2, p-1]``, and when
+``(k-1) (p-1)^2 + (p-1) <= 2^63 - 1`` (:func:`_lazy_reduction_fits`,
+decided by p and the shape alone) the updates skip ``block %= p``. At
+``p = 1_000_003`` that holds up to ``k = 9_223_336``; at
+``p = 2^31 - 1`` only up to ``k = 3``.
+
+Overflow safety, pinned by ``tests/kernels/test_modp.py``: when the
+lazy bound does not hold, entries stay in ``[0, p)`` after every
+update, and the intermediate ``block - outer(factors, pivot_row)`` is
+bounded by ``(p-1)^2`` in magnitude. For the largest default prime
+``p = 2_147_483_647`` (the Mersenne prime ``2^31 - 1``),
+``(p-1)^2 = 2^62 - 2^33 + 4 < 2^63 - 1``, so that reduction fits
+signed int64 with headroom; :func:`batched_modp_supported` encodes
+exactly that bound and anything larger falls back to the pure-python
+reference.
 
 Bit-identical contract: mod-p rank and the per-column pivot structure
 are mathematically determined, the column loop ticks the
@@ -46,7 +64,7 @@ __all__ = ["HAVE_NUMPY", "batched_modp_supported", "rank_mod_p_batched"]
 #: True when numpy is installed; linalg checks this before dispatching here.
 HAVE_NUMPY = _np is not None
 
-#: Largest magnitude an intermediate may reach: (p-1)^2 + (p-1).
+#: Largest signed int64; no intermediate may exceed it in magnitude.
 _INT64_MAX = 2**63 - 1
 
 #: Rows gathered per update block; bounds the update's temporaries.
@@ -61,6 +79,16 @@ def batched_modp_supported(p: int) -> bool:
     ``p - 1``; both must fit signed 64-bit.
     """
     return HAVE_NUMPY and (p - 1) * (p - 1) + (p - 1) <= _INT64_MAX
+
+
+def _lazy_reduction_fits(p: int, rows: int, cols: int) -> bool:
+    """True when a ``rows x cols`` elimination may skip reducing updates.
+
+    No entry takes more than ``min(rows, cols) - 1`` updates of at most
+    ``(p-1)^2`` between two reductions, starting from ``[0, p)`` (see
+    the module docstring), so none leaves int64.
+    """
+    return (min(rows, cols) - 1) * (p - 1) * (p - 1) + (p - 1) <= _INT64_MAX
 
 
 def rank_mod_p_batched(
@@ -84,19 +112,25 @@ def rank_mod_p_batched(
     cols = len(matrix[0]) if rows else 0
     if rows == 0 or cols == 0:
         return 0
-    a = _np.empty((rows, cols), dtype=_np.int64)
-    for i, row in enumerate(matrix):
-        try:
-            a[i] = row  # numpy converts each entry with int()
-        except OverflowError:
-            a[i] = [int(x) % p for x in row]
+    if isinstance(matrix, _np.ndarray):
+        a = matrix.astype(_np.int64)
+    else:
+        a = _np.empty((rows, cols), dtype=_np.int64)
+        for i, row in enumerate(matrix):
+            try:
+                a[i] = row  # numpy converts each entry with int()
+            except OverflowError:
+                a[i] = [int(x) % p for x in row]
     a %= p
+    lazy = _lazy_reduction_fits(p, rows, cols)
     rank = 0
     pivot_row = 0
     for col in range(cols):
         if budget is not None:
             budget.tick()
-        nonzero = _np.flatnonzero(a[pivot_row:, col])
+        column = a[pivot_row:, col]
+        column %= p  # the search and the factors read only this column
+        nonzero = _np.flatnonzero(column)
         if not len(nonzero):
             continue
         pivot = pivot_row + int(nonzero[0])
@@ -104,8 +138,10 @@ def rank_mod_p_batched(
             a[[pivot_row, pivot]] = a[[pivot, pivot_row]]
         inv = pow(int(a[pivot_row, col]), p - 2, p)
         # rows below the pivot are zero left of ``col``: work on a[:, col:]
-        row_p = (a[pivot_row, col:] * inv) % p
-        a[pivot_row, col:] = row_p
+        row_p = a[pivot_row, col:]
+        row_p %= p
+        row_p *= inv
+        row_p %= p
         # the swap moved a zero of this column to ``pivot``, so the rows
         # the pivot touches are the other nonzeros found above
         hits = nonzero[1:] + pivot_row
@@ -113,7 +149,8 @@ def rank_mod_p_batched(
             idx = hits[start : start + _CHUNK_ROWS]
             block = a[idx, col:]
             block -= block[:, :1] * row_p
-            block %= p
+            if not lazy:
+                block %= p
             a[idx, col:] = block
         pivot_row += 1
         rank += 1

@@ -28,7 +28,10 @@ fixed field is mathematically determined, and each engine ticks the
 :class:`~repro.resilience.Budget` once per pivot column under the same
 pivot structure, so budget boundaries and span trees are unchanged.
 Every M_n / E_n rank of :mod:`repro.partitions.matrices` runs
-:func:`rank_exact` on the dense matrix.
+:func:`rank_exact` on the dense matrix: a uint8 array decoded straight
+from the row masks when the batched engine runs, the list of lists
+otherwise. Every engine reads an entry through ``int()``, so both forms
+give the same ranks and ticks.
 """
 
 from __future__ import annotations

@@ -21,10 +21,13 @@ D = diag(mu(x, 1)). That costs sum_k S(n, k)·B_k big-int additions
 n = 7); :func:`~repro.partitions.set_partition.joins_to_top` is kept as
 the test oracle. The builders (:func:`build_m_matrix` /
 :func:`build_e_matrix`) decode the row masks into the dense B_n x B_n
-list-of-lists, and every rank runs :func:`repro.partitions.linalg.
-rank_exact` on it. A list-of-lists costs a pointer (8 bytes) per cell,
-so M_8 (4140^2 cells) holds ~137 MB before the rank starts; ``ranks
---max-n 8`` peaks at ~310 MB with numpy (EXPERIMENTS.md P20).
+list of lists, the public form and the tests' oracle. The rank
+functions skip it: when the batched numpy engine will run, they decode
+the masks straight into one B_n x B_n uint8 array (one byte per cell,
+~17 MB for M_8, where a list of lists holds a pointer per cell, ~137
+MB); otherwise they rank the list of lists, which the pure-python
+engines read fastest. ``ranks --max-n 8`` peaks at ~200 MB with numpy
+(EXPERIMENTS.md P24), most of it the kernel's int64 copy of M_8.
 """
 
 from __future__ import annotations
@@ -41,7 +44,13 @@ from repro.partitions.enumeration import (
     enumerate_perfect_matchings,
     enumerate_rgs,
 )
-from repro.partitions.linalg import is_full_rank, rank_exact
+from repro.kernels.lazy_numpy import NUMPY as _np
+from repro.partitions.linalg import (
+    DEFAULT_PRIMES,
+    _modp_engine,
+    is_full_rank,
+    rank_exact,
+)
 from repro.partitions.set_partition import SetPartition
 
 
@@ -208,14 +217,30 @@ def build_e_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
 # the paper's rank facts
 # ----------------------------------------------------------------------
 
+def _rank_rows(partitions: Sequence[SetPartition], kernel: str):
+    """The join-to-top matrix over ``partitions``, in the form its rank reads.
+
+    A uint8 array decoded straight from the row masks when the first
+    mod-p elimination of :func:`~repro.partitions.linalg.rank_exact`
+    runs the batched numpy engine (no list of lists, one bulk copy into
+    int64); the :func:`partition_matrix` list of lists otherwise. Every
+    engine converts each entry with ``int()``, so both forms give the
+    same rank and the same budget ticks.
+    """
+    if _modp_engine(DEFAULT_PRIMES[0], kernel) != "numpy-batched":
+        return partition_matrix(partitions)
+    width = len(partitions)
+    bits = b"".join([_mask_bits(mask, width) for mask in _join_masks(partitions)])
+    return _np.frombuffer(bits, dtype=_np.uint8).reshape(width, width)
+
+
 def m_matrix_rank(n: int, kernel: str = "auto") -> int:
     """rank(M_n), computed exactly; Theorem 2.3 predicts B_n.
 
     ``kernel`` picks the rank engine (``repro.kernels``) -- every mode
     returns the same value.
     """
-    _, matrix = build_m_matrix(n)
-    return rank_exact(matrix, kernel=kernel)
+    return rank_exact(_rank_rows(partitions_for(n), kernel), kernel=kernel)
 
 
 def e_matrix_rank(n: int, kernel: str = "auto") -> int:
@@ -223,20 +248,17 @@ def e_matrix_rank(n: int, kernel: str = "auto") -> int:
 
     Same knobs as :func:`m_matrix_rank`.
     """
-    _, matrix = build_e_matrix(n)
-    return rank_exact(matrix, kernel=kernel)
+    return rank_exact(_rank_rows(matchings_for(n), kernel), kernel=kernel)
 
 
 def m_matrix_is_full_rank(n: int, kernel: str = "auto") -> bool:
     """One-prime certificate that M_n is non-singular."""
-    _, matrix = build_m_matrix(n)
-    return is_full_rank(matrix, kernel=kernel)
+    return is_full_rank(_rank_rows(partitions_for(n), kernel), kernel=kernel)
 
 
 def e_matrix_is_full_rank(n: int, kernel: str = "auto") -> bool:
     """One-prime certificate that E_n is non-singular."""
-    _, matrix = build_e_matrix(n)
-    return is_full_rank(matrix, kernel=kernel)
+    return is_full_rank(_rank_rows(matchings_for(n), kernel), kernel=kernel)
 
 
 def partition_cc_lower_bound(n: int) -> float:

@@ -15,7 +15,16 @@ import repro.partitions.linalg as linalg
 from repro.indist.graph_builder import build_combinatorial_graph, crossing_neighbors
 from repro.instances.enumeration import enumerate_one_cycle_covers
 from repro.kernels import valid_crossing_pairs
-from repro.partitions import DEFAULT_PRIMES, build_m_matrix, rank_exact, rank_mod_p
+from repro.partitions import (
+    DEFAULT_PRIMES,
+    bell_number,
+    build_m_matrix,
+    m_matrix_rank,
+    partitions_for,
+    rank_exact,
+    rank_mod_p,
+)
+from repro.partitions.matrices import _rank_rows
 
 
 @pytest.fixture
@@ -49,6 +58,11 @@ class TestModpFallback:
         assert rank_exact(matrix, kernel="auto") == rank_exact(
             matrix, kernel="reference"
         )
+
+    def test_paper_ranks_take_the_list_of_lists(self, no_numpy):
+        # no uint8 decode when the batched engine cannot run
+        assert isinstance(_rank_rows(partitions_for(5), "auto"), list)
+        assert m_matrix_rank(5) == bell_number(5)
 
 
 class TestCrossingFallback:

@@ -5,9 +5,10 @@ engine there too, so the mod-2 collapse of the paper's matrices is
 pinned here.
 """
 
+import math
 import random
 import tracemalloc
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +16,19 @@ from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
 from repro.kernels import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
-from repro.kernels.modp import _CHUNK_ROWS
+from repro.kernels import modp
+from repro.kernels.modp import _CHUNK_ROWS, _lazy_reduction_fits
 from repro.partitions import (
     DEFAULT_PRIMES,
     bell_number,
     build_e_matrix,
     build_m_matrix,
+    partitions_for,
     rank_bareiss,
     rank_mod_p,
 )
 from repro.partitions.linalg import _modp_engine, _rank_mod_p_python
+from repro.partitions.matrices import _rank_rows
 from repro.resilience import Budget
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
@@ -35,6 +39,11 @@ MERSENNE = 2_147_483_647
 
 #: The primes of the identity suites: p = 2 plus the default primes.
 PRIMES = (2, *DEFAULT_PRIMES)
+
+
+def _ticked(engine, matrix, p):
+    budget = Budget(max_units=10**6)
+    return engine(matrix, p, budget), budget.units_done
 
 
 class TestSupportBound:
@@ -99,19 +108,14 @@ class TestChunkedUpdate:
     """Inputs whose first pivot touches more than ``_CHUNK_ROWS`` rows,
     so the row-gather loop runs over several chunks."""
 
-    @staticmethod
-    def _ticked(engine, matrix, p):
-        budget = Budget(max_units=10**6)
-        return engine(matrix, p, budget), budget.units_done
-
     @pytest.mark.parametrize("p", PRIMES)
     def test_m6_rank_and_ticks_equal_reference(self, p):
         _parts, matrix = build_m_matrix(6)
         # column 0 of M_n is all ones: the first pivot spans two chunks
         assert len(matrix) - 1 > _CHUNK_ROWS
         assert all(row[0] == 1 for row in matrix)
-        fast = self._ticked(rank_mod_p_batched, matrix, p)
-        assert fast == self._ticked(_rank_mod_p_python, matrix, p)
+        fast = _ticked(rank_mod_p_batched, matrix, p)
+        assert fast == _ticked(_rank_mod_p_python, matrix, p)
         if p != 2:
             assert fast[0] == bell_number(6)
 
@@ -122,20 +126,22 @@ class TestChunkedUpdate:
             [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(299)]
             for _ in range(300)
         ]
-        assert self._ticked(rank_mod_p_batched, matrix, p) == self._ticked(
+        assert _ticked(rank_mod_p_batched, matrix, p) == _ticked(
             _rank_mod_p_python, matrix, p
         )
 
     def test_m6_budget_boundary_equals_reference(self):
         _parts, matrix = build_m_matrix(6)
         p = DEFAULT_PRIMES[0]
-        _rank, units = self._ticked(rank_mod_p_batched, matrix, p)
+        _rank, units = _ticked(rank_mod_p_batched, matrix, p)
         # a budget raises once its count reaches max_units: the run's
-        # unit count is the cutoff, one more completes
-        for engine in (rank_mod_p_batched, _rank_mod_p_python):
-            with pytest.raises(BudgetExceededError):
-                engine(matrix, p, Budget(max_units=units))
-            assert engine(matrix, p, Budget(max_units=units + 1)) == bell_number(6)
+        # unit count is the cutoff, one more completes -- for the list
+        # and for the uint8 rows the rank functions decode
+        for rows in (matrix, _rank_rows(partitions_for(6), "auto")):
+            for engine in (rank_mod_p_batched, _rank_mod_p_python):
+                with pytest.raises(BudgetExceededError):
+                    engine(rows, p, Budget(max_units=units))
+                assert engine(rows, p, Budget(max_units=units + 1)) == bell_number(6)
 
     def test_every_chunk_holds_the_extreme_intermediate(self):
         # the pivot row [1, p-1, 0] stays as is; each row [p-1, 0, 1] has
@@ -150,6 +156,93 @@ class TestChunkedUpdate:
         )
         assert rank_mod_p_batched(matrix, p) == 2
         assert _rank_mod_p_python(matrix, p) == 2
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _lazy_boundary_primes(k):
+    """The largest prime whose k x k elimination may skip reductions,
+    and the next prime above it."""
+    top = math.isqrt((2**63 - 1) // (k - 1)) + 1
+    while not _lazy_reduction_fits(top, k, k):
+        top -= 1
+    below = next(q for q in range(top, 1, -1) if _is_prime(q))
+    above = next(q for q in count(below + 1) if _is_prime(q))
+    return below, above
+
+
+def _worst_case(p, k, scale=1):
+    """L·U mod p, rank k - 1, whose elimination subtracts the full
+    (p-1)^2 at almost every update.
+
+    L is unit lower triangular with p-1 below the diagonal, U upper
+    triangular with p-1 above the diagonal, ``scale`` at (k-2, k-2), 0
+    at (k-1, k-1) and 1 elsewhere on it. Every pivot sits on the
+    diagonal, so no row swaps; with ``scale`` 1 every factor is p-1 and
+    every normalized pivot-row entry right of the pivot is p-1, so
+    entry (k-1, k-1) takes k-1 updates of (p-1)^2 before it is read. It
+    is 0 mod p, so an int64 wrap anywhere on the way shows as rank k.
+    """
+    low = [
+        [1 if i == j else (p - 1 if j < i else 0) for j in range(k)]
+        for i in range(k)
+    ]
+    diagonal = [1] * (k - 2) + [scale, 0]
+    up = [
+        [diagonal[i] if i == j else (p - 1 if j > i else 0) for j in range(k)]
+        for i in range(k)
+    ]
+    return [
+        [sum(low[i][m] * up[m][j] for m in range(k)) % p for j in range(k)]
+        for i in range(k)
+    ]
+
+
+@needs_numpy
+class TestLazyReductionBoundary:
+    """The largest prime that skips the per-update reduction and the
+    next prime above it, on the worst-case matrix of each."""
+
+    K = 8
+
+    def test_boundary_primes_straddle_the_bound(self):
+        below, above = _lazy_boundary_primes(self.K)
+        assert _lazy_reduction_fits(below, self.K, self.K)
+        assert not _lazy_reduction_fits(above, self.K, self.K)
+        assert batched_modp_supported(below) and batched_modp_supported(above)
+
+    @pytest.mark.parametrize("side", ["lazy", "eager"])
+    def test_worst_case_equals_reference(self, side):
+        p = _lazy_boundary_primes(self.K)[side == "eager"]
+        matrix = _worst_case(p, self.K)
+        expected = (self.K - 1, self.K)  # rank, one tick per column
+        assert _ticked(_rank_mod_p_python, matrix, p) == expected
+        assert _ticked(rank_mod_p_batched, matrix, p) == expected
+
+    def test_skipping_past_the_bound_would_wrap(self, monkeypatch):
+        # the worst case is tight: one prime past the bound, skipping the
+        # reductions wraps entry (k-1, k-1) and the rank comes out wrong
+        p = _lazy_boundary_primes(self.K)[1]
+        monkeypatch.setattr(modp, "_lazy_reduction_fits", lambda *_shape: True)
+        assert rank_mod_p_batched(_worst_case(p, self.K), p) == self.K
+
+    def test_pivot_row_is_reduced_before_it_is_scaled(self):
+        # at 1_000_003 the 24 x 24 case skips reductions; row 22 carries
+        # 22 updates of (p-1)^2 ~ 2.2e13 into its pivot step, where the
+        # inverse of 2 is 500_002: scaling it unreduced would wrap
+        p, k = DEFAULT_PRIMES[0], 24
+        matrix = _worst_case(p, k, scale=2)
+        assert _lazy_reduction_fits(p, k, k)
+        assert _ticked(rank_mod_p_batched, matrix, p) == (k - 1, k)
+        assert _ticked(_rank_mod_p_python, matrix, p) == (k - 1, k)
+
+    def test_lazy_on_the_paper_matrices(self):
+        # the default prime skips it on M_8; 2^31 - 1 only up to 3 x 3
+        assert _lazy_reduction_fits(DEFAULT_PRIMES[0], 4140, 4140)
+        assert _lazy_reduction_fits(MERSENNE, 3, 3)
+        assert not _lazy_reduction_fits(MERSENNE, 4, 4)
 
 
 @needs_numpy

@@ -1,8 +1,7 @@
 """Batched mod-p rank over numpy int64 row blocks.
 
 The reference engine eliminates entry by entry in Python. This kernel
-copies the matrix into one int64 array (a numpy array in one call, a
-sequence of rows row by row), then per pivot column does one
+fills one int64 array row by row, then per pivot column does one
 vectorized pivot search (``flatnonzero`` down the column from the
 current pivot row) and one row normalization, and updates only the
 rows the pivot touches: the other nonzeros of that search. Those rows
@@ -112,15 +111,12 @@ def rank_mod_p_batched(
     cols = len(matrix[0]) if rows else 0
     if rows == 0 or cols == 0:
         return 0
-    if isinstance(matrix, _np.ndarray):
-        a = matrix.astype(_np.int64)
-    else:
-        a = _np.empty((rows, cols), dtype=_np.int64)
-        for i, row in enumerate(matrix):
-            try:
-                a[i] = row  # numpy converts each entry with int()
-            except OverflowError:
-                a[i] = [int(x) % p for x in row]
+    a = _np.empty((rows, cols), dtype=_np.int64)
+    for i, row in enumerate(matrix):
+        try:
+            a[i] = row  # numpy converts each entry with int()
+        except OverflowError:
+            a[i] = [int(x) % p for x in row]
     a %= p
     lazy = _lazy_reduction_fits(p, rows, cols)
     rank = 0

@@ -29,8 +29,8 @@ fixed field is mathematically determined, and each engine ticks the
 pivot structure, so budget boundaries and span trees are unchanged.
 Every M_n / E_n rank of :mod:`repro.partitions.matrices` runs
 :func:`rank_exact` on the dense matrix: a uint8 array decoded straight
-from the row masks when the batched engine runs, the list of lists
-otherwise. Every engine reads an entry through ``int()``, so both forms
+from the row masks when :func:`rank_reads_arrays` (the batched engine
+runs), the list of lists otherwise. Every engine reads an entry through ``int()``, so both forms
 give the same ranks and ticks.
 """
 
@@ -152,6 +152,16 @@ def _modp_engine(p: int, kernel: str) -> str:
         return "numpy-batched"
     # P12 numpy-blocked rows: python is the reference itself.
     return "python"
+
+
+def rank_reads_arrays(kernel: str) -> bool:
+    """True when :func:`rank_exact` at its default primes starts batched.
+
+    Its first elimination then copies the rows into a numpy int64 array,
+    so a caller building the matrix only to rank it may hand over a numpy
+    array; the pure-python engines read a list of lists fastest.
+    """
+    return _modp_engine(DEFAULT_PRIMES[0], kernel) == "numpy-batched"
 
 
 def rank_mod_p(

@@ -45,12 +45,7 @@ from repro.partitions.enumeration import (
     enumerate_rgs,
 )
 from repro.kernels.lazy_numpy import NUMPY as _np
-from repro.partitions.linalg import (
-    DEFAULT_PRIMES,
-    _modp_engine,
-    is_full_rank,
-    rank_exact,
-)
+from repro.partitions.linalg import is_full_rank, rank_exact, rank_reads_arrays
 from repro.partitions.set_partition import SetPartition
 
 
@@ -220,14 +215,13 @@ def build_e_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
 def _rank_rows(partitions: Sequence[SetPartition], kernel: str):
     """The join-to-top matrix over ``partitions``, in the form its rank reads.
 
-    A uint8 array decoded straight from the row masks when the first
-    mod-p elimination of :func:`~repro.partitions.linalg.rank_exact`
-    runs the batched numpy engine (no list of lists, one bulk copy into
-    int64); the :func:`partition_matrix` list of lists otherwise. Every
+    A uint8 array decoded straight from the row masks when
+    :func:`~repro.partitions.linalg.rank_reads_arrays` (no list of
+    lists); the :func:`partition_matrix` list of lists otherwise. Every
     engine converts each entry with ``int()``, so both forms give the
     same rank and the same budget ticks.
     """
-    if _modp_engine(DEFAULT_PRIMES[0], kernel) != "numpy-batched":
+    if not rank_reads_arrays(kernel):
         return partition_matrix(partitions)
     width = len(partitions)
     bits = b"".join([_mask_bits(mask, width) for mask in _join_masks(partitions)])

@@ -48,6 +48,7 @@ class TestModpFallback:
         # every prime, p = 2 included, falls back to the reference engine
         for p in (2, *DEFAULT_PRIMES):
             assert linalg._modp_engine(p, "auto") == "python"
+        assert not linalg.rank_reads_arrays("auto")
 
     def test_rank_values_unchanged(self, no_numpy):
         _parts, matrix = build_m_matrix(3)

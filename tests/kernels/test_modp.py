@@ -27,7 +27,11 @@ from repro.partitions import (
     rank_bareiss,
     rank_mod_p,
 )
-from repro.partitions.linalg import _modp_engine, _rank_mod_p_python
+from repro.partitions.linalg import (
+    _modp_engine,
+    _rank_mod_p_python,
+    rank_reads_arrays,
+)
 from repro.partitions.matrices import _rank_rows
 from repro.resilience import Budget
 
@@ -291,6 +295,9 @@ class TestEngineIdentity:
         for p in PRIMES:
             assert _modp_engine(p, "auto") == expected
             assert _modp_engine(p, "reference") == "python"
+        # the paper ranks hand over a numpy array exactly when batched runs
+        assert rank_reads_arrays("auto") == HAVE_NUMPY
+        assert not rank_reads_arrays("reference")
 
 
 class TestModTwoCollapse:

@@ -458,11 +458,13 @@ class Engine:
         cache = _cache_from_args(args)
         trace = _open_trace(args)
         try:
-            with _live_scope(args), interrupts:
+            with interrupts:
                 result = execute(
                     request,
                     cache=cache,
-                    options=EngineOptions(budget=budget, trace=trace),
+                    options=EngineOptions(
+                        budget=budget, trace=trace, on_cell=_live_printer(args)
+                    ),
                 )
         except BudgetExceededError as exc:
             partial = exc.partial
@@ -491,15 +493,21 @@ class Engine:
         return 1 if problems else 0
 
 
-def _live_scope(args: argparse.Namespace):
-    """``--live``: one progress line per sweep cell on stderr."""
+def _live_printer(args: argparse.Namespace) -> Optional[Callable[..., None]]:
+    """``--live``: the fault sweep's ``on_cell`` callback, printing one
+    ``[k] sweep.cell key=value ...`` line per cell on stderr as it
+    completes, then ``[k] sweep.end ...``; ``k`` counts the lines."""
     if not getattr(args, "live", False):
-        return nullcontext()
-    from repro.obs.stream import EventBus, line_printer, use_bus
+        return None
+    printed = 0
 
-    bus = EventBus()
-    bus.subscribe(line_printer())
-    return use_bus(bus)
+    def emit(event: str, fields: Mapping[str, Any]) -> None:
+        nonlocal printed
+        printed += 1
+        pairs = " ".join(f"{key}={fields[key]}" for key in sorted(fields))
+        print(f"[{printed}] {event} {pairs}", file=sys.stderr)
+
+    return emit
 
 
 def _ranks_params(args: argparse.Namespace) -> dict:
@@ -1672,10 +1680,7 @@ COMMANDS: Tuple[Command, ...] = (
         _arg(
             "--live",
             action="store_true",
-            help=(
-                "stream one progress line per sweep cell to stderr as it "
-                "completes (via the repro.obs.stream event bus)"
-            ),
+            help="stream one progress line per sweep cell to stderr as it completes",
         ),
         _workers_flag,
         _cache_flag(),

@@ -2,7 +2,7 @@
 
 :meth:`repro.core.simulator.Simulator.run` builds a :class:`RunStart`,
 one :class:`RoundEnd` per round and a :class:`RunEnd`, and hands each to
-the observers :func:`run_observers` resolved. The six sinks are the
+the observers :func:`run_observers` resolved. The five sinks are the
 observers below. Opening hooks (``run_start``, ``phase``) go in tuple
 order and closing hooks (``round_end``, ``run_end``, ``run_abort``) in
 reverse, so observers nest like context managers: the span observer,
@@ -18,7 +18,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.costs.ledger import get_ledger, run_cost_summary
 from repro.obs.metrics import get_registry
 from repro.obs.spans import get_recorder
-from repro.obs.stream import get_bus
 
 __all__ = ["RoundEnd", "RunEnd", "RunObserver", "RunStart", "run_observers"]
 
@@ -78,15 +77,6 @@ class RunEnd:
     failed_vertices: Tuple[int, ...]
     delivery_anomalies: int
     cost_summary: Optional[Dict[str, Any]] = None
-
-
-def _ending(end: RunEnd) -> Dict[str, Any]:
-    """The fields the trace's ``run_end`` and the bus's share."""
-    return {
-        "rounds_executed": end.rounds_executed,
-        "all_finished": end.all_finished,
-        "total_bits": end.total_bits,
-    }
 
 
 class RunObserver:
@@ -215,29 +205,13 @@ class TraceObserver(RunObserver):
             fields["failed_vertices"] = end.failed_vertices
         if self.start.network is not None:
             fields["delivery_anomalies"] = end.delivery_anomalies
-        emit("run_end", **_ending(end), **fields)
-
-
-class BusObserver(RunObserver):
-    """``simulator.run_start`` / ``simulator.round`` / ``simulator.run_end``."""
-
-    def run_start(self, start: RunStart) -> None:
-        payload = {"n": start.n, "kt": start.kt, "rounds_budget": start.rounds_budget}
-        self.sink.publish("simulator.run_start", payload)
-
-    def round_end(self, record: RoundEnd) -> None:
-        payload = {
-            "t": record.t,
-            "bits": record.bits,
-            "wall_seconds": record.wall_seconds,
-            "faults": len(record.fault_events),
-            "deliveries": len(record.net_events),
-            "all_finished": record.all_finished,
-        }
-        self.sink.publish("simulator.round", payload)
-
-    def run_end(self, end: RunEnd) -> None:
-        self.sink.publish("simulator.run_end", _ending(end))
+        emit(
+            "run_end",
+            rounds_executed=end.rounds_executed,
+            all_finished=end.all_finished,
+            total_bits=end.total_bits,
+            **fields,
+        )
 
 
 class MetricsObserver(RunObserver):
@@ -281,7 +255,6 @@ def run_observers(metrics=None, trace=None, costs=None, session=None) -> Tuple[R
         (SpanObserver, get_recorder()),
         (SessionObserver, session),
         (TraceObserver, trace),
-        (BusObserver, get_bus()),
         (MetricsObserver, metrics if metrics is not None else get_registry()),
         (CostObserver, costs if costs is not None else get_ledger()),
     )

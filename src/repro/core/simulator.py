@@ -137,8 +137,7 @@ class Simulator:
     tuple of observers (:mod:`repro.core.observers`, which fixes the
     hook order): the span recorder (:func:`repro.obs.use_recorder`), the
     ``session`` given to :meth:`run`, ``trace`` (a
-    :class:`repro.obs.RunTrace`), the event bus
-    (:func:`repro.obs.use_bus`), ``metrics`` (a
+    :class:`repro.obs.RunTrace`), ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`, or one installed with
     :func:`repro.obs.use_registry`) and ``costs`` (a
     :class:`repro.costs.CostLedger`, or one installed with

@@ -262,6 +262,7 @@ def _run_fault_sweep(
     trace=None,
     metrics=None,
     cell_cache=None,
+    on_cell=None,
 ) -> Dict[str, Any]:
     from repro.resilience.harness import fault_sweep
 
@@ -282,6 +283,7 @@ def _run_fault_sweep(
         workers=int(workers),
         session=session,
         cell_cache=cell_cache,
+        on_cell=on_cell,
     )
     payload = report.as_payload()
     # Volatile fields zeroed: a payload must compare equal across record
@@ -469,6 +471,7 @@ def execute(
             trace=opts.trace,
             metrics=opts.metrics,
             cell_cache=shard_cache,
+            on_cell=opts.on_cell,
         )
 
     payload = _json_roundtrip(payload)

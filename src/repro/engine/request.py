@@ -73,13 +73,16 @@ class EngineOptions:
     disables whole-request memoization (a recorded session must contain
     the execution's actual steps); ``trace`` receives ``cache`` events
     on hit/miss, with the caveat that a whole-request hit elides the
-    compute's own events.
+    compute's own events. ``on_cell`` is the fault sweep's progress
+    callback (:func:`repro.resilience.fault_sweep`); a whole-request
+    hit runs no cells and calls it never.
     """
 
     budget: Optional[Any] = None
     session: Optional[Any] = None
     trace: Optional[Any] = None
     metrics: Optional[Any] = None
+    on_cell: Optional[Any] = None
 
 
 @dataclass(frozen=True)

@@ -280,11 +280,10 @@ def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
     counts: Dict[Tuple[str, str], int] = {}
     errors = 0
     done = 0
-    exhausted = False
     try:
         budget = None if shard_budget is None else shard_budget.to_budget()
     except BudgetExceededError:
-        return {"counts": [], "errors": 0, "done": 0, "exhausted": bool(inputs)}
+        return {"counts": [], "errors": 0, "done": 0}
     pb = SetPartition.finest(n)
     runs = _RUNS.setdefault(
         (type(protocol), tuple(sorted(vars(protocol).items())), n), {}
@@ -308,10 +307,9 @@ def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
                 if budget is not None:
                     budget.tick()
         except BudgetExceededError:
-            exhausted = done < len(inputs)
+            pass
     return {
         "counts": [[x, y, c] for (x, y), c in sorted(counts.items())],
         "errors": errors,
         "done": done,
-        "exhausted": exhausted,
     }

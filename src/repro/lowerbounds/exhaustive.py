@@ -519,15 +519,15 @@ def _scan_shard_python(
     stop: int,
     budget: Optional[Budget],
     sketches: Optional[Tuple[QuantileSketch, MomentsSketch]] = None,
-) -> Tuple[Optional[Tuple[float, int]], int, int, int, bool]:
+) -> Tuple[Optional[Tuple[float, int]], int, int, int]:
     """Scan global indices ``[start, stop)``.
 
-    Returns ``(best, next_index, enumerated, fooled_total, exhausted)``
-    with the strict-first tie-break and per-assignment budget ticks.
-    ``exhausted`` is True only when the budget tripped with work still
-    remaining (a budget that raises on the shard's very last assignment
-    still yields a completed shard). Each assignment's score is looked
-    up by its RGS in the process's class memo and computed on a miss.
+    Returns ``(best, next_index, enumerated, fooled_total)`` with the
+    strict-first tie-break and per-assignment budget ticks. A budget
+    that trips stops the scan at ``next_index``; one that raises on the
+    shard's very last assignment still yields a completed shard. Each
+    assignment's score is looked up by its RGS in the process's class
+    memo and computed on a miss.
 
     ``sketches`` (an ``(error QuantileSketch, fooled MomentsSketch)``
     pair) is updated in place with one observation per *enumerated*
@@ -557,8 +557,8 @@ def _scan_shard_python(
             if budget is not None:
                 budget.tick()
     except BudgetExceededError:
-        return best, pos, enumerated, fooled_total, pos < stop
-    return best, pos, enumerated, fooled_total, False
+        pass
+    return best, pos, enumerated, fooled_total
 
 
 def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
@@ -578,10 +578,10 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
     try:
         budget = None if shard_budget is None else shard_budget.to_budget()
     except BudgetExceededError:
-        best, pos, enumerated, fooled, exhausted = None, start, 0, 0, start < stop
+        best, pos, enumerated, fooled = None, start, 0, 0
     else:
         with span("exhaustive.scan_python", start=start, stop=stop):
-            best, pos, enumerated, fooled, exhausted = _scan_shard_python(
+            best, pos, enumerated, fooled = _scan_shard_python(
                 n, alphabet, start, stop, budget, sketches
             )
     return {
@@ -589,6 +589,5 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
         "next_index": int(pos),
         "enumerated": int(enumerated),
         "fooled": int(fooled),
-        "exhausted": bool(exhausted),
         "population": None if sketches is None else _population_state(*sketches),
     }

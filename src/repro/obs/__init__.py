@@ -1,6 +1,6 @@
 """Observability: metrics, spans, structured run traces, benchmarks.
 
-Five small, dependency-free layers:
+Seven small, dependency-free layers:
 
 * :mod:`repro.obs.metrics` -- a thread-safe Counter/Gauge/Histogram/Timer
   registry (histograms carry p50/p90/p99 tail percentiles) with
@@ -15,7 +15,7 @@ Five small, dependency-free layers:
   line, run-id + seq + timestamp), the machine-readable counterpart to
   the human tables in :mod:`repro.core.tracing`;
 * :mod:`repro.obs.bench` -- the experiment registry (the only
-  definition of each E/A/R/P/O experiment) and the
+  definition of each E/A/R/P experiment) and the
   :class:`BenchmarkHarness` that runs it under a fresh registry and writes
   schema-versioned ``BENCH_<name>.json`` perf records
   (:mod:`repro.obs.schema` documents and validates the format);
@@ -26,9 +26,6 @@ Five small, dependency-free layers:
   summaries (quantile / top-k / moments sketches) whose states are pure
   functions of the observed multiset, so sharded sweeps fold to
   bit-identical populations for any worker count;
-* :mod:`repro.obs.stream` -- a bounded, subscribable in-process
-  :class:`EventBus` (opt-in via :func:`use_bus`) that instrumented call
-  sites publish live progress events to;
 * :mod:`repro.obs.dash` -- the self-contained HTML dashboard behind
   ``repro dash``, unifying bench history, span hot paths, cost and
   population summaries in one dependency-free file.
@@ -79,12 +76,6 @@ _LAZY_EXPORTS = {
     "span": "repro.obs.spans",
     "use_recorder": "repro.obs.spans",
     "validate_span_tree_payload": "repro.obs.spans",
-    "Event": "repro.obs.stream",
-    "EventBus": "repro.obs.stream",
-    "get_bus": "repro.obs.stream",
-    "line_printer": "repro.obs.stream",
-    "set_bus": "repro.obs.stream",
-    "use_bus": "repro.obs.stream",
     "TRACE_SCHEMA_VERSION": "repro.obs.trace",
     "RunTrace": "repro.obs.trace",
     "read_trace": "repro.obs.trace",

@@ -1,7 +1,7 @@
 """The experiment registry and its machine-readable benchmark harness.
 
-Each of the paper's experiments (E1-E10, the A1-A4 ablations, R1, P1-P4
-and O2) is defined exactly once, as a runner below: it computes the
+Each of the paper's experiments (E1-E10, the A1-A4 ablations, R1 and
+P1-P4) is defined exactly once, as a runner below: it computes the
 measured quantities, the paper-predicted ones, and an ``ok`` predicate
 that gates their agreement. ``repro bench`` runs the registry, and
 ``benchmarks/bench_registry.py`` times the same runners at full size
@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.costs.ledger import CostLedger, use_ledger
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.obs.schema import BENCH_SCHEMA_VERSION, validate_bench_payload
-from repro.obs.stream import get_bus
 
 __all__ = [
     "BenchmarkHarness",
@@ -689,47 +688,6 @@ def _run_spans(params: Dict[str, Any]) -> RunnerOutput:
     return measured, predicted, measured == predicted
 
 
-def _run_stream(params: Dict[str, Any]) -> RunnerOutput:
-    from repro.core import BCC1_KT0, ConstantAlgorithm, Simulator
-    from repro.instances import one_cycle_instance
-    from repro.obs.stream import EventBus, use_bus
-
-    n, rounds = params["n"], params["rounds"]
-    inst = one_cycle_instance(n, kt=0)
-    sim = Simulator(BCC1_KT0)
-    bare = sim.run(inst, ConstantAlgorithm, rounds)
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    with use_bus(bus):
-        on_bus = sim.run(inst, ConstantAlgorithm, rounds)
-    kinds = [event.kind for event in seen]
-    round_events = [e for e in seen if e.kind == "simulator.round"]
-    measured = {
-        "published": bus.published_count,
-        "first_kind": kinds[0] if kinds else None,
-        "last_kind": kinds[-1] if kinds else None,
-        "round_events": len(round_events),
-        "rounds_in_order": [e.payload["t"] for e in round_events]
-        == list(range(1, rounds + 1)),
-        "subscriber_errors": bus.error_count,
-        "results_identical": (
-            bare.broadcast_history == on_bus.broadcast_history
-            and bare.outputs == on_bus.outputs
-        ),
-    }
-    predicted = {
-        "published": rounds + 2,
-        "first_kind": "simulator.run_start",
-        "last_kind": "simulator.run_end",
-        "round_events": rounds,
-        "rounds_in_order": True,
-        "subscriber_errors": 0,
-        "results_identical": True,
-    }
-    return measured, predicted, measured == predicted
-
-
 def _run_resilience(params: Dict[str, Any]) -> RunnerOutput:
     from repro.resilience import FaultPlan, fault_sweep, validate_fault_sweep_payload
 
@@ -1208,13 +1166,6 @@ _SPECS: List[BenchmarkSpec] = [
         {"n": 64, "rounds": 8},
     ),
     BenchmarkSpec(
-        "stream",
-        "O2: event-bus stream shape + result transparency under a subscriber",
-        _run_stream,
-        {"n": 16, "rounds": 4},
-        {"n": 64, "rounds": 8},
-    ),
-    BenchmarkSpec(
         "parallel",
         "P2: serial vs fan-out exhaustive scan, identity-gated",
         _run_parallel,
@@ -1313,20 +1264,12 @@ class BenchmarkHarness:
             params["kernel"] = self.kernel
         if spec.supports_cache and self.cache_dir is not None:
             params["cache_dir"] = self.cache_dir
-        bus = get_bus()
-        if bus is not None:
-            bus.publish("bench.start", {"name": spec.name, "quick": self.quick})
         registry = MetricsRegistry()
         ledger = CostLedger()
         with use_registry(registry), use_ledger(ledger):
             start = time.perf_counter()
             measured, predicted, ok = spec.runner(params)
             wall = time.perf_counter() - start
-        if bus is not None:
-            bus.publish(
-                "bench.end",
-                {"name": spec.name, "ok": bool(ok), "wall_seconds": wall},
-            )
         result = BenchmarkResult(
             name=spec.name,
             description=spec.description,

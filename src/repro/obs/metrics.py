@@ -396,11 +396,11 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> Dict[str, Any]:
 class ProcessSink:
     """One process-wide opt-in sink: ``get``, ``set`` and scoped ``use``.
 
-    The metrics registry, span recorder, event bus and cost ledger each
-    bind one. Instrumented call sites read ``get()`` once per run and
-    keep the result in a local; ``None`` means the sink is off and costs
-    nothing further. ``set`` returns the previous sink so callers can
-    restore it; ``use`` installs one for a ``with`` block.
+    The metrics registry, span recorder and cost ledger each bind one.
+    Instrumented call sites read ``get()`` once per run and keep the
+    result in a local; ``None`` means the sink is off and costs nothing
+    further. ``set`` returns the previous sink so callers can restore
+    it; ``use`` installs one for a ``with`` block.
     """
 
     __slots__ = ("value", "_lock")

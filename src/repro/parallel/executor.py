@@ -24,9 +24,9 @@ paid what buying costs). So:
 * Results are *returned* in payload order. ``on_result`` fires in
   payload order for the in-process prefix, then in completion order
   for the pooled rest (callers use it to store completed shards and
-  publish progress, both order-invariant by construction). Every index
-  it sees, like every shard index in a span or bus event, is the
-  payload's index in the whole map.
+  report progress, both order-invariant by construction). Every index
+  it sees, like every shard index in a span, is the payload's index in
+  the whole map.
 
 Observability mirrors the rest of the repo and is fully opt-in:
 
@@ -57,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.spans import Span, SpanRecorder, get_recorder, span, use_recorder
-from repro.obs.stream import get_bus
 
 __all__ = ["ParallelExecutor", "default_workers", "resolve_workers"]
 
@@ -164,14 +163,8 @@ class ParallelExecutor:
         ``on_result(index, value)`` fires as results arrive (payload
         order in-process, completion order for pooled payloads).
         ``fn`` must be a module-level function when ``workers > 1``.
-
-        When an :class:`repro.obs.stream.EventBus` is installed the map
-        publishes one ``parallel.shard`` event per completed shard (in
-        the same order ``on_result`` fires) and a final ``parallel.map``
-        event; with no bus the only cost is one ``None`` check.
         """
         metrics = self._registry()
-        bus = get_bus()
         wall_start = time.perf_counter()
         with span(span_name, workers=self.workers, shards=len(payloads)) as map_span:
             if metrics is not None:
@@ -189,23 +182,13 @@ class ParallelExecutor:
                     value = fn(payload)
                     elapsed = time.perf_counter() - start
                 results.append((value, elapsed, None))
-                self._completed(index, value, elapsed, on_result, metrics, bus)
+                self._completed(index, value, elapsed, on_result, metrics)
             pooled = len(payloads) - len(results)
             if pooled:
-                results += self._map_pooled(fn, payloads, len(results), on_result, metrics, bus)
+                results += self._map_pooled(fn, payloads, len(results), on_result, metrics)
             if map_span is not None:
                 map_span.set_attr("pooled", pooled)
         wall = time.perf_counter() - wall_start
-        if bus is not None:
-            bus.publish(
-                "parallel.map",
-                {
-                    "span": span_name,
-                    "shards": len(payloads),
-                    "workers": self.workers,
-                    "wall_seconds": wall,
-                },
-            )
         if metrics is not None:
             busy = sum(r[1] for r in results)
             processes = min(self.workers, pooled) if pooled else 1
@@ -216,17 +199,15 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _completed(index, value, elapsed, on_result, metrics, bus) -> None:
+    def _completed(index, value, elapsed, on_result, metrics) -> None:
         """Record one finished payload, then hand it to ``on_result``."""
         if metrics is not None:
             metrics.counter("parallel.shards_completed").inc()
             metrics.histogram("parallel.shard_seconds").observe(elapsed)
-        if bus is not None:
-            bus.publish("parallel.shard", {"shard": index, "wall_seconds": elapsed})
         if on_result is not None:
             on_result(index, value)
 
-    def _map_pooled(self, fn, payloads, first, on_result, metrics, bus):
+    def _map_pooled(self, fn, payloads, first, on_result, metrics):
         """Run ``payloads[first:]`` over a pool; results in payload order."""
         # Imported here, not at module level: concurrent.futures.process
         # loads multiprocessing, which an in-process map or a cache hit
@@ -260,7 +241,7 @@ class ParallelExecutor:
                                     _revive_span(root) for root in roots
                                 )
                             recorder.finish(shard_span)
-                        self._completed(index, value, elapsed, on_result, metrics, bus)
+                        self._completed(index, value, elapsed, on_result, metrics)
             except BaseException:
                 # Cancel what has not started; let running tasks finish
                 # (they are pure functions whose results we now discard),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms import (
     boruvka_connectivity_factory,
@@ -47,7 +47,6 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 
 # repro.obs.sketches is imported lazily inside the functions that use it:
 # only population summaries need it.
-from repro.obs.stream import get_bus
 from repro.resilience.faults import FAULT_KINDS, FaultPlan
 from repro.resilience.schema import FAULT_SWEEP_SCHEMA_VERSION
 
@@ -322,6 +321,7 @@ def fault_sweep(
     workers: int = 1,
     session=None,
     cell_cache=None,
+    on_cell: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> FaultSweepReport:
     """Run the full (algorithm x kind x rate) degradation sweep.
 
@@ -352,11 +352,17 @@ def fault_sweep(
     algorithm/kind/rate lists) memoizes individual cells: every cell is
     a pure function of its grid coordinates plus that binding, so a
     tail-extended or overlapping grid recomputes only its new cells.
-    Cached cells emit the same bus events and session steps as fresh
-    ones, but do not run trials -- they count toward
+    Cached cells report the same ``on_cell`` calls and session steps as
+    fresh ones, but do not run trials -- they count toward
     ``resilience.cells_cached`` instead of ``resilience.trials_run``.
     A ``trace`` disables cell caching along with the parallel path: a
     trace stream documents an *execution*, which a cache hit elides.
+
+    ``on_cell(event, fields)`` is the live progress feed: it is called
+    with ``"sweep.cell"`` and the cell's ``algorithm``, ``kind``,
+    ``rate``, ``correct`` and ``trials`` as each cell completes (in
+    completion order), then once with ``"sweep.end"`` and the sweep's
+    ``cells`` and ``n``.
     """
     if n < 6:
         raise FaultInjectionError(f"fault_sweep needs n >= 6, got {n}")
@@ -381,20 +387,17 @@ def fault_sweep(
             raise FaultInjectionError(f"fault rates must be in [0, 1], got {rate}")
     if metrics is None:
         metrics = get_registry()
-    bus = get_bus()
     start = time.perf_counter()
     curves, population = _sweep_cells(
         algorithms, kinds, rates, n, trials, seed, metrics, trace, workers,
-        session, bus, cell_cache,
+        session, on_cell, cell_cache,
     )
     elapsed = time.perf_counter() - start
     if metrics is not None:
         metrics.histogram("resilience.sweep_seconds").observe(elapsed)
-    if bus is not None:
-        bus.publish(
-            "sweep.end",
-            {"cells": len(algorithms) * len(kinds) * len(rates), "n": n},
-        )
+    if on_cell is not None:
+        cells = len(algorithms) * len(kinds) * len(rates)
+        on_cell("sweep.end", {"cells": cells, "n": n})
     return FaultSweepReport(
         n=n,
         trials=trials,
@@ -436,7 +439,7 @@ def _sweep_cells(
     trace,
     workers: int,
     session,
-    bus,
+    on_cell,
     cell_cache,
 ) -> Tuple[List[DegradationCurve], Optional[Dict[str, Dict[str, Any]]]]:
     """Map the flattened (algorithm, kind, rate) cells and reassemble them.
@@ -447,9 +450,9 @@ def _sweep_cells(
     that order (the fold is order-invariant anyway -- see
     :mod:`repro.obs.sketches`). Session steps go through per-shard
     segments (written in completion order, merged in shard-index order),
-    so the recorded step sequence does not depend on scheduling. Live
-    ``sweep.cell`` bus events fire in *completion* order -- they are a
-    progress feed, not a deterministic artifact.
+    so the recorded step sequence does not depend on scheduling. The
+    ``on_cell`` calls fire in *completion* order -- they are a progress
+    feed, not a deterministic artifact.
     """
     from repro.parallel.shard import map_units
 
@@ -465,36 +468,25 @@ def _sweep_cells(
         for r_idx, rate in enumerate(rates)
     ]
 
-    def _publish(index: int, cell: Dict[str, Any]) -> None:
+    def _report(index: int, cell: Dict[str, Any]) -> None:
         name, _a_idx, kind, _k_idx, rate = payloads[index][:5]
-        if bus is not None:
-            bus.publish(
-                "sweep.cell",
-                {
-                    "algorithm": name,
-                    "kind": kind,
-                    "rate": rate,
-                    "correct": int(cell["correct"]),
-                    "trials": trials,
-                },
-            )
+        fields = {"algorithm": name, "kind": kind, "rate": rate, "correct": int(cell["correct"])}
+        if on_cell is not None:
+            on_cell("sweep.cell", {**fields, "trials": trials})
         if session is not None:
             session.write_shard_step(
                 index,
                 f"{name}/{kind}/{rate}",
                 {
-                    "algorithm": name,
-                    "kind": kind,
-                    "rate": rate,
-                    "correct": int(cell["correct"]),
+                    **fields,
                     "faults": int(cell["faults"]),
                     "rounds_total": int(cell["rounds_total"]),
                 },
             )
 
-    # Cached cells emit their bus events / session shard steps too, so
-    # merge_shard_steps still sees every index and the merged step
-    # sequence is byte-identical to an all-fresh run's.
+    # Cached cells report their on_cell calls and session shard steps
+    # too, so merge_shard_steps still sees every index and the merged
+    # step sequence is byte-identical to an all-fresh run's.
     mapped = map_units(
         _fault_cell_worker,
         [(_cell_item(*payload[:6]), 1) for payload in payloads],
@@ -503,7 +495,7 @@ def _sweep_cells(
         cache=cell_cache,
         workers=1 if in_process else workers,
         metrics=metrics,
-        on_result=_publish,
+        on_result=_report,
         span_name="resilience.sweep_map",
     )
     if session is not None:

@@ -92,7 +92,6 @@ NOT_RESULT_BEARING = (
     "repro.errors",
     "repro.obs.metrics",
     "repro.obs.spans",
-    "repro.obs.stream",
     "repro.resilience.budget",
 )
 

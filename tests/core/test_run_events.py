@@ -7,7 +7,6 @@ import pytest
 from repro.core import SilentAlgorithm, Simulator
 from repro.core.model import BCC1_KT0
 from repro.core.observers import (
-    BusObserver,
     CostObserver,
     MetricsObserver,
     SessionObserver,
@@ -17,7 +16,7 @@ from repro.core.observers import (
 )
 from repro.costs import CostLedger
 from repro.instances import one_cycle_instance
-from repro.obs import EventBus, MetricsRegistry, RunTrace, SpanRecorder, use_bus, use_recorder
+from repro.obs import MetricsRegistry, RunTrace, SpanRecorder, use_recorder
 
 
 class TestObserverTuple:
@@ -25,7 +24,7 @@ class TestObserverTuple:
         assert run_observers() == ()
 
     def test_hook_order(self):
-        with use_recorder(SpanRecorder()), use_bus(EventBus()):
+        with use_recorder(SpanRecorder()):
             observers = run_observers(
                 MetricsRegistry(), RunTrace(io.StringIO()), CostLedger(), session=object()
             )
@@ -33,7 +32,6 @@ class TestObserverTuple:
             SpanObserver,
             SessionObserver,
             TraceObserver,
-            BusObserver,
             MetricsObserver,
             CostObserver,
         ]

@@ -46,10 +46,10 @@ def test_every_three_letter_class_matches_the_oracle(n):
 def test_scan_scores_every_assignment_like_the_oracle(n, alphabet):
     table = _precompute_pairs_cached(n)
     for index in range(len(alphabet) ** n):
-        best, next_index, enumerated, fooled, exhausted = _scan_shard_python(
+        best, next_index, enumerated, fooled = _scan_shard_python(
             n, alphabet, index, index + 1, None
         )
-        assert (next_index, enumerated, exhausted) == (index + 1, 1, False)
+        assert (next_index, enumerated) == (index + 1, 1)
         assert best[1] == index
         oracle = _forced_error_and_fooled(n, assignment_at(alphabet, n, index), table)
         assert _exact((best[0], fooled)) == _exact(oracle)

@@ -259,23 +259,59 @@ class TestReportPerPhase:
 
 
 class TestFaultSweepLive:
-    def test_live_streams_one_line_per_cell(self, tmp_path, capsys):
-        assert main(
-            [
-                "fault-sweep",
-                "--n", "6",
-                "--trials", "2",
-                "--rates", "0.0", "0.1",
-                "--kinds", "erasure",
-                "--algorithms", "neighbor_exchange",
-                "--live",
-            ]
-        ) == 0
+    @staticmethod
+    def _sweep(*rates):
+        return [
+            "fault-sweep",
+            "--n", "6",
+            "--trials", "2",
+            "--rates", *(rates or ("0.0", "0.1")),
+            "--kinds", "erasure",
+            "--algorithms", "neighbor_exchange",
+            "--live",
+        ]
+
+    @staticmethod
+    def _assert_one_line_per_cell(err):
+        assert err.splitlines() == [
+            "[1] sweep.cell algorithm=neighbor_exchange correct=2 kind=erasure rate=0.0 trials=2",
+            "[2] sweep.cell algorithm=neighbor_exchange correct=2 kind=erasure rate=0.1 trials=2",
+            "[3] sweep.end cells=2 n=6",
+        ]
+
+    def test_live_streams_one_line_per_cell(self, capsys):
+        assert main(self._sweep()) == 0
+        self._assert_one_line_per_cell(capsys.readouterr().err)
+
+    def test_live_at_two_workers(self, capsys, pool_at_once):
+        assert main(self._sweep() + ["--workers", "2"]) == 0
         err = capsys.readouterr().err
-        cells = [line for line in err.splitlines() if "sweep.cell" in line]
-        assert len(cells) == 2  # one per (algorithm, kind, rate)
-        assert any("rate=0.1" in line for line in cells)
-        assert any("sweep.end" in line for line in err.splitlines())
+        assert pool_at_once == [2]
+        # pooled cells report in completion order; the numbering does not
+        lines = err.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == ["[1]", "[2]", "[3]"]
+        assert sorted(line.split(" ", 1)[1] for line in lines[:2]) == [
+            "sweep.cell algorithm=neighbor_exchange correct=2 kind=erasure rate=0.0 trials=2",
+            "sweep.cell algorithm=neighbor_exchange correct=2 kind=erasure rate=0.1 trials=2",
+        ]
+        assert lines[2] == "[3] sweep.end cells=2 n=6"
+
+    def test_live_with_a_warm_cache(self, tmp_path, capsys):
+        cache = ["--cache", str(tmp_path / "cache")]
+        # Warm the first cell alone: the full grid then misses as a
+        # request but hits that cell, whose line still prints.
+        assert main(self._sweep("0.0") + cache) == 0
+        capsys.readouterr()
+        assert main(self._sweep() + cache) == 0
+        err = capsys.readouterr().err
+        assert "cache: hits=1 " in err
+        self._assert_one_line_per_cell(
+            "\n".join(line for line in err.splitlines() if not line.startswith("cache:"))
+        )
+        # A whole-request hit runs no cell and prints no line.
+        assert main(self._sweep() + cache) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if not line.startswith("cache:")] == []
 
     def test_without_live_no_stream_lines(self, capsys):
         assert main(

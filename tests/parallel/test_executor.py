@@ -12,7 +12,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder, use_recorder
-from repro.obs.stream import EventBus, use_bus
 from repro.parallel import ParallelExecutor, resolve_workers
 from repro.parallel import executor
 from repro.parallel.executor import default_workers
@@ -104,11 +103,9 @@ def test_map_splits_between_in_process_prefix_and_pool(monkeypatch, pools_starte
     # or two run in-process and the pool takes the rest.
     monkeypatch.setattr(executor, "POOL_AFTER_SECONDS", 0.05)
     payloads = list(range(6))
-    seen, bus_shards = [], []
-    recorder, bus = SpanRecorder(), EventBus()
-    with use_recorder(recorder), use_bus(bus), bus.subscription(
-        lambda event: bus_shards.append(event.payload["shard"]), ["parallel.shard"]
-    ):
+    seen = []
+    recorder = SpanRecorder()
+    with use_recorder(recorder):
         out = ParallelExecutor(workers=2).map(
             _napping_pid, payloads, on_result=lambda i, v: seen.append(i)
         )
@@ -121,7 +118,6 @@ def test_map_splits_between_in_process_prefix_and_pool(monkeypatch, pools_starte
     assert [pid == os.getpid() for _value, pid in out] == [True] * prefix + [False] * pooled
     # every index global, each exactly once, the prefix in payload order
     assert sorted(seen) == payloads and seen[:prefix] == list(range(prefix))
-    assert bus_shards == seen
     shard_spans = [c.attrs["shard"] for c in map_span.children if c.name == "parallel.shard"]
     assert shard_spans == seen
 

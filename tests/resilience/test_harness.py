@@ -57,6 +57,19 @@ class TestSweepShape:
             payload.pop("wall_time_seconds")
         assert a == b
 
+    def test_on_cell_reports_each_cell_then_the_end(self):
+        calls = []
+        _small_sweep(kinds=("erasure",), on_cell=lambda *call: calls.append(call))
+        assert [event for event, _fields in calls] == ["sweep.cell"] * 2 + ["sweep.end"]
+        cells = [fields for _event, fields in calls[:-1]]
+        assert {fields["rate"] for fields in cells} == {0.0, 0.2}  # one per cell
+        assert all(
+            set(fields) == {"algorithm", "kind", "rate", "correct", "trials"}
+            and fields["trials"] == 4
+            for fields in cells
+        )
+        assert calls[-1][1] == {"cells": 2, "n": 6}
+
 
 class TestSweepValidation:
     def test_payload_passes_schema_validation(self):

@@ -36,6 +36,7 @@ Theta(log n).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithm import NO, YES, NodeAlgorithm
@@ -65,7 +66,7 @@ def berlekamp_massey(sequence: Sequence[int], p: int = PRIME) -> List[int]:
             m += 1
         elif 2 * L <= n:
             t = list(c)
-            coef = (delta * pow(bb, p - 2, p)) % p
+            coef = (delta * pow(bb, -1, p)) % p
             c = c + [0] * (len(b) + m - len(c)) if len(b) + m > len(c) else c
             for i, bv in enumerate(b):
                 c[i + m] = (c[i + m] - coef * bv) % p
@@ -74,7 +75,7 @@ def berlekamp_massey(sequence: Sequence[int], p: int = PRIME) -> List[int]:
             bb = delta
             m = 1
         else:
-            coef = (delta * pow(bb, p - 2, p)) % p
+            coef = (delta * pow(bb, -1, p)) % p
             if len(b) + m > len(c):
                 c = c + [0] * (len(b) + m - len(c))
             for i, bv in enumerate(b):
@@ -134,14 +135,13 @@ class NeighborhoodSketch:
         roots: List[int] = []
         for vid in candidate_ids:
             x = (vid + 1) % PRIME
-            acc = 0
-            xp = 1
             # locator[0] + locator[1] x + ... == 0 at the reciprocal roots;
             # with the BM convention the characteristic poly evaluated at
             # 1/x vanishes -- equivalently sum locator[i] * x^{-i} = 0, so
-            # test sum locator[i] * x^{degree - i}.
-            for i, coef in enumerate(locator):
-                acc = (acc + coef * pow(x, degree - i, PRIME)) % PRIME
+            # test sum locator[i] * x^{degree - i}, by Horner.
+            acc = 0
+            for coef in locator:
+                acc = (acc * x + coef) % PRIME
             if acc == 0:
                 roots.append(vid)
         if len(roots) != t:
@@ -178,27 +178,34 @@ def peel_sketches(
     removes its edges from the other endpoints' sketches, and repeats.
     Succeeds on every graph of arboricity <= d/4 (more than half the
     remaining vertices are decodable each iteration).
+
+    A decode is a pure function of the syndromes, so a vertex whose
+    decode failed is not decoded again until ``remove_point`` changes
+    its sketch.
     """
     working = {vid: NeighborhoodSketch(d, list(s.syndromes)) for vid, s in sketches.items()}
     edges: Set[Tuple[int, int]] = set()
     resolved: Set[int] = set()
+    undecodable: Set[int] = set()
     budget = max_iterations if max_iterations is not None else len(all_ids) + 1
     for _ in range(budget):
         if len(resolved) == len(working):
             return edges
         progressed = False
         for vid in sorted(working):
-            if vid in resolved:
+            if vid in resolved or vid in undecodable:
                 continue
             sketch = working[vid]
             if sketch.count > d:
                 continue
             neighborhood = sketch.decode(all_ids)
             if neighborhood is None:
+                undecodable.add(vid)
                 continue
             for u in neighborhood:
                 edges.add((min(vid, u), max(vid, u)))
                 working[u].remove_point(vid)
+                undecodable.discard(u)
             working[vid] = NeighborhoodSketch(d)
             resolved.add(vid)
             progressed = True
@@ -258,7 +265,7 @@ class MT16Connectivity(NodeAlgorithm):
             if vid == me:
                 sketches[vid] = NeighborhoodSketch.decode_bits(self._payload, self._d)
             else:
-                bits = "".join([r[vid] for r in self._rounds])[: len(self._payload)]
+                bits = "".join(map(itemgetter(vid), self._rounds))[: len(self._payload)]
                 sketches[vid] = NeighborhoodSketch.decode_bits(bits, self._d)
         edges = peel_sketches(sketches, self._all_ids, self._d)
         if edges is None:

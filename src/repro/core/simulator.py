@@ -307,6 +307,16 @@ class Simulator:
             node.setup(self.initial_knowledge(instance, v, the_coin))
             nodes.append(node)
 
+        # Each node's hooks, looked up once per run.
+        broadcasts = [node.broadcast for node in nodes]
+        receives = [node.receive for node in nodes]
+        finisheds = [node.finished for node in nodes]
+        validate = self._model.validate_message
+        # Messages already validated this run (validity depends only on
+        # the message and the model); anything else, a new string or a
+        # non-str, goes through ``validate_message``.
+        valid: set = set()
+
         transcripts = [Transcript() for _ in range(n)]
         append_sent = [tr.sent.append for tr in transcripts]
         append_received = [tr.received.append for tr in transcripts]
@@ -324,7 +334,7 @@ class Simulator:
         fault_seen = 0
         net_seen = 0
         failed_nodes: set = set()
-        done = all(node.finished() for node in nodes)
+        done = all(finished() for finished in finisheds)
         for t in range(1, rounds + 1):
             if done:
                 break
@@ -345,7 +355,10 @@ class Simulator:
                     collected.append("")
                     continue
                 try:
-                    collected.append(self._model.validate_message(nodes[v].broadcast(t)))
+                    message = broadcasts[v](t)
+                    if type(message) is not str or message not in valid:
+                        valid.add(validate(message))
+                    collected.append(message)
                 except Exception:
                     if net_run is None:
                         raise
@@ -377,7 +390,7 @@ class Simulator:
                     received = {port: row[u] for port, u in port_rows[v]}
                 if v not in failed_nodes:
                     try:
-                        nodes[v].receive(t, received)
+                        receives[v](t, received)
                     except Exception:
                         if net_run is None:
                             raise
@@ -389,7 +402,7 @@ class Simulator:
                 if v in failed_nodes:
                     continue  # a failed node makes no further progress
                 try:
-                    if not nodes[v].finished():
+                    if not finisheds[v]():
                         done = False
                         if net_run is None:
                             break  # clean runs ask no further node, as all() would

@@ -20,7 +20,6 @@ _LAZY_EXPORTS = {
     "distinguishing_vertices": "repro.crossing.indistinguishability",
     "indistinguishable_runs": "repro.crossing.indistinguishability",
     "lemma_3_4_premise_holds": "repro.crossing.indistinguishability",
-    "operational_indistinguishability_graph": "repro.crossing.indistinguishability",
     "vertex_states": "repro.crossing.indistinguishability",
 }
 

@@ -91,31 +91,3 @@ def check_lemma_3_4(
     premise = lemma_3_4_premise_holds(run_a, e1, e2, rounds)
     conclusion = indistinguishable_runs(simulator, run_a, run_b, rounds)
     return premise, conclusion
-
-
-def operational_indistinguishability_graph(
-    simulator: Simulator,
-    factory: AlgorithmFactory,
-    n: int,
-    rounds: int,
-    x: Tuple[str, ...],
-    y: Tuple[str, ...],
-    coin: Optional[PublicCoin] = None,
-    kernel: str = "auto",
-):
-    """G^t_{x,y} built from real runs (Definition 3.6), as a BipartiteGraph.
-
-    A crossing-layer front door to
-    :func:`repro.indist.graph_builder.build_operational_graph`: Lemma 3.4
-    consumers that already live here (premise checks, distinguishing
-    vertices) can ask for the full indistinguishability graph without
-    importing the indist package themselves. ``kernel`` picks the batched
-    vs pair-by-pair independence filter; the graph is identical either
-    way. The import is deferred because ``repro.indist`` itself imports
-    this package's crossing primitives.
-    """
-    from repro.indist.graph_builder import build_operational_graph
-
-    return build_operational_graph(
-        simulator, factory, n, rounds, x, y, coin=coin, kernel=kernel
-    )

@@ -28,9 +28,7 @@ _LAZY_EXPORTS = {
     "measure_bcc_algorithm_information": "repro.lowerbounds.kt1_infotheory",
     "KT1RankBound": "repro.lowerbounds.kt1_rank",
     "connectivity_round_bound": "repro.lowerbounds.kt1_rank",
-    "connectivity_round_bound_certified": "repro.lowerbounds.kt1_rank",
     "multicycle_round_bound": "repro.lowerbounds.kt1_rank",
-    "multicycle_round_bound_certified": "repro.lowerbounds.kt1_rank",
     "omega_log_constant": "repro.lowerbounds.kt1_rank",
     "round_bound_table": "repro.lowerbounds.kt1_rank",
     "FullReport": "repro.lowerbounds.report",

@@ -12,13 +12,9 @@ The chain, fully numeric at any enumerable n:
 4. therefore r >= CC / (bits per round) = Omega(log N) rounds, N being
    the number of vertices of the reduction graph.
 
-The default bounds read the ranks off the closed forms (Theorem 2.3 /
-Lemma 4.1 give them exactly). The ``*_certified`` variants instead
-*compute* rank(M_n) / rank(E_n) on the materialized matrices through the
-exact rank machinery -- so the whole Theorem 4.4 chain is numeric end to
-end -- and accept ``kernel`` to pick the elimination engines
-(:mod:`repro.kernels`); every engine certifies the same row, which the
-tests pin against the closed-form variant.
+The bounds read the ranks off the closed forms (Theorem 2.3 / Lemma 4.1
+give them exactly). The ``ranks`` command computes rank(M_n) / rank(E_n)
+on the materialized matrices and reports them beside those closed forms.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.partitions.bell import bell_number, perfect_matching_count
-from repro.partitions.matrices import e_matrix_rank, m_matrix_rank
 from repro.twoparty.simulation import PARTITION, TWO_PARTITION, simulation_bits_per_round
 
 
@@ -68,46 +63,6 @@ def multicycle_round_bound(n: int) -> KT1RankBound:
     if n % 2 != 0:
         raise ValueError(f"TwoPartition needs even n, got {n}")
     cc = math.log2(perfect_matching_count(n))
-    bits = simulation_bits_per_round(TWO_PARTITION, n)
-    return KT1RankBound(
-        ground_set=n,
-        variant=TWO_PARTITION,
-        instance_vertices=2 * n,
-        cc_bits=cc,
-        bits_per_round=bits,
-        round_lower_bound=cc / bits,
-    )
-
-
-def connectivity_round_bound_certified(n: int, kernel: str = "auto") -> KT1RankBound:
-    """Theorem 4.4 for Connectivity with rank(M_n) *computed*, not quoted.
-
-    Builds M_n (B_n x B_n, read off the partition lattice's Möbius
-    function: under a second up to n = 8) and runs the exact rank chain,
-    which is what bounds n -- under a second at n = 7, ~8 s at n = 8
-    with numpy; Theorem 2.3 guarantees the result equals
-    :func:`connectivity_round_bound`'s closed-form row, and the tests
-    pin that equality for every kernel.
-    """
-    rank = m_matrix_rank(n, kernel=kernel)
-    cc = math.log2(rank)
-    bits = simulation_bits_per_round(PARTITION, n)
-    return KT1RankBound(
-        ground_set=n,
-        variant=PARTITION,
-        instance_vertices=4 * n,
-        cc_bits=cc,
-        bits_per_round=bits,
-        round_lower_bound=cc / bits,
-    )
-
-
-def multicycle_round_bound_certified(n: int, kernel: str = "auto") -> KT1RankBound:
-    """Theorem 4.4 for MultiCycle with rank(E_n) *computed*, not quoted."""
-    if n % 2 != 0:
-        raise ValueError(f"TwoPartition needs even n, got {n}")
-    rank = e_matrix_rank(n, kernel=kernel)
-    cc = math.log2(rank)
     bits = simulation_bits_per_round(TWO_PARTITION, n)
     return KT1RankBound(
         ground_set=n,

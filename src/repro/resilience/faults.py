@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat, starmap
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 
@@ -115,9 +116,13 @@ class ScheduledFault:
         )
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault as it actually happened in an execution."""
+class FaultEvent(NamedTuple):
+    """One fault as it actually happened in an execution.
+
+    A named tuple, because a fault sweep builds tens of thousands of
+    these and a named tuple is built in one C call. Being a tuple, it
+    also compares equal to a plain tuple of the same seven values.
+    """
 
     t: int  # round index, 1-based
     kind: str
@@ -285,50 +290,39 @@ class FaultRun:
         return plan.last_round is None or t <= plan.last_round
 
     def filter_broadcasts(self, t: int, messages: Tuple[str, ...]) -> Tuple[str, ...]:
-        """Apply sender-side faults (crash-stop) to the round's broadcasts."""
+        """Apply sender-side faults (crash-stop) to the round's broadcasts.
+
+        Returns ``messages`` itself when no vertex has crashed and the
+        round can crash none (no crash rate, no fault scheduled at ``t``).
+        """
         plan = self.plan
+        crashed = self._crashed
+        if not crashed and plan.crash_rate == 0.0 and t not in self._by_round:
+            return messages
         out = list(messages)
+        events = self.events
         # 1. explicit scheduled crashes for this round
         for fault in self._by_round.get(t, ()):
-            if fault.kind != "crash":
-                continue
-            if fault.vertex not in self._crashed:
-                self._crashed.add(fault.vertex)
-                self.events.append(
-                    FaultEvent(
-                        t=t,
-                        kind="crash",
-                        vertex=fault.vertex,
-                        receiver=None,
-                        original=out[fault.vertex],
-                        delivered="",
-                        scheduled=True,
-                    )
+            if fault.kind == "crash" and fault.vertex not in crashed:
+                crashed.add(fault.vertex)
+                events.append(
+                    FaultEvent(t, "crash", fault.vertex, None, out[fault.vertex], "", True)
                 )
         # 2. rate-driven crashes -- one RNG draw per live vertex, fixed order
         if plan.crash_rate > 0.0 and self._in_window(t):
+            rand = self._rng.random
             for v in range(self.n):
-                if v in self._crashed:
+                if v in crashed:
                     continue
-                draw = self._rng.random()
-                if draw < plan.crash_rate and (
+                if rand() < plan.crash_rate and (
                     plan.max_crashes is None
                     or self._crashes_injected < plan.max_crashes
                 ):
-                    self._crashed.add(v)
+                    crashed.add(v)
                     self._crashes_injected += 1
-                    self.events.append(
-                        FaultEvent(
-                            t=t,
-                            kind="crash",
-                            vertex=v,
-                            receiver=None,
-                            original=out[v],
-                            delivered="",
-                        )
-                    )
+                    events.append(FaultEvent(t, "crash", v, None, out[v], ""))
         # 3. silence every crashed vertex (including ones crashed earlier)
-        for v in self._crashed:
+        for v in crashed:
             out[v] = ""
         return tuple(out)
 
@@ -360,33 +354,38 @@ class FaultRun:
             bit_flip_rate = plan.bit_flip_rate
         if not scheduled and erasure_rate == 0.0 and bit_flip_rate == 0.0:
             return [messages] * n
-        rand = self._rng.random
         per_copy = (erasure_rate > 0.0) + 2 * (bit_flip_rate > 0.0)
-        draws = [rand() for _ in range(per_copy * n * (n - 1))]
+        draws = list(starmap(self._rng.random, repeat((), per_copy * n * (n - 1))))
         # Copy c is (receiver, sender) = (c // (n - 1), the (c % (n - 1))-th
         # other vertex); its draws are draws[c * per_copy:(c + 1) * per_copy].
-        hot = set()
+        # Each list of firing copies comes out ascending.
+        firing = []
         if erasure_rate > 0.0:
-            hot.update(
-                c for c, draw in enumerate(draws[::per_copy]) if draw < erasure_rate
+            firing.append(
+                [c for c, draw in enumerate(draws[::per_copy]) if draw < erasure_rate]
             )
         if bit_flip_rate > 0.0:
-            hot.update(
-                c
-                for c, draw in enumerate(draws[per_copy - 2 :: per_copy])
-                if draw < bit_flip_rate
+            firing.append(
+                [
+                    c
+                    for c, draw in enumerate(draws[per_copy - 2 :: per_copy])
+                    if draw < bit_flip_rate
+                ]
             )
         for fault in scheduled:
             sender = fault.vertex
             receivers = range(n) if fault.receiver is None else (fault.receiver,)
-            hot.update(
-                receiver * (n - 1) + sender - (sender > receiver)
-                for receiver in receivers
-                if receiver != sender
+            firing.append(
+                [
+                    receiver * (n - 1) + sender - (sender > receiver)
+                    for receiver in receivers
+                    if receiver != sender
+                ]
             )
+        hot = firing[0] if len(firing) == 1 else sorted(set().union(*firing))
         events = self.events
         rows: List[Sequence[str]] = [messages] * n
-        for c in sorted(hot):
+        for c in hot:
             receiver, offset = divmod(c, n - 1)
             sender = offset + (offset >= receiver)
             delivered = messages[sender]

@@ -132,6 +132,29 @@ class TestContracts:
         with pytest.raises(AlgorithmContractError):
             Simulator(BCC1_KT0).run(inst, factory, 1)
 
+    @pytest.mark.parametrize("bad", ["01", "2", ["1"], 1, None], ids=repr)
+    def test_bad_broadcast_after_the_same_good_ones_raises(self, bad):
+        """Validated broadcasts are not validated again, but a new one is:
+        every invalid value, non-str ones included, raises as it would in
+        round 1, and under faults it fail-stops its sender."""
+
+        def factory():
+            return FunctionalAlgorithm(
+                broadcast=lambda self, t: bad if t == 3 and self.knowledge.vertex_id == 0 else "1",
+                receive=lambda self, t, m: None,
+                output=lambda self: YES,
+            )
+
+        inst = BCCInstance.kt1_from_graph(one_cycle(4))
+        with pytest.raises(AlgorithmContractError) as expected:
+            BCC1_KT1.validate_message(bad)
+        with pytest.raises(AlgorithmContractError) as raised:
+            Simulator(BCC1_KT1).run(inst, factory, 4)
+        assert str(raised.value) == str(expected.value)
+        res = Simulator(BCC1_KT1, faults=FaultPlan(seed=1)).run(inst, factory, 4)
+        assert res.failed_vertices == (0,)
+        assert [m[0] for m in res.broadcast_history] == ["1", "1", "", ""]
+
     def test_knowledge_hides_global_ids_in_kt0(self):
         seen = {}
 

@@ -5,9 +5,11 @@ the fault filter, then that edge's channel, for each copy in receiver-
 then-sender order. ``deliver_round`` runs the fault filter over the
 whole round first and the channels second. The two stages own separate
 RNG streams and event lists, so the result must not move. The oracle
-below is that per-copy loop, kept verbatim; hypothesis drives both over
-random fault plans, network plans and traffic, and every round compares
-the rows, both event lists and both RNG digests.
+below is that per-copy loop, kept verbatim, preceded by the crash-stop
+filter that drew one coin per live vertex in a Python loop and copied
+the broadcasts every round; hypothesis drives both over random fault
+plans, network plans and traffic, and every round compares the rows,
+both event lists and both RNG digests.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,55 @@ from repro.resilience.faults import FaultEvent, _flip
 
 
 # -- the per-copy oracle -------------------------------------------------
+
+
+def _filter_broadcasts(fault_run, t, messages):
+    """Sender-side faults (crash-stop), as the per-vertex engine applied them."""
+    plan = fault_run.plan
+    out = list(messages)
+    # 1. explicit scheduled crashes for this round
+    for fault in fault_run._by_round.get(t, ()):
+        if fault.kind != "crash":
+            continue
+        if fault.vertex not in fault_run._crashed:
+            fault_run._crashed.add(fault.vertex)
+            fault_run.events.append(
+                FaultEvent(
+                    t=t,
+                    kind="crash",
+                    vertex=fault.vertex,
+                    receiver=None,
+                    original=out[fault.vertex],
+                    delivered="",
+                    scheduled=True,
+                )
+            )
+    # 2. rate-driven crashes -- one RNG draw per live vertex, fixed order
+    if plan.crash_rate > 0.0 and fault_run._in_window(t):
+        for v in range(fault_run.n):
+            if v in fault_run._crashed:
+                continue
+            draw = fault_run._rng.random()
+            if draw < plan.crash_rate and (
+                plan.max_crashes is None
+                or fault_run._crashes_injected < plan.max_crashes
+            ):
+                fault_run._crashed.add(v)
+                fault_run._crashes_injected += 1
+                fault_run.events.append(
+                    FaultEvent(
+                        t=t,
+                        kind="crash",
+                        vertex=v,
+                        receiver=None,
+                        original=out[v],
+                        delivered="",
+                    )
+                )
+    # 3. silence every crashed vertex (including ones crashed earlier)
+    for v in fault_run._crashed:
+        out[v] = ""
+    return tuple(out)
 
 
 def _filter_delivery(fault_run, t, sender, receiver, message):
@@ -161,8 +212,11 @@ def test_deliver_round_matches_the_per_copy_loop(scenario):
     oracle = network.begin_run(n)
     manager = network.begin_run(n)
     for t, sent in enumerate(traffic, start=1):
-        messages = oracle.filter_broadcasts(t, tuple(sent))
+        messages = tuple(sent)
+        if oracle.fault_run is not None:
+            messages = _filter_broadcasts(oracle.fault_run, t, messages)
         assert manager.filter_broadcasts(t, tuple(sent)) == messages
+        assert _fault_state(manager) == _fault_state(oracle)
         try:
             expected = _per_copy_round(oracle, t, messages)
         except FaultInjectionError as error:

@@ -1,5 +1,6 @@
 """Tests for the deterministic fault-injection layer."""
 
+import inspect
 import io
 
 import pytest
@@ -9,7 +10,7 @@ from repro.algorithms import connectivity_factory
 from repro.errors import FaultInjectionError
 from repro.instances import one_cycle_instance
 from repro.obs import RunTrace, read_trace, validate_trace_events
-from repro.resilience import FAULT_KINDS, FaultPlan, ScheduledFault
+from repro.resilience import FAULT_KINDS, FaultEvent, FaultPlan, ScheduledFault
 
 
 def _run(n=8, plan=None, rounds=8, kt=1):
@@ -17,6 +18,49 @@ def _run(n=8, plan=None, rounds=8, kt=1):
     model = BCC1_KT1 if kt else BCC1_KT0
     sim = Simulator(model, faults=plan)
     return sim.run(inst, connectivity_factory(max_degree=2), rounds)
+
+
+class TestFaultEventRecord:
+    """The record contract traces, sessions and results rely on."""
+
+    FIELDS = ("t", "kind", "vertex", "receiver", "original", "delivered", "scheduled")
+
+    def test_fields_in_order_with_one_default(self):
+        params = inspect.signature(FaultEvent).parameters
+        assert tuple(params) == self.FIELDS
+        defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+        assert defaults == {"scheduled": False}
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = FaultEvent(3, "bit_flip", 1, 2, "01", "00")
+        keyword = FaultEvent(
+            t=3, kind="bit_flip", vertex=1, receiver=2, original="01", delivered="00"
+        )
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert positional.scheduled is False
+        assert positional != FaultEvent(3, "bit_flip", 1, 2, "01", "00", True)
+        assert positional != FaultEvent(3, "bit_flip", 1, 0, "01", "00")
+
+    def test_as_dict_key_order(self):
+        event = FaultEvent(1, "crash", 4, None, "1", "", True)
+        assert list(event.as_dict()) == list(self.FIELDS)
+        assert event.as_dict() == {
+            "t": 1,
+            "kind": "crash",
+            "vertex": 4,
+            "receiver": None,
+            "original": "1",
+            "delivered": "",
+            "scheduled": True,
+        }
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_immutable(self, name):
+        event = FaultEvent(1, "erasure", 0, 1, "1", "")
+        with pytest.raises(AttributeError):
+            setattr(event, name, 0)
+        assert event == FaultEvent(1, "erasure", 0, 1, "1", "")
 
 
 class TestFaultPlanValidation:

@@ -5,18 +5,14 @@ from repro import lazy_getattr
 _LAZY_EXPORTS = {
     "binary_entropy": "repro.information.entropy",
     "conditional_entropy": "repro.information.entropy",
-    "empirical_joint": "repro.information.entropy",
     "entropy": "repro.information.entropy",
     "joint_entropy": "repro.information.entropy",
-    "joint_from_function": "repro.information.entropy",
     "marginal_x": "repro.information.entropy",
     "marginal_y": "repro.information.entropy",
     "mutual_information": "repro.information.entropy",
-    "uniform_distribution": "repro.information.entropy",
     "validate_distribution": "repro.information.entropy",
     "PartitionCompReport": "repro.information.partition_comp",
     "evaluate_protocol": "repro.information.partition_comp",
-    "hard_distribution": "repro.information.partition_comp",
     "implied_round_lower_bound": "repro.information.partition_comp",
     "information_lower_bound": "repro.information.partition_comp",
     "SampledInformationReport": "repro.information.sampling",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Hashable, Iterable, Mapping, Tuple
+from typing import Dict, Hashable, Mapping, Tuple
 
 Outcome = Hashable
 Distribution = Mapping[Outcome, float]
@@ -39,7 +39,8 @@ def validate_distribution(dist: Distribution) -> None:
 def entropy(dist: Distribution) -> float:
     """H(X) = -sum p log2 p, with 0 log 0 = 0."""
     validate_distribution(dist)
-    return -sum(p * math.log2(p) for p in dist.values() if p > _EPS)
+    # 0.0 - s rather than -s: a point mass has H = +0.0, not -0.0.
+    return 0.0 - sum(p * math.log2(p) for p in dist.values() if p > _EPS)
 
 
 def marginal_x(joint: Joint) -> Dict[Outcome, float]:
@@ -74,32 +75,6 @@ def mutual_information(joint: Joint) -> float:
     return max(0.0, value)
 
 
-def joint_from_function(
-    x_dist: Distribution, f
-) -> Dict[Tuple[Outcome, Outcome], float]:
-    """The joint of (X, f(X)) for X ~ x_dist and deterministic f.
-
-    This is exactly the situation of Theorem 4.5's deterministic protocol
-    (after Yao): Y = Pi(P_A, P_B) is a function of P_A once P_B is fixed.
-    """
-    joint: Dict[Tuple[Outcome, Outcome], float] = defaultdict(float)
-    for x, p in x_dist.items():
-        joint[(x, f(x))] += p
-    return dict(joint)
-
-
-def empirical_joint(samples: Iterable[Tuple[Outcome, Outcome]]) -> Dict[Tuple[Outcome, Outcome], float]:
-    """Plug-in joint distribution from samples."""
-    counts: Dict[Tuple[Outcome, Outcome], int] = defaultdict(int)
-    total = 0
-    for pair in samples:
-        counts[pair] += 1
-        total += 1
-    if total == 0:
-        raise ValueError("no samples")
-    return {pair: c / total for pair, c in counts.items()}
-
-
 def binary_entropy(p: float) -> float:
     """h(p) = -p log p - (1-p) log (1-p)."""
     if not 0.0 <= p <= 1.0:
@@ -107,12 +82,3 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
-def uniform_distribution(outcomes: Iterable[Outcome]) -> Dict[Outcome, float]:
-    """The uniform distribution over a finite outcome set."""
-    items = list(outcomes)
-    if not items:
-        raise ValueError("cannot build a distribution over no outcomes")
-    p = 1.0 / len(items)
-    return {x: p for x in items}

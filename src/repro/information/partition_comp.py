@@ -8,32 +8,30 @@ any correct protocol transcript determines P_A -- forcing
          >= (1 - eps) * H(P_A) = (1 - eps) * log2 B_n = Omega(n log n).
 
 This module evaluates every quantity in that chain *exactly* on concrete
-protocols: transcripts are enumerated over the full support of mu, the
-joint distribution of (P_A, Pi) is formed, and entropies are computed from
-it. Combined with the Section 4.3 simulation (t-round BCC algorithm =>
-O(t n)-bit protocol), the measured information yields the finite-n version
-of the Omega(log n) round bound for ConnectedComponents.
+protocols: the protocol runs once on every input in the support of mu
+(the sampler's shard fold over all B_n RGS), the joint distribution of
+(P_A, Pi) is formed, and entropies are computed from it. Combined with
+the Section 4.3 simulation (t-round BCC algorithm => O(t n)-bit
+protocol), the measured information yields the finite-n version of the
+Omega(log n) round bound for ConnectedComponents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from repro.information.entropy import (
     conditional_entropy,
     entropy,
-    joint_from_function,
     marginal_x,
     marginal_y,
     mutual_information,
-    uniform_distribution,
 )
+from repro.information.sampling import fold_runs, joint_of
 from repro.partitions.bell import bell_number
-from repro.partitions.enumeration import enumerate_partitions
-from repro.partitions.set_partition import SetPartition
-from repro.twoparty.protocol import TwoPartyProtocol
+from repro.partitions.enumeration import enumerate_rgs
+from repro.twoparty.protocol import TwoPartyProtocol, transcript_bits
 
 
 @dataclass(frozen=True)
@@ -59,36 +57,31 @@ class PartitionCompReport:
         )
 
 
-def hard_distribution(n: int) -> Dict[SetPartition, float]:
-    """Uniform over all B_n partitions (Alice's marginal under mu)."""
-    return uniform_distribution(enumerate_partitions(n))
-
-
 def evaluate_protocol(protocol: TwoPartyProtocol, n: int) -> PartitionCompReport:
     """Run a PartitionComp protocol over the entire hard distribution and
-    evaluate the Theorem 4.5 quantities exactly."""
-    pb = SetPartition.finest(n)
-    x_dist = hard_distribution(n)
+    evaluate the Theorem 4.5 quantities exactly.
 
-    transcripts: Dict[SetPartition, str] = {}
-    max_bits = 0
-    errors = 0.0
-    for pa, weight in x_dist.items():
-        result = protocol.run(pa, pb)
-        transcripts[pa] = result.transcript_string()
-        max_bits = max(max_bits, result.total_bits)
-        if result.bob_output != pa or result.alice_output != pa:
-            errors += weight
-
-    joint = joint_from_function(x_dist, lambda pa: transcripts[pa])
+    The hard distribution is the sampler's fold
+    (:func:`repro.information.sampling.fold_runs`) over every RGS of
+    [n] once, each weighing 1/B_n.
+    """
+    inputs = [tuple(rgs) for rgs in enumerate_rgs(n)]  # raises for n < 0
+    counts, errors, _done, _mapped = fold_runs(protocol, n, inputs, memo=False)
+    joint = joint_of(counts, len(inputs))
+    # The mu-mass of the wrong inputs, added 1/B_n at a time: errors / B_n
+    # rounds differently in the last bits.
+    weight = 1.0 / len(inputs)
+    error_rate = 0.0
+    for _ in range(errors):
+        error_rate += weight
     return PartitionCompReport(
         n=n,
         input_entropy=entropy(marginal_x(joint)),
         transcript_entropy=entropy(marginal_y(joint)),
         residual_entropy=conditional_entropy(joint),
         information=mutual_information(joint),
-        max_transcript_bits=max_bits,
-        error_rate=errors,
+        max_transcript_bits=max(transcript_bits(y) for _x, y in counts),
+        error_rate=error_rate,
     )
 
 

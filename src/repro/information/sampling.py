@@ -1,11 +1,15 @@
-"""Sampled mutual-information estimation for large ground sets.
+"""Sampled mutual-information estimation, and the one shard fold that
+runs a protocol over the Theorem 4.5 hard distribution.
 
-The exact Theorem 4.5 evaluation enumerates all B_n partitions, so its
-cost grows with B_n: ``information --n 10`` (B_10 = 115,975) runs for
-about half a minute on a 2-vCPU host, and each further n multiplies B_n
-by about six. This module adds the sampled counterpart: draw P_A
-uniformly (the exact-uniform RGS sampler), run the protocol, and
-estimate the information quantities with the plug-in
+:func:`fold_runs` runs a protocol on a list of inputs (RGS of P_A; P_B
+is the finest partition) through :func:`repro.parallel.shard.map_units`
+and merges the (input, transcript) counts and the error count. Both
+evaluations of the chain go through it: the exact one
+(:func:`repro.information.partition_comp.evaluate_protocol`) passes every
+RGS once, so ``information --n 10`` (B_10 = 115,975) takes ~8 s on a
+2-vCPU host, and each further n multiplies B_n by about six. The sampled
+counterpart here passes N uniform draws (the exact-uniform RGS sampler)
+and estimates the information quantities with the plug-in
 (maximum-likelihood) estimator over the empirical joint.
 
 The protocols here are deterministic and P_B is fixed, so a run is a
@@ -45,7 +49,7 @@ from repro.information.entropy import (
     marginal_y,
     mutual_information,
 )
-from repro.parallel.shard import ShardPlan, map_units
+from repro.parallel.shard import MappedUnits, ShardPlan, map_units
 from repro.partitions.bell import bell_number
 from repro.partitions.enumeration import random_rgs
 from repro.partitions.set_partition import SetPartition
@@ -61,8 +65,9 @@ SAMPLING_SHARD_UNITS = 512
 
 #: Per protocol, the outcome of every input run so far in this process:
 #: ``(type, instance attributes, n) -> {P_A's RGS: ((repr(P_A),
-#: transcript string), Bob erred)}``. Valid because a run is a pure
-#: function of the two inputs and the instance's attributes (the
+#: transcript string), wrong)}``, where ``wrong`` means Alice's or
+#: Bob's output is not P_A. Valid because a run is a pure function of
+#: the two inputs and the instance's attributes (the
 #: :class:`TwoPartyProtocol` contract) and P_B is always the finest
 #: partition.
 _RUNS: Dict[Tuple[Any, ...], Dict[Tuple[int, ...], Tuple[Tuple[str, str], bool]]] = {}
@@ -187,13 +192,8 @@ def estimate_protocol_information(
     """Sample the Theorem 4.5 hard distribution and estimate I(P_A; Pi).
 
     The parent pre-draws **all** N inputs from ``rng`` (so the caller's
-    RNG always ends in the same state), cuts them into a fixed
-    :class:`repro.parallel.ShardPlan` of :data:`SAMPLING_SHARD_UNITS`
-    samples that does not depend on ``workers``, runs the protocol over
-    each shard (in-process, then over a pool of up to ``workers``
-    processes once the in-process shards have run long enough), and
-    merges the per-shard joint counts key-wise. The joint is summed in
-    sorted key order, so the report is bit-identical for every worker
+    RNG always ends in the same state) and runs them through
+    :func:`fold_runs`, so the report is bit-identical for every worker
     count.
 
     ``budget`` -- a :class:`repro.resilience.Budget` whose units fill the
@@ -221,37 +221,14 @@ def estimate_protocol_information(
             # Drawn as RGS tuples: a pooled shard pickles ~5x fewer bytes
             # than it would as SetPartition objects.
             inputs = [random_rgs(n, rng) for _ in range(samples)]
-            shards = ShardPlan.for_units(samples, SAMPLING_SHARD_UNITS).shards()
-            mapped = map_units(
-                _sampling_shard_worker,
-                [({"start": s.start, "stop": s.stop}, s.size) for s in shards],
-                lambda i, sb: (
-                    protocol, n, inputs[shards[i].start:shards[i].stop], shards[i].start, sb
-                ),
-                lambda result: result.get("done"),
-                cache=shard_cache,
-                budget=budget,
-                workers=workers,
+            counts, errors, done, mapped = fold_runs(
+                protocol, n, inputs, budget, workers, shard_cache
             )
-
-        counts: Dict[Tuple[str, str], int] = {}
-        errors = 0
-        done = 0
-        for result in mapped.results:
-            merge_counts(
-                counts, {(str(x), str(y)): int(c) for x, y, c in result["counts"]}
-            )
-            errors += int(result["errors"])
-            done += int(result["done"])
-
-        def _joint(total: int) -> Dict[Tuple[str, str], float]:
-            # Sorted key order makes the float summation order -- and
-            # hence the report -- independent of the shard layout.
-            return {pair: c / total for pair, c in sorted(counts.items())}
 
         if mapped.exhausted:
             partial = (
-                _report_from_joint(n, done, _joint(done), errors) if done >= 2 else None
+                _report_from_joint(n, done, joint_of(counts, done), errors)
+                if done >= 2 else None
             )
             message = mapped.budget_message or f"budget exhausted during sampling (n={n})"
             raise BudgetExceededError(message, partial=partial)
@@ -260,23 +237,76 @@ def estimate_protocol_information(
             population = _transcript_population(
                 _transcript_counts_from_pairs(counts.items())
             )
-            return _report_from_joint(n, samples, _joint(samples), errors, population)
+            return _report_from_joint(
+                n, samples, joint_of(counts, samples), errors, population
+            )
+
+
+def joint_of(counts: Dict[Tuple[str, str], int], total: int) -> Dict[Tuple[str, str], float]:
+    """The joint ``count / total``, in sorted key order so that every
+    entropy's float sum is independent of the shard layout."""
+    return {pair: c / total for pair, c in sorted(counts.items())}
+
+
+def fold_runs(
+    protocol: TwoPartyProtocol,
+    n: int,
+    inputs: List[Tuple[int, ...]],
+    budget: Optional[Budget] = None,
+    workers: int = 1,
+    shard_cache=None,
+    memo: bool = True,
+) -> Tuple[Dict[Tuple[str, str], int], int, int, MappedUnits]:
+    """Run ``protocol`` on each input (an RGS of P_A; P_B the finest
+    partition) over a shard plan of :data:`SAMPLING_SHARD_UNITS` that
+    does not depend on ``workers``, through
+    :func:`repro.parallel.shard.map_units`, and merge the shards.
+
+    Returns ``(counts, errors, done, mapped)``: the ``(repr(P_A),
+    transcript) -> count`` joint counts, the inputs on which Alice's or
+    Bob's output is not P_A, the inputs run, and the map's
+    :class:`~repro.parallel.shard.MappedUnits`. The exact evaluation
+    passes every RGS once with ``memo=False``: a memo entry could serve
+    only a later call.
+    """
+    shards = ShardPlan.for_units(len(inputs), SAMPLING_SHARD_UNITS).shards()
+    mapped = map_units(
+        _sampling_shard_worker,
+        [({"start": s.start, "stop": s.stop}, s.size) for s in shards],
+        lambda i, sb: (
+            protocol, n, inputs[shards[i].start:shards[i].stop], shards[i].start, sb,
+            memo,
+        ),
+        lambda result: result.get("done"),
+        cache=shard_cache,
+        budget=budget,
+        workers=workers,
+    )
+    counts: Dict[Tuple[str, str], int] = {}
+    errors = 0
+    done = 0
+    for result in mapped.results:
+        merge_counts(counts, {(str(x), str(y)): int(c) for x, y, c in result["counts"]})
+        errors += int(result["errors"])
+        done += int(result["done"])
+    return counts, errors, done, mapped
 
 
 def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
-    """Run the protocol on one contiguous slice of the drawn inputs.
+    """Run the protocol on one contiguous slice of the inputs.
 
-    ``payload`` is ``(protocol, n, inputs, start, shard_budget)``, with
-    each input as the RGS of Alice's partition. An input this process
-    has already run under the same protocol is read from the run memo
-    instead of run again; it still counts as one sample and one budget
-    tick, so a repeated input weighs the joint exactly as a fresh run.
+    ``payload`` is ``(protocol, n, inputs, start, shard_budget, memo)``,
+    with each input as the RGS of Alice's partition. With ``memo``, an
+    input this process has already run under the same protocol is read
+    from the run memo instead of run again; it still counts as one
+    sample and one budget tick, so a repeated input weighs the joint
+    exactly as a fresh run.
     Module-level (picklable); returns JSON-ready sorted count triples so
     the pooled path ships plain lists across the pipe. The budget is
     ticked once per sample; a budget that trips on the slice's final
     sample still reports a completed slice.
     """
-    protocol, n, inputs, start, shard_budget = payload
+    protocol, n, inputs, start, shard_budget, memo = payload
     counts: Dict[Tuple[str, str], int] = {}
     errors = 0
     done = 0
@@ -287,7 +317,7 @@ def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
     pb = SetPartition.finest(n)
     runs = _RUNS.setdefault(
         (type(protocol), tuple(sorted(vars(protocol).items())), n), {}
-    )
+    ) if memo else {}
     with span("sampling.scan_shard", start=start, size=len(inputs)):
         try:
             for rgs in inputs:
@@ -297,7 +327,7 @@ def _sampling_shard_worker(payload: Tuple) -> Dict[str, object]:
                     result = protocol.run(pa, pb)
                     outcome = runs[rgs] = (
                         (repr(pa), result.transcript_string()),
-                        result.bob_output != pa,
+                        result.bob_output != pa or result.alice_output != pa,
                     )
                 key, wrong = outcome
                 counts[key] = counts.get(key, 0) + 1

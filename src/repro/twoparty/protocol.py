@@ -66,6 +66,13 @@ class ProtocolResult:
         return "|".join(f"{t.speaker[0]}:{t.bits}" for t in self.turns)
 
 
+def transcript_bits(transcript: str) -> int:
+    """The ``total_bits`` of a run, read off its
+    :meth:`ProtocolResult.transcript_string`: speaker letters and
+    delimiters are never ``0`` or ``1``."""
+    return transcript.count("0") + transcript.count("1")
+
+
 class TwoPartyProtocol(ABC):
     """A deterministic protocol, specified by per-turn message functions.
 

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from repro.information import (
     binary_entropy,
     conditional_entropy,
-    empirical_joint,
     entropy,
     joint_entropy,
-    joint_from_function,
     marginal_x,
     marginal_y,
     mutual_information,
-    uniform_distribution,
     validate_distribution,
 )
 
@@ -44,10 +41,14 @@ def joints(draw):
 
 class TestEntropy:
     def test_uniform(self):
-        assert entropy(uniform_distribution(range(8))) == pytest.approx(3.0)
+        assert entropy({x: 1 / 8 for x in range(8)}) == pytest.approx(3.0)
 
     def test_point_mass(self):
         assert entropy({"x": 1.0}) == 0.0
+
+    def test_point_mass_is_positive_zero(self):
+        # -sum(...) of a point mass would be -0.0, which JSON prints as such
+        assert math.copysign(1.0, entropy({"x": 1.0})) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,10 +61,6 @@ class TestEntropy:
         assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
         with pytest.raises(ValueError):
             binary_entropy(1.5)
-
-    def test_uniform_distribution_empty(self):
-        with pytest.raises(ValueError):
-            uniform_distribution([])
 
 
 class TestJointQuantities:
@@ -84,20 +81,10 @@ class TestJointQuantities:
         assert marginal_x(joint) == pytest.approx({0: 0.5, 1: 0.5})
         assert marginal_y(joint) == pytest.approx({"a": 0.7, "b": 0.3})
 
-    def test_joint_from_function_deterministic(self):
-        x_dist = uniform_distribution(range(4))
-        joint = joint_from_function(x_dist, lambda x: x % 2)
+    def test_deterministic_function_information(self):
+        joint = {(x, x % 2): 0.25 for x in range(4)}
         # Y determined by X: H(Y|X) = 0, so I = H(Y) = 1 bit
         assert mutual_information(joint) == pytest.approx(1.0)
-
-    def test_empirical_joint(self):
-        samples = [(0, "a")] * 3 + [(1, "b")] * 1
-        joint = empirical_joint(samples)
-        assert joint[(0, "a")] == pytest.approx(0.75)
-
-    def test_empirical_joint_empty(self):
-        with pytest.raises(ValueError):
-            empirical_joint([])
 
 
 class TestInformationInequalities:

@@ -6,19 +6,39 @@ import pytest
 
 from repro.information import (
     evaluate_protocol,
-    hard_distribution,
     implied_round_lower_bound,
     information_lower_bound,
 )
-from repro.partitions import bell_number, log2_bell
+from repro.partitions import SetPartition, bell_number, enumerate_partitions, log2_bell
 from repro.twoparty import LossyPartitionCompProtocol, TrivialPartitionCompProtocol
+from repro.twoparty.protocol import TwoPartyProtocol
 
 
 class TestHardDistribution:
-    def test_uniform_over_bell(self):
-        dist = hard_distribution(4)
-        assert len(dist) == bell_number(4)
-        assert all(p == pytest.approx(1 / bell_number(4)) for p in dist.values())
+    def test_uniform_over_bell(self, monkeypatch):
+        """mu's P_A marginal: each of the B_n partitions once, P_B finest."""
+        seen = []
+        run = TwoPartyProtocol.run
+
+        def recording_run(self, alice_input, bob_input):
+            seen.append((alice_input, bob_input))
+            return run(self, alice_input, bob_input)
+
+        monkeypatch.setattr(TwoPartyProtocol, "run", recording_run)
+        report = evaluate_protocol(TrivialPartitionCompProtocol(4), 4)
+        assert sorted(repr(pa) for pa, _pb in seen) == sorted(
+            repr(pa) for pa in enumerate_partitions(4)
+        )
+        assert {pb for _pa, pb in seen} == {SetPartition.finest(4)}
+        assert report.input_entropy == pytest.approx(math.log2(bell_number(4)), abs=1e-12)
+
+    def test_empty_ground_set(self):
+        report = evaluate_protocol(TrivialPartitionCompProtocol(0), 0)
+        assert (report.input_entropy, report.information, report.error_rate) == (0.0, 0.0, 0.0)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            evaluate_protocol(TrivialPartitionCompProtocol(-1), -1)
 
 
 class TestErrorFreeProtocol:
@@ -36,6 +56,14 @@ class TestErrorFreeProtocol:
         assert report.chain_holds()
         assert report.max_transcript_bits >= report.information
 
+    @pytest.mark.parametrize("protocol", [
+        TrivialPartitionCompProtocol(5), LossyPartitionCompProtocol(5, 0.4),
+    ])
+    def test_max_transcript_bits_is_the_longest_run(self, protocol):
+        finest = SetPartition.finest(5)
+        longest = max(protocol.run(pa, finest).total_bits for pa in enumerate_partitions(5))
+        assert evaluate_protocol(protocol, 5).max_transcript_bits == longest
+
     def test_transcript_bits_dominate_entropy(self):
         report = evaluate_protocol(TrivialPartitionCompProtocol(4), 4)
         assert report.max_transcript_bits >= report.transcript_entropy
@@ -49,6 +77,12 @@ class TestLossyProtocol:
         report = evaluate_protocol(LossyPartitionCompProtocol(n, 0.25), n)
         assert report.error_rate > 0
         assert report.information >= information_lower_bound(n, report.error_rate) - 1e-9
+
+    def test_error_rate_is_the_mu_mass_of_wrong_inputs(self):
+        """1/B_n added once per wrong input (18 of B_5 = 52 here), the
+        figure `information` prints; 18 / 52 differs in the last bits."""
+        report = evaluate_protocol(LossyPartitionCompProtocol(5, 0.3), 5)
+        assert report.error_rate == 0.34615384615384603 != 18 / 52
 
     def test_more_error_less_information(self):
         n = 5

@@ -11,13 +11,24 @@ from repro.information import (
     clear_run_memo,
     estimate_protocol_information,
     evaluate_protocol,
+    partition_comp,
 )
-from repro.information.sampling import SAMPLING_SHARD_UNITS
-from repro.partitions import bell_number, log2_bell
+from repro.information.sampling import SAMPLING_SHARD_UNITS, fold_runs
+from repro.partitions import SetPartition, bell_number, log2_bell
 from repro.partitions.enumeration import random_rgs
 from repro.resilience import Budget
 from repro.twoparty import LossyPartitionCompProtocol, TrivialPartitionCompProtocol
 from repro.twoparty.protocol import TwoPartyProtocol
+
+
+class AliceErrsOnTwoBlocks(TrivialPartitionCompProtocol):
+    """Bob always outputs P_A; Alice outputs the finest partition
+    instead whenever P_A has exactly two blocks."""
+
+    def alice_output(self, alice_input, turns):
+        if alice_input.num_blocks == 2:
+            return SetPartition.finest(self.n)
+        return super().alice_output(alice_input, turns)
 
 
 class TestSampledEstimation:
@@ -67,6 +78,21 @@ class TestSampledEstimation:
         assert abs(report.miller_madow_correction) < 0.05
         assert report.corrected_information >= 0
 
+    def test_alice_only_errors_count(self):
+        """An input is wrong when either party's output is not P_A, in the
+        sampler as in the exact evaluation."""
+        n, samples = 4, 600
+        rng = random.Random(8)
+        drawn = [random_rgs(n, rng) for _ in range(samples)]
+        report = estimate_protocol_information(
+            AliceErrsOnTwoBlocks(n), n, samples, random.Random(8)
+        )
+        wrong = sum(max(rgs) == 1 for rgs in drawn)
+        assert wrong > 0
+        assert report.error_rate_estimate == wrong / samples
+        exact = evaluate_protocol(AliceErrsOnTwoBlocks(n), n)
+        assert exact.error_rate == pytest.approx(7 / 15)  # S(4, 2) = 7 of B_4 = 15
+
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             estimate_protocol_information(
@@ -114,6 +140,18 @@ class TestRunMemo:
         assert len(protocol_runs) == len(drawn)
         assert second == first
         assert second.population == first.population
+
+    def test_exact_fold_runs_each_input_once(self, protocol_runs):
+        protocols = [TrivialPartitionCompProtocol(7), LossyPartitionCompProtocol(7, 0.3)]
+        first = [evaluate_protocol(p, 7) for p in protocols]
+        per_protocol = [sum(c is p for c in protocol_runs) for p in protocols]
+        assert per_protocol == [bell_number(7)] * 2
+        # The exact fold keeps no memo: a second evaluation runs them all
+        # again, and a sampler that follows starts cold.
+        assert [evaluate_protocol(p, 7) for p in protocols] == first
+        assert len(protocol_runs) == 4 * bell_number(7)
+        report = _estimate(protocols[0], 7, 2000, 9)
+        assert len(protocol_runs) == 4 * bell_number(7) + report.distinct_inputs_seen
 
     def test_protocols_never_share_entries(self, protocol_runs):
         protocols = [
@@ -184,3 +222,17 @@ class TestRunMemo:
         assert len(protocol_runs) == runs
         assert warm == cold
         assert warm.samples == budget_units
+
+
+def test_exact_fold_at_two_workers_equals_one(pool_at_once, monkeypatch):
+    """The exact evaluation's fold, pooled at workers 2, gives the same
+    report as the in-process fold (n = 7: two shards)."""
+    protocol = LossyPartitionCompProtocol(7, 0.3)
+    serial = evaluate_protocol(protocol, 7)
+    monkeypatch.setattr(
+        partition_comp, "fold_runs",
+        lambda *args, **kwargs: fold_runs(*args, workers=2, **kwargs),
+    )
+    pooled = evaluate_protocol(protocol, 7)
+    assert pool_at_once
+    assert pooled == serial

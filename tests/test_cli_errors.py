@@ -58,6 +58,17 @@ class TestUserErrorsExitTwo:
         assert (code, out) == (2, "")
         assert err == f"error: error_rate must be in [0, 1), got {float(eps)}\n"
 
+    def test_information_negative_n(self, capsys):
+        code, out, err = _run(capsys, "information", "--n", "-1", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be >= 0, got -1\n"
+
+    def test_information_empty_ground_set_still_runs(self, capsys):
+        code, out, _err = _run(capsys, "information", "--n", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["rows"][0] == ["error-free", 0.0, 0.0, 0.0]
+        assert "-0.0" not in out
+
     def test_unknown_subcommand_still_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["no-such-command"])

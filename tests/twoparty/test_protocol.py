@@ -12,6 +12,7 @@ from repro.twoparty import (
     decode_int,
     encode_int,
 )
+from repro.twoparty.protocol import transcript_bits
 
 
 class PingPong(TwoPartyProtocol):
@@ -74,6 +75,12 @@ class TestRun:
         res = PingPong().run(1, 2)
         s = res.transcript_string()
         assert s.startswith("a:") and "|b:" in s
+
+    @pytest.mark.parametrize("inputs", [(1, 2), (0, 0), (255, 255)])
+    def test_transcript_bits_reads_total_bits(self, inputs):
+        res = PingPong().run(*inputs)
+        assert transcript_bits(res.transcript_string()) == res.total_bits == 16
+        assert transcript_bits(ProtocolResult([], None, None).transcript_string()) == 0
 
     def test_non_terminating_protocol_caught(self):
         with pytest.raises(ProtocolError):

@@ -148,7 +148,7 @@ class Simulator:
 
     Fault injection is likewise opt-in and costs a few ``None`` checks per
     round when disabled: pass ``faults`` (a
-    :class:`repro.resilience.FaultPlan`) here or per-run to execute under
+    :class:`repro.resilience.FaultPlan`) to :meth:`run` to execute under
     a deterministic adversarial channel (bit flips, erasures, crash-stops
     applied between broadcast and delivery). Adversarial runs route
     delivery through a :class:`repro.net.NetworkManager`, so ``faults``
@@ -162,16 +162,12 @@ class Simulator:
         model: BCCModel,
         metrics=None,
         trace=None,
-        faults: Optional["FaultPlan"] = None,
         costs=None,
-        network: Optional["NetworkPlan"] = None,
     ):
         self._model = model
         self._metrics = metrics
         self._trace = trace
-        self._faults = faults
         self._costs = costs
-        self._network = network
 
     @property
     def model(self) -> BCCModel:
@@ -206,13 +202,13 @@ class Simulator:
         ``finished()``. The same ``coin`` object is handed to every vertex
         (the public-coin model); omit it for a fixed default seed.
 
-        ``faults`` (default: the plan given at construction, usually None)
+        ``faults`` (a :class:`repro.resilience.FaultPlan`, default None)
         runs the execution under a deterministic adversarial channel: the
         plan is applied between broadcast and delivery each round, so
         per-receiver views can diverge. With no plan the clean path costs a
         few ``None`` checks per round.
 
-        ``network`` (default: the plan given at construction) routes
+        ``network`` (a :class:`repro.net.NetworkPlan`, default None) routes
         delivery through per-edge :class:`repro.net.Channel` objects --
         seeded delay/duplication/reordering composing with ``faults``. A
         network plan may carry its own fault plan; an explicit ``faults``
@@ -231,14 +227,12 @@ class Simulator:
         if rounds < 0:
             raise SimulationError(f"rounds must be >= 0, got {rounds}")
         the_coin = coin if coin is not None else PublicCoin()
-        plan = faults if faults is not None else self._faults
-        net_plan = network if network is not None else self._network
-        if plan is None and net_plan is not None:
-            plan = net_plan.faults
+        if faults is None and network is not None:
+            faults = network.faults
         observers = run_observers(self._metrics, self._trace, self._costs, session)
         try:
             return self._execute(
-                instance, factory, rounds, the_coin, plan, net_plan, observers
+                instance, factory, rounds, the_coin, faults, network, observers
             )
         except BaseException:
             for observer in reversed(observers):

@@ -33,8 +33,8 @@ if TYPE_CHECKING:
     from repro.indist.matching import BipartiteGraph
 
 # The measured-degree helpers import the graph builder (and with it the
-# simulator and the crossing kernels) when called: the closed forms, and
-# the ``ratio`` command that prints them, need neither.
+# simulator) when called: the closed forms, and the ``ratio`` command
+# that prints them, need neither.
 
 
 def one_cycle_degree(n: int) -> int:

@@ -20,15 +20,9 @@ Instances are identified with their input-graph structure
 travels the port wiring along with the input edges, so crossing-reachable
 instances are in bijection with crossing-reachable covers.
 
-Engine note (PR 5): the O(active^2) independence filter at the heart of
-every builder has a batched engine
-(:func:`repro.kernels.crossing_batch.valid_crossing_pairs`) that scores
-all candidate pairs of a cover in one numpy block; ``kernel="auto"``
-(the default) uses it, ``kernel="reference"`` keeps the
-pair-by-pair :func:`cross_cover` loop. Both apply the exact same three
-conditions, so the produced neighbor sets -- and therefore the graphs
--- are equal element for element under every kernel (pinned by
-``tests/kernels/test_crossing_batch.py``).
+Every builder filters crossing pairs the same way: the
+pair-by-pair :func:`cross_cover` loop of :func:`crossing_neighbors`
+over every pair of active directed edges.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from repro.instances.enumeration import (
     enumerate_two_cycle_covers,
 )
 from repro.indist.matching import BipartiteGraph
-from repro.kernels import resolve_kernel, valid_crossing_pairs
 from repro.obs.spans import span
 
 UEdge = Tuple[int, int]
@@ -88,40 +81,21 @@ def cross_cover(
     return cover_from_edges(cover.n, crossed)
 
 
-def _crossed_cover(cover: CycleCover, e1: DirectedEdge, e2: DirectedEdge) -> CycleCover:
-    """The crossed cover of a pair already known to be independent.
-
-    The construction tail of :func:`cross_cover`, skipping the validity
-    checks -- used by the packed path after the batched filter.
-    """
-    (v1, u1), (v2, u2) = e1, e2
-    crossed = (cover.edges - {_edge(v1, u1), _edge(v2, u2)}) | {
-        _edge(v1, u2),
-        _edge(v2, u1),
-    }
-    return cover_from_edges(cover.n, crossed)
-
-
 def crossing_neighbors(
     cover: CycleCover,
     active: Optional[Sequence[DirectedEdge]] = None,
-    kernel: str = "auto",
 ) -> Set[CycleCover]:
     """All covers reachable from ``cover`` by one crossing.
 
     ``active`` restricts the crossable directed edges (Definition 3.6);
     by default every directed orientation of every input edge is active,
-    which is the t = 0 situation. ``kernel`` picks the independence
-    filter (batched vs pair-by-pair); the result set is identical.
+    which is the t = 0 situation.
     """
     if active is None:
         active = []
         for u, v in sorted(cover.edges):
             active.append((u, v))
             active.append((v, u))
-    if resolve_kernel(kernel) == "packed":
-        pairs = valid_crossing_pairs(cover.n, cover.edges, active)
-        return {_crossed_cover(cover, e1, e2) for e1, e2 in pairs}
     out: Set[CycleCover] = set()
     for e1, e2 in combinations(active, 2):
         crossed = cross_cover(cover, e1, e2)
@@ -133,17 +107,12 @@ def crossing_neighbors(
 def one_cycle_two_cycle_neighbors(
     cover: CycleCover,
     active: Optional[Sequence[DirectedEdge]] = None,
-    kernel: str = "auto",
 ) -> Set[CycleCover]:
     """Crossing neighbors of a one-cycle cover that are two-cycle covers."""
-    return {
-        c
-        for c in crossing_neighbors(cover, active, kernel=kernel)
-        if c.num_cycles == 2
-    }
+    return {c for c in crossing_neighbors(cover, active) if c.num_cycles == 2}
 
 
-def build_combinatorial_graph(n: int, kernel: str = "auto") -> BipartiteGraph:
+def build_combinatorial_graph(n: int) -> BipartiteGraph:
     """G^0: every directed input edge active (t = 0, empty message strings).
 
     Left vertices: all (n-1)!/2 one-cycle covers. Right vertices: all
@@ -151,12 +120,11 @@ def build_combinatorial_graph(n: int, kernel: str = "auto") -> BipartiteGraph:
     one-cycle cover, so the right side is fully populated by construction;
     the tests verify it against the closed-form |V2| count).
     """
-    engine = resolve_kernel(kernel)
-    with span("indist.build_graph", n=n, kind="combinatorial", engine=engine):
+    with span("indist.build_graph", n=n, kind="combinatorial"):
         graph = BipartiteGraph()
         for one in enumerate_one_cycle_covers(n):
             graph.add_left(one)
-            for two in one_cycle_two_cycle_neighbors(one, kernel=kernel):
+            for two in one_cycle_two_cycle_neighbors(one):
                 graph.add_edge(one, two)
         return graph
 
@@ -169,7 +137,6 @@ def build_operational_graph(
     x: Tuple[str, ...],
     y: Tuple[str, ...],
     coin: Optional[PublicCoin] = None,
-    kernel: str = "auto",
 ) -> BipartiteGraph:
     """G^t_{x,y} for a concrete algorithm (Definition 3.6), on canonical
     rotation-wired KT-0 instances of every one-cycle cover.
@@ -178,17 +145,14 @@ def build_operational_graph(
     an active crossing; isolated two-cycle covers carry no constraint in
     the lower-bound argument.
     """
-    engine = resolve_kernel(kernel)
-    with span(
-        "indist.build_graph", n=n, kind="operational", rounds=rounds, engine=engine
-    ):
+    with span("indist.build_graph", n=n, kind="operational", rounds=rounds):
         graph = BipartiteGraph()
         for one in enumerate_one_cycle_covers(n):
             graph.add_left(one)
             instance = BCCInstance.kt0_from_graph(one.to_graph())
             result = simulator.run(instance, factory, rounds, coin=coin)
             act = active_edges(result, x, y)
-            for two in one_cycle_two_cycle_neighbors(one, act, kernel=kernel):
+            for two in one_cycle_two_cycle_neighbors(one, act):
                 graph.add_edge(one, two)
         return graph
 

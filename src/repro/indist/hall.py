@@ -11,15 +11,6 @@ times and apply ordinary Hall / maximum matching -- is implemented here
 directly: :func:`k_matching` builds the cloned graph and runs
 Hopcroft-Karp, so when the Hall condition holds the returned k-matching
 saturates L, and when it fails the deficiency is reported.
-
-Engine note (PR 5): under ``kernel="auto"`` (the default, family
-``packed``) the clones are never materialized -- the bitset engine
-(:func:`repro.kernels.bitset_matching.k_matching_bitset`) runs on
-``k * |L|`` *virtual* left nodes that share one adjacency mask per
-original vertex. ``kernel="reference"`` keeps the explicit
-:func:`cloned_graph` construction. Both produce maximum k-matchings of
-identical size (the quantity every downstream Hall/saturation check
-consumes).
 """
 
 from __future__ import annotations
@@ -29,7 +20,6 @@ from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.indist.matching import BipartiteGraph, hopcroft_karp
-from repro.kernels import k_matching_bitset, resolve_kernel
 
 
 def cloned_graph(graph: BipartiteGraph, k: int) -> BipartiteGraph:
@@ -47,41 +37,36 @@ def cloned_graph(graph: BipartiteGraph, k: int) -> BipartiteGraph:
     return cloned
 
 
-def k_matching(
-    graph: BipartiteGraph, k: int, kernel: str = "auto"
-) -> Dict[Hashable, Tuple[Hashable, ...]]:
+def k_matching(graph: BipartiteGraph, k: int) -> Dict[Hashable, Tuple[Hashable, ...]]:
     """A maximum k-matching, as a map left vertex -> assigned right vertices.
 
     Only left vertices that received all k partners appear in the result
     (partial stars are discarded, matching the paper's definition in which
-    every star has exactly k leaves). ``kernel`` picks the engine; see
-    the module docstring.
+    every star has exactly k leaves).
     """
-    if resolve_kernel(kernel) == "packed":
-        return k_matching_bitset(graph, k)
-    matching = hopcroft_karp(cloned_graph(graph, k), kernel="reference")
+    matching = hopcroft_karp(cloned_graph(graph, k))
     stars: Dict[Hashable, List[Hashable]] = {}
     for (v, _i), r in matching.items():
         stars.setdefault(v, []).append(r)
     return {v: tuple(sorted(rs, key=repr)) for v, rs in stars.items() if len(rs) == k}
 
 
-def k_matching_size(graph: BipartiteGraph, k: int, kernel: str = "auto") -> int:
+def k_matching_size(graph: BipartiteGraph, k: int) -> int:
     """The size (number of k-stars) of a maximum k-matching."""
-    return len(k_matching(graph, k, kernel=kernel))
+    return len(k_matching(graph, k))
 
 
-def saturates(graph: BipartiteGraph, k: int, kernel: str = "auto") -> bool:
+def saturates(graph: BipartiteGraph, k: int) -> bool:
     """True iff a k-matching of size |L| exists."""
-    return k_matching_size(graph, k, kernel=kernel) == graph.left_count()
+    return k_matching_size(graph, k) == graph.left_count()
 
 
-def max_saturating_k(graph: BipartiteGraph, kernel: str = "auto") -> int:
+def max_saturating_k(graph: BipartiteGraph) -> int:
     """The largest k with a k-matching of size |L| (0 if even k=1 fails)."""
     if not graph.left_count():
         return 0
     k = 0
-    while saturates(graph, k + 1, kernel=kernel):
+    while saturates(graph, k + 1):
         k += 1
         if k > graph.right_count():
             break

@@ -5,24 +5,16 @@ bipartite matchings on a graph with k clones of every left vertex; this
 module supplies the matching engine. Left and right vertices are arbitrary
 hashable objects.
 
-Two engines sit behind :func:`hopcroft_karp`:
-
-* ``reference`` -- the original dict-of-set implementation below,
-  operating directly on hashable vertices;
-* ``packed`` (the ``auto`` default) -- the integer-indexed bitset
-  engine of :mod:`repro.kernels.bitset_matching`, which compiles the
-  graph once and walks big-int adjacency masks.
-
-Both always return a *valid maximum* matching of identical size; the
-specific edges may differ between engines (maximum matchings are not
-unique, and no caller in this repo depends on which one is found --
-pinned by ``tests/kernels/test_bitset_matching.py``).
+:func:`hopcroft_karp` is one dict-of-set implementation operating
+directly on hashable vertices; it always returns a *valid maximum*
+matching (``tests/indist/test_matching.py`` checks its size against
+brute force).
 
 The copying accessors (``left``/``right``/``neighbors``) hand external
-callers defensive copies, as before. Hot loops -- both engines, plus
+callers defensive copies. Hot loops -- Hopcroft-Karp and the
 Hall-condition checks -- use the non-copying ``iter_*`` /
-``left_count``-style paths added in PR 5 so that a BFS visit no longer
-allocates a fresh set per vertex.
+``left_count``-style paths so that a BFS visit does not allocate a
+fresh set per vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set
 
-from repro.kernels import hopcroft_karp_bitset, resolve_kernel
 from repro.obs.spans import span
 
 INF = float("inf")
@@ -115,27 +106,14 @@ class BipartiteGraph:
         )
 
 
-def hopcroft_karp(
-    graph: BipartiteGraph, kernel: str = "auto"
-) -> Dict[Hashable, Hashable]:
-    """Maximum matching; returns a left-vertex -> right-vertex map.
-
-    ``kernel`` selects the engine: ``packed`` (the ``auto`` default)
-    compiles the graph to the integer bitset engine of
-    :mod:`repro.kernels.bitset_matching`; ``reference`` keeps the
-    original dict-of-set implementation. Both return valid maximum
-    matchings of identical size.
-    """
-    engine = resolve_kernel(kernel)
+def hopcroft_karp(graph: BipartiteGraph) -> Dict[Hashable, Hashable]:
+    """Maximum matching; returns a left-vertex -> right-vertex map."""
     with span(
         "indist.hopcroft_karp",
         left=graph.left_count(),
         right=graph.right_count(),
         edges=graph.edge_count(),
-        engine=engine,
     ):
-        if engine == "packed":
-            return hopcroft_karp_bitset(graph)
         return _hopcroft_karp_impl(graph)
 
 
@@ -184,9 +162,9 @@ def _hopcroft_karp_impl(graph: BipartiteGraph) -> Dict[Hashable, Hashable]:
     return {v: r for v, r in match_l.items() if r is not None}
 
 
-def maximum_matching_size(graph: BipartiteGraph, kernel: str = "auto") -> int:
-    """Size of a maximum matching (identical under every kernel)."""
-    return len(hopcroft_karp(graph, kernel=kernel))
+def maximum_matching_size(graph: BipartiteGraph) -> int:
+    """Size of a maximum matching."""
+    return len(hopcroft_karp(graph))
 
 
 def is_valid_matching(graph: BipartiteGraph, matching: Mapping[Hashable, Hashable]) -> bool:

@@ -54,7 +54,7 @@ from repro.partitions.bell import bell_number
 from repro.partitions.enumeration import random_rgs
 from repro.partitions.set_partition import SetPartition
 from repro.resilience.budget import Budget
-from repro.twoparty.protocol import TwoPartyProtocol
+from repro.twoparty.protocol import TwoPartyProtocol, transcript_bits
 
 #: Samples per shard. A shard runs the protocol only on inputs the run
 #: memo below has not seen, so at n = 7 a cold shard takes ~40 ms and a
@@ -119,7 +119,7 @@ def _transcript_population(
     bits = QuantileSketch()
     transcripts = TopKSketch()
     for transcript, count in transcript_counts:
-        bits.update(float(len(transcript)), count=count)
+        bits.update(float(transcript_bits(transcript)), count=count)
         transcripts.update(transcript, count=count)
     return {
         "transcript_bits": bits.to_dict(),

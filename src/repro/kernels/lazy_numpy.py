@@ -1,13 +1,13 @@
 """numpy, imported on the first fast-path call instead of at module import.
 
-The numpy-backed kernels (:mod:`repro.kernels.modp` and
-:mod:`repro.kernels.crossing_batch`) each keep a module-level ``_np``
-handle. It is ``None`` when numpy is not installed and otherwise the
-shared :data:`NUMPY` stand-in, which imports numpy the first time one of
-its attributes is read. A command whose inputs never reach a numpy
-kernel (for example crossing filters below ``BATCH_THRESHOLD``) therefore
-never loads numpy, while the ``_np is None`` fallback checks, and the
-tests that patch ``_np`` to simulate a numpy-less install, work as before.
+The batched rank engine (:mod:`repro.kernels.modp`) and the M_n / E_n
+row decoder (:mod:`repro.partitions.matrices`) each keep a module-level
+``_np`` handle. It is ``None`` when numpy is not installed and otherwise
+the shared :data:`NUMPY` stand-in, which imports numpy the first time
+one of its attributes is read. A command that imports those modules but
+never ranks with the batched engine therefore never loads numpy, while
+the ``_np is None`` fallback checks, and the tests that patch ``_np`` to
+simulate a numpy-less install, work as before.
 """
 
 from importlib.util import find_spec

@@ -825,26 +825,21 @@ def _run_parallel(params: Dict[str, Any]) -> RunnerOutput:
 
 
 def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
-    """P3/P10: fast kernels vs their references, identity-gated.
+    """P3/P10: the rank engines against each other, identity-gated.
 
-    The rank half is the P10 crossover table: every mod-p rank engine
-    (``reference``, and ``numpy-batched`` when numpy is present) on
-    every matrix family (M_n, E_n, a seeded random dense matrix, a
-    seeded random 2%-dense one) at the spec's sizes, one
-    ``measured["rows"]`` entry per (family, engine) holding the best of
-    3 timings, or the one timing of a leg that takes a second or more
-    (at full size the reference engine on the 300x300 dense matrix).
-    ``<family>_speedup`` is the reference time over the time of the
-    engine ``rank_mod_p`` dispatches to under ``kernel``. The graph
-    half times batched graph construction and bitset matching against
-    the reference engines. ``ok`` gates purely on result
-    identity: equal ranks across engines, element-for-element equal
-    indistinguishability graphs, equal maximum-matching size. Speedups
-    are *recorded* but never gate (machine-dependent;
-    docs/EXPERIMENTS.md quotes the measured table).
+    The P10 crossover table: every mod-p rank engine (``reference``,
+    and ``numpy-batched`` when numpy is present) on every matrix family
+    (M_n, E_n, a seeded random dense matrix, a seeded random 2%-dense
+    one) at the spec's sizes, one ``measured["rows"]`` entry per
+    (family, engine) holding the best of 3 timings, or the one timing of
+    a leg that takes a second or more (at full size the reference engine
+    on the 300x300 dense matrix). ``<family>_speedup`` is the reference
+    time over the time of the engine ``rank_mod_p`` dispatches to under
+    ``kernel``. ``ok`` gates purely on result identity (equal ranks
+    across engines) and on the paper's ranks. Speedups are *recorded*
+    but never gate (machine-dependent; docs/EXPERIMENTS.md quotes the
+    measured table).
     """
-    from repro.indist.graph_builder import build_combinatorial_graph
-    from repro.indist.matching import hopcroft_karp
     from repro.kernels import batched_modp_supported, rank_mod_p_batched
     from repro.partitions import (
         bell_number,
@@ -879,11 +874,11 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     dispatched = _modp_engine(p, kernel)
     dispatched = "reference" if dispatched == "python" else dispatched
 
-    def timed(fn, repeats: int = 1):
-        # Best of ``repeats``, except that a leg whose first timing already
-        # takes a second is timed once: repeats only steady short timings.
+    def timed(fn):
+        # Best of 3, except that a leg whose first timing already takes a
+        # second is timed once: repeats only steady short timings.
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(3):
             start = time.perf_counter()
             out = fn()
             best = min(best, time.perf_counter() - start)
@@ -903,7 +898,7 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
         seconds: Dict[str, float] = {}
         ranks = set()
         for engine, fn in engines.items():
-            rank, seconds[engine] = timed(lambda: fn(matrix), repeats=3)
+            rank, seconds[engine] = timed(lambda: fn(matrix))
             ranks.add(rank)
             rows.append(
                 {
@@ -920,41 +915,7 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
             seconds["reference"], seconds[dispatched]
         )
 
-    graph_n = params["graph_n"]
-    graph_ref, graph_ref_s = timed(
-        lambda: build_combinatorial_graph(graph_n, kernel="reference")
-    )
-    graph_fast, graph_fast_s = timed(
-        lambda: build_combinatorial_graph(graph_n, kernel=kernel)
-    )
-    graphs_equal = (
-        graph_fast.left == graph_ref.left
-        and graph_fast.right == graph_ref.right
-        and all(
-            graph_fast.neighbors(v) == graph_ref.neighbors(v)
-            for v in graph_ref.iter_left()
-        )
-    )
-    match_ref, match_ref_s = timed(lambda: hopcroft_karp(graph_ref, kernel="reference"))
-    match_fast, match_fast_s = timed(lambda: hopcroft_karp(graph_fast, kernel=kernel))
-
-    identical = bool(
-        ranks_identical and graphs_equal and len(match_ref) == len(match_fast)
-    )
-    measured.update(
-        {
-            "rows": rows,
-            "graph_reference_seconds": graph_ref_s,
-            "graph_kernel_seconds": graph_fast_s,
-            "graph_speedup": speedup(graph_ref_s, graph_fast_s),
-            "graphs_equal": graphs_equal,
-            "matching_size": len(match_fast),
-            "matching_reference_seconds": match_ref_s,
-            "matching_kernel_seconds": match_fast_s,
-            "matching_speedup": speedup(match_ref_s, match_fast_s),
-            "results_identical": identical,
-        }
-    )
+    measured.update({"rows": rows, "results_identical": ranks_identical})
     # The mod-p ranks still certify Theorem 2.3 and Lemma 4.1.
     predicted = {
         "results_identical": True,
@@ -962,7 +923,7 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
         "e_matrix_rank": perfect_matching_count(params["e_n"]),
     }
     ok = (
-        identical
+        ranks_identical
         and measured["m_matrix_rank"] == predicted["m_matrix_rank"]
         and measured["e_matrix_rank"] == predicted["e_matrix_rank"]
     )
@@ -1175,10 +1136,10 @@ _SPECS: List[BenchmarkSpec] = [
     ),
     BenchmarkSpec(
         "kernels",
-        "P3/P10: rank-engine crossover + batched graph kernels, identity-gated",
+        "P3/P10: rank-engine crossover, identity-gated",
         _run_kernels,
-        {"rank_n": 5, "e_n": 8, "dense_size": 60, "sparse_size": 200, "graph_n": 6},
-        {"rank_n": 6, "e_n": 8, "dense_size": 300, "sparse_size": 300, "graph_n": 7},
+        {"rank_n": 5, "e_n": 8, "dense_size": 60, "sparse_size": 200},
+        {"rank_n": 6, "e_n": 8, "dense_size": 300, "sparse_size": 300},
         supports_kernel=True,
     ),
     BenchmarkSpec(

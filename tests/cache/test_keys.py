@@ -176,9 +176,9 @@ class TestFingerprintClosure:
         assert "repro.core.observers" in _closure(kind)
 
     def test_lazy_reexports_stay_in_the_closure(self):
-        # indist.graph_builder reaches the crossing kernel only through
+        # partitions.linalg reaches the batched rank engine only through
         # repro.kernels' lazy re-export table.
-        assert "repro.kernels.crossing_batch" in _closure("exhaustive")
+        assert "repro.kernels.modp" in _closure("ranks")
 
 
 class TestRequestKey:

@@ -151,7 +151,7 @@ class TestContracts:
         with pytest.raises(AlgorithmContractError) as raised:
             Simulator(BCC1_KT1).run(inst, factory, 4)
         assert str(raised.value) == str(expected.value)
-        res = Simulator(BCC1_KT1, faults=FaultPlan(seed=1)).run(inst, factory, 4)
+        res = Simulator(BCC1_KT1).run(inst, factory, 4, faults=FaultPlan(seed=1))
         assert res.failed_vertices == (0,)
         assert [m[0] for m in res.broadcast_history] == ["1", "1", "", ""]
 

@@ -254,8 +254,8 @@ class TestCrashedVertexAccounting:
         ledger = CostLedger()
         registry = MetricsRegistry()
         with use_ledger(ledger), use_registry(registry):
-            result = Simulator(BCC1_KT0, faults=plan).run(
-                one_cycle_instance(n, kt=0), ConstantAlgorithm, rounds
+            result = Simulator(BCC1_KT0).run(
+                one_cycle_instance(n, kt=0), ConstantAlgorithm, rounds, faults=plan
             )
         return result, ledger, registry
 

@@ -93,6 +93,16 @@ class TestSampledEstimation:
         exact = evaluate_protocol(AliceErrsOnTwoBlocks(n), n)
         assert exact.error_rate == pytest.approx(7 / 15)  # S(4, 2) = 7 of B_4 = 15
 
+    def test_population_counts_transcript_bits(self):
+        """The ``transcript_bits`` sketch holds each run's ``total_bits``
+        (16 for the trivial protocol at n = 4), not the length of the
+        delimited transcript string."""
+        report = estimate_protocol_information(
+            TrivialPartitionCompProtocol(4), 4, 50, random.Random(1)
+        )
+        bits = report.population["transcript_bits"]
+        assert (bits["count"], bits["min"], bits["max"]) == (50, 16.0, 16.0)
+
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             estimate_protocol_information(

@@ -16,8 +16,8 @@ from repro.resilience import FAULT_KINDS, FaultEvent, FaultPlan, ScheduledFault
 def _run(n=8, plan=None, rounds=8, kt=1):
     inst = one_cycle_instance(n, kt=kt)
     model = BCC1_KT1 if kt else BCC1_KT0
-    sim = Simulator(model, faults=plan)
-    return sim.run(inst, connectivity_factory(max_degree=2), rounds)
+    sim = Simulator(model)
+    return sim.run(inst, connectivity_factory(max_degree=2), rounds, faults=plan)
 
 
 class TestFaultEventRecord:
@@ -149,9 +149,9 @@ class TestScheduledFaults:
             scheduled=(ScheduledFault(1, "bit_flip", vertex=0, receiver=1, bit_index=5),)
         )
         inst = one_cycle_instance(8, kt=1)
-        sim = Simulator(BCC1_KT1, faults=plan)
+        sim = Simulator(BCC1_KT1)
         with pytest.raises(FaultInjectionError):
-            sim.run(inst, connectivity_factory(max_degree=2), 8)
+            sim.run(inst, connectivity_factory(max_degree=2), 8, faults=plan)
 
 
 class TestFailStop:
@@ -161,8 +161,8 @@ class TestFailStop:
         # vertices (outputs None), never as a simulator crash
         plan = FaultPlan(scheduled=(ScheduledFault(1, "crash", vertex=0),), seed=5)
         inst = one_cycle_instance(8, kt=0)
-        res = Simulator(BCC1_KT0, faults=plan).run(
-            inst, connectivity_factory(max_degree=2), 8
+        res = Simulator(BCC1_KT0).run(
+            inst, connectivity_factory(max_degree=2), 8, faults=plan
         )
         assert 0 in res.crashed_vertices
         for v in res.failed_vertices:
@@ -180,8 +180,8 @@ class TestFaultTraceIntegration:
         trace = RunTrace(buf)
         plan = FaultPlan(scheduled=(ScheduledFault(1, "erasure", vertex=0, receiver=3),))
         inst = one_cycle_instance(8, kt=1)
-        Simulator(BCC1_KT1, trace=trace, faults=plan).run(
-            inst, connectivity_factory(max_degree=2), 8
+        Simulator(BCC1_KT1, trace=trace).run(
+            inst, connectivity_factory(max_degree=2), 8, faults=plan
         )
         trace.close()
         events = read_trace(io.StringIO(buf.getvalue()))

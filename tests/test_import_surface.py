@@ -148,10 +148,16 @@ def test_closed_form_ratio_runs_no_graph_machinery(tmp_path):
     for name in (
         "repro.core.simulator",
         "repro.crossing",
-        "repro.kernels.crossing_batch",
         "repro.indist.graph_builder",
     ):
         assert name not in modules
+
+
+def test_exhaustive_loads_no_kernel_module(tmp_path):
+    # The G^0 builder and Hopcroft-Karp have one engine each, in
+    # repro.indist; the only kernels left are the rank engine's.
+    modules = _loaded(("exhaustive", "--n", "5"), tmp_path)
+    assert sorted(m for m in modules if m.startswith("repro.kernels.")) == []
 
 
 def test_cached_fault_sweep_hit_loads_no_simulator(tmp_path):

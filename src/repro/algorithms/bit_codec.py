@@ -9,7 +9,7 @@ logic in one place.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 def id_bit_width(max_id: int) -> int:

@@ -25,7 +25,7 @@ vertex observes simultaneously.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.algorithm import NO, YES, NodeAlgorithm
 from repro.core.knowledge import InitialKnowledge

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithm import NO, YES, NodeAlgorithm
 from repro.core.knowledge import InitialKnowledge
-from repro.algorithms.bit_codec import encode_fixed, id_bit_width
+from repro.algorithms.bit_codec import encode_fixed
 from repro.graphs.components import UnionFind
 
 #: Field modulus: Mersenne prime 2^31 - 1 (IDs + 1 must stay below it).

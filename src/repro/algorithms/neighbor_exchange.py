@@ -24,7 +24,6 @@ the ID width -- Theta(log n) for constant maximum degree Delta.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.algorithm import NO, YES, NodeAlgorithm

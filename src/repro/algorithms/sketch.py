@@ -30,7 +30,7 @@ identical randomness -- exactly the shared-randomness regime of the model.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.algorithm import NO, YES, NodeAlgorithm
 from repro.core.knowledge import InitialKnowledge

@@ -8,7 +8,7 @@ round-by-round table over the {0, 1, ⊥} alphabet and can diff two runs
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.model import message_to_char
 from repro.core.simulator import RunResult

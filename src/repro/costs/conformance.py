@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.costs.calculus import HAVE_SYMPY, Expr, evaluate, sympy_cross_check
-from repro.costs.specs import CostSpec, MeasuredCost, all_specs, get_spec, spec_names
+from repro.costs.specs import CostSpec, MeasuredCost, all_specs, get_spec
 
 __all__ = ["ConformanceResult", "check_all", "check_spec"]
 

@@ -10,7 +10,7 @@ over the vertex indices ``0 .. n-1``.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.graphs.graph import Graph
 

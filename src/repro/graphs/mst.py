@@ -13,7 +13,7 @@ distributed and sequential computations comparable edge-by-edge.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.graphs.components import UnionFind
 from repro.graphs.graph import Graph, Vertex

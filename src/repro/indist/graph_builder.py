@@ -28,13 +28,13 @@ over every pair of active directed edges.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithm import AlgorithmFactory
 from repro.core.instance import BCCInstance
 from repro.core.randomness import PublicCoin
 from repro.core.simulator import Simulator
-from repro.crossing.active import active_edges, directed_input_edges
+from repro.crossing.active import active_edges
 from repro.crossing.independent import DirectedEdge
 from repro.graphs.graph import Graph
 from repro.instances.enumeration import (

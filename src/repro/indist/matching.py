@@ -20,7 +20,7 @@ fresh set per vertex.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Set
 
 from repro.obs.spans import span
 

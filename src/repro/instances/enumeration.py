@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, Iterator, Tuple
 
 from repro.graphs.graph import Graph
 

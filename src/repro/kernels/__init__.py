@@ -8,7 +8,8 @@ a silent fallback when the accelerator (numpy) is absent. There is one:
   blocks (one pivot search per column, then one chunked update of only
   the rows the pivot touches, reduced mod p only when int64 could
   overflow, instead of per-entry Python loops); the engine for every
-  rank, at every prime (p = 2 included).
+  rank of at least ``repro.partitions.linalg.BATCHED_MIN_ROWS`` rows, at
+  every prime (p = 2 included).
 
 The indistinguishability graph (Definition 3.6) and its k-matchings
 (Theorem 2.1) have one engine each, in :mod:`repro.indist`, and take no
@@ -17,16 +18,16 @@ The indistinguishability graph (Definition 3.6) and its k-matchings
 Every rank call site takes a ``kernel`` argument (also exposed as
 ``--kernel`` on the relevant CLI subcommands) with these values:
 
-* ``"auto"`` (the default) -- the batched engine, which silently falls
-  back to the reference when numpy is absent or the prime overflows
-  the int64 reduction;
+* ``"auto"`` (the default) -- the batched engine, except on a matrix
+  below ``BATCHED_MIN_ROWS`` rows, when numpy is absent, or when the
+  prime overflows the int64 reduction: there, silently, the reference;
 * ``"reference"`` -- the pure-python reference implementation, exactly
   as it was before this package existed.
 
 Every rank, M_n and E_n included, goes through
 :func:`repro.partitions.linalg.rank_mod_p` on a dense matrix, which
-picks the batched engine or the reference by mode, prime and numpy's
-presence. :func:`resolve_kernel` validates the mode and resolves its
+picks the batched engine or the reference by mode, row count, prime
+and numpy's presence. :func:`resolve_kernel` validates the mode and resolves its
 *family* (fast vs reference).
 
 The contract, enforced by the ``tests/kernels`` suites: identical

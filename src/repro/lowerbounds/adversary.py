@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.algorithm import AlgorithmFactory
 from repro.core.decision import decision_of_run
 from repro.core.instance import BCCInstance
 from repro.core.randomness import PublicCoin
-from repro.core.simulator import RunResult, Simulator
+from repro.core.simulator import Simulator
 from repro.crossing.crossing import cross
 from repro.crossing.independent import DirectedEdge, are_independent
 from repro.crossing.indistinguishability import indistinguishable_runs

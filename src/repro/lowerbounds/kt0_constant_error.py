@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.algorithm import NO, YES, AlgorithmFactory
+from repro.core.algorithm import YES, AlgorithmFactory
 from repro.core.decision import decision_of_run
 from repro.core.instance import BCCInstance
 from repro.core.randomness import PublicCoin

@@ -18,16 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.core.algorithm import YES, AlgorithmFactory
 from repro.core.decision import decision_of_run
-from repro.core.instance import BCCInstance
 from repro.core.randomness import PublicCoin
 from repro.core.simulator import Simulator
 from repro.crossing.active import edge_label
 from repro.crossing.crossing import cross
-from repro.crossing.independent import DirectedEdge, independent_edge_set_on_cycle
+from repro.crossing.independent import independent_edge_set_on_cycle
 from repro.crossing.indistinguishability import indistinguishable_runs
 from repro.instances.cycles import one_cycle_instance
 

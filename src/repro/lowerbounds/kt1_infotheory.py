@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.randomness import PublicCoin
 from repro.information.partition_comp import (
@@ -20,7 +20,6 @@ from repro.information.partition_comp import (
     evaluate_protocol,
     information_lower_bound,
 )
-from repro.partitions.bell import bell_number
 from repro.twoparty.simulation import BCCSimulationProtocol, PARTITION, simulation_bits_per_round
 
 

@@ -10,7 +10,7 @@ callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.algorithm import SilentAlgorithm

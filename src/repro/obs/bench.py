@@ -833,12 +833,13 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     one) at the spec's sizes, one ``measured["rows"]`` entry per
     (family, engine) holding the best of 3 timings, or the one timing of
     a leg that takes a second or more (at full size the reference engine
-    on the 300x300 dense matrix). ``<family>_speedup`` is the reference
-    time over the time of the engine ``rank_mod_p`` dispatches to under
-    ``kernel``. ``ok`` gates purely on result identity (equal ranks
-    across engines) and on the paper's ranks. Speedups are *recorded*
-    but never gate (machine-dependent; docs/EXPERIMENTS.md quotes the
-    measured table).
+    on the 300x300 dense matrix). ``rank_engine[<family>]`` names the
+    engine ``rank_mod_p`` dispatches that family's matrix to under
+    ``kernel`` (it depends on the row count), and ``<family>_speedup`` is
+    the reference time over that engine's time. ``ok`` gates purely on
+    result identity (equal ranks across engines) and on the paper's
+    ranks. Speedups are *recorded* but never gate (machine-dependent;
+    docs/EXPERIMENTS.md quotes the measured table).
     """
     from repro.kernels import batched_modp_supported, rank_mod_p_batched
     from repro.partitions import (
@@ -871,8 +872,6 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     engines = {"reference": lambda m: rank_mod_p(m, p, kernel="reference")}
     if batched_modp_supported(p):
         engines["numpy-batched"] = lambda m: rank_mod_p_batched(m, p)
-    dispatched = _modp_engine(p, kernel)
-    dispatched = "reference" if dispatched == "python" else dispatched
 
     def timed(fn):
         # Best of 3, except that a leg whose first timing already takes a
@@ -892,9 +891,12 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     for fn in engines.values():
         fn([[1]])  # warm-up: loads numpy outside the timed region
     rows: List[Dict[str, Any]] = []
-    measured: Dict[str, Any] = {"rank_engine": dispatched}
+    measured: Dict[str, Any] = {"rank_engine": {}}
     ranks_identical = True
     for family, matrix in families.items():
+        dispatched = _modp_engine(p, kernel, len(matrix))
+        dispatched = "reference" if dispatched == "python" else dispatched
+        measured["rank_engine"][family] = dispatched
         seconds: Dict[str, float] = {}
         ranks = set()
         for engine, fn in engines.items():

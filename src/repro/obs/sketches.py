@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "MomentsSketch",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.partitions.set_partition import SetPartition
 

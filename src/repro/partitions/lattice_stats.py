@@ -20,8 +20,7 @@ Everything is exact and exhaustive, so it is usable up to n ~ 7
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.partitions.bell import bell_number, stirling2
 from repro.partitions.enumeration import enumerate_partitions

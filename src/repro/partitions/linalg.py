@@ -21,7 +21,8 @@ several primes are taken, whose maximum lower-bounds the rational rank).
 Every entry point takes ``kernel`` (``auto`` | ``reference``, see
 :mod:`repro.kernels`). ``rank_mod_p`` has two engines for a dense
 matrix, chosen by :func:`_modp_engine`: the batched numpy int64
-elimination, and the pure-python reference, which runs under
+elimination for matrices of at least :data:`BATCHED_MIN_ROWS` rows,
+and the pure-python reference, which runs below that size, under
 ``kernel="reference"``, without numpy, and at primes whose
 ``(p-1)^2`` overflows int64. Both are bit-identical: the rank over a
 fixed field is mathematically determined, and each engine ticks the
@@ -30,8 +31,8 @@ pivot structure, so budget boundaries and span trees are unchanged.
 Every M_n / E_n rank of :mod:`repro.partitions.matrices` runs
 :func:`rank_exact` on the dense matrix: a uint8 array decoded straight
 from the row masks when :func:`rank_reads_arrays` (the batched engine
-runs), the list of lists otherwise. Every engine reads an entry through ``int()``, so both forms
-give the same ranks and ticks.
+runs), the list of lists otherwise. Every engine reads an entry
+through ``int()``, so both forms give the same ranks and ticks.
 """
 
 from __future__ import annotations
@@ -138,30 +139,43 @@ def _rank_mod_p_python(
     return rank
 
 
-def _modp_engine(p: int, kernel: str) -> str:
-    """The dense-matrix engine a (p, kernel) combination dispatches to.
+#: ``kernel="auto"`` ranks a matrix of fewer rows with the pure-python
+#: reference, which never loads numpy. EXPERIMENTS.md P29 times both
+#: engines with numpy already imported: below 16 rows the reference is
+#: the faster one on every 0/1 matrix measured (M_4: 0.13 against
+#: 0.21 ms), and the batched engine wins from 18 rows on random 0/1
+#: matrices and from ~32 on M_n / E_n prefixes. Random residues mod p
+#: cross at ~12 rows (up to 0.06 ms lost at 12-15 rows; every matrix the
+#: program ranks is 0/1), so the constant is the smallest one that takes
+#: the paper's 15-row M_4 and E_6 off numpy.
+BATCHED_MIN_ROWS = 16
 
-    Each branch cites its rows of the crossover table in EXPERIMENTS.md
-    P12 (engine x matrix family x size, with and without numpy).
+
+def _modp_engine(p: int, kernel: str, rows: int) -> str:
+    """The engine a (p, kernel, row count) combination dispatches to.
+
+    Each branch cites its rows of the crossover tables in EXPERIMENTS.md
+    P12 and P29 (engine x matrix family x size).
     """
-    if resolve_kernel(kernel) == "reference":
+    if resolve_kernel(kernel) == "reference" or rows < BATCHED_MIN_ROWS:
         return "python"
     if batched_modp_supported(p):
-        # P12, every family at both sizes: numpy-batched is 2.3-26x
-        # faster than python.
+        # P29: from M_5 (52 rows) on, numpy-batched is 2.3x (M_5) to
+        # 8x (E_8) faster than python; P12 for the larger sizes.
         return "numpy-batched"
     # P12 numpy-blocked rows: python is the reference itself.
     return "python"
 
 
-def rank_reads_arrays(kernel: str) -> bool:
+def rank_reads_arrays(kernel: str, rows: int) -> bool:
     """True when :func:`rank_exact` at its default primes starts batched.
 
     Its first elimination then copies the rows into a numpy int64 array,
-    so a caller building the matrix only to rank it may hand over a numpy
-    array; the pure-python engines read a list of lists fastest.
+    so a caller building a ``rows``-row matrix only to rank it may hand
+    over a numpy array; the pure-python engines read a list of lists
+    fastest.
     """
-    return _modp_engine(DEFAULT_PRIMES[0], kernel) == "numpy-batched"
+    return _modp_engine(DEFAULT_PRIMES[0], kernel, rows) == "numpy-batched"
 
 
 def rank_mod_p(
@@ -172,16 +186,17 @@ def rank_mod_p(
 ) -> int:
     """Rank over GF(p). Always a lower bound on the rational rank.
 
-    ``kernel="auto"`` runs the batched numpy int64 elimination at every
-    prime whose ``(p-1)^2`` fits int64 (every default prime qualifies,
-    including the Mersenne prime ``2^31 - 1`` -- pinned by the overflow
-    regression tests -- and so does p = 2); anything else, numpy's
-    absence, or ``kernel="reference"`` runs the pure-python reference.
-    Both engines return the same rank and tick ``budget`` once per pivot
-    column (see :func:`rank_bareiss`).
+    ``kernel="auto"`` runs the batched numpy int64 elimination on a
+    matrix of at least :data:`BATCHED_MIN_ROWS` rows at every prime whose
+    ``(p-1)^2`` fits int64 (every default prime qualifies, including the
+    Mersenne prime ``2^31 - 1`` -- pinned by the overflow regression
+    tests -- and so does p = 2); a smaller matrix, any other prime,
+    numpy's absence, or ``kernel="reference"`` runs the pure-python
+    reference. Both engines return the same rank and tick ``budget``
+    once per pivot column (see :func:`rank_bareiss`).
     """
-    engine = _modp_engine(p, kernel)
     rows_, cols_ = _shape(matrix)
+    engine = _modp_engine(p, kernel, rows_)
     with span("partitions.rank_mod_p", rows=rows_, cols=cols_, p=p, engine=engine):
         if engine == "numpy-batched":
             return rank_mod_p_batched(matrix, p, budget)

@@ -22,12 +22,14 @@ n = 7); :func:`~repro.partitions.set_partition.joins_to_top` is kept as
 the test oracle. The builders (:func:`build_m_matrix` /
 :func:`build_e_matrix`) decode the row masks into the dense B_n x B_n
 list of lists, the public form and the tests' oracle. The rank
-functions skip it: when the batched numpy engine will run, they decode
-the masks straight into one B_n x B_n uint8 array (one byte per cell,
-~17 MB for M_8, where a list of lists holds a pointer per cell, ~137
-MB); otherwise they rank the list of lists, which the pure-python
-engines read fastest. ``ranks --max-n 8`` peaks at ~200 MB with numpy
-(EXPERIMENTS.md P24), most of it the kernel's int64 copy of M_8.
+functions skip it: when the batched numpy engine will run (from
+:data:`~repro.partitions.linalg.BATCHED_MIN_ROWS` rows, so from M_5 and
+E_8), they decode the masks straight into one B_n x B_n uint8 array
+(one byte per cell, ~17 MB for M_8, where a list of lists holds a
+pointer per cell, ~137 MB); otherwise they rank the list of lists, which
+the pure-python engines read fastest, and never load numpy. ``ranks
+--max-n 8`` peaks at ~200 MB with numpy (EXPERIMENTS.md P24), most of it
+the kernel's int64 copy of M_8.
 """
 
 from __future__ import annotations
@@ -212,20 +214,26 @@ def build_e_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
 # the paper's rank facts
 # ----------------------------------------------------------------------
 
-def _rank_rows(partitions: Sequence[SetPartition], kernel: str):
-    """The join-to-top matrix over ``partitions``, in the form its rank reads.
-
-    A uint8 array decoded straight from the row masks when
-    :func:`~repro.partitions.linalg.rank_reads_arrays` (no list of
-    lists); the :func:`partition_matrix` list of lists otherwise. Every
-    engine converts each entry with ``int()``, so both forms give the
-    same rank and the same budget ticks.
-    """
-    if not rank_reads_arrays(kernel):
-        return partition_matrix(partitions)
+def _uint8_rows(partitions: Sequence[SetPartition]):
+    """The join-to-top matrix over ``partitions`` as one uint8 array."""
     width = len(partitions)
     bits = b"".join([_mask_bits(mask, width) for mask in _join_masks(partitions)])
     return _np.frombuffer(bits, dtype=_np.uint8).reshape(width, width)
+
+
+def _rank_rows(partitions: Sequence[SetPartition], kernel: str):
+    """The join-to-top matrix over ``partitions``, in the form its rank reads.
+
+    The :func:`_uint8_rows` array when
+    :func:`~repro.partitions.linalg.rank_reads_arrays` (no list of
+    lists); the :func:`partition_matrix` list of lists otherwise, so a
+    matrix the reference ranks never touches numpy. Every engine
+    converts each entry with ``int()``, so both forms give the same rank
+    and the same budget ticks.
+    """
+    if rank_reads_arrays(kernel, len(partitions)):
+        return _uint8_rows(partitions)
+    return partition_matrix(partitions)
 
 
 def m_matrix_rank(n: int, kernel: str = "auto") -> int:

@@ -16,7 +16,7 @@ hashing behave like mathematical equality.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import PartitionError
 

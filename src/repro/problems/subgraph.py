@@ -13,7 +13,6 @@ BCC(1): full-adjacency exchange, then a local clique check.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
 
 from repro.core.algorithm import NO, YES
 from repro.core.instance import BCCInstance

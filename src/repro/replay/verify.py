@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, Optional, TextIO, Union
 
 from repro.replay.store import RecordedSession, read_session
 

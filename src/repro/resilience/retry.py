@@ -16,7 +16,7 @@ is observable without wall-clock coupling.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional, Tuple, Type, TypeVar
+from typing import Callable, Optional, Tuple, Type, TypeVar
 
 __all__ = [
     "DEFAULT_RETRY_ATTEMPTS",

@@ -14,7 +14,7 @@ The classical facts the paper invokes, made executable:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from repro.partitions.linalg import rank_exact
 

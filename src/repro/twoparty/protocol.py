@@ -12,8 +12,8 @@ t-round BCC(1) algorithm yields a protocol with O(t * n) bits.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
 from repro.errors import ProtocolError
 

@@ -21,7 +21,7 @@ would tile M with too few monochromatic rectangles to realize its rank.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Sequence, Set, Tuple
 
 from repro.twoparty.protocol import TwoPartyProtocol
 

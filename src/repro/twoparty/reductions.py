@@ -25,7 +25,7 @@ split (Alice: A ∪ L, Bob: B ∪ R) exposed for the Section 4.3 simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.instance import BCCInstance
 from repro.graphs.graph import Graph

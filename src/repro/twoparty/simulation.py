@@ -24,11 +24,9 @@ makes the information constraint structural rather than merely asserted.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.algorithm import NO, YES, AlgorithmFactory, NodeAlgorithm
+from repro.core.algorithm import YES, AlgorithmFactory, NodeAlgorithm
 from repro.core.knowledge import InitialKnowledge
 from repro.core.randomness import PublicCoin
 from repro.algorithms.bit_codec import pack_symbols, unpack_symbols

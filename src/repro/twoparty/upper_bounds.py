@@ -9,7 +9,7 @@ Partition at Theta(n log n).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.partitions.set_partition import SetPartition, joins_to_top
 from repro.twoparty.protocol import ALICE, BOB, TwoPartyProtocol, Turn

@@ -38,9 +38,11 @@ class TestModpFallback:
 
     def test_engine_dispatch_degrades_to_python(self, no_numpy):
         # every prime, p = 2 included, falls back to the reference engine
+        # at every size, the batched engine's sizes included
         for p in (2, *DEFAULT_PRIMES):
-            assert linalg._modp_engine(p, "auto") == "python"
-        assert not linalg.rank_reads_arrays("auto")
+            for rows in (linalg.BATCHED_MIN_ROWS - 1, linalg.BATCHED_MIN_ROWS, 877):
+                assert linalg._modp_engine(p, "auto", rows) == "python"
+        assert not linalg.rank_reads_arrays("auto", 877)
 
     def test_rank_values_unchanged(self, no_numpy):
         _parts, matrix = build_m_matrix(3)

@@ -1,8 +1,9 @@
 """Batched mod-p elimination: identity with the reference and int64 safety.
 
-p = 2 rides along as one more prime: ``rank_mod_p`` runs the batched
-engine there too, so the mod-2 collapse of the paper's matrices is
-pinned here.
+p = 2 rides along as one more prime: the batched engine runs there
+too, so the mod-2 collapse of the paper's matrices is pinned for both
+engines here. ``kernel="auto"`` picks the engine by row count
+(``linalg.BATCHED_MIN_ROWS``); the boundary suite pins both sides of it.
 """
 
 import math
@@ -15,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
-from repro.kernels import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
+from repro.kernels import (
+    HAVE_NUMPY,
+    KERNEL_MODES,
+    batched_modp_supported,
+    rank_mod_p_batched,
+)
 from repro.kernels import modp
 from repro.kernels.modp import _CHUNK_ROWS, _lazy_reduction_fits
 from repro.partitions import (
@@ -23,11 +29,15 @@ from repro.partitions import (
     bell_number,
     build_e_matrix,
     build_m_matrix,
+    matchings_for,
+    partition_matrix,
     partitions_for,
     rank_bareiss,
+    rank_exact,
     rank_mod_p,
 )
 from repro.partitions.linalg import (
+    BATCHED_MIN_ROWS,
     _modp_engine,
     _rank_mod_p_python,
     rank_reads_arrays,
@@ -48,6 +58,19 @@ PRIMES = (2, *DEFAULT_PRIMES)
 def _ticked(engine, matrix, p):
     budget = Budget(max_units=10**6)
     return engine(matrix, p, budget), budget.units_done
+
+
+def _assert_engines_agree(matrix, p):
+    """Rank under both kernel modes and, with numpy, the batched engine.
+
+    ``auto`` ranks a matrix below ``BATCHED_MIN_ROWS`` rows with the
+    reference, so small matrices reach the batched engine only directly.
+    """
+    ref = rank_mod_p(matrix, p, kernel="reference")
+    assert rank_mod_p(matrix, p, kernel="auto") == ref
+    if batched_modp_supported(p):
+        assert rank_mod_p_batched(matrix, p) == ref
+    return ref
 
 
 class TestSupportBound:
@@ -271,9 +294,7 @@ class TestExhaustiveSmall:
     def test_all_3x3_matrices_mod_p(self, p):
         for flat in product(range(p), repeat=9):
             matrix = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            assert rank_mod_p(matrix, p, kernel="auto") == rank_mod_p(
-                matrix, p, kernel="reference"
-            )
+            _assert_engines_agree(matrix, p)
 
 
 class TestEngineIdentity:
@@ -290,14 +311,70 @@ class TestEngineIdentity:
             assert rank_mod_p([], p, kernel="auto") == 0
 
     def test_dispatch_by_mode(self):
-        # dense ranks run numpy-batched at every prime, p = 2 included
+        # from BATCHED_MIN_ROWS rows, ranks run numpy-batched at every
+        # prime, p = 2 included; below it, and under reference, python
         expected = "numpy-batched" if HAVE_NUMPY else "python"
         for p in PRIMES:
-            assert _modp_engine(p, "auto") == expected
-            assert _modp_engine(p, "reference") == "python"
+            assert _modp_engine(p, "auto", BATCHED_MIN_ROWS) == expected
+            assert _modp_engine(p, "auto", 877) == expected
+            assert _modp_engine(p, "auto", BATCHED_MIN_ROWS - 1) == "python"
+            assert _modp_engine(p, "auto", 0) == "python"
+            assert _modp_engine(p, "reference", 877) == "python"
         # the paper ranks hand over a numpy array exactly when batched runs
-        assert rank_reads_arrays("auto") == HAVE_NUMPY
-        assert not rank_reads_arrays("reference")
+        assert rank_reads_arrays("auto", BATCHED_MIN_ROWS) == HAVE_NUMPY
+        assert not rank_reads_arrays("auto", BATCHED_MIN_ROWS - 1)
+        assert not rank_reads_arrays("reference", 877)
+
+
+def _boundary_matrix(family, rows):
+    """A ``rows x rows`` matrix of ``family``, seeded by its size."""
+    if family == "M":
+        return partition_matrix(partitions_for(6)[:rows])
+    if family == "E":
+        return partition_matrix(matchings_for(8)[:rows])
+    rng = random.Random(rows)
+    p = DEFAULT_PRIMES[0]
+    return [[rng.randrange(p) for _ in range(rows)] for _ in range(rows)]
+
+
+def _outcome(rank, matrix, p, max_units, **kwargs):
+    """The rank, or ``None`` when ``Budget(max_units)`` runs out first."""
+    try:
+        return rank(matrix, p, Budget(max_units=max_units), **kwargs)
+    except BudgetExceededError:
+        return None
+
+
+class TestCrossoverBoundary:
+    """``auto`` changes engine at ``BATCHED_MIN_ROWS`` rows and nothing
+    else: the same rank and the same budget cutoff on either side."""
+
+    @pytest.mark.parametrize("family", ["M", "E", "dense"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_auto_equals_reference_at_the_crossover(self, family, offset):
+        rows = BATCHED_MIN_ROWS + offset
+        matrix = _boundary_matrix(family, rows)
+        assert len(matrix) == rows
+        p = DEFAULT_PRIMES[0]
+        batched = offset >= 0 and HAVE_NUMPY
+        expected = "numpy-batched" if batched else "python"
+        assert _modp_engine(p, "auto", rows) == expected
+        assert rank_reads_arrays("auto", rows) == batched
+        ref, units = _ticked(_rank_mod_p_python, matrix, p)
+        assert rank_mod_p(matrix, p, kernel="auto") == ref
+        assert rank_exact(matrix, kernel="auto") == rank_exact(
+            matrix, kernel="reference"
+        )
+        if HAVE_NUMPY:
+            assert _ticked(rank_mod_p_batched, matrix, p) == (ref, units)
+        # a budget of k units raises at the same tick under every engine:
+        # every k up to the run's unit count raises, one more completes
+        for max_units in range(1, units + 2):
+            want = ref if max_units > units else None
+            for kernel in KERNEL_MODES:
+                assert _outcome(rank_mod_p, matrix, p, max_units, kernel=kernel) == want
+            if HAVE_NUMPY:
+                assert _outcome(rank_mod_p_batched, matrix, p, max_units) == want
 
 
 class TestModTwoCollapse:
@@ -307,14 +384,12 @@ class TestModTwoCollapse:
     def test_m4_rank_is_8_of_15(self):
         _parts, matrix = build_m_matrix(4)
         assert len(matrix) == 15
-        for kernel in ("auto", "reference"):
-            assert rank_mod_p(matrix, 2, kernel=kernel) == 8
+        assert _assert_engines_agree(matrix, 2) == 8
 
     def test_e6_rank_is_4_of_15(self):
         _matchings, matrix = build_e_matrix(6)
         assert len(matrix) == 15
-        for kernel in ("auto", "reference"):
-            assert rank_mod_p(matrix, 2, kernel=kernel) == 4
+        assert _assert_engines_agree(matrix, 2) == 4
 
 
 @needs_numpy
@@ -351,9 +426,7 @@ class TestBudgetParity:
     st.sampled_from(PRIMES),
 )
 def test_hypothesis_packed_equals_reference(matrix, p):
-    assert rank_mod_p(matrix, p, kernel="auto") == rank_mod_p(
-        matrix, p, kernel="reference"
-    )
+    _assert_engines_agree(matrix, p)
 
 
 @settings(max_examples=25, deadline=None)
@@ -370,6 +443,4 @@ def test_hypothesis_packed_equals_reference(matrix, p):
 )
 def test_hypothesis_max_residue_entries_at_mersenne(matrix):
     """Entries at the top of the residue range never corrupt the batch."""
-    assert rank_mod_p(matrix, MERSENNE, kernel="auto") == rank_mod_p(
-        matrix, MERSENNE, kernel="reference"
-    )
+    _assert_engines_agree(matrix, MERSENNE)

@@ -302,6 +302,10 @@ class TestKernelInjection:
         assert {row["family"] for row in rows} == families
         engines = {"reference", "numpy-batched"} if HAVE_NUMPY else {"reference"}
         assert {row["engine"] for row in rows} == engines
+        # one dispatched engine per family: every quick matrix has at
+        # least BATCHED_MIN_ROWS rows, so auto runs it batched
+        dispatched = "numpy-batched" if HAVE_NUMPY else "reference"
+        assert result.measured["rank_engine"] == dict.fromkeys(families, dispatched)
         assert all(row["seconds"] > 0.0 for row in rows)
         assert result.predicted["results_identical"] is True
 
@@ -310,4 +314,5 @@ class TestKernelInjection:
         harness = BenchmarkHarness(out_dir=None, quick=True, kernel="reference")
         result = harness.run_one("kernels")
         assert result.ok
+        assert set(result.measured["rank_engine"].values()) == {"reference"}
         assert result.params["kernel"] == "reference"

@@ -397,13 +397,13 @@ class TestMeasuredRows:
     def test_rows_copied_into_the_entry(self):
         result = _Result("kernels", 0.01)
         result.measured = {
-            "rows": [{"family": "m_matrix", "engine": "sparse", "seconds": 0.1}],
-            "graph_speedup": 2.0,
+            "rows": [{"family": "m_matrix", "engine": "numpy-batched", "seconds": 0.1}],
+            "rank_engine": {"m_matrix": "numpy-batched"},
         }
         record = history_record([result], quick=True, ts=0.0)
         entry = record["entries"]["kernels"]
         assert entry["rows"] == result.measured["rows"]
-        assert "graph_speedup" not in entry
+        assert "rank_engine" not in entry
         assert validate_history_record(record) == []
 
     def test_rowless_results_emit_no_rows(self):

@@ -10,6 +10,7 @@ public name refers to.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -85,12 +86,15 @@ NO_NUMPY = [
     # the exhaustive scanner is pure python at every worker count
     ("exhaustive", "--n", "5"),
     ("sampling", "--n", "5", "--samples", "200"),
+    # M_1..M_4, E_2..E_6: at most 15 rows, below linalg.BATCHED_MIN_ROWS,
+    # so every rank runs the pure-python reference
+    ("ranks", "--max-n", "4"),
 ]
 
-#: Commands that do run a numpy kernel, so may load numpy, but not sympy.
+#: Commands that do run a numpy kernel, so load numpy, but not sympy.
 NUMPY_KERNEL = [
-    # rank(M_n) mod p runs the batched int64 elimination (kernels.modp)
-    ("ranks", "--max-n", "4"),
+    # rank(M_5) (52 rows) mod p runs the batched int64 elimination
+    ("ranks", "--max-n", "5"),
 ]
 
 
@@ -103,7 +107,9 @@ def test_command_loads_neither_sympy_nor_numpy(argv, tmp_path):
 
 @pytest.mark.parametrize("argv", NUMPY_KERNEL, ids=lambda a: " ".join(a))
 def test_command_loads_no_sympy(argv, tmp_path):
-    assert "sympy" not in _loaded(argv, tmp_path)
+    modules = _loaded(argv, tmp_path)
+    assert "sympy" not in modules
+    assert ("numpy" in modules) == (importlib.util.find_spec("numpy") is not None)
 
 
 #: Commands of the ``cli_light`` end-to-end workload that run no search
